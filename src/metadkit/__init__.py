@@ -18,13 +18,12 @@ from .bootstrap import (
     run_hypothesis_suite,
     tost,
 )
-from .nonparam import accuracy, auroc2, nlp_gap, spearman_rho
+from .nonparam import spearman_rho
 from .profiles import (
     DomainProfile,
     FormatComparison,
     build_profiles,
     compare_formats,
-    fit_cell,
     rank_profile,
 )
 from .report import ReportBundle, emit_bar_chart, emit_tables, reproduction_notes

@@ -128,22 +128,44 @@ def _draw_ids(entropy: int, ordinal: int, n_ids: int) -> np.ndarray:
     return rng.integers(0, n_ids, size=n_ids)
 
 
-def _rows_per_id(trials: TrialSet, ids: list[str]):
-    """Row indices of each id, as a flat array when ids map 1:1 to rows."""
-    index: dict[str, list[int]] = {qid: [] for qid in ids}
-    for row, rec in enumerate(trials.records):
-        if rec.question_id in index:
-            index[rec.question_id].append(row)
-    rows = [np.array(index[qid], dtype=np.int64) for qid in ids]
-    if all(len(r) == 1 for r in rows):
-        return np.array([r[0] for r in rows], dtype=np.int64)
-    return rows
+@dataclass(frozen=True)
+class _Side:
+    """One resampled trial set: its id stream and its records ordered by id."""
+
+    entropy: int | None      # None: a paired b side, which reuses the a side's draw
+    n_ids: int
+    counts: np.ndarray | None    # records per id; None when every id has one
+    nlp: np.ndarray          # by id, in record order within an id
+    correct: np.ndarray
+
+    def sample(self, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """nlp and correct of every record of the drawn ids, in draw order."""
+        if self.counts is not None:     # expand each drawn id to its run of records
+            lengths = self.counts[draw]
+            ends = np.cumsum(lengths)
+            firsts = (np.cumsum(self.counts) - self.counts)[draw]
+            draw = np.repeat(firsts - (ends - lengths), lengths) + np.arange(ends[-1])
+        return self.nlp[draw], self.correct[draw]
 
 
-def _gather(rows, draw: np.ndarray) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        return rows[draw]
-    return np.concatenate([rows[i] for i in draw])
+def _side(trials: TrialSet, entropy: int | None) -> _Side:
+    codes, ids = trials.codes("question_id")
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(ids))
+    return _Side(entropy, len(ids), None if counts.max() == 1 else counts,
+                 trials.nlp_values[order], trials.correct_mask[order])
+
+
+@dataclass(frozen=True)
+class _Job:
+    """What a worker needs to evaluate resample ordinals of one unit: the
+    metric of the a side, minus that of the b side for a contrast."""
+
+    metric: str
+    scale: RatingScale
+    pad_value: float
+    a: _Side
+    b: _Side | None = None
 
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
@@ -171,60 +193,35 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
     return fit.meta_d if metric == "meta_d" else fit.m_ratio
 
 
-def _eval_chunk(payload: dict, start: int, stop: int) -> np.ndarray:
+def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     """Statistic (or nan) for resample ordinals [start, stop)."""
     out = np.empty(stop - start)
-    scale = RatingScale(payload["n_ratings"])
-    metric = payload["metric"]
-    pad_value = payload["pad_value"]
-    contrast = "nlp_b" in payload
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
         for j, ordinal in enumerate(range(start, stop)):
-            draw = _draw_ids(payload["entropy"], ordinal, payload["n_ids"])
+            draw = _draw_ids(job.a.entropy, ordinal, job.a.n_ids)
             try:
-                rows_a = _gather(payload["rows_a"], draw)
-                stat = metric_value(metric, payload["nlp_a"][rows_a],
-                                    payload["correct_a"][rows_a], scale, pad_value)
-                if contrast:
-                    if payload["paired"]:
-                        draw_b = draw
-                    else:
-                        draw_b = _draw_ids(payload["entropy_b"], ordinal,
-                                           payload["n_ids_b"])
-                    rows_b = _gather(payload["rows_b"], draw_b)
-                    stat -= metric_value(metric, payload["nlp_b"][rows_b],
-                                         payload["correct_b"][rows_b], scale, pad_value)
+                stat = metric_value(job.metric, *job.a.sample(draw), job.scale, job.pad_value)
+                if job.b is not None:
+                    if job.b.entropy is not None:
+                        draw = _draw_ids(job.b.entropy, ordinal, job.b.n_ids)
+                    stat -= metric_value(job.metric, *job.b.sample(draw), job.scale,
+                                         job.pad_value)
                 out[j] = stat
             except _DEGENERATE_ERRORS:
                 out[j] = np.nan
     return out
 
 
-def _run_resamples(payload: dict, n_resamples: int, workers: int) -> np.ndarray:
+def _run_resamples(job: _Job, n_resamples: int, workers: int) -> np.ndarray:
     if workers <= 1 or n_resamples < 2 * workers:
-        return _eval_chunk(payload, 0, n_resamples)
+        return _eval_chunk(job, 0, n_resamples)
     chunk = max(1, -(-n_resamples // (workers * 4)))
     bounds = [(s, min(s + chunk, n_resamples)) for s in range(0, n_resamples, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_eval_chunk, payload, s, e) for s, e in bounds]
+        futures = [pool.submit(_eval_chunk, job, s, e) for s, e in bounds]
         parts = [f.result() for f in futures]
     return np.concatenate(parts)
-
-
-def _percentile_ci(stats: np.ndarray, ci_level: float) -> tuple[float, float]:
-    alpha = 1.0 - ci_level
-    lo, hi = np.percentile(stats, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
-    return float(lo), float(hi)
-
-
-def _check_degenerate(n_bad: int, n_resamples: int, unit: str) -> bool:
-    if n_bad > DEGENERATE_FRACTION_ALARM * n_resamples:
-        warnings.warn(
-            f"{unit}: {n_bad}/{n_resamples} resamples had an undefined statistic",
-            TooManyDegenerate, stacklevel=3)
-        return True
-    return False
 
 
 def _single_domain(trials: TrialSet) -> str:
@@ -232,6 +229,55 @@ def _single_domain(trials: TrialSet) -> str:
     if len(domains) != 1:
         raise ValueError(f"bootstrap needs a single-domain trial set, got {domains}")
     return domains[0]
+
+
+def _bootstrap(a: TrialSet, b: TrialSet | None, metric: str, unit: str, n_resamples: int,
+               seed: int, ci_level: float, workers: int, scale: RatingScale,
+               pad_value: float, paired: bool = True) -> BootstrapResult:
+    """Percentile bootstrap of metric(a), or of metric(a) - metric(b).
+
+    The a side draws ids from the stream of ``unit``; an unpaired b side
+    draws from its own stream ``unit|b``, a paired one reuses a's draw.
+    """
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
+    domain = _single_domain(a)
+    if b is not None:
+        domain_b = _single_domain(b)
+        if domain != domain_b:
+            raise UnpairedSets(f"contrast across domains {domain!r} vs {domain_b!r}")
+        if paired:
+            report = validate_paired(a, b)
+            if not report.paired:
+                raise UnpairedSets(
+                    f"paired contrast needs identical question ids; "
+                    f"missing={report.missing[:5]} extra={report.extra[:5]}")
+
+    point = metric_value(metric, a.nlp_values, a.correct_mask, scale, pad_value)
+    side_b = None
+    if b is not None:
+        point -= metric_value(metric, b.nlp_values, b.correct_mask, scale, pad_value)
+        side_b = _side(b, None if paired else _stream_entropy(seed, domain, unit + "|b"))
+    job = _Job(metric, scale, pad_value, _side(a, _stream_entropy(seed, domain, unit)), side_b)
+    stats = _run_resamples(job, n_resamples, workers)
+    valid = stats[~np.isnan(stats)]
+    n_bad = int(np.isnan(stats).sum())
+    flagged = n_bad > DEGENERATE_FRACTION_ALARM * n_resamples
+    if flagged:
+        warnings.warn(
+            f"{domain}/{unit}: {n_bad}/{n_resamples} resamples had an undefined statistic",
+            TooManyDegenerate, stacklevel=3)
+    if len(valid) == 0:
+        ci_low = ci_high = float("nan")
+        flagged = True
+    else:
+        alpha = 1.0 - ci_level
+        low, high = np.percentile(valid, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
+        ci_low, ci_high = float(low), float(high)
+    return BootstrapResult(metric=metric, domain=domain, point=point,
+                           ci_low=ci_low, ci_high=ci_high, ci_level=ci_level,
+                           n_resamples=n_resamples, seed=seed,
+                           degenerate_resample_count=n_bad, flagged_degenerate=flagged)
 
 
 def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
@@ -244,35 +290,8 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     resulting trial multiset through the full metric pipeline (quantile
     bins recomputed per resample for the model-based metrics).
     """
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
-    domain = _single_domain(trials)
-    ids = sorted(set(trials.question_ids()))
-    point = metric_value(metric, trials.nlp_values, trials.correct_mask, scale, pad_value)
-
-    payload = {
-        "entropy": _stream_entropy(seed, domain, metric),
-        "n_ids": len(ids),
-        "rows_a": _rows_per_id(trials, ids),
-        "nlp_a": trials.nlp_values,
-        "correct_a": trials.correct_mask,
-        "metric": metric,
-        "n_ratings": scale.n_ratings,
-        "pad_value": pad_value,
-    }
-    stats = _run_resamples(payload, n_resamples, workers)
-    valid = stats[~np.isnan(stats)]
-    n_bad = int(np.isnan(stats).sum())
-    flagged = _check_degenerate(n_bad, n_resamples, f"{domain}/{metric}")
-    if len(valid) == 0:
-        ci_low = ci_high = float("nan")
-        flagged = True
-    else:
-        ci_low, ci_high = _percentile_ci(valid, ci_level)
-    return BootstrapResult(metric=metric, domain=domain, point=point,
-                           ci_low=ci_low, ci_high=ci_high, ci_level=ci_level,
-                           n_resamples=n_resamples, seed=seed,
-                           degenerate_resample_count=n_bad, flagged_degenerate=flagged)
+    return _bootstrap(trials, None, metric, metric, n_resamples, seed, ci_level, workers,
+                      scale, pad_value)
 
 
 def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
@@ -288,74 +307,37 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     """
     if pairing not in ("paired", "independent"):
         raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
-    domain = _single_domain(trials_a)
-    domain_b = _single_domain(trials_b)
-    if domain != domain_b:
-        raise UnpairedSets(f"contrast across domains {domain!r} vs {domain_b!r}")
-    if pairing == "paired":
-        report = validate_paired(trials_a, trials_b)
-        if not report.paired:
-            raise UnpairedSets(
-                f"paired contrast needs identical question ids; missing={report.missing[:5]} "
-                f"extra={report.extra[:5]}")
-
-    unit = unit or _contrast_unit(metric, trials_a, trials_b)
-    ids_a = sorted(set(trials_a.question_ids()))
-    ids_b = ids_a if pairing == "paired" else sorted(set(trials_b.question_ids()))
-
-    delta_hat = (metric_value(metric, trials_a.nlp_values, trials_a.correct_mask, scale, pad_value)
-                 - metric_value(metric, trials_b.nlp_values, trials_b.correct_mask, scale, pad_value))
-
-    payload = {
-        "entropy": _stream_entropy(seed, domain, unit),
-        "entropy_b": _stream_entropy(seed, domain, unit + "|b"),
-        "n_ids": len(ids_a),
-        "n_ids_b": len(ids_b),
-        "rows_a": _rows_per_id(trials_a, ids_a),
-        "rows_b": _rows_per_id(trials_b, ids_b),
-        "nlp_a": trials_a.nlp_values,
-        "correct_a": trials_a.correct_mask,
-        "nlp_b": trials_b.nlp_values,
-        "correct_b": trials_b.correct_mask,
-        "paired": pairing == "paired",
-        "metric": metric,
-        "n_ratings": scale.n_ratings,
-        "pad_value": pad_value,
-    }
-    stats = _run_resamples(payload, n_resamples, workers)
-    valid = stats[~np.isnan(stats)]
-    n_bad = int(np.isnan(stats).sum())
-    flagged = _check_degenerate(n_bad, n_resamples, f"{domain}/{unit}")
-    if len(valid) == 0:
-        ci_low = ci_high = float("nan")
-        flagged = True
-    else:
-        ci_low, ci_high = _percentile_ci(valid, ci_level)
-    return ContrastResult(hypothesis_id="", metric=metric, domain=domain,
-                          delta_hat=delta_hat, ci_low=ci_low, ci_high=ci_high,
+    label, default_unit = _contrast_names(metric, trials_a, trials_b)
+    r = _bootstrap(trials_a, trials_b, metric, unit or default_unit, n_resamples, seed,
+                   ci_level, workers, scale, pad_value, paired=pairing == "paired")
+    return ContrastResult(hypothesis_id="", metric=metric, domain=r.domain,
+                          delta_hat=r.point, ci_low=r.ci_low, ci_high=r.ci_high,
                           ci_level=ci_level, n_resamples=n_resamples, seed=seed,
-                          degenerate_resample_count=n_bad, flagged_degenerate=flagged,
-                          pairing=pairing, contrast=_contrast_label(trials_a, trials_b))
+                          degenerate_resample_count=r.degenerate_resample_count,
+                          flagged_degenerate=r.flagged_degenerate,
+                          pairing=pairing, contrast=label)
 
 
-def _contrast_label(a: TrialSet, b: TrialSet) -> str:
-    def tag(s: TrialSet) -> str:
-        conditions = "+".join(s.conditions())
-        formats = s.formats()
-        return conditions if len(formats) == 1 else f"{conditions}@{'+'.join(formats)}"
-    return f"{tag(a)}-{tag(b)}"
+def _contrast_names(metric: str, a: TrialSet, b: TrialSet) -> tuple[str, str]:
+    """The report label and the default RNG unit of the contrast a - b; the
+    label leaves out the format of a side that has only one."""
+    labels, tags = [], []
+    for s in (a, b):
+        conditions, formats = "+".join(s.conditions()), s.formats()
+        tags.append(f"{conditions}@{'+'.join(formats)}")
+        labels.append(conditions if len(formats) == 1 else tags[-1])
+    return "-".join(labels), f"{metric}|{'-'.join(tags)}"
 
 
-def _contrast_unit(metric: str, a: TrialSet, b: TrialSet) -> str:
-    def tag(s: TrialSet) -> str:
-        return "+".join(s.conditions()) + "@" + "+".join(s.formats())
-    return f"{metric}|{tag(a)}-{tag(b)}"
+def check_tost_ci_level(ci_level: float) -> None:
+    """Raise WrongCiLevel unless ci_level is the 90% that TOST needs."""
+    if abs(ci_level - 0.90) > 1e-9:
+        raise WrongCiLevel(f"TOST needs a 90% CI, got {ci_level}")
 
 
 def tost(contrast: ContrastResult, delta: float) -> str:
     """Equivalence decision: 90% CI strictly inside (-delta, +delta)."""
-    if abs(contrast.ci_level - 0.90) > 1e-9:
-        raise WrongCiLevel(f"TOST needs a 90% CI, got {contrast.ci_level}")
+    check_tost_ci_level(contrast.ci_level)
     if delta <= 0:
         raise ValueError("delta must be positive")
     equivalent = (-delta < contrast.ci_low) and (contrast.ci_high < delta)

@@ -20,12 +20,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .binning import RatingScale
-from .bootstrap import default_hypothesis_specs, run_hypothesis_suite
+from .bootstrap import check_tost_ci_level, default_hypothesis_specs, run_hypothesis_suite
 from .errors import ConfigError, DataError, MetadkitError
 from .profiles import build_profiles, compare_formats
 from .report import ReportBundle
 from .synth import SynthConfig, generate
-from .trialstore import load_trials, save_trials
+from .trialstore import BOOLEAN_STRINGS, load_trials, save_trials
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -41,7 +41,6 @@ class RunConfig:
 
     trials: str = ""
     n_ratings: int = 4
-    n_bins: int = 8
     pad_value: float = 0.5
     seed: int = 42
     n_resamples: int = 10_000
@@ -55,9 +54,6 @@ class RunConfig:
     full_precision: bool = False
 
     def validate(self) -> None:
-        if self.n_bins != 2 * self.n_ratings:
-            raise ConfigError(f"n_bins must equal 2 * n_ratings "
-                              f"({self.n_bins} != 2 * {self.n_ratings})")
         if self.n_ratings < 2:
             raise ConfigError("n_ratings must be >= 2")
         if self.n_resamples < 1:
@@ -72,6 +68,11 @@ class RunConfig:
                               f"got {self.pairing!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        check_tost_ci_level(self.ci_level_tost)
+
+    @property
+    def n_bins(self) -> int:
+        return 2 * self.n_ratings
 
     @property
     def scale(self) -> RatingScale:
@@ -92,38 +93,43 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-_BOOL_KEYS = {"full_precision"}
-
-
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
-    """Defaults <- config file <- command-line flags, with type coercion."""
-    config = RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
+    """Defaults <- config file <- command-line flags, with type coercion.
+
+    Either layer may give ``n_bins`` (``--bins``); it is stored as the
+    ``n_ratings`` it implies.
+    """
+    known = {f.name for f in fields(RunConfig)} | {"n_bins"}
+    from_file: dict = {}
     if config_path:
         for key, raw in parse_kv_file(config_path).items():
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-            config = replace(config, **{key: _coerce(key, raw)})
-    cleaned = {k: v for k, v in overrides.items() if v is not None}
-    if "n_ratings" in cleaned and "n_bins" not in cleaned:
-        cleaned["n_bins"] = 2 * int(cleaned["n_ratings"])
-    if "n_bins" in cleaned and "n_ratings" not in cleaned:
-        n_bins = int(cleaned["n_bins"])
-        if n_bins % 2:
-            raise ConfigError("n_bins must be even")
-        cleaned["n_ratings"] = n_bins // 2
-    config = replace(config, **cleaned)
+            from_file[key] = _coerce(key, raw)
+    from_flags = {k: v for k, v in overrides.items() if v is not None}
+    config = RunConfig(**{**_ratings_from_bins(from_file), **_ratings_from_bins(from_flags)})
     config.validate()
     return config
 
 
+def _ratings_from_bins(values: dict) -> dict:
+    """One layer's values with n_bins replaced by the n_ratings it implies."""
+    values = dict(values)
+    n_bins = values.pop("n_bins", None)
+    if n_bins is not None:
+        n_ratings = values.setdefault("n_ratings", n_bins // 2)
+        if n_bins != 2 * n_ratings:
+            raise ConfigError(f"n_bins must be even and equal 2 * n_ratings "
+                              f"({n_bins} != 2 * {n_ratings})")
+    return values
+
+
 def _coerce(key: str, raw: str):
-    defaults = RunConfig()
-    current = getattr(defaults, key)
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("true", "1", "yes")
+    current = getattr(RunConfig(), key)
     if isinstance(current, bool):
-        return raw.strip().lower() in ("true", "1", "yes")
+        if raw.lower() not in BOOLEAN_STRINGS:
+            raise ConfigError(f"{key} must be true/false/1/0/yes/no, got {raw!r}")
+        return BOOLEAN_STRINGS[raw.lower()]
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -133,7 +139,12 @@ def _coerce(key: str, raw: str):
 
 def _default_workers() -> int | None:
     value = os.environ.get(WORKERS_ENV_VAR)
-    return int(value) if value else None
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -326,8 +337,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "validate": cmd_validate,
         "diagnose": cmd_diagnose,
@@ -336,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
     }
     try:
+        # the parser reads METADKIT_WORKERS, which may be malformed
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

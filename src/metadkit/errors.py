@@ -149,10 +149,6 @@ class DegenerateResponse(MetadkitWarning):
     """All raw mass sits on one response side; type-2 fit is weakly identified."""
 
 
-class LowDPrime(MetadkitWarning):
-    """d' below 0.5; M-ratio estimates are unstable in this regime."""
-
-
 class NegativeMetaD(MetadkitWarning):
     """Confidence was anti-informative; meta-d' reported as 0."""
 

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import EmptySet, LengthMismatch, OneClassOnly, ZeroVariance
-from .trialstore import TrialSet
 
 
 def auroc2_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
@@ -28,10 +27,6 @@ def auroc2_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def auroc2(trials: TrialSet) -> float:
-    return auroc2_arrays(trials.nlp_values, trials.correct_mask)
-
-
 def nlp_gap_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
     """Mean nlp over correct trials minus mean nlp over incorrect trials."""
     n_pos = int(correct.sum())
@@ -40,19 +35,11 @@ def nlp_gap_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
     return float(nlp[correct].mean() - nlp[~correct].mean())
 
 
-def nlp_gap(trials: TrialSet) -> float:
-    return nlp_gap_arrays(trials.nlp_values, trials.correct_mask)
-
-
 def accuracy_arrays(correct: np.ndarray) -> float:
+    """Fraction of trials with correct=true."""
     if len(correct) == 0:
         raise EmptySet("accuracy undefined for an empty set")
     return float(correct.mean())
-
-
-def accuracy(trials: TrialSet) -> float:
-    """Fraction of trials with correct=true."""
-    return accuracy_arrays(trials.correct_mask)
 
 
 def spearman_rho(x, y) -> float:

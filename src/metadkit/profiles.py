@@ -61,11 +61,6 @@ def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
     return meta_d_fit(table, type1)
 
 
-def fit_cell(trials: TrialSet, scale: RatingScale = RatingScale(),
-             pad_value: float = 0.5) -> SdtFit:
-    return fit_cell_arrays(trials.nlp_values, trials.correct_mask, scale, pad_value)
-
-
 def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
                    pad_value: float = 0.5,
                    binning_scope: str = "per_cell") -> list[DomainProfile]:
@@ -85,10 +80,10 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
                 continue
             shared_bins = (bin_indices(cf.nlp_values, scale.n_bins)
                            if binning_scope == "global" else None)
-            domain_rows = np.array([r.domain for r in cf.records])
+            domain_codes, domains = cf.codes("domain")
             cell_profiles = []
-            for domain in cf.domains():
-                mask = domain_rows == domain
+            for code, domain in enumerate(domains.tolist()):
+                mask = domain_codes == code
                 nlp = cf.nlp_values[mask]
                 correct = cf.correct_mask[mask]
                 bins = shared_bins[mask] if shared_bins is not None else None

@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from .binning import CountTable
 from .errors import InvalidConfig, UnsupportedFamily
 from .sdt import _initial_gaps, _nll_fixed_meta_d, phi
-from .trialstore import TrialRecord, TrialSet
+from .trialstore import TrialSet
 
 FAMILIES = ("gaussian", "lognormal_skew", "mixture")
 
@@ -103,18 +103,11 @@ def generate(config: SynthConfig) -> TrialSet:
     # draw per class in a fixed order so the stream is reproducible
     nlp[correct] = _draw_class(rng, config, n_correct, "correct")
     nlp[~correct] = _draw_class(rng, config, config.n_trials - n_correct, "incorrect")
-    records = [
-        TrialRecord(
-            question_id=f"q{i + 1:06d}",
-            domain=config.domain,
-            condition=config.condition,
-            format=config.format,
-            correct=bool(correct[i]),
-            nlp=float(nlp[i]),
-        )
-        for i in range(config.n_trials)
-    ]
-    return TrialSet(records)
+    n = config.n_trials
+    return TrialSet.from_columns({
+        "question_id": [f"q{i + 1:06d}" for i in range(n)],
+        "domain": [config.domain] * n, "condition": [config.condition] * n,
+        "format": [config.format] * n, "correct": correct, "nlp": nlp})
 
 
 def oracle_auroc2(config: SynthConfig) -> float:

@@ -9,6 +9,15 @@ answer (nats per token) and serves as the confidence score.
 Record order is preserved from the file and is semantically significant:
 quantile binning breaks ties by input order, so reordering a file can
 change downstream bin assignments.
+
+A TrialSet stores its trials as columns in record order: ``nlp``
+(float64), ``correct`` (bool), ``answer_text`` (str or None), and for each
+of ``question_id``, ``domain``, ``condition`` and ``format`` an integer
+code per record into the sorted distinct values present in the set.
+Filters are boolean masks over the columns, and a subset drops the values
+it no longer holds, so the distinct values of a field are always exactly
+those of its records. ``TrialRecord`` rows exist only at the edges: a set
+can be built from records and read back as records.
 """
 
 from __future__ import annotations
@@ -17,11 +26,10 @@ import csv
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,9 +44,9 @@ from .errors import (
 
 REQUIRED_FIELDS = ("question_id", "domain", "condition", "format", "correct", "nlp")
 ALL_FIELDS = REQUIRED_FIELDS + ("answer_text",)
+CODED_FIELDS = ("question_id", "domain", "condition", "format")
 
-_TRUE_STRINGS = {"true", "1", "yes"}
-_FALSE_STRINGS = {"false", "0", "no"}
+BOOLEAN_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -52,10 +60,6 @@ class TrialRecord:
     correct: bool
     nlp: float
     answer_text: str | None = None
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.question_id, self.condition, self.format)
 
     def to_dict(self) -> dict:
         d = {
@@ -74,24 +78,68 @@ class TrialRecord:
 @dataclass(frozen=True)
 class Provenance:
     source: str
-    loaded_at: str
+
+
+def _factorize(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Integer code per value into the sorted distinct values."""
+    distinct = sorted(set(values))
+    index = {value: code for code, value in enumerate(distinct)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return codes, np.array(distinct, dtype=object)
 
 
 class TrialSet:
-    """An ordered, immutable collection of trial records.
+    """An ordered, immutable collection of trials, stored as columns.
 
     Safe to share across concurrent readers; all mutating-looking
     operations return new sets.
     """
 
     def __init__(self, records: Iterable[TrialRecord], provenance: Provenance | None = None):
-        self.records: tuple[TrialRecord, ...] = tuple(records)
+        records = tuple(records)
+        self._fill({name: [getattr(r, name) for r in records] for name in ALL_FIELDS},
+                   provenance)
+
+    @classmethod
+    def from_columns(cls, columns: dict[str, Sequence],
+                     provenance: Provenance | None = None) -> "TrialSet":
+        """A set from one equal-length sequence per name in ALL_FIELDS, in
+        record order; ``answer_text`` may be left out."""
+        trials = cls.__new__(cls)
+        trials._fill(columns, provenance)
+        return trials
+
+    def _fill(self, columns: dict[str, Sequence], provenance: Provenance | None) -> None:
+        self.nlp_values = np.asarray(columns["nlp"], dtype=float)
+        self.correct_mask = np.asarray(columns["correct"], dtype=bool)
+        self._answer_text = np.array(columns.get("answer_text", [None] * len(self.nlp_values)),
+                                     dtype=object)
+        self._coded = {name: _factorize(columns[name]) for name in CODED_FIELDS}
         self.provenance = provenance
-        self._nlp: np.ndarray | None = None
-        self._correct: np.ndarray | None = None
+
+    def _subset(self, mask: np.ndarray) -> "TrialSet":
+        subset = TrialSet.__new__(TrialSet)
+        subset.nlp_values = self.nlp_values[mask]
+        subset.correct_mask = self.correct_mask[mask]
+        subset._answer_text = self._answer_text[mask]
+        subset._coded = {}
+        for name, (codes, values) in self._coded.items():
+            kept = codes[mask]
+            present = np.bincount(kept, minlength=len(values)) > 0
+            subset._coded[name] = (np.cumsum(present)[kept] - 1, values[present])
+        subset.provenance = self.provenance
+        return subset
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        """The trials as TrialRecord rows, in record order."""
+        strings = [values[codes].tolist()
+                   for codes, values in map(self._coded.get, CODED_FIELDS)]
+        return tuple(map(TrialRecord, *strings, self.correct_mask.tolist(),
+                         self.nlp_values.tolist(), self._answer_text.tolist()))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.nlp_values)
 
     def __iter__(self) -> Iterator[TrialRecord]:
         return iter(self.records)
@@ -99,37 +147,29 @@ class TrialSet:
     def __getitem__(self, i) -> TrialRecord:
         return self.records[i]
 
-    @property
-    def nlp_values(self) -> np.ndarray:
-        if self._nlp is None:
-            self._nlp = np.array([r.nlp for r in self.records], dtype=float)
-        return self._nlp
-
-    @property
-    def correct_mask(self) -> np.ndarray:
-        if self._correct is None:
-            self._correct = np.array([r.correct for r in self.records], dtype=bool)
-        return self._correct
+    def codes(self, field: str) -> tuple[np.ndarray, np.ndarray]:
+        """For one of CODED_FIELDS: the integer code of each record and the
+        sorted distinct values (an object array) that the codes index."""
+        return self._coded[field]
 
     def domains(self) -> list[str]:
-        return sorted({r.domain for r in self.records})
+        return self._coded["domain"][1].tolist()
 
     def conditions(self) -> list[str]:
-        return sorted({r.condition for r in self.records})
+        return self._coded["condition"][1].tolist()
 
     def formats(self) -> list[str]:
-        return sorted({r.format for r in self.records})
+        return self._coded["format"][1].tolist()
 
     def question_ids(self) -> list[str]:
         """Unique question ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.question_id, None)
-        return list(seen)
+        codes, ids = self._coded["question_id"]
+        _, first_rows = np.unique(codes, return_index=True)
+        return ids[codes[np.sort(first_rows)]].tolist()
 
     def domain_counts(self) -> dict[str, int]:
-        counts = Counter(r.domain for r in self.records)
-        return dict(sorted(counts.items()))
+        codes, domains = self._coded["domain"]
+        return dict(zip(domains.tolist(), np.bincount(codes, minlength=len(domains)).tolist()))
 
     def filter(self, domain: str | None = None, condition: str | None = None,
                format: str | None = None) -> "TrialSet":
@@ -141,12 +181,8 @@ def _coerce_bool(value, line: int, path: str) -> bool:
         return value
     if isinstance(value, (int, float)) and value in (0, 1):
         return bool(value)
-    if isinstance(value, str):
-        v = value.strip().lower()
-        if v in _TRUE_STRINGS:
-            return True
-        if v in _FALSE_STRINGS:
-            return False
+    if isinstance(value, str) and value.strip().lower() in BOOLEAN_STRINGS:
+        return BOOLEAN_STRINGS[value.strip().lower()]
     raise DataError(f"{path}:{line}: cannot interpret correct={value!r} as a boolean")
 
 
@@ -160,22 +196,21 @@ def _coerce_nlp(value, line: int, path: str) -> float:
     return x
 
 
-def _record_from_mapping(row: dict, line: int, path: str) -> TrialRecord:
+def _append_row(columns: dict[str, list], seen: set, row: dict, line: int,
+                path: str) -> None:
     for name in REQUIRED_FIELDS:
         if name not in row or row[name] is None or row[name] == "":
             raise MissingField(name, line, path)
     answer = row.get("answer_text")
-    if answer == "":
-        answer = None
-    return TrialRecord(
-        question_id=str(row["question_id"]),
-        domain=str(row["domain"]),
-        condition=str(row["condition"]),
-        format=str(row["format"]),
-        correct=_coerce_bool(row["correct"], line, path),
-        nlp=_coerce_nlp(row["nlp"], line, path),
-        answer_text=None if answer is None else str(answer),
-    )
+    values = (*(str(row[name]) for name in CODED_FIELDS),
+              _coerce_bool(row["correct"], line, path), _coerce_nlp(row["nlp"], line, path),
+              None if answer is None or answer == "" else str(answer))
+    key = (values[0], values[2], values[3])
+    if key in seen:
+        raise DuplicateKey(key, line, path)
+    seen.add(key)
+    for name, value in zip(ALL_FIELDS, values):
+        columns[name].append(value)
 
 
 def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
@@ -191,8 +226,8 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown trial file format {fmt!r}")
 
-    records: list[TrialRecord] = []
-    seen: dict[tuple[str, str, str], int] = {}
+    columns: dict[str, list] = {name: [] for name in ALL_FIELDS}
+    seen: set[tuple[str, str, str]] = set()
     sname = str(path)
 
     if fmt == "jsonl":
@@ -206,30 +241,18 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
                     raise DataError(f"{sname}:{line_no}: invalid JSON ({exc.msg})") from None
                 if not isinstance(row, dict):
                     raise DataError(f"{sname}:{line_no}: expected a JSON object")
-                rec = _record_from_mapping(row, line_no, sname)
-                _check_duplicate(rec, seen, line_no, sname)
-                records.append(rec)
+                _append_row(columns, seen, row, line_no, sname)
     else:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise EmptySet(f"{sname}: no header row")
             for line_no, row in enumerate(reader, start=2):
-                rec = _record_from_mapping(row, line_no, sname)
-                _check_duplicate(rec, seen, line_no, sname)
-                records.append(rec)
+                _append_row(columns, seen, row, line_no, sname)
 
-    if not records:
+    if not seen:
         raise EmptySet(f"{sname}: no trial records")
-
-    prov = Provenance(source=sname, loaded_at=datetime.now(timezone.utc).isoformat())
-    return TrialSet(records, provenance=prov)
-
-
-def _check_duplicate(rec: TrialRecord, seen: dict, line_no: int, path: str) -> None:
-    if rec.key in seen:
-        raise DuplicateKey(rec.key, line_no, path)
-    seen[rec.key] = line_no
+    return TrialSet.from_columns(columns, Provenance(source=sname))
 
 
 def save_trials(trials: TrialSet, path: str | Path) -> None:
@@ -246,22 +269,19 @@ def filter_trials(trials: TrialSet, domain: str | None = None,
     A selector value that occurs nowhere in the set triggers an
     UnknownSelectorValue warning; the (legal) empty result is returned.
     """
-    for name, value, known in (
-        ("domain", domain, lambda r: r.domain),
-        ("condition", condition, lambda r: r.condition),
-        ("format", format, lambda r: r.format),
-    ):
-        if value is not None and all(known(r) != value for r in trials.records):
+    mask = np.ones(len(trials), dtype=bool)
+    for name, value in (("domain", domain), ("condition", condition), ("format", format)):
+        if value is None:
+            continue
+        codes, values = trials.codes(name)
+        match = np.flatnonzero(values == value)
+        if len(match) == 0:
             warnings.warn(f"{name}={value!r} matches no records", UnknownSelectorValue,
                           stacklevel=2)
-
-    selected = [
-        r for r in trials.records
-        if (domain is None or r.domain == domain)
-        and (condition is None or r.condition == condition)
-        and (format is None or r.format == format)
-    ]
-    return TrialSet(selected, provenance=trials.provenance)
+            mask[:] = False
+        else:
+            mask &= codes == match[0]
+    return trials._subset(mask)
 
 
 @dataclass(frozen=True)
@@ -274,22 +294,33 @@ class PairingReport:
     extra: tuple[str, ...] = ()     # ids present in b but not in a (per domain)
 
 
+def _union_codes(a: TrialSet, b: TrialSet,
+                 field: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes of a field in a and in b, both into the sorted union of their values."""
+    (codes_a, values_a), (codes_b, values_b) = a.codes(field), b.codes(field)
+    union = np.union1d(values_a, values_b)
+    return (np.searchsorted(union, values_a)[codes_a],
+            np.searchsorted(union, values_b)[codes_b], union)
+
+
 def validate_paired(a: TrialSet, b: TrialSet) -> PairingReport:
     """Check that a and b hold the identical multiset of question ids per domain.
 
     A failed pairing is a reported outcome, not an error; the verdict is
     symmetric (swapping a and b swaps missing/extra but not ``paired``).
     """
-    ca = Counter((r.domain, r.question_id) for r in a.records)
-    cb = Counter((r.domain, r.question_id) for r in b.records)
-    only_a = ca - cb
-    only_b = cb - ca
-    shared = ca & cb
-    missing = tuple(sorted({qid for (_, qid) in only_a.elements()}))
-    extra = tuple(sorted({qid for (_, qid) in only_b.elements()}))
-    return PairingReport(
-        paired=not only_a and not only_b,
-        n_shared=sum(shared.values()),
-        missing=missing,
-        extra=extra,
-    )
+    domain_a, domain_b, _ = _union_codes(a, b, "domain")
+    qid_a, qid_b, qids = _union_codes(a, b, "question_id")
+    # one integer per (domain, question id) pair; pair % len(qids) is the id
+    pairs, inverse = np.unique(np.concatenate([domain_a * len(qids) + qid_a,
+                                               domain_b * len(qids) + qid_b]),
+                               return_inverse=True)
+    count_a = np.bincount(inverse[:len(a)], minlength=len(pairs))
+    count_b = np.bincount(inverse[len(a):], minlength=len(pairs))
+
+    def ids(excess: np.ndarray) -> tuple[str, ...]:
+        return tuple(qids[np.unique(pairs[excess] % len(qids))].tolist())
+
+    return PairingReport(paired=bool((count_a == count_b).all()),
+                         n_shared=int(np.minimum(count_a, count_b).sum()),
+                         missing=ids(count_a > count_b), extra=ids(count_b > count_a))

@@ -52,6 +52,44 @@ def test_golden_reference_run():
     assert res.flagged_degenerate
 
 
+def _golden_sets(case):
+    rng = np.random.default_rng({"paired": 31, "independent": 32, "two_formats": 33}[case])
+    if case == "paired":
+        return (gaussian_trials(rng, 40, qid_prefix="p"),
+                gaussian_trials(rng, 40, qid_prefix="p", condition="2"))
+    if case == "independent":
+        return (gaussian_trials(rng, 40, qid_prefix="a"),
+                gaussian_trials(rng, 30, qid_prefix="b", condition="2"))
+    # every id has one record per format, so a resample gathers two rows per id
+    sides = []
+    for condition in ("1", "2"):
+        records = []
+        for format in ("f16", "q5_k_m"):
+            records.extend(gaussian_trials(rng, 30, qid_prefix="m", condition=condition,
+                                           format=format).records)
+        sides.append(TrialSet(records))
+    return tuple(sides)
+
+
+@pytest.mark.parametrize("case, pairing, expected, label", [
+    ("paired", "paired",
+     (0.5402742669581693, -0.35142510313878783, 1.2511638913082628, 0), "1-2"),
+    ("independent", "independent",
+     (-0.22839323709542436, -1.0543211250810247, 0.9050677513326876, 0), "1-2"),
+    ("two_formats", "paired",
+     (0.667947133388235, -0.37784789035622734, 1.2576579979056066, 0),
+     "1@f16+q5_k_m-2@f16+q5_k_m"),
+])
+def test_golden_contrast_runs(case, pairing, expected, label):
+    # reference runs of this engine, pinned; no unit argument, so the
+    # default unit string seeds the id streams
+    a, b = _golden_sets(case)
+    res = bootstrap_contrast(a, b, "nlp_gap", n_resamples=100, seed=7, pairing=pairing)
+    assert (res.delta_hat, res.ci_low, res.ci_high,
+            res.degenerate_resample_count) == expected
+    assert res.contrast == label
+
+
 def test_bit_identical_across_runs_and_workers():
     runs = []
     for workers in (1, 1, 2, 4):

@@ -77,6 +77,14 @@ def test_nratings_implies_bins():
     assert config.n_bins == 6
 
 
+def test_config_file_nratings_implies_bins(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_ratings = 3\n")
+    config = load_run_config(str(path), {})
+    assert config.n_ratings == 3
+    assert config.n_bins == 6
+
+
 def test_inconsistent_bins_rejected():
     with pytest.raises(ConfigError):
         load_run_config(None, {"n_ratings": 4, "n_bins": 6})
@@ -91,6 +99,13 @@ def test_unknown_config_key_rejected(tmp_path):
         load_run_config(str(path), {})
 
 
+def test_misspelled_boolean_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("full_precision = ture\n")
+    with pytest.raises(ConfigError):
+        load_run_config(str(path), {})
+
+
 def test_workers_env_var_default(monkeypatch):
     from metadkit.cli import build_parser
     monkeypatch.setenv("METADKIT_WORKERS", "3")
@@ -99,6 +114,27 @@ def test_workers_env_var_default(monkeypatch):
     monkeypatch.delenv("METADKIT_WORKERS")
     args = build_parser().parse_args(["diagnose", "--trials", "x.jsonl"])
     assert args.workers is None
+
+
+def test_malformed_workers_env_var_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("METADKIT_WORKERS", "abc")
+    assert main(["diagnose", "--trials", "x.jsonl"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_wrong_tost_level_fails_before_load_and_resampling(tmp_path, monkeypatch):
+    import metadkit.cli
+
+    calls = []
+    monkeypatch.setattr(metadkit.cli, "run_hypothesis_suite",
+                        lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "run.cfg"
+    path.write_text("ci_level_tost = 0.95\n")
+    # the trial file does not exist: loading it first would exit 1
+    code = main(["confirm", "--config", str(path), "--trials", str(tmp_path / "none.jsonl"),
+                 "--out", str(tmp_path / "conf")])
+    assert code == EXIT_CONFIG_ERROR
+    assert calls == []
 
 
 # -- validate ------------------------------------------------------------------

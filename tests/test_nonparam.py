@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from metadkit.errors import EmptySet, LengthMismatch, OneClassOnly, ZeroVariance
-from metadkit.nonparam import accuracy, auroc2, auroc2_arrays, nlp_gap, spearman_rho
-from tests.conftest import make_trials
+from metadkit.nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays, spearman_rho
 
 
 def brute_force_auroc2(nlp, correct):
@@ -21,14 +20,13 @@ def brute_force_auroc2(nlp, correct):
 
 
 def test_auroc2_perfect_separation():
-    trials = make_trials([-1, -2, -3, -0.5, -0.4], [False, False, False, True, True])
-    assert auroc2(trials) == 1.0
+    nlp = np.array([-1, -2, -3, -0.5, -0.4])
+    assert auroc2_arrays(nlp, np.array([False, False, False, True, True])) == 1.0
 
 
 def test_auroc2_two_pair_example():
     # pairs: (-0.1 vs -0.3) win, (-0.5 vs -0.3) loss -> 0.5
-    trials = make_trials([-0.1, -0.5, -0.3], [True, True, False])
-    assert auroc2(trials) == 0.5
+    assert auroc2_arrays(np.array([-0.1, -0.5, -0.3]), np.array([True, True, False])) == 0.5
 
 
 def test_auroc2_matches_brute_force_with_ties(rng):
@@ -61,44 +59,43 @@ def test_auroc2_monotone_invariance(rng):
 
 def test_auroc2_one_class_only():
     with pytest.raises(OneClassOnly):
-        auroc2(make_trials([-1, -2], [True, True]))
+        auroc2_arrays(np.array([-1.0, -2.0]), np.array([True, True]))
 
 
 def test_nlp_gap_identical_distributions():
-    trials = make_trials([-1, -2, -1, -2], [True, True, False, False])
-    assert nlp_gap(trials) == 0.0
+    nlp = np.array([-1.0, -2.0, -1.0, -2.0])
+    assert nlp_gap_arrays(nlp, np.array([True, True, False, False])) == 0.0
 
 
 def test_nlp_gap_hand_arithmetic():
-    trials = make_trials([-0.5, -0.3, -0.6], [True, True, False])
-    assert nlp_gap(trials) == pytest.approx(0.2, abs=1e-12)
+    nlp = np.array([-0.5, -0.3, -0.6])
+    assert nlp_gap_arrays(nlp, np.array([True, True, False])) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_nlp_gap_antisymmetric(rng):
     n = 50
     correct = rng.random(n) < 0.5
     nlp = rng.normal(size=n)
-    trials = make_trials(nlp, correct)
-    swapped = make_trials(nlp, ~correct)
-    assert nlp_gap(trials) == pytest.approx(-nlp_gap(swapped), abs=1e-12)
+    assert nlp_gap_arrays(nlp, correct) == pytest.approx(-nlp_gap_arrays(nlp, ~correct),
+                                                          abs=1e-12)
 
 
 def test_nlp_gap_one_class_only():
     with pytest.raises(OneClassOnly):
-        nlp_gap(make_trials([-1, -2], [False, False]))
+        nlp_gap_arrays(np.array([-1.0, -2.0]), np.array([False, False]))
 
 
 def test_accuracy_all_correct():
-    assert accuracy(make_trials([-1, -2], [True, True])) == 1.0
+    assert accuracy_arrays(np.array([True, True])) == 1.0
 
 
 def test_accuracy_seven_of_ten():
-    assert accuracy(make_trials(range(10), [True] * 7 + [False] * 3)) == 0.7
+    assert accuracy_arrays(np.array([True] * 7 + [False] * 3)) == 0.7
 
 
 def test_accuracy_empty():
     with pytest.raises(EmptySet):
-        accuracy(make_trials([], []))
+        accuracy_arrays(np.array([], dtype=bool))
 
 
 def test_spearman_monotone_identity(rng):

@@ -5,7 +5,7 @@ from metadkit.profiles import (
     DomainProfile,
     build_profiles,
     compare_formats,
-    fit_cell,
+    fit_cell_arrays,
     rank_profile,
 )
 from metadkit.trialstore import TrialSet
@@ -59,7 +59,7 @@ def test_ranks_are_permutation(rng):
 
 def test_fit_cell_end_to_end(rng):
     trials = gaussian_trials(rng, 5000, mu_correct=1.0)
-    fit = fit_cell(trials)
+    fit = fit_cell_arrays(trials.nlp_values, trials.correct_mask)
     assert fit.d_prime > 0.5
     assert fit.meta_d > 0.0
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metadkit.errors import InvalidConfig, UnsupportedFamily
-from metadkit.nonparam import auroc2
+from metadkit.nonparam import auroc2_arrays
 from metadkit.sdt import meta_d_fit, predicted_count_table, type1_fit
 from metadkit.synth import SynthConfig, generate, oracle_auroc2, oracle_meta_grid
 from tests.test_nonparam import brute_force_auroc2
@@ -34,14 +34,17 @@ def test_schema_conformance():
 def test_exchangeable_classes_give_half_auroc():
     config = SynthConfig(n_trials=10_000, p_correct=0.5, seed=21,
                          mu_correct=-0.5, mu_incorrect=-0.5)
-    assert auroc2(generate(config)) == pytest.approx(0.5, abs=0.02)
+    trials = generate(config)
+    assert auroc2_arrays(trials.nlp_values, trials.correct_mask) == pytest.approx(0.5, abs=0.02)
 
 
 def test_root2_gap_matches_closed_form():
     config = SynthConfig(n_trials=100_000, p_correct=0.5, seed=8,
                          mu_correct=float(np.sqrt(2)), mu_incorrect=0.0)
     assert oracle_auroc2(config) == pytest.approx(0.8413, abs=1e-4)
-    assert auroc2(generate(config)) == pytest.approx(oracle_auroc2(config), abs=0.01)
+    trials = generate(config)
+    assert auroc2_arrays(trials.nlp_values, trials.correct_mask) \
+        == pytest.approx(oracle_auroc2(config), abs=0.01)
 
 
 def test_oracle_auroc2_limits():
@@ -91,28 +94,29 @@ def test_non_gaussian_families_generate(family, kwargs):
     trials = generate(config)
     assert len(trials) == 500
     # rank metric still agrees with its brute-force value on any family
-    assert auroc2(trials) == brute_force_auroc2(trials.nlp_values,
-                                                trials.correct_mask)
+    assert auroc2_arrays(trials.nlp_values, trials.correct_mask) \
+        == brute_force_auroc2(trials.nlp_values, trials.correct_mask)
 
 
 def test_skewed_family_breaks_efficiency_but_not_auroc():
     # on a non-gaussian family the equal-variance fit is misspecified, so
     # M-ratio drifts from 1 while the rank-based metric stays exact
     import warnings
-    from metadkit.profiles import fit_cell
+    from metadkit.profiles import fit_cell_arrays
     config = SynthConfig(n_trials=40_000, p_correct=0.7, family="lognormal_skew",
                          mu_correct=1.4, mu_incorrect=0.0,
                          sigma_correct=0.6, sigma_incorrect=0.6, seed=5)
     trials = generate(config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fit = fit_cell(trials)
+        fit = fit_cell_arrays(trials.nlp_values, trials.correct_mask)
     assert abs(fit.m_ratio - 1.0) > 0.3
     small = generate(SynthConfig(n_trials=200, p_correct=0.7,
                                  family="lognormal_skew", mu_correct=1.4,
                                  mu_incorrect=0.0, sigma_correct=0.6,
                                  sigma_incorrect=0.6, seed=6))
-    assert auroc2(small) == brute_force_auroc2(small.nlp_values, small.correct_mask)
+    assert auroc2_arrays(small.nlp_values, small.correct_mask) \
+        == brute_force_auroc2(small.nlp_values, small.correct_mask)
 
 
 def test_grid_recovers_generating_meta_d():

@@ -170,3 +170,40 @@ def test_validate_paired_verdict_symmetric():
     rev = validate_paired(b, a)
     assert fwd.paired == rev.paired == False  # same id under different domains
     assert fwd.missing == rev.extra and fwd.extra == rev.missing
+
+
+def _random_set(rng, n, prefix):
+    """Records with repeated ids, ids shared across domains and formats, and
+    an unsorted first-appearance order."""
+    return TrialSet([
+        TrialRecord(f"{prefix}{rng.integers(0, 12)}", str(rng.choice(["Arts", "Science"])),
+                    "1", str(rng.choice(["f16", "q5_k_m", "q8"])), bool(rng.random() < 0.5),
+                    float(rng.normal()))
+        for _ in range(n)
+    ])
+
+
+def test_columnar_queries_match_record_loops():
+    from collections import Counter
+
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = _random_set(rng, int(rng.integers(1, 30)), "q")
+        b = _random_set(rng, int(rng.integers(0, 30)), str(rng.choice(["q", "x"])))
+        assert a.question_ids() == list(dict.fromkeys(r.question_id for r in a))
+        assert a.domain_counts() == dict(sorted(Counter(r.domain for r in a).items()))
+        assert a.formats() == sorted({r.format for r in a})
+        sub = a.filter(format=a[0].format)
+        assert sub.records == tuple(r for r in a if r.format == a[0].format)
+        assert sub.domains() == sorted({r.domain for r in sub})
+        assert sub.question_ids() == list(dict.fromkeys(r.question_id for r in sub))
+
+        ca = Counter((r.domain, r.question_id) for r in a)
+        cb = Counter((r.domain, r.question_id) for r in b)
+        report = validate_paired(a, b)
+        assert report.paired == (ca == cb)
+        assert report.n_shared == sum((ca & cb).values())
+        assert report.missing == tuple(sorted({q for _, q in (ca - cb).elements()}))
+        assert report.extra == tuple(sorted({q for _, q in (cb - ca).elements()}))
