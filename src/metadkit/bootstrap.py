@@ -16,9 +16,16 @@ order; results are bit-identical for any worker count.
 
 Contrasts are paired by default: one shared id-draw sequence drives both
 conditions, matching a same-questions design. Resamples where the
-statistic is undefined (one-class resample, too few trials to bin, d' of
-exactly zero) are counted and excluded, never retried; more than 1%
-undefined flags the result.
+statistic is undefined (one-class resample, too few trials to bin, and
+for meta-d' and M-ratio a d' of exactly zero) are counted and excluded,
+never retried; more than 1% undefined flags the result.
+
+meta-d' and M-ratio resamples are fitted in batches of FIT_BATCH
+ordinals, each batch starting at a multiple of FIT_BATCH and a worker's
+chunk holding whole batches: every resample is drawn, tallied and type-1
+fitted on its own, then one batched maximum-likelihood solve fits all of
+the batch's tables. A table's fit does not depend on the batch it sits
+in either, so the worker count leaves the results unchanged.
 """
 
 from __future__ import annotations
@@ -43,11 +50,14 @@ from .errors import (
     ZeroDPrime,
 )
 from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays
-from .profiles import fit_cell_arrays
+from .profiles import fit_cell_arrays, type1_cell_arrays
+from .sdt import meta_d_fit_batch
 from .trialstore import TrialSet, validate_paired
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 DEGENERATE_FRACTION_ALARM = 0.01
+FIT_BATCH = 128         # resample ordinals per batched meta-d' fit
+_FITTED = ("meta_d", "m_ratio")
 _DEGENERATE_ERRORS = (OneClassOnly, TooFewTrials, ZeroDPrime, EmptySet)
 
 RULE_CI_LOWER_GT_ZERO = "ci_lower_gt_zero"
@@ -183,33 +193,74 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
         return auroc2_arrays(nlp, correct)
     if metric not in ("d_prime", "meta_d", "m_ratio"):
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    _check_both_classes(correct)
+    if metric == "d_prime":
+        return type1_cell_arrays(nlp, correct, scale, pad_value)[1][0]
+    fit = fit_cell_arrays(nlp, correct, scale, pad_value)
+    return fit.meta_d if metric == "meta_d" else fit.m_ratio
+
+
+def _check_both_classes(correct: np.ndarray) -> None:
     if correct.all() or not correct.any():
         raise OneClassOnly("sensitivity metrics need both correctness classes")
-    fit = fit_cell_arrays(nlp, correct, scale, pad_value)
-    if metric == "d_prime":
-        return fit.d_prime
-    if fit.d_prime == 0.0:
-        raise ZeroDPrime("d' is exactly 0 in this sample")
-    return fit.meta_d if metric == "meta_d" else fit.m_ratio
+
+
+def _samples(job: _Job, ordinal: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nlp, correct) of resample ``ordinal``: the a side, then any b side."""
+    draw = _draw_ids(job.a.entropy, ordinal, job.a.n_ids)
+    samples = [job.a.sample(draw)]
+    if job.b is not None:
+        if job.b.entropy is not None:
+            draw = _draw_ids(job.b.entropy, ordinal, job.b.n_ids)
+        samples.append(job.b.sample(draw))
+    return samples
 
 
 def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     """Statistic (or nan) for resample ordinals [start, stop)."""
-    out = np.empty(stop - start)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
+        if job.metric in _FITTED:
+            edges = [start, *range((start // FIT_BATCH + 1) * FIT_BATCH, stop, FIT_BATCH), stop]
+            return np.concatenate([_fitted_batch(job, lo, hi)
+                                   for lo, hi in zip(edges[:-1], edges[1:])])
+        out = np.empty(stop - start)
         for j, ordinal in enumerate(range(start, stop)):
-            draw = _draw_ids(job.a.entropy, ordinal, job.a.n_ids)
             try:
-                stat = metric_value(job.metric, *job.a.sample(draw), job.scale, job.pad_value)
-                if job.b is not None:
-                    if job.b.entropy is not None:
-                        draw = _draw_ids(job.b.entropy, ordinal, job.b.n_ids)
-                    stat -= metric_value(job.metric, *job.b.sample(draw), job.scale,
-                                         job.pad_value)
-                out[j] = stat
+                values = [metric_value(job.metric, nlp, correct, job.scale, job.pad_value)
+                          for nlp, correct in _samples(job, ordinal)]
             except _DEGENERATE_ERRORS:
                 out[j] = np.nan
+                continue
+            out[j] = values[0] - values[1] if job.b is not None else values[0]
+    return out
+
+
+def _fitted_batch(job: _Job, start: int, stop: int) -> np.ndarray:
+    """meta_d or m_ratio (or nan) for ordinals [start, stop): each side of
+    each resample is tallied and type-1 fitted, then every table of the
+    batch goes through one batched meta-d' fit."""
+    n_sides = 1 if job.b is None else 2
+    counts = np.zeros((stop - start, n_sides, 2, job.scale.n_bins))
+    type1 = np.zeros((stop - start, n_sides, 2))
+    valid = np.ones(stop - start, dtype=bool)
+    for j, ordinal in enumerate(range(start, stop)):
+        try:
+            for s, (nlp, correct) in enumerate(_samples(job, ordinal)):
+                _check_both_classes(correct)
+                table, type1[j, s] = type1_cell_arrays(nlp, correct, job.scale, job.pad_value)
+                if type1[j, s, 0] == 0.0:
+                    raise ZeroDPrime("d' is exactly 0 in this sample")
+                counts[j, s] = table.counts_incorrect, table.counts_correct
+        except _DEGENERATE_ERRORS:
+            valid[j] = False
+    out = np.full(stop - start, np.nan)
+    if valid.any():
+        d_prime, criterion_c = type1[valid, :, 0].ravel(), type1[valid, :, 1].ravel()
+        meta_d = meta_d_fit_batch(counts[valid].reshape(-1, 2, job.scale.n_bins),
+                                  d_prime, criterion_c).meta_d
+        stat = (meta_d if job.metric == "meta_d" else meta_d / d_prime).reshape(-1, n_sides)
+        out[valid] = stat[:, 0] - stat[:, 1] if job.b is not None else stat[:, 0]
     return out
 
 
@@ -217,6 +268,9 @@ def _run_resamples(job: _Job, n_resamples: int, workers: int) -> np.ndarray:
     if workers <= 1 or n_resamples < 2 * workers:
         return _eval_chunk(job, 0, n_resamples)
     chunk = max(1, -(-n_resamples // (workers * 4)))
+    if job.metric in _FITTED:
+        # whole fit batches per chunk, so no batch depends on the worker count
+        chunk = -(-chunk // FIT_BATCH) * FIT_BATCH
     bounds = [(s, min(s + chunk, n_resamples)) for s in range(0, n_resamples, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_eval_chunk, job, s, e) for s, e in bounds]

@@ -40,11 +40,12 @@ class DomainProfile:
     fit_converged: bool = True
 
 
-def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
-                    scale: RatingScale = RatingScale(),
-                    pad_value: float = 0.5,
-                    bins: np.ndarray | None = None) -> SdtFit:
-    """Bin, tally, pad, and fit one analysis cell.
+def type1_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
+                      scale: RatingScale = RatingScale(),
+                      pad_value: float = 0.5,
+                      bins: np.ndarray | None = None) -> tuple[CountTable, tuple[float, float]]:
+    """Bin, tally, pad, and type-1 fit one analysis cell: the padded count
+    table and its (d', c).
 
     ``bins`` overrides the quantile binning (used when the binning scope
     is wider than the cell); otherwise quantiles are computed within the
@@ -57,8 +58,15 @@ def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
         bins = bin_indices(nlp, scale.n_bins)
     ci, cc = counts_from_arrays(bins, correct, scale.n_bins)
     table = pad_counts(CountTable(scale.n_ratings, ci, cc), pad_value)
-    type1 = type1_fit(table)
-    return meta_d_fit(table, type1)
+    return table, type1_fit(table)
+
+
+def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
+                    scale: RatingScale = RatingScale(),
+                    pad_value: float = 0.5,
+                    bins: np.ndarray | None = None) -> SdtFit:
+    """type1_cell_arrays followed by the meta-d' fit of the cell."""
+    return meta_d_fit(*type1_cell_arrays(nlp, correct, scale, pad_value, bins))
 
 
 def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),

@@ -5,16 +5,26 @@ separates correct from incorrect answers (d' and criterion c from the hit
 and false-alarm rates of the upper half of the scale). The type-2 stage
 fits meta-d': the sensitivity an ideal observer would need, under the same
 equal-variance Gaussian model (sigma = 1 for both classes), to reproduce
-the observed response-conditional rating counts. The type-1 criterion is
-carried over in relative units, meta_c = c * meta_d / d', and the free
-parameters are meta_d plus 2 * (n_ratings - 1) type-2 criteria.
+the observed response-conditional rating counts (Maniscalco & Lau 2012).
+The type-1 criterion is carried over in relative units,
+meta_c = c * meta_d / d', and the free parameters are meta_d plus
+2 * (n_ratings - 1) type-2 criteria.
 
 Criteria are parameterized as meta_c minus/plus cumulative sums of
 exponentiated gap parameters, which keeps them ordered without constrained
 optimization; meta_d itself is the square of an unconstrained parameter,
-so it can reach zero but never go negative. The likelihood is maximized
-with BFGS on an analytic gradient, with a derivative-free polish when the
-gradient at the BFGS solution is not tight.
+so it can reach zero but never go negative. Bin masses come from the CDF
+below zero and from the survival function above it, so the likelihood
+keeps its digits when a criterion sits far in a tail.
+
+The likelihood is maximized by a Newton solve that runs many tables at
+once: a (B, 2, 2 * n_ratings) count tensor, its analytic gradient and
+Hessian, eigenvalues made positive so every step goes downhill, and a
+per-row backtracking line search. A row stops when the largest gradient
+component is at most GTOL. Restarts (large |c'|, a fit at the meta_d = 0
+boundary) are extra rows, and each table keeps its best row. meta_d_fit
+is the batch of one; meta_d_fit_batch serves the bootstrap, and a table's
+fit is the same bit for bit alone or in any batch.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
 from .binning import CountTable
@@ -39,7 +48,14 @@ from .errors import (
 PROB_CLAMP = 1e-12
 LOW_DPRIME_THRESHOLD = 0.5
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-MAX_ITERATIONS = 10_000
+MAX_ITERATIONS = 100        # Newton steps per start
+GTOL = 1e-9                 # max |gradient| of the mean NLL at convergence
+HIGH_CPRIME = 1.5           # |c'| above which the anchored restarts run
+AT_ZERO = 1e-6              # meta_d below this is reported as the bound 0
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+_MAX_STEP = 2.0             # largest Newton step component, in parameter units
+_EIG_FLOOR = 1e-10          # smallest curvature, relative to the largest
 
 
 def phi(x):
@@ -117,11 +133,31 @@ def type1_fit(table: CountTable) -> tuple[float, float]:
     return z_hr - z_far, -0.5 * (z_hr + z_far)
 
 
-def _criteria(meta_c: float, gaps_r1: np.ndarray, gaps_r2: np.ndarray) -> np.ndarray:
-    """Ascending criteria array [r1 side ..., meta_c, ... r2 side]."""
-    lower = meta_c - np.cumsum(gaps_r1)[::-1]
-    upper = meta_c + np.cumsum(gaps_r2)
-    return np.concatenate([lower, [meta_c], upper])
+def _criteria(meta_c, gaps_r1: np.ndarray, gaps_r2: np.ndarray) -> np.ndarray:
+    """Ascending criteria [r1 side ..., meta_c, ... r2 side] along the last
+    axis; ``meta_c`` is a scalar or one value per row of the gaps."""
+    meta_c = np.asarray(meta_c, dtype=float)[..., None]
+    lower = meta_c - np.cumsum(gaps_r1, axis=-1)[..., ::-1]
+    upper = meta_c + np.cumsum(gaps_r2, axis=-1)
+    return np.concatenate([lower, meta_c, upper], axis=-1)
+
+
+def _bin_masses(z: np.ndarray):
+    """Standard normal mass of each bin cut by the ascending points ``z``
+    (last axis, m = 2k + 1 of them), and the masses below and above the
+    middle point: (p (..., m + 1), q1, q2).
+
+    A bin above zero is a difference of survival values and one below of
+    CDF values, so neither loses its digits to 1 - (nearly 1) in a tail.
+    """
+    cdf, sf = ndtr(z), ndtr(-z)
+    lead = z.shape[:-1] + (1,)
+    zeros, ones = np.zeros(lead), np.ones(lead)
+    from_cdf = np.diff(np.concatenate([zeros, cdf, ones], axis=-1), axis=-1)
+    from_sf = -np.diff(np.concatenate([ones, sf, zeros], axis=-1), axis=-1)
+    lower_edge = np.concatenate([np.full(lead, -np.inf), z], axis=-1)
+    k = z.shape[-1] // 2
+    return np.where(lower_edge >= 0.0, from_sf, from_cdf), cdf[..., k], sf[..., k]
 
 
 def _cell_probs(criteria: np.ndarray, meta_d: float, k: int) -> np.ndarray:
@@ -135,77 +171,99 @@ def _cell_probs(criteria: np.ndarray, meta_d: float, k: int) -> np.ndarray:
     floored only against literal zero.
     """
     mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
-    z = criteria[None, :] - mus[:, None]
-    cdf = ndtr(z)
-    p = np.diff(np.concatenate([np.zeros((2, 1)), cdf, np.ones((2, 1))], axis=1), axis=1)
-    q1 = cdf[:, k]
+    p, q1, q2 = _bin_masses(criteria[None, :] - mus[:, None])
     denom = np.concatenate([np.repeat(q1[:, None], k + 1, axis=1),
-                            np.repeat((1.0 - q1)[:, None], k + 1, axis=1)], axis=1)
+                            np.repeat(q2[:, None], k + 1, axis=1)], axis=1)
     return p / np.maximum(denom, 1e-300)
 
 
-def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime: float):
-    """Negative mean conditional log-likelihood and its gradient.
+def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1):
+    """Negative mean conditional log-likelihood, per row, and its
+    derivatives up to ``order`` (0: value, 1: + gradient, 2: + Hessian).
 
-    theta = [t, a_1..a_k, b_1..b_k]; meta_d = t**2, criteria gaps are
-    exp(a) below meta_c and exp(b) above. The mean (per-trial) scale makes
-    the objective invariant under count rescaling.
+    theta (B, 1 + 2k) = [t, a_1..a_k, b_1..b_k]; meta_d = t**2, criteria
+    gaps are exp(a) below meta_c and exp(b) above. counts (B, 2, 2k + 2),
+    cprime (B,). A single table (theta (1 + 2k,), counts (2, 2k + 2),
+    scalar cprime) gives unbatched results. The mean (per-trial) scale
+    makes the objective invariant under count rescaling.
     """
-    n_bins = counts.shape[1]
+    theta = np.asarray(theta, dtype=float)
+    single = theta.ndim == 1
+    if single:
+        theta, counts, cprime = theta[None], counts[None], np.array([cprime], dtype=float)
+    n_bins = counts.shape[-1]
     k = n_bins // 2 - 1
-    t = theta[0]
-    ga = np.exp(theta[1:1 + k])
-    gb = np.exp(theta[1 + k:1 + 2 * k])
-    meta_d = t * t
-    meta_c = cprime * meta_d
-    crit = _criteria(meta_c, ga, gb)
     m = 2 * k + 1
-    total = counts.sum()
+    t = theta[:, 0]
+    ga = np.exp(theta[:, 1:1 + k])
+    gb = np.exp(theta[:, 1 + k:])
+    meta_d = t * t
+    crit = _criteria(cprime * meta_d, ga, gb)                      # (B, m)
+    sign = np.array([-1.0, 1.0])                                   # class mean = sign * meta_d / 2
+    z = crit[:, None, :] - 0.5 * sign[None, :, None] * meta_d[:, None, None]   # (B, 2, m)
+    p, q1, q2 = _bin_masses(z)
+    q1 = np.maximum(q1, 1e-300)
+    q2 = np.maximum(q2, 1e-300)
+    q = np.concatenate([np.repeat(q1[..., None], k + 1, axis=-1),
+                        np.repeat(q2[..., None], k + 1, axis=-1)], axis=-1)
 
-    nll = 0.0
-    grad = np.zeros(1 + 2 * k)
+    # the conditional probability p / q is the model quantity: clamp the
+    # ratio, never the pieces, or a vanishing response side would
+    # contribute log(clamp) - log(clamp) = 0 and extreme criteria would
+    # look free
+    cond = p / q
+    active = cond > PROB_CLAMP
+    total = counts.sum(axis=(1, 2))
+    nll = -(counts * np.log(np.maximum(cond, PROB_CLAMP))).sum(axis=(1, 2)) / total
+    if order == 0:
+        return nll[0] if single else nll
 
-    # dC/dtheta is shared by both stimulus classes
-    dC = np.zeros((m, 1 + 2 * k))
-    dC[:, 0] = 2.0 * cprime * t
-    for j in range(k):
-        # a_j widens every lower criterion whose gap chain includes it
-        dC[: k - j, 1 + j] = -ga[j]
-        # b_j widens every upper criterion at or beyond position j
-        dC[k + 1 + j:, 1 + k + j] = gb[j]
+    # derivatives of the criteria and of the class means; both are
+    # diagonal in their second derivatives
+    n_par = 1 + 2 * k
+    lower_mask = np.arange(m)[:, None] < k - np.arange(k)[None, :]      # a_j moves C_i
+    upper_mask = np.arange(m)[:, None] >= k + 1 + np.arange(k)[None, :]  # b_j moves C_i
+    dC = np.empty((len(t), m, n_par))
+    dC[:, :, 0] = (2.0 * cprime * t)[:, None]
+    dC[:, :, 1:1 + k] = lower_mask * -ga[:, None, :]
+    dC[:, :, 1 + k:] = upper_mask * gb[:, None, :]
+    dz = np.repeat(dC[:, None], 2, axis=1)                             # (B, 2, m, P)
+    dz[..., 0] -= sign[None, :, None] * t[:, None, None]
+    pdf = _npdf(z)
 
-    for s, mu_sign in ((0, -1.0), (1, 1.0)):
-        mu = mu_sign * 0.5 * meta_d
-        z = crit - mu
-        cdf = ndtr(z)
-        pdf = _npdf(z)
-        p = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-        q1 = max(cdf[k], 1e-300)
-        q2 = max(1.0 - cdf[k], 1e-300)
-        q = np.concatenate([np.full(k + 1, q1), np.full(k + 1, q2)])
+    n_act = counts * active
+    n_lower = n_act[..., :k + 1].sum(axis=-1)
+    n_upper = n_act[..., k + 1:].sum(axis=-1)
+    p_safe = np.where(active, p, 1.0)
+    # S = sum_b n_b log p_b - n_lower log q1 - n_upper log q2 with
+    # dp_b = dF_b - dF_{b-1}, dq1 = -dq2 = dF_k and dF_i = pdf_i dz_i, so
+    # dS = sum_i weight_i dz_i; p and q may underflow where p / q and
+    # pdf / p do not, so every term is formed from those ratios
+    weight = (n_act[..., :-1] * (pdf / p_safe[..., :-1])
+              - n_act[..., 1:] * (pdf / p_safe[..., 1:]))
+    weight[..., k] -= n_lower * (pdf[..., k] / q1) - n_upper * (pdf[..., k] / q2)
+    grad = -(weight[..., None] * dz).sum(axis=(1, 2)) / total[:, None]
+    if order == 1:
+        return (nll[0], grad[0]) if single else (nll, grad)
 
-        # the conditional probability p / q is the model quantity: clamp
-        # the ratio, never the pieces, or a vanishing response side would
-        # contribute log(clamp) - log(clamp) = 0 and extreme criteria
-        # would look free
-        cond = p / q
-        active = cond > PROB_CLAMP
-        n_s = counts[s]
-        nll -= float(n_s @ np.log(np.maximum(cond, PROB_CLAMP)))
-
-        dmu = np.zeros(1 + 2 * k)
-        dmu[0] = mu_sign * t
-        dz = dC - dmu[None, :]
-        dF = pdf[:, None] * dz
-        dp = np.vstack([dF[0:1], np.diff(dF, axis=0), -dF[-1:]])
-        n_active = n_s * active
-        p_safe = np.where(active, p, 1.0)
-        term = (n_active / p_safe) @ dp
-        term -= (n_active[: k + 1].sum() / q1) * dF[k]
-        term -= (n_active[k + 1:].sum() / q2) * (-dF[k])
-        grad -= term
-
-    return nll / total, grad / total
+    # d2F_i = pdf_i (diag(d2z_i) - z_i dz_i dz_i^T), and the outer products
+    # of d log p and d log q
+    d2z_diag = np.repeat(np.concatenate([(2.0 * cprime)[:, None, None]
+                                         * np.ones((1, m, 1)), dC[:, :, 1:]],
+                                        axis=2)[:, None], 2, axis=1)
+    d2z_diag[..., 0] -= sign[None, :, None]
+    hess = -((weight * z)[..., None, None] * dz[..., :, None] * dz[..., None, :]).sum(axis=(1, 2))
+    hess[:, np.arange(n_par), np.arange(n_par)] += (weight[..., None] * d2z_diag).sum(axis=(1, 2))
+    dF = pdf[..., None] * dz
+    zero = np.zeros(dF.shape[:2] + (1, n_par))
+    dlog_p = np.diff(np.concatenate([zero, dF, zero], axis=2), axis=2) / p_safe[..., None]
+    hess -= (n_act[..., None, None] * dlog_p[..., :, None] * dlog_p[..., None, :]).sum(axis=(1, 2))
+    dlog_q1 = dF[:, :, k] / q1[..., None]
+    dlog_q2 = dF[:, :, k] / q2[..., None]
+    hess += (n_lower[..., None, None] * dlog_q1[..., :, None] * dlog_q1[..., None, :]
+             + n_upper[..., None, None] * dlog_q2[..., :, None] * dlog_q2[..., None, :]).sum(axis=1)
+    hess = -hess / total[:, None, None]
+    return (nll[0], grad[0], hess[0]) if single else (nll, grad, hess)
 
 
 def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime: float) -> float:
@@ -219,29 +277,169 @@ def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime:
     return -float((counts * np.log(np.maximum(cond, PROB_CLAMP))).sum()) / counts.sum()
 
 
-def _quantile_criteria(table: CountTable) -> np.ndarray:
-    """Criterion estimates from the pooled cumulative bin proportions."""
-    pooled = table.counts_incorrect + table.counts_correct
-    cum = np.cumsum(pooled)[:-1] / pooled.sum()
+def _quantile_criteria(counts: np.ndarray) -> np.ndarray:
+    """Criterion estimates from the pooled cumulative bin proportions of
+    each (2, n_bins) table in ``counts`` (..., 2, n_bins)."""
+    pooled = counts.sum(axis=-2)
+    cum = np.cumsum(pooled, axis=-1)[..., :-1] / pooled.sum(axis=-1, keepdims=True)
     return ndtri(np.clip(cum, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
-def _initial_gaps(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
-    est = _quantile_criteria(table)
-    k = table.n_ratings - 1
-    return _anchored_gaps(est, float(est[k]), k)
-
-
-def _anchored_gaps(est: np.ndarray, meta_c0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _anchored_gaps(est: np.ndarray, meta_c0) -> tuple[np.ndarray, np.ndarray]:
     """Gap parameters that place the criteria at the quantile estimates
-    while the median boundary sits at meta_c0 (gaps on an infeasible side
-    collapse to a floor)."""
-    mid = k
-    gaps_r1 = np.array([meta_c0 - est[mid - 1]]
-                       + [est[mid - j] - est[mid - j - 1] for j in range(1, k)])
-    gaps_r2 = np.array([est[mid + 1] - meta_c0]
-                       + [est[mid + j + 1] - est[mid + j] for j in range(1, k)])
+    ``est`` (..., 2k + 1) while the median boundary sits at meta_c0 (gaps
+    on an infeasible side collapse to a floor)."""
+    k = est.shape[-1] // 2
+    meta_c0 = np.asarray(meta_c0, dtype=float)[..., None]
+    gaps_r1 = np.diff(np.concatenate([est[..., :k], meta_c0], axis=-1), axis=-1)[..., ::-1]
+    gaps_r2 = np.diff(np.concatenate([meta_c0, est[..., k + 1:]], axis=-1), axis=-1)
     return np.maximum(gaps_r1, 1e-3), np.maximum(gaps_r2, 1e-3)
+
+
+def _initial_gaps(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
+    est = _quantile_criteria(np.vstack([table.counts_incorrect, table.counts_correct]))
+    return _anchored_gaps(est, est[table.n_ratings - 1])
+
+
+def _start(est: np.ndarray, meta_d0: np.ndarray, meta_c0: np.ndarray) -> np.ndarray:
+    """Parameter rows starting at meta_d0 with the criteria at ``est``
+    around meta_c0."""
+    gaps_r1, gaps_r2 = _anchored_gaps(est, meta_c0)
+    return np.concatenate([np.sqrt(meta_d0)[:, None], np.log(gaps_r1), np.log(gaps_r2)],
+                          axis=1)
+
+
+def _newton(theta: np.ndarray, counts: np.ndarray, cprime: np.ndarray):
+    """Minimize the mean NLL from every row of ``theta`` independently.
+
+    Returns (theta, nll, converged, iterations) per row. A step is the
+    Newton step on the Hessian with its eigenvalues replaced by their
+    absolute values (floored), so it always points downhill, capped at
+    _MAX_STEP per component and halved until it meets the Armijo
+    condition; the condition allows the objective's own rounding, so a
+    row near its optimum still steps when the predicted decrease is below
+    machine precision. A row whose line search finds no acceptable step
+    stops there, unconverged unless its gradient is within GTOL.
+    """
+    theta = theta.copy()
+    nll, grad, hess = _nll_and_grad(theta, counts, cprime, order=2)
+    iterations = np.zeros(len(theta), dtype=np.int64)
+    converged = np.abs(grad).max(axis=1) <= GTOL
+    running = ~converged
+    while True:
+        rows = np.flatnonzero(running & (iterations < MAX_ITERATIONS))
+        if rows.size == 0:
+            break
+        lam, vec = np.linalg.eigh(hess[rows])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + 1e-300)
+        step = -(vec * ((vec * grad[rows][:, :, None]).sum(axis=1) / lam)[:, None, :]).sum(axis=2)
+        step *= np.minimum(1.0, _MAX_STEP / np.abs(step).max(axis=1))[:, None]
+        slope = (grad[rows] * step).sum(axis=1)
+        f0 = nll[rows]
+        slack = 4.0 * np.finfo(float).eps * np.abs(f0)
+        alpha = np.ones(rows.size)
+        todo = np.arange(rows.size)
+        for _ in range(_MAX_HALVINGS):
+            r = rows[todo]
+            f = _nll_and_grad(theta[r] + alpha[todo, None] * step[todo], counts[r], cprime[r],
+                              order=0)
+            ok = f <= f0[todo] + _ARMIJO * alpha[todo] * slope[todo] + slack[todo]
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            alpha[todo] *= 0.5
+        stalled = np.zeros(rows.size, dtype=bool)
+        stalled[todo] = True
+        moved = rows[~stalled]
+        running[rows[stalled]] = False
+        theta[moved] += alpha[~stalled, None] * step[~stalled]
+        iterations[moved] += 1
+        nll[moved], grad[moved], hess[moved] = _nll_and_grad(theta[moved], counts[moved],
+                                                             cprime[moved], order=2)
+        converged[moved] = np.abs(grad[moved]).max(axis=1) <= GTOL
+        running[moved] = ~converged[moved]
+    return theta, nll, converged, iterations
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """meta-d' fits of B tables: arrays with one entry (or row) per table."""
+
+    meta_d: np.ndarray            # 0 at the lower bound
+    criteria: np.ndarray          # (B, 2k + 1) ascending, meta_c in the middle
+    log_likelihood: np.ndarray    # count-weighted
+    converged: np.ndarray
+    iterations: np.ndarray        # Newton steps over all of a table's starts
+
+
+def meta_d_fit_batch(counts: np.ndarray, d_prime: np.ndarray,
+                     criterion_c: np.ndarray) -> BatchFit:
+    """Maximum-likelihood meta-d' of every padded table in ``counts``
+    (B, 2, 2 * n_ratings): row 0 incorrect, row 1 correct.
+
+    ``d_prime`` and ``criterion_c`` (B,) are each table's type-1 fit and
+    must be non-zero d'. Every table starts at meta_d = max(|d'|, 0.05)
+    with its criteria at the pooled quantile estimates. A large relative
+    criterion (|c'| > HIGH_CPRIME) makes meta_c = c' meta_d sweep far with
+    meta_d and splits the surface into basins, so such a table also
+    starts at meta_d = 0.3, 1.0 and 2.5 with the criteria re-anchored
+    around each start's meta_c. The squared parameterization makes
+    meta_d = 0 a stationary point even where the likelihood still rises
+    with meta_d, so a table whose best fit lands there starts again at
+    0.3 and max(1, 2 meta_d0). Each table keeps its best start (the first
+    one on a tie). Emits no warnings; meta_d_fit adds those.
+    """
+    counts = np.asarray(counts, dtype=float)
+    d_prime = np.asarray(d_prime, dtype=float)
+    cprime = np.asarray(criterion_c, dtype=float) / d_prime
+    n = len(counts)
+    est = _quantile_criteria(counts)
+    k = est.shape[1] // 2
+    meta_d0 = np.maximum(np.abs(d_prime), 0.05)
+
+    # starts: (table, meta_d0, anchored); primary rows first, so ties keep them
+    tables = [np.arange(n)]
+    starts = [meta_d0]
+    anchored = [np.zeros(n, dtype=bool)]
+    high = np.flatnonzero(np.abs(cprime) > HIGH_CPRIME)
+    for restart in (0.3, 1.0, 2.5):
+        tables.append(high)
+        starts.append(np.full(high.size, restart))
+        anchored.append(np.ones(high.size, dtype=bool))
+
+    def solve(tables, starts, anchored):
+        tables, starts, anchored = map(np.concatenate, (tables, starts, anchored))
+        meta_c0 = np.where(anchored, cprime[tables] * starts, est[tables, k])
+        return (tables,) + _newton(_start(est[tables], starts, meta_c0), counts[tables],
+                                   cprime[tables])
+
+    def best(rows_table, nll):
+        """Index of the lowest-NLL row of each table (first on a tie)."""
+        order = np.lexsort((np.arange(len(nll)), nll, rows_table))
+        first = np.r_[True, rows_table[order][1:] != rows_table[order][:-1]]
+        return order[first]
+
+    rows_table, theta, nll, converged, iterations = solve(tables, starts, anchored)
+    at_zero = np.flatnonzero(theta[best(rows_table, nll), 0] ** 2 < AT_ZERO)
+    if at_zero.size:
+        extra = solve([at_zero, at_zero],
+                      [np.full(at_zero.size, 0.3), np.maximum(1.0, 2.0 * meta_d0[at_zero])],
+                      [np.zeros(2 * at_zero.size, dtype=bool)])
+        rows_table, theta, nll, converged, iterations = (
+            np.concatenate([a, b]) for a, b in zip(
+                (rows_table, theta, nll, converged, iterations), extra))
+
+    pick = best(rows_table, nll)
+    theta = theta[pick]
+    meta_d = theta[:, 0] ** 2
+    meta_d = np.where(meta_d < AT_ZERO, 0.0, meta_d)
+    criteria = _criteria(cprime * meta_d, np.exp(theta[:, 1:1 + k]), np.exp(theta[:, 1 + k:]))
+    return BatchFit(meta_d=meta_d, criteria=criteria,
+                    log_likelihood=-nll[pick] * counts.sum(axis=(1, 2)),
+                    converged=converged[pick],
+                    iterations=np.bincount(rows_table, weights=iterations,
+                                           minlength=n).astype(np.int64))
 
 
 def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
@@ -250,13 +448,13 @@ def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
     ``type1`` is the (d_prime, criterion_c) pair whose relative criterion
     the type-2 model inherits. Returns the full SdtFit; if the iteration
     cap is hit the best point found is returned with converged=False.
+    The fit is meta_d_fit_batch on a batch of one.
     """
     if not table.padded:
         raise NumericalError("meta_d_fit requires a padded count table")
     d_prime, criterion_c = float(type1[0]), float(type1[1])
     if d_prime == 0.0:
         raise ZeroDPrime("meta-d' fit undefined at d' = 0")
-    cprime = criterion_c / d_prime
     k = table.n_ratings - 1
 
     pad = table.pad_value
@@ -269,77 +467,23 @@ def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
                       "empty side are weakly identified", DegenerateResponse, stacklevel=2)
 
     counts = np.vstack([table.counts_incorrect, table.counts_correct])
-    est = _quantile_criteria(table)
-    meta_d0 = max(abs(d_prime), 0.05)
-
-    iterations = 0
-    best_x = best_fun = None
-    converged = False
-
-    def run_from(start_meta_d, anchored=False):
-        nonlocal best_x, best_fun, iterations, converged
-        meta_c0 = cprime * start_meta_d if anchored else float(est[k])
-        gaps_r1, gaps_r2 = _anchored_gaps(est, meta_c0, k)
-        x0 = np.concatenate([[np.sqrt(start_meta_d)],
-                             np.log(gaps_r1), np.log(gaps_r2)])
-        res = minimize(_nll_and_grad, x0, args=(counts, cprime), jac=True,
-                       method="BFGS",
-                       options={"gtol": 1e-9,
-                                "maxiter": max(MAX_ITERATIONS - iterations, 1)})
-        iterations += int(res.nit)
-        x, fun = res.x, res.fun
-        grad_norm = float(np.linalg.norm(_nll_and_grad(x, counts, cprime)[1]))
-        ok = bool(res.success) or grad_norm <= 1e-7
-        if not ok and iterations < MAX_ITERATIONS:
-            polish = minimize(lambda p: _nll_and_grad(p, counts, cprime)[0], x,
-                              method="Nelder-Mead",
-                              options={"fatol": 1e-12, "xatol": 1e-10,
-                                       "maxiter": MAX_ITERATIONS - iterations})
-            iterations += int(polish.nit)
-            if polish.fun <= fun:
-                x, fun = polish.x, polish.fun
-            grad_norm = float(np.linalg.norm(_nll_and_grad(x, counts, cprime)[1]))
-            ok = bool(polish.success) or grad_norm <= 1e-6
-        if best_fun is None or fun < best_fun:
-            best_x, best_fun, converged = x, fun, ok
-
-    run_from(meta_d0)
-    if abs(cprime) > 1.5:
-        # a large relative criterion makes meta_c = cprime * meta_d sweep
-        # far with meta_d, splitting the surface into basins; restart with
-        # the criteria re-anchored onto the quantile estimates per start
-        for restart in (0.3, 1.0, 2.5):
-            run_from(restart, anchored=True)
-    if best_x[0] ** 2 < 1e-6:
-        # the squared parameterization makes t = 0 a stationary point even
-        # when the likelihood still rises with meta_d; interior restarts
-        # distinguish a true boundary optimum from a saddle stall
-        for restart in (0.3, max(1.0, 2.0 * meta_d0)):
-            run_from(restart)
-
-    t = best_x[0]
-    meta_d = float(t * t)
-    if meta_d < 1e-6:
-        meta_d = 0.0
+    fit = meta_d_fit_batch(counts[None], np.array([d_prime]), np.array([criterion_c]))
+    meta_d = float(fit.meta_d[0])
+    if meta_d == 0.0:
         warnings.warn("fitted meta-d' is at its lower bound of 0; confidence carried "
                       "no (or anti-) information", NegativeMetaD, stacklevel=2)
-    meta_c = cprime * meta_d
-    ga = np.exp(best_x[1:1 + k])
-    gb = np.exp(best_x[1 + k:])
-    crit = _criteria(meta_c, ga, gb)
-    log_likelihood = -best_fun * counts.sum()
-
+    crit = fit.criteria[0]
     return SdtFit(
         d_prime=d_prime,
         criterion_c=criterion_c,
         meta_d=meta_d,
-        meta_c=float(meta_c),
+        meta_c=float(crit[k]),
         t2_criteria_r1=tuple(float(c) for c in crit[:k][::-1]),
         t2_criteria_r2=tuple(float(c) for c in crit[k + 1:]),
         m_ratio=meta_d / d_prime,
-        log_likelihood=float(log_likelihood),
-        converged=converged,
-        iterations=iterations,
+        log_likelihood=float(fit.log_likelihood[0]),
+        converged=bool(fit.converged[0]),
+        iterations=int(fit.iterations[0]),
         low_dprime_warning=bool(d_prime < LOW_DPRIME_THRESHOLD),
     )
 
@@ -367,8 +511,7 @@ def predicted_count_table(meta_d: float, type1: tuple[float, float],
     meta_c = (criterion_c / d_prime) * meta_d
     crit = _criteria(meta_c, gaps_r1, gaps_r2)
     mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
-    cdf = ndtr(crit[None, :] - mus[:, None])
-    joint = np.diff(np.concatenate([np.zeros((2, 1)), cdf, np.ones((2, 1))], axis=1), axis=1)
+    joint = _bin_masses(crit[None, :] - mus[:, None])[0]
     weights = np.array([1.0 - p_correct, p_correct])
     cells = joint * weights[:, None] * n
     return CountTable(n_ratings=n_ratings, counts_incorrect=cells[0],

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from metadkit.trialstore import TrialRecord, TrialSet
+
+# property tests run the same examples on every run: no random seed, no
+# example database, no per-example deadline on a shared machine
+settings.register_profile("metadkit", derandomize=True, database=None, deadline=None)
+settings.load_profile("metadkit")
 
 
 def make_trials(nlp, correct, domain="Science", condition="1", format="f16",

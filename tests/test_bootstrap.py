@@ -17,6 +17,7 @@ from metadkit.errors import (
     TooManyDegenerate,
     UnpairedSets,
     WrongCiLevel,
+    ZeroDPrime,
 )
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
@@ -262,3 +263,18 @@ def test_metric_value_names():
         assert np.isfinite(value)
     with pytest.raises(ValueError):
         metric_value("brier", trials.nlp_values, trials.correct_mask)
+
+
+def test_zero_d_prime_is_a_value_not_an_exclusion():
+    # every question has a correct and an incorrect trial at the same
+    # confidence, so both classes tally alike in every resample: d' = 0
+    nlp = np.repeat(np.linspace(-3.0, -0.1, 12), 2)
+    correct = np.tile([True, False], 12)
+    qids = [f"q{i:02d}" for i in range(12) for _ in range(2)]
+    trials = make_trials(nlp, correct, qids=qids)
+    assert metric_value("d_prime", trials.nlp_values, trials.correct_mask) == 0.0
+    with pytest.raises(ZeroDPrime):
+        metric_value("meta_d", trials.nlp_values, trials.correct_mask)
+    res = bootstrap_metric(trials, "d_prime", n_resamples=50, seed=5)
+    assert (res.point, res.ci_low, res.ci_high) == (0.0, 0.0, 0.0)
+    assert res.degenerate_resample_count == 0

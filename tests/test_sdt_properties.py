@@ -1,0 +1,117 @@
+"""Property checks of the meta-d' fitter on drawn count tables.
+
+Tables come from small, sparse, zero-heavy and one-sided tallies with the
++0.5 log-linear padding (Hautus 1995) on every cell, as the pipeline
+builds them; model-implied tables come from predicted_count_table.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from metadkit.binning import CountTable, pad_counts
+from metadkit.sdt import (
+    _nll_and_grad,
+    meta_d_fit,
+    meta_d_fit_batch,
+    predicted_count_table,
+    type1_fit,
+)
+
+
+@st.composite
+def count_tables(draw):
+    """A padded 4-rating table with non-zero d', and its type-1 fit."""
+    cell = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 60))
+    raw = np.array(draw(st.lists(cell, min_size=16, max_size=16)), float).reshape(2, 8)
+    empty_side = draw(st.sampled_from([None, slice(0, 4), slice(4, 8)]))
+    if empty_side is not None:
+        raw[:, empty_side] = 0.0
+    table = pad_counts(CountTable(4, raw[0], raw[1]), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        type1 = type1_fit(table)
+    assume(type1[0] != 0.0)
+    return table, type1
+
+
+def _fit(table, type1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return meta_d_fit(table, type1)
+
+
+def _theta(fit) -> np.ndarray:
+    lower = np.r_[fit.t2_criteria_r1[::-1], fit.meta_c]
+    upper = np.r_[fit.meta_c, fit.t2_criteria_r2]
+    return np.concatenate([[np.sqrt(fit.meta_d)], np.log(np.diff(lower))[::-1],
+                           np.log(np.diff(upper))])
+
+
+def _counts(table) -> np.ndarray:
+    return np.vstack([table.counts_incorrect, table.counts_correct])
+
+
+@given(meta_d=st.floats(0.1, 3.0), d_prime=st.floats(0.4, 2.5), c=st.floats(-0.5, 0.5),
+       gaps=st.lists(st.floats(0.1, 1.2), min_size=6, max_size=6),
+       p_correct=st.floats(0.2, 0.9))
+def test_predicted_table_round_trips(meta_d, d_prime, c, gaps, p_correct):
+    table = predicted_count_table(meta_d, (d_prime, c), gaps[:3], gaps[3:], n=1e4,
+                                  p_correct=p_correct)
+    fit = _fit(table, (d_prime, c))
+    assert fit.converged
+    assert fit.meta_d == pytest.approx(meta_d, abs=1e-6)
+
+
+@given(count_tables(), st.sampled_from([2.0, 3.5, 37.0]))
+def test_fit_is_invariant_to_count_scale(table_type1, factor):
+    table, type1 = table_type1
+    scaled = CountTable(4, table.counts_incorrect * factor, table.counts_correct * factor,
+                        padded=True, pad_value=table.pad_value * factor)
+    base, other = _fit(table, type1), _fit(scaled, type1)
+    # an unconverged fit stops where rounding stalled its line search,
+    # which is not a property of the table
+    assume(base.converged and other.converged)
+    assert other.log_likelihood / factor == pytest.approx(base.log_likelihood, rel=1e-12)
+    assert other.meta_d == pytest.approx(base.meta_d, abs=1e-6)
+
+
+@given(count_tables())
+def test_gradient_vanishes_at_interior_optimum(table_type1):
+    table, type1 = table_type1
+    fit = _fit(table, type1)
+    assume(fit.converged and fit.meta_d > 1e-3)
+    theta, counts, cprime = _theta(fit), _counts(table), type1[1] / type1[0]
+    eps = 1e-6
+    g_fd = np.array([(_nll_and_grad(theta + eps * e, counts, cprime, order=0)
+                      - _nll_and_grad(theta - eps * e, counts, cprime, order=0)) / (2 * eps)
+                     for e in np.eye(len(theta))])
+    assert np.abs(g_fd).max() <= 1e-7
+
+
+@given(count_tables(), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.floats(0.2, 1.5))
+def test_hessian_is_the_derivative_of_the_gradient(table_type1, log_gaps, t):
+    table, type1 = table_type1
+    theta, counts, cprime = np.r_[t, log_gaps], _counts(table), type1[1] / type1[0]
+    _, _, hess = _nll_and_grad(theta, counts, cprime, order=2)
+    eps = 1e-6
+    h_fd = np.array([(_nll_and_grad(theta + eps * e, counts, cprime)[1]
+                      - _nll_and_grad(theta - eps * e, counts, cprime)[1]) / (2 * eps)
+                     for e in np.eye(len(theta))])
+    assert np.abs(hess - h_fd).max() <= 1e-6 * max(1.0, np.abs(hess).max())
+
+
+@given(st.lists(count_tables(), min_size=2, max_size=6), st.integers(0, 2 ** 32 - 1))
+def test_fit_is_bit_identical_alone_and_in_a_shuffled_batch(tables, seed):
+    counts = np.array([_counts(table) for table, _ in tables])
+    type1 = np.array([t1 for _, t1 in tables])
+    alone = meta_d_fit_batch(counts[:1], type1[:1, 0], type1[:1, 1])
+    order = np.random.default_rng(seed).permutation(len(tables))
+    batch = meta_d_fit_batch(counts[order], type1[order, 0], type1[order, 1])
+    j = int(np.flatnonzero(order == 0)[0])
+    for field in ("meta_d", "criteria", "log_likelihood", "converged", "iterations"):
+        assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[j]), field
