@@ -20,12 +20,12 @@ statistic is undefined (one-class resample, too few trials to bin, and
 for meta-d' and M-ratio a d' of exactly zero) are counted and excluded,
 never retried; more than 1% undefined flags the result.
 
-meta-d' and M-ratio resamples are fitted in batches of FIT_BATCH
-ordinals, each batch starting at a multiple of FIT_BATCH and a worker's
-chunk holding whole batches: every resample is drawn, tallied and type-1
-fitted on its own, then one batched maximum-likelihood solve fits all of
-the batch's tables. A table's fit does not depend on the batch it sits
-in either, so the worker count leaves the results unchanged.
+meta-d' and M-ratio resamples are fitted in batches of up to FIT_BATCH
+consecutive ordinals of a worker's chunk: every resample is drawn,
+tallied and type-1 fitted on its own, then one batched maximum-likelihood
+solve fits all of the batch's tables. A table's fit is bit-identical
+alone or in any batch, so the batch edges, and with them the worker
+count, leave the results unchanged.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays
 from .profiles import fit_cell_arrays, type1_cell_arrays
-from .sdt import meta_d_fit_batch
+from .sdt import check_d_prime, meta_d_fit_batch
 from .trialstore import TrialSet, validate_paired
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
@@ -197,12 +197,17 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
     if metric == "d_prime":
         return type1_cell_arrays(nlp, correct, scale, pad_value)[1][0]
     fit = fit_cell_arrays(nlp, correct, scale, pad_value)
-    return fit.meta_d if metric == "meta_d" else fit.m_ratio
+    return _fitted_stat(metric, fit.meta_d, fit.d_prime)
 
 
 def _check_both_classes(correct: np.ndarray) -> None:
     if correct.all() or not correct.any():
         raise OneClassOnly("sensitivity metrics need both correctness classes")
+
+
+def _fitted_stat(metric: str, meta_d, d_prime):
+    """meta_d, or the M-ratio meta_d / d' (scalars or arrays)."""
+    return meta_d if metric == "meta_d" else meta_d / d_prime
 
 
 def _samples(job: _Job, ordinal: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -221,9 +226,8 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
         if job.metric in _FITTED:
-            edges = [start, *range((start // FIT_BATCH + 1) * FIT_BATCH, stop, FIT_BATCH), stop]
-            return np.concatenate([_fitted_batch(job, lo, hi)
-                                   for lo, hi in zip(edges[:-1], edges[1:])])
+            return np.concatenate([_fitted_batch(job, lo, min(lo + FIT_BATCH, stop))
+                                   for lo in range(start, stop, FIT_BATCH)])
         out = np.empty(stop - start)
         for j, ordinal in enumerate(range(start, stop)):
             try:
@@ -249,8 +253,7 @@ def _fitted_batch(job: _Job, start: int, stop: int) -> np.ndarray:
             for s, (nlp, correct) in enumerate(_samples(job, ordinal)):
                 _check_both_classes(correct)
                 table, type1[j, s] = type1_cell_arrays(nlp, correct, job.scale, job.pad_value)
-                if type1[j, s, 0] == 0.0:
-                    raise ZeroDPrime("d' is exactly 0 in this sample")
+                check_d_prime(type1[j, s, 0])
                 counts[j, s] = table.counts_incorrect, table.counts_correct
         except _DEGENERATE_ERRORS:
             valid[j] = False
@@ -259,7 +262,7 @@ def _fitted_batch(job: _Job, start: int, stop: int) -> np.ndarray:
         d_prime, criterion_c = type1[valid, :, 0].ravel(), type1[valid, :, 1].ravel()
         meta_d = meta_d_fit_batch(counts[valid].reshape(-1, 2, job.scale.n_bins),
                                   d_prime, criterion_c).meta_d
-        stat = (meta_d if job.metric == "meta_d" else meta_d / d_prime).reshape(-1, n_sides)
+        stat = _fitted_stat(job.metric, meta_d, d_prime).reshape(-1, n_sides)
         out[valid] = stat[:, 0] - stat[:, 1] if job.b is not None else stat[:, 0]
     return out
 
@@ -268,9 +271,6 @@ def _run_resamples(job: _Job, n_resamples: int, workers: int) -> np.ndarray:
     if workers <= 1 or n_resamples < 2 * workers:
         return _eval_chunk(job, 0, n_resamples)
     chunk = max(1, -(-n_resamples // (workers * 4)))
-    if job.metric in _FITTED:
-        # whole fit batches per chunk, so no batch depends on the worker count
-        chunk = -(-chunk // FIT_BATCH) * FIT_BATCH
     bounds = [(s, min(s + chunk, n_resamples)) for s in range(0, n_resamples, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_eval_chunk, job, s, e) for s, e in bounds]

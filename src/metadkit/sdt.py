@@ -21,10 +21,13 @@ The likelihood is maximized by a Newton solve that runs many tables at
 once: a (B, 2, 2 * n_ratings) count tensor, its analytic gradient and
 Hessian, eigenvalues made positive so every step goes downhill, and a
 per-row backtracking line search. A row stops when the largest gradient
-component is at most GTOL. Restarts (large |c'|, a fit at the meta_d = 0
-boundary) are extra rows, and each table keeps its best row. meta_d_fit
-is the batch of one; meta_d_fit_batch serves the bootstrap, and a table's
-fit is the same bit for bit alone or in any batch.
+component is at most GTOL; a row that stops short of it (rounding stalls
+its line search, or the iteration cap) counts as converged when its
+gradient norm is at most ACCEPT_GRAD or no step the objective can resolve
+is left. Restarts (large |c'|, a fit at the meta_d = 0 boundary) are
+extra rows, and each table keeps its best row. meta_d_fit is the batch
+of one; meta_d_fit_batch serves the bootstrap, and a table's fit is the
+same bit for bit alone or in any batch.
 """
 
 from __future__ import annotations
@@ -50,12 +53,14 @@ LOW_DPRIME_THRESHOLD = 0.5
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 MAX_ITERATIONS = 100        # Newton steps per start
 GTOL = 1e-9                 # max |gradient| of the mean NLL at convergence
+ACCEPT_GRAD = 1e-7          # gradient norm that still counts as converged at a stop
 HIGH_CPRIME = 1.5           # |c'| above which the anchored restarts run
 AT_ZERO = 1e-6              # meta_d below this is reported as the bound 0
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 _MAX_STEP = 2.0             # largest Newton step component, in parameter units
 _EIG_FLOOR = 1e-10          # smallest curvature, relative to the largest
+_ROUNDING = 4.0 * np.finfo(float).eps   # relative rounding allowed in the objective
 
 
 def phi(x):
@@ -102,6 +107,13 @@ def m_ratio(fit: SdtFit) -> float:
     if fit.d_prime == 0.0:
         raise ZeroDPrime("M-ratio undefined at d' = 0")
     return fit.meta_d / fit.d_prime
+
+
+def check_d_prime(d_prime: float) -> None:
+    """Raise ZeroDPrime when d' is exactly zero: the relative criterion
+    c / d' that the type-2 model inherits is undefined there."""
+    if d_prime == 0.0:
+        raise ZeroDPrime("meta-d' undefined at d' = 0")
 
 
 def type1_fit(table: CountTable) -> tuple[float, float]:
@@ -309,17 +321,28 @@ def _start(est: np.ndarray, meta_d0: np.ndarray, meta_c0: np.ndarray) -> np.ndar
                           axis=1)
 
 
+def _descent_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Newton step of each row on its Hessian with the eigenvalues replaced
+    by their absolute values (floored), so it always points downhill."""
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + 1e-300)
+    return -(vec * ((vec * grad[:, :, None]).sum(axis=1) / lam)[:, None, :]).sum(axis=2)
+
+
 def _newton(theta: np.ndarray, counts: np.ndarray, cprime: np.ndarray):
     """Minimize the mean NLL from every row of ``theta`` independently.
 
     Returns (theta, nll, converged, iterations) per row. A step is the
-    Newton step on the Hessian with its eigenvalues replaced by their
-    absolute values (floored), so it always points downhill, capped at
-    _MAX_STEP per component and halved until it meets the Armijo
-    condition; the condition allows the objective's own rounding, so a
-    row near its optimum still steps when the predicted decrease is below
-    machine precision. A row whose line search finds no acceptable step
-    stops there, unconverged unless its gradient is within GTOL.
+    _descent_step, capped at _MAX_STEP per component and halved until it
+    meets the Armijo condition; the condition allows the objective's own
+    rounding, so a row near its optimum still steps when the predicted
+    decrease is below machine precision. A row runs until its largest
+    gradient component is within GTOL, its line search finds no
+    acceptable step, or MAX_ITERATIONS. A row that stops short of GTOL
+    still counts as converged when its gradient norm is within
+    ACCEPT_GRAD, or when the decrease a full step predicts is within the
+    objective's rounding: no step the objective can resolve is left.
     """
     theta = theta.copy()
     nll, grad, hess = _nll_and_grad(theta, counts, cprime, order=2)
@@ -330,14 +353,11 @@ def _newton(theta: np.ndarray, counts: np.ndarray, cprime: np.ndarray):
         rows = np.flatnonzero(running & (iterations < MAX_ITERATIONS))
         if rows.size == 0:
             break
-        lam, vec = np.linalg.eigh(hess[rows])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + 1e-300)
-        step = -(vec * ((vec * grad[rows][:, :, None]).sum(axis=1) / lam)[:, None, :]).sum(axis=2)
+        step = _descent_step(grad[rows], hess[rows])
         step *= np.minimum(1.0, _MAX_STEP / np.abs(step).max(axis=1))[:, None]
         slope = (grad[rows] * step).sum(axis=1)
         f0 = nll[rows]
-        slack = 4.0 * np.finfo(float).eps * np.abs(f0)
+        slack = _ROUNDING * np.abs(f0)
         alpha = np.ones(rows.size)
         todo = np.arange(rows.size)
         for _ in range(_MAX_HALVINGS):
@@ -359,6 +379,12 @@ def _newton(theta: np.ndarray, counts: np.ndarray, cprime: np.ndarray):
                                                              cprime[moved], order=2)
         converged[moved] = np.abs(grad[moved]).max(axis=1) <= GTOL
         running[moved] = ~converged[moved]
+    short = np.flatnonzero(~converged)
+    if short.size:
+        g = grad[short]
+        predicted = -(g * _descent_step(g, hess[short])).sum(axis=1)
+        converged[short] = ((np.linalg.norm(g, axis=1) <= ACCEPT_GRAD)
+                            | (predicted <= _ROUNDING * np.abs(nll[short])))
     return theta, nll, converged, iterations
 
 
@@ -446,15 +472,14 @@ def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
     """Maximum-likelihood meta-d' under the equal-variance model.
 
     ``type1`` is the (d_prime, criterion_c) pair whose relative criterion
-    the type-2 model inherits. Returns the full SdtFit; if the iteration
-    cap is hit the best point found is returned with converged=False.
-    The fit is meta_d_fit_batch on a batch of one.
+    the type-2 model inherits. Returns the full SdtFit; a solve that
+    stops short of convergence (see _newton) returns the best point found
+    with converged=False. The fit is meta_d_fit_batch on a batch of one.
     """
     if not table.padded:
         raise NumericalError("meta_d_fit requires a padded count table")
     d_prime, criterion_c = float(type1[0]), float(type1[1])
-    if d_prime == 0.0:
-        raise ZeroDPrime("meta-d' fit undefined at d' = 0")
+    check_d_prime(d_prime)
     k = table.n_ratings - 1
 
     pad = table.pad_value
@@ -501,8 +526,7 @@ def predicted_count_table(meta_d: float, type1: tuple[float, float],
     with pad_value 0 so it goes straight into the fit.
     """
     d_prime, criterion_c = float(type1[0]), float(type1[1])
-    if d_prime == 0.0:
-        raise ZeroDPrime("predicted table undefined at d' = 0")
+    check_d_prime(d_prime)
     k = n_ratings - 1
     gaps_r1 = np.asarray(gaps_r1, dtype=float)
     gaps_r2 = np.asarray(gaps_r2, dtype=float)

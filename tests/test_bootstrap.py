@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from metadkit import bootstrap
+from metadkit.binning import RatingScale
 from metadkit.bootstrap import (
     ContrastResult,
     HypothesisSpec,
@@ -13,6 +17,7 @@ from metadkit.bootstrap import (
     tost,
 )
 from metadkit.errors import (
+    MetadkitWarning,
     MissingCondition,
     TooManyDegenerate,
     UnpairedSets,
@@ -278,3 +283,36 @@ def test_zero_d_prime_is_a_value_not_an_exclusion():
     res = bootstrap_metric(trials, "d_prime", n_resamples=50, seed=5)
     assert (res.point, res.ci_low, res.ci_high) == (0.0, 0.0, 0.0)
     assert res.degenerate_resample_count == 0
+
+
+def test_fitted_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, monkeypatch):
+    # 300 paired M-ratio resamples: one worker fits batches of 128, 128 and
+    # 44 ordinals, two and three workers fit chunks of 38 and 25, and a
+    # FIT_BATCH of 7 cuts those again; every run must be bit-identical, and
+    # every third ordinal must equal its one-at-a-time metric_value, nan
+    # where that raises
+    qids = [f"q{i:02d}" for i in range(20)]
+    correct = np.arange(20) % 7 != 0
+    a = make_trials(rng.normal(0.8 * correct, 1.0), correct, condition="2", qids=qids)
+    b = make_trials(rng.normal(0.4 * correct, 1.0), correct, condition="1", qids=qids)
+    job = bootstrap._Job("m_ratio", RatingScale(), 0.5,
+                         bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
+                         bootstrap._side(b, None))
+    checked = np.arange(0, 300, 3)
+    want = np.empty(checked.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        for j, ordinal in enumerate(checked):
+            try:
+                va, vb = [metric_value("m_ratio", nlp, correct)
+                          for nlp, correct in bootstrap._samples(job, ordinal)]
+                want[j] = va - vb
+            except bootstrap._DEGENERATE_ERRORS:
+                want[j] = np.nan
+    assert 0 < np.isnan(want).sum() < 50
+    runs = [bootstrap._run_resamples(job, 300, workers) for workers in (1, 2, 3)]
+    monkeypatch.setattr(bootstrap, "FIT_BATCH", 7)
+    runs += [bootstrap._run_resamples(job, 300, workers) for workers in (1, 3)]
+    for got in runs:
+        np.testing.assert_array_equal(got, runs[0])
+    np.testing.assert_array_equal(runs[0][checked], want)

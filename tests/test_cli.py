@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from metadkit.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
+    EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     RunConfig,
     load_run_config,
@@ -13,9 +15,10 @@ from metadkit.cli import (
     main,
     parse_kv_file,
 )
-from metadkit.errors import ConfigError
+from metadkit.errors import ConfigError, MetadkitWarning
+from metadkit.profiles import build_profiles
 from metadkit.trialstore import TrialSet, save_trials
-from tests.conftest import gaussian_trials
+from tests.conftest import gaussian_trials, make_trials
 
 
 def write_trials(tmp_path, trials, name="trials.jsonl"):
@@ -227,6 +230,52 @@ def test_diagnose_ideal_observer(tmp_path, capsys):
     for name in ("sensitivity_by_format.md", "metrics_full.csv", "notes.md",
                  "m_ratio_by_domain.svg", "auroc2_by_domain.svg"):
         assert (out_dir / name).exists()
+
+
+def global_binned_trials(incorrect, correct):
+    """Domain Arts with exactly these raw bin counts under global-scope
+    binning, plus a Science domain that makes every global bin as large as
+    Arts' largest, its correct share rising with the bin."""
+    size = max(np.add(incorrect, correct))
+    cells = {"Arts": ([], []), "Science": ([], [])}
+    for b, (n_i, n_c) in enumerate(zip(incorrect, correct)):
+        n_fill = size - n_i - n_c
+        n_fill_correct = round(n_fill * (b + 1) / 9)
+        members = ([("Arts", False)] * n_i + [("Arts", True)] * n_c
+                   + [("Science", j < n_fill_correct) for j in range(n_fill)])
+        for j, (domain, ok) in enumerate(members):
+            cells[domain][0].append(b - 8 + (j + 1) / (len(members) + 1))
+            cells[domain][1].append(ok)
+    records = [r for domain, (nlp, ok) in cells.items()
+               for r in make_trials(nlp, ok, domain=domain, qid_prefix=domain).records]
+    return TrialSet(records)
+
+
+@pytest.mark.parametrize("incorrect, correct, meta_d, converged, exit_code", [
+    # table 454 of tests/data/fit_golden.csv (d' = -0.033, c' = -11.4): the
+    # solve stops short of its gradient tolerance with no step left that the
+    # objective can resolve, which counts as converged
+    ([4, 1, 6, 3, 7, 0, 0, 0], [1, 6, 4, 2, 0, 4, 2, 0], 1.6086059100935433, True, EXIT_OK),
+    # d' = 0.054, c' = 24.4: the likelihood still rises where the criteria
+    # pass 36 SD and the bin masses underflow, so the fit did not converge
+    ([0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0], 1.4879621, False,
+     EXIT_NUMERICAL_ERROR),
+])
+def test_diagnose_flags_only_fits_that_did_not_converge(tmp_path, capsys, incorrect, correct,
+                                                         meta_d, converged, exit_code):
+    trials = global_binned_trials(incorrect, correct)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        profiles = {p.domain: p for p in build_profiles(trials, binning_scope="global")}
+    assert profiles["Science"].fit_converged
+    assert profiles["Arts"].fit_converged is converged
+    assert profiles["Arts"].meta_d == pytest.approx(meta_d, abs=1e-6)
+    out_dir = tmp_path / "diag"
+    assert main(["diagnose", "--trials", str(write_trials(tmp_path, trials)),
+                 "--binning-scope", "global", "--out", str(out_dir)]) == exit_code
+    notes = (out_dir / "notes.md").read_text(encoding="utf-8")
+    assert ("(1, f16, Arts): sensitivity fit did not converge" in notes) is not converged
+    assert "Science): sensitivity fit did not converge" not in notes
 
 
 def test_diagnose_missing_trials_flag_is_config_error(tmp_path):
