@@ -17,15 +17,25 @@ order; results are bit-identical for any worker count.
 Contrasts are paired by default: one shared id-draw sequence drives both
 conditions, matching a same-questions design. Resamples where the
 statistic is undefined (one-class resample, too few trials to bin, and
-for meta-d' and M-ratio a d' of exactly zero) are counted and excluded,
-never retried; more than 1% undefined flags the result.
+for meta-d' and M-ratio a d' of exactly zero or a fit that did not
+converge) are counted and excluded, never retried; more than 1%
+undefined flags the result.
 
-meta-d' and M-ratio resamples are fitted in batches of up to FIT_BATCH
-consecutive ordinals of a worker's chunk: every resample is drawn,
-tallied and type-1 fitted on its own, then one batched maximum-likelihood
-solve fits all of the batch's tables. A table's fit is bit-identical
-alone or in any batch, so the batch edges, and with them the worker
-count, leave the results unchanged.
+A worker evaluates its chunk of ordinals in batches of up to FIT_BATCH
+consecutive ordinals. Each resample's id draw is made on its own and
+expanded to its rows; then each metric computes the whole batch:
+
+- auroc2 tallies both classes per distinct nlp level of each side with
+  one offset bincount over the batch (``nonparam.auroc2_batch``), which
+  gives the average-rank Mann-Whitney value bit for bit;
+- meta_d and m_ratio tally and type-1 fit each table on its own, then one
+  batched maximum-likelihood solve fits all of the batch's tables, each
+  exactly as it would be fitted alone;
+- accuracy, nlp_gap and d_prime evaluate each resample's rows in turn.
+
+Every value is thus bit-identical to evaluating its resample alone, so
+the batch edges, and with them the worker count, leave the results
+unchanged.
 """
 
 from __future__ import annotations
@@ -49,14 +59,14 @@ from .errors import (
     WrongCiLevel,
     ZeroDPrime,
 )
-from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays
+from .nonparam import accuracy_arrays, auroc2_arrays, auroc2_batch, level_keys, nlp_gap_arrays
 from .profiles import fit_cell_arrays, type1_cell_arrays
 from .sdt import check_d_prime, meta_d_fit_batch
 from .trialstore import TrialSet, validate_paired
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 DEGENERATE_FRACTION_ALARM = 0.01
-FIT_BATCH = 128         # resample ordinals per batched meta-d' fit
+FIT_BATCH = 128         # resample ordinals evaluated together by a worker
 _FITTED = ("meta_d", "m_ratio")
 _DEGENERATE_ERRORS = (OneClassOnly, TooFewTrials, ZeroDPrime, EmptySet)
 
@@ -147,23 +157,26 @@ class _Side:
     counts: np.ndarray | None    # records per id; None when every id has one
     nlp: np.ndarray          # by id, in record order within an id
     correct: np.ndarray
+    keys: np.ndarray         # AUROC2 tally key of each record (nonparam.level_keys)
+    n_levels: int
 
-    def sample(self, draw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """nlp and correct of every record of the drawn ids, in draw order."""
-        if self.counts is not None:     # expand each drawn id to its run of records
-            lengths = self.counts[draw]
-            ends = np.cumsum(lengths)
-            firsts = (np.cumsum(self.counts) - self.counts)[draw]
-            draw = np.repeat(firsts - (ends - lengths), lengths) + np.arange(ends[-1])
-        return self.nlp[draw], self.correct[draw]
+    def rows(self, draw: np.ndarray) -> np.ndarray:
+        """Every record of the drawn ids, in draw order."""
+        if self.counts is None:
+            return draw
+        lengths = self.counts[draw]     # expand each drawn id to its run of records
+        ends = np.cumsum(lengths)
+        firsts = (np.cumsum(self.counts) - self.counts)[draw]
+        return np.repeat(firsts - (ends - lengths), lengths) + np.arange(ends[-1])
 
 
 def _side(trials: TrialSet, entropy: int | None) -> _Side:
     codes, ids = trials.codes("question_id")
     order = np.argsort(codes, kind="stable")
     counts = np.bincount(codes, minlength=len(ids))
-    return _Side(entropy, len(ids), None if counts.max() == 1 else counts,
-                 trials.nlp_values[order], trials.correct_mask[order])
+    nlp, correct = trials.nlp_values[order], trials.correct_mask[order]
+    return _Side(entropy, len(ids), None if counts.max() == 1 else counts, nlp, correct,
+                 *level_keys(nlp, correct))
 
 
 @dataclass(frozen=True)
@@ -176,6 +189,10 @@ class _Job:
     pad_value: float
     a: _Side
     b: _Side | None = None
+
+    @property
+    def sides(self) -> tuple[_Side, ...]:
+        return (self.a,) if self.b is None else (self.a, self.b)
 
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
@@ -210,61 +227,75 @@ def _fitted_stat(metric: str, meta_d, d_prime):
     return meta_d if metric == "meta_d" else meta_d / d_prime
 
 
-def _samples(job: _Job, ordinal: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nlp, correct) of resample ``ordinal``: the a side, then any b side."""
+def _rows(job: _Job, ordinal: int) -> list[np.ndarray]:
+    """Rows of resample ``ordinal`` in each side: the a side, then any b side."""
     draw = _draw_ids(job.a.entropy, ordinal, job.a.n_ids)
-    samples = [job.a.sample(draw)]
+    rows = [job.a.rows(draw)]
     if job.b is not None:
         if job.b.entropy is not None:
             draw = _draw_ids(job.b.entropy, ordinal, job.b.n_ids)
-        samples.append(job.b.sample(draw))
-    return samples
+        rows.append(job.b.rows(draw))
+    return rows
 
 
 def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
-    """Statistic (or nan) for resample ordinals [start, stop)."""
+    """Statistic (or nan) for resample ordinals [start, stop), evaluated
+    FIT_BATCH ordinals at a time."""
+    parts = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
-        if job.metric in _FITTED:
-            return np.concatenate([_fitted_batch(job, lo, min(lo + FIT_BATCH, stop))
-                                   for lo in range(start, stop, FIT_BATCH)])
-        out = np.empty(stop - start)
-        for j, ordinal in enumerate(range(start, stop)):
+        for lo in range(start, stop, FIT_BATCH):
+            draws = [_rows(job, ordinal) for ordinal in range(lo, min(lo + FIT_BATCH, stop))]
+            values = _batch_values(job, [list(side_rows) for side_rows in zip(*draws)])
+            parts.append(values[0] - values[1] if job.b is not None else values[0])
+    return np.concatenate(parts)
+
+
+def _batch_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
+    """(side, resample) statistic of a batch, nan where it is undefined;
+    ``rows[s][j]`` are the rows of side s in the batch's resample j."""
+    if job.metric == "auroc2":
+        return np.array([auroc2_batch(side.keys, side.n_levels, side_rows)
+                         for side, side_rows in zip(job.sides, rows)])
+    if job.metric in _FITTED:
+        return _fitted_values(job, rows)
+    values = np.full((len(rows), len(rows[0])), np.nan)
+    for s, side in enumerate(job.sides):
+        for j, r in enumerate(rows[s]):
             try:
-                values = [metric_value(job.metric, nlp, correct, job.scale, job.pad_value)
-                          for nlp, correct in _samples(job, ordinal)]
+                values[s, j] = metric_value(job.metric, side.nlp[r], side.correct[r],
+                                            job.scale, job.pad_value)
             except _DEGENERATE_ERRORS:
-                out[j] = np.nan
-                continue
-            out[j] = values[0] - values[1] if job.b is not None else values[0]
-    return out
+                pass
+    return values
 
 
-def _fitted_batch(job: _Job, start: int, stop: int) -> np.ndarray:
-    """meta_d or m_ratio (or nan) for ordinals [start, stop): each side of
-    each resample is tallied and type-1 fitted, then every table of the
-    batch goes through one batched meta-d' fit."""
-    n_sides = 1 if job.b is None else 2
-    counts = np.zeros((stop - start, n_sides, 2, job.scale.n_bins))
-    type1 = np.zeros((stop - start, n_sides, 2))
-    valid = np.ones(stop - start, dtype=bool)
-    for j, ordinal in enumerate(range(start, stop)):
-        try:
-            for s, (nlp, correct) in enumerate(_samples(job, ordinal)):
+def _fitted_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
+    """meta_d or m_ratio of each side of each resample, nan where it is
+    undefined or the fit did not converge: each table is tallied and
+    type-1 fitted on its own, then one batched meta-d' solve fits them all."""
+    shape = (len(rows), len(rows[0]))
+    counts = np.zeros(shape + (2, job.scale.n_bins))
+    type1 = np.zeros(shape + (2,))
+    valid = np.zeros(shape, dtype=bool)
+    for s, side in enumerate(job.sides):
+        for j, r in enumerate(rows[s]):
+            nlp, correct = side.nlp[r], side.correct[r]
+            try:
                 _check_both_classes(correct)
-                table, type1[j, s] = type1_cell_arrays(nlp, correct, job.scale, job.pad_value)
-                check_d_prime(type1[j, s, 0])
-                counts[j, s] = table.counts_incorrect, table.counts_correct
-        except _DEGENERATE_ERRORS:
-            valid[j] = False
-    out = np.full(stop - start, np.nan)
+                table, type1[s, j] = type1_cell_arrays(nlp, correct, job.scale, job.pad_value)
+                check_d_prime(type1[s, j, 0])
+            except _DEGENERATE_ERRORS:
+                continue
+            counts[s, j] = table.counts_incorrect, table.counts_correct
+            valid[s, j] = True
+    values = np.full(shape, np.nan)
     if valid.any():
-        d_prime, criterion_c = type1[valid, :, 0].ravel(), type1[valid, :, 1].ravel()
-        meta_d = meta_d_fit_batch(counts[valid].reshape(-1, 2, job.scale.n_bins),
-                                  d_prime, criterion_c).meta_d
-        stat = _fitted_stat(job.metric, meta_d, d_prime).reshape(-1, n_sides)
-        out[valid] = stat[:, 0] - stat[:, 1] if job.b is not None else stat[:, 0]
-    return out
+        d_prime, criterion_c = type1[valid].T
+        fit = meta_d_fit_batch(counts[valid], d_prime, criterion_c)
+        values[valid] = np.where(fit.converged,
+                                 _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
+    return values
 
 
 def _run_resamples(job: _Job, n_resamples: int, workers: int) -> np.ndarray:
@@ -385,7 +416,7 @@ def _contrast_names(metric: str, a: TrialSet, b: TrialSet) -> tuple[str, str]:
 
 def check_tost_ci_level(ci_level: float) -> None:
     """Raise WrongCiLevel unless ci_level is the 90% that TOST needs."""
-    if abs(ci_level - 0.90) > 1e-9:
+    if not abs(ci_level - 0.90) <= 1e-9:
         raise WrongCiLevel(f"TOST needs a 90% CI, got {ci_level}")
 
 

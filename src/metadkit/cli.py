@@ -14,6 +14,7 @@ every key can be overridden by a same-named flag. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -58,8 +59,13 @@ class RunConfig:
             raise ConfigError("n_ratings must be >= 2")
         if self.n_resamples < 1:
             raise ConfigError("n_resamples must be >= 1")
-        if self.tost_delta <= 0:
+        if not self.tost_delta > 0:
             raise ConfigError("tost_delta must be > 0")
+        if not 0 < self.ci_level_confirmatory < 1:
+            raise ConfigError(f"ci_level_confirmatory must be in (0, 1), "
+                              f"got {self.ci_level_confirmatory}")
+        if not (math.isfinite(self.pad_value) and self.pad_value >= 0):
+            raise ConfigError(f"pad_value must be finite and >= 0, got {self.pad_value}")
         if self.binning_scope not in ("per_cell", "global"):
             raise ConfigError(f"binning_scope must be per_cell or global, "
                               f"got {self.binning_scope!r}")
@@ -130,11 +136,13 @@ def _coerce(key: str, raw: str):
         if raw.lower() not in BOOLEAN_STRINGS:
             raise ConfigError(f"{key} must be true/false/1/0/yes/no, got {raw!r}")
         return BOOLEAN_STRINGS[raw.lower()]
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
+    if not isinstance(current, (int, float)):
+        return raw
+    try:
+        return type(current)(raw)
+    except ValueError:
+        noun = "an integer" if isinstance(current, int) else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from None
 
 
 def _default_workers() -> int | None:

@@ -13,18 +13,49 @@ from scipy.stats import rankdata
 from .errors import EmptySet, LengthMismatch, OneClassOnly, ZeroVariance
 
 
+def level_keys(nlp: np.ndarray, correct: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each trial's tally key ``2 * level + correct`` and the level count,
+    where a trial's level is the rank of its nlp among the distinct values."""
+    distinct, level = np.unique(nlp, return_inverse=True)
+    return 2 * level + correct, len(distinct)
+
+
+def auroc2_batch(keys: np.ndarray, n_levels: int, rows: list[np.ndarray]) -> np.ndarray:
+    """AUROC2 of each sample ``keys[rows[j]]`` of ``level_keys`` keys; nan
+    for a sample without both correctness classes.
+
+    One offset bincount tallies every sample's (incorrect, correct) count
+    per level. With the levels ascending, the Mann-Whitney statistic is
+    U = sum over levels of correct * (incorrect below + incorrect / 2),
+    and AUROC2 = U / (n_correct * n_incorrect). 2U and the pair count are
+    exact integers, so the one division gives the average-rank value
+    bit for bit, ties included.
+    """
+    width = 2 * n_levels
+    keys = keys[np.concatenate(rows)]
+    keys += np.repeat(np.arange(len(rows)) * width, [len(r) for r in rows])
+    tally = np.bincount(keys, minlength=len(rows) * width).reshape(len(rows), n_levels, 2)
+    neg, pos = tally[:, :, 0], tally[:, :, 1]
+    twice_below = np.cumsum(neg, axis=1)    # 2 * (incorrect below) + incorrect at
+    twice_below *= 2
+    twice_below -= neg
+    twice_u = np.einsum("jl,jl->j", pos, twice_below)
+    with np.errstate(invalid="ignore"):     # 0 / 0: one class only
+        return twice_u / (2 * pos.sum(axis=1) * neg.sum(axis=1))
+
+
 def auroc2_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
     """P(random correct trial has higher nlp than random incorrect) + half ties.
 
-    Rank-sum (Mann-Whitney) form with average ranks, exact for ties.
+    The batch of one of ``auroc2_batch``: a tally of both classes over the
+    distinct nlp values, exact for ties and equal bit for bit to the
+    average-rank (Mann-Whitney) form.
     """
     n_pos = int(correct.sum())
-    n_neg = len(correct) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_pos == len(correct):
         raise OneClassOnly("need at least one correct and one incorrect trial")
-    ranks = rankdata(nlp, method="average")
-    u = ranks[correct].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    keys, n_levels = level_keys(nlp, correct)
+    return float(auroc2_batch(keys, n_levels, [np.arange(len(keys))])[0])
 
 
 def nlp_gap_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metadkit import bootstrap
-from metadkit.binning import RatingScale
+from metadkit.binning import CountTable, RatingScale, pad_counts
 from metadkit.bootstrap import (
     ContrastResult,
     HypothesisSpec,
@@ -24,6 +24,7 @@ from metadkit.errors import (
     WrongCiLevel,
     ZeroDPrime,
 )
+from metadkit.sdt import type1_fit
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
 
@@ -59,13 +60,22 @@ def test_golden_reference_run():
 
 
 def _golden_sets(case):
-    rng = np.random.default_rng({"paired": 31, "independent": 32, "two_formats": 33}[case])
+    rng = np.random.default_rng(
+        {"paired": 31, "independent": 32, "two_formats": 33, "ties": 34}[case])
     if case == "paired":
         return (gaussian_trials(rng, 40, qid_prefix="p"),
                 gaussian_trials(rng, 40, qid_prefix="p", condition="2"))
     if case == "independent":
         return (gaussian_trials(rng, 40, qid_prefix="a"),
                 gaussian_trials(rng, 30, qid_prefix="b", condition="2"))
+    if case == "ties":
+        # nlp rounded to integers: 16 trials on 5 levels, some one-class resamples
+        sides = []
+        for condition in ("1", "2"):
+            cell = gaussian_trials(rng, 16, p_correct=0.8, qid_prefix="t", condition=condition)
+            sides.append(make_trials(np.round(cell.nlp_values), cell.correct_mask,
+                                     qid_prefix="t", condition=condition))
+        return tuple(sides)
     # every id has one record per format, so a resample gathers two rows per id
     sides = []
     for condition in ("1", "2"):
@@ -94,6 +104,24 @@ def test_golden_contrast_runs(case, pairing, expected, label):
     assert (res.delta_hat, res.ci_low, res.ci_high,
             res.degenerate_resample_count) == expected
     assert res.contrast == label
+
+
+@pytest.mark.parametrize("case, pairing, expected", [
+    ("paired", "paired", (0.12385254098268556, -0.1966238418444301, 0.4208503584229388, 0)),
+    ("independent", "independent",
+     (-0.06500000000000006, -0.3825771809608015, 0.2723312935617621, 0)),
+    ("two_formats", "paired", (0.13861111111111113, -0.0157900280754701, 0.354386986826664, 0)),
+    ("ties", "paired", (0.5573870573870574, 0.23617216117216122, 0.8386946386946383, 3)),
+])
+def test_golden_auroc2_contrast_runs(case, pairing, expected):
+    # auroc2 runs of the engine when it ranked each resample with
+    # scipy's rankdata, pinned; the tally must reproduce them bit for bit
+    a, b = _golden_sets(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TooManyDegenerate)
+        res = bootstrap_contrast(a, b, "auroc2", n_resamples=100, seed=7, pairing=pairing)
+    assert (res.delta_hat, res.ci_low, res.ci_high,
+            res.degenerate_resample_count) == expected
 
 
 def test_bit_identical_across_runs_and_workers():
@@ -288,14 +316,31 @@ def test_zero_d_prime_is_a_value_not_an_exclusion():
 def test_fitted_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, monkeypatch):
     # 300 paired M-ratio resamples: one worker fits batches of 128, 128 and
     # 44 ordinals, two and three workers fit chunks of 38 and 25, and a
-    # FIT_BATCH of 7 cuts those again; every run must be bit-identical, and
-    # every third ordinal must equal its one-at-a-time metric_value, nan
-    # where that raises
+    # FIT_BATCH of 7 cuts those again
     qids = [f"q{i:02d}" for i in range(20)]
     correct = np.arange(20) % 7 != 0
     a = make_trials(rng.normal(0.8 * correct, 1.0), correct, condition="2", qids=qids)
     b = make_trials(rng.normal(0.4 * correct, 1.0), correct, condition="1", qids=qids)
-    job = bootstrap._Job("m_ratio", RatingScale(), 0.5,
+    check_batches_match_one_at_a_time("m_ratio", a, b, monkeypatch)
+
+
+def test_auroc2_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, monkeypatch):
+    # the same for the auroc2 tally, on nlp rounded to 0.1 (ties in every
+    # resample); one-class resamples are nan
+    qids = [f"q{i:02d}" for i in range(20)]
+    correct = np.arange(20) % 7 != 0
+    a = make_trials(np.round(rng.normal(0.8 * correct, 1.0), 1), correct, condition="2",
+                    qids=qids)
+    b = make_trials(np.round(rng.normal(0.4 * correct, 1.0), 1), correct, condition="1",
+                    qids=qids)
+    check_batches_match_one_at_a_time("auroc2", a, b, monkeypatch)
+
+
+def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
+    """Every run at workers 1, 2, 3 and at FIT_BATCH = 7 must be
+    bit-identical, and every third ordinal must equal its one-at-a-time
+    metric_value, nan where that raises."""
+    job = bootstrap._Job(metric, RatingScale(), 0.5,
                          bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
                          bootstrap._side(b, None))
     checked = np.arange(0, 300, 3)
@@ -304,8 +349,8 @@ def test_fitted_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, mon
         warnings.simplefilter("ignore", MetadkitWarning)
         for j, ordinal in enumerate(checked):
             try:
-                va, vb = [metric_value("m_ratio", nlp, correct)
-                          for nlp, correct in bootstrap._samples(job, ordinal)]
+                va, vb = [metric_value(metric, side.nlp[r], side.correct[r])
+                          for side, r in zip(job.sides, bootstrap._rows(job, ordinal))]
                 want[j] = va - vb
             except bootstrap._DEGENERATE_ERRORS:
                 want[j] = np.nan
@@ -316,3 +361,32 @@ def test_fitted_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, mon
     for got in runs:
         np.testing.assert_array_equal(got, runs[0])
     np.testing.assert_array_equal(runs[0][checked], want)
+
+
+def stall_every_fourth_table(monkeypatch):
+    """Make the 1st, 5th, 9th, ... resample table tallied the d' = 0.054,
+    c' = 24.4 table whose meta-d' fit does not converge (its trial-level
+    form is in tests/test_cli.py)."""
+    stalled = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
+    real = bootstrap.type1_cell_arrays
+    calls = []
+
+    def type1_cell_arrays(*args):
+        calls.append(args)
+        return (stalled, type1_fit(stalled)) if len(calls) % 4 == 1 else real(*args)
+
+    monkeypatch.setattr(bootstrap, "type1_cell_arrays", type1_cell_arrays)
+
+
+@pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])
+def test_resample_fit_that_did_not_converge_is_counted_and_excluded(rng, monkeypatch, metric):
+    trials = gaussian_trials(rng, 80)
+    clean = bootstrap_metric(trials, metric, n_resamples=20, seed=3)
+    assert clean.degenerate_resample_count == 0
+    stall_every_fourth_table(monkeypatch)
+    with pytest.warns(TooManyDegenerate):
+        res = bootstrap_metric(trials, metric, n_resamples=20, seed=3)
+    # ordinals 0, 4, 8, 12 and 16 are the stalled table
+    assert res.degenerate_resample_count == 5
+    assert res.flagged_degenerate
+    assert res.point == clean.point

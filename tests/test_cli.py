@@ -140,6 +140,50 @@ def test_wrong_tost_level_fails_before_load_and_resampling(tmp_path, monkeypatch
     assert calls == []
 
 
+def run_confirm_with_config(tmp_path, monkeypatch, text):
+    """Exit code of confirm with this config file and a trial file that does
+    not exist, so a run that gets as far as loading exits 1; the suite is
+    never run."""
+    import metadkit.cli
+
+    monkeypatch.setattr(metadkit.cli, "run_hypothesis_suite",
+                        lambda *args, **kwargs: pytest.fail("the suite ran"))
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return main(["confirm", "--config", str(path), "--trials", str(tmp_path / "none.jsonl"),
+                 "--out", str(tmp_path / "conf")])
+
+
+@pytest.mark.parametrize("text", ["seed = abc\n", "n_resamples = 1e3\n", "tost_delta = wide\n"])
+def test_config_value_that_is_not_a_number_is_config_error(tmp_path, monkeypatch, capsys, text):
+    assert run_confirm_with_config(tmp_path, monkeypatch, text) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.95", "nan"])
+def test_confirmatory_ci_level_outside_unit_interval_fails_before_load(tmp_path, monkeypatch,
+                                                                       value):
+    text = f"ci_level_confirmatory = {value}\n"
+    assert run_confirm_with_config(tmp_path, monkeypatch, text) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("value", ["-0.5", "-1", "inf", "nan"])
+def test_negative_or_non_finite_pad_value_fails_before_load(tmp_path, monkeypatch, value):
+    text = f"pad_value = {value}\n"
+    assert run_confirm_with_config(tmp_path, monkeypatch, text) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("text", ["tost_delta = nan\n", "ci_level_tost = nan\n"])
+def test_nan_tost_setting_fails_before_load(tmp_path, monkeypatch, text):
+    assert run_confirm_with_config(tmp_path, monkeypatch, text) == EXIT_CONFIG_ERROR
+
+
+def test_zero_pad_value_is_legal(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("pad_value = 0\n")
+    assert load_run_config(str(path), {}).pad_value == 0.0
+
+
 # -- validate ------------------------------------------------------------------
 
 def test_validate_clean_file(tmp_path, capsys, rng):
@@ -311,6 +355,21 @@ def test_compare_needs_condition_when_ambiguous(tmp_path, rng):
 
 
 # -- confirm -------------------------------------------------------------------
+
+@pytest.mark.parametrize("stalled, exit_code", [(False, EXIT_OK), (True, EXIT_NUMERICAL_ERROR)])
+def test_confirm_exits_3_when_resample_fits_do_not_converge(tmp_path, monkeypatch, stalled,
+                                                              exit_code):
+    from tests.test_bootstrap import four_condition_trials, stall_every_fourth_table
+    if stalled:
+        stall_every_fourth_table(monkeypatch)
+    # large enough that no resample has d' = 0: the clean run flags nothing
+    path = write_trials(tmp_path, four_condition_trials(np.random.default_rng(78), 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        code = main(["confirm", "--trials", str(path), "--out", str(tmp_path / "conf"),
+                     "--resamples", "20", "--seed", "42"])
+    assert code == exit_code
+
 
 def test_confirm_smoke_run(tmp_path, capsys):
     from tests.test_bootstrap import four_condition_trials

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from metadkit.errors import EmptySet, LengthMismatch, OneClassOnly, ZeroVariance
-from metadkit.nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays, spearman_rho
+from metadkit.nonparam import (
+    accuracy_arrays,
+    auroc2_arrays,
+    auroc2_batch,
+    level_keys,
+    nlp_gap_arrays,
+    spearman_rho,
+)
 
 
 def brute_force_auroc2(nlp, correct):
@@ -60,6 +70,61 @@ def test_auroc2_monotone_invariance(rng):
 def test_auroc2_one_class_only():
     with pytest.raises(OneClassOnly):
         auroc2_arrays(np.array([-1.0, -2.0]), np.array([True, True]))
+
+
+def rank_sum_auroc2(nlp, correct):
+    """The average-rank Mann-Whitney form the tally replaced; nan for one class."""
+    n_pos = int(correct.sum())
+    n_neg = len(correct) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return np.nan
+    ranks = rankdata(nlp, method="average")
+    u = ranks[correct].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+@st.composite
+def tie_heavy_trials(draw):
+    """nlp on a grid of at most 6 values; classes mixed, separated (every
+    correct trial at or above every incorrect one) or a lone trial of one
+    class."""
+    n = draw(st.integers(2, 60))
+    grid = draw(st.lists(st.floats(-8.0, 0.0, allow_nan=False), min_size=1, max_size=6))
+    level = np.array(draw(st.lists(st.integers(0, len(grid) - 1), min_size=n, max_size=n)))
+    nlp = np.array(grid)[level]
+    shape = draw(st.sampled_from(["mixed", "separated", "lone"]))
+    if shape == "mixed":
+        correct = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif shape == "separated":
+        correct = nlp >= draw(st.sampled_from(grid))
+    else:
+        correct = np.arange(n) == draw(st.integers(0, n - 1))
+        correct = correct if draw(st.booleans()) else ~correct
+    return nlp, correct
+
+
+@given(tie_heavy_trials())
+def test_auroc2_equals_rank_sum_form_bit_for_bit(trials):
+    nlp, correct = trials
+    want = rank_sum_auroc2(nlp, correct)
+    if np.isnan(want):
+        with pytest.raises(OneClassOnly):
+            auroc2_arrays(nlp, correct)
+    else:
+        assert auroc2_arrays(nlp, correct) == want
+
+
+@given(tie_heavy_trials(), st.integers(0, 2 ** 32 - 1))
+def test_auroc2_batch_equals_rank_sum_form_of_each_sample(trials, seed):
+    # bootstrap-style samples drawn with replacement, some of one class only
+    nlp, correct = trials
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, len(nlp), size=rng.integers(1, 2 * len(nlp) + 1))
+            for _ in range(rng.integers(1, 9))]
+    keys, n_levels = level_keys(nlp, correct)
+    got = auroc2_batch(keys, n_levels, rows)
+    want = [rank_sum_auroc2(nlp[r], correct[r]) for r in rows]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_nlp_gap_identical_distributions():
