@@ -19,7 +19,8 @@ conditions, matching a same-questions design. Resamples where the
 statistic is undefined (one-class resample, too few trials to bin, and
 for meta-d' and M-ratio a d' of exactly zero or a fit that did not
 converge) are counted and excluded, never retried; more than 1%
-undefined flags the result.
+undefined flags the result. A point estimate whose meta-d' fit did not
+converge is nan and flags the result too.
 
 A worker evaluates its chunk of ordinals in batches of up to FIT_BATCH
 consecutive ordinals. Each resample's id draw is made on its own and
@@ -200,7 +201,8 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
     """One named statistic over raw arrays, re-binning from scratch.
 
     Raises OneClassOnly / TooFewTrials / ZeroDPrime / EmptySet when the
-    statistic is undefined for this sample.
+    statistic is undefined for this sample; meta_d and m_ratio are nan
+    when the meta-d' fit did not converge.
     """
     if metric == "accuracy":
         return accuracy_arrays(correct)
@@ -214,7 +216,7 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
     if metric == "d_prime":
         return type1_cell_arrays(nlp, correct, scale, pad_value)[1][0]
     fit = fit_cell_arrays(nlp, correct, scale, pad_value)
-    return _fitted_stat(metric, fit.meta_d, fit.d_prime)
+    return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else float("nan")
 
 
 def _check_both_classes(correct: np.ndarray) -> None:
@@ -347,8 +349,9 @@ def _bootstrap(a: TrialSet, b: TrialSet | None, metric: str, unit: str, n_resamp
     stats = _run_resamples(job, n_resamples, workers)
     valid = stats[~np.isnan(stats)]
     n_bad = int(np.isnan(stats).sum())
-    flagged = n_bad > DEGENERATE_FRACTION_ALARM * n_resamples
-    if flagged:
+    alarm = n_bad > DEGENERATE_FRACTION_ALARM * n_resamples
+    flagged = alarm or bool(np.isnan(point))    # nan: a point fit did not converge
+    if alarm:
         warnings.warn(
             f"{domain}/{unit}: {n_bad}/{n_resamples} resamples had an undefined statistic",
             TooManyDegenerate, stacklevel=3)

@@ -279,6 +279,8 @@ def cmd_compare_formats(args: argparse.Namespace) -> int:
     for move in comparison.rank_moves:
         if move.moved:
             print(f"  {move.metric} {move.domain}: rank {move.rank_a} -> {move.rank_b}")
+    if any(not p.fit_converged for p in all_profiles):
+        return EXIT_NUMERICAL_ERROR
     return EXIT_OK
 
 

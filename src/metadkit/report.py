@@ -195,6 +195,9 @@ def reproduction_notes(profiles: list[DomainProfile] = (),
                 notes.append(f"{key}: {metric} ranks contain ties, broken by "
                              "domain name")
     for c in contrasts:
+        if math.isnan(c.delta_hat):
+            notes.append(f"{c.hypothesis_id or c.metric}/{c.domain}: the point estimate "
+                         "is undefined: a sensitivity fit did not converge")
         if c.degenerate_resample_count:
             notes.append(
                 f"{c.hypothesis_id or c.metric}/{c.domain}: "

@@ -18,6 +18,19 @@ Filters are boolean masks over the columns, and a subset drops the values
 it no longer holds, so the distinct values of a field are always exactly
 those of its records. ``TrialRecord`` rows exist only at the edges: a set
 can be built from records and read back as records.
+
+Loading reads the file in blocks of lines (CSV: records), so it never
+holds a dict for every record at once. A JSONL block whose lines are each
+one object is parsed by the C JSON scanner; any other block line by line
+with ``json.loads``, so a line means exactly what ``json.loads`` makes of
+it. Each field of a block is then pulled out as a column and checked in
+one pass; only columns with values other than the plain types are
+coerced value by value. Duplicate (question_id, condition, format) keys
+are found from the integer codes of the finished set. The first offending
+line of the file is reported, whatever its kind; within a line the order
+is a missing required field, then ``correct``, then ``nlp``, then the
+duplicate key. JSONL and CSV share this path and differ only in how rows
+are read.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -41,6 +55,9 @@ from .errors import (
     NonFiniteConfidence,
     UnknownSelectorValue,
 )
+
+_BLOCK_ROWS = 1024      # lines (CSV: records) read and validated together
+_DECODER = json.JSONDecoder()
 
 REQUIRED_FIELDS = ("question_id", "domain", "condition", "format", "correct", "nlp")
 ALL_FIELDS = REQUIRED_FIELDS + ("answer_text",)
@@ -176,41 +193,188 @@ class TrialSet:
         return filter_trials(self, domain=domain, condition=condition, format=format)
 
 
-def _coerce_bool(value, line: int, path: str) -> bool:
+def _missing(value) -> bool:
+    return value is None or value == ""
+
+
+def _coerce_bool(value) -> bool | None:
+    """``correct`` as a bool, or None when the value is not one."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)) and value in (0, 1):
         return bool(value)
-    if isinstance(value, str) and value.strip().lower() in BOOLEAN_STRINGS:
-        return BOOLEAN_STRINGS[value.strip().lower()]
-    raise DataError(f"{path}:{line}: cannot interpret correct={value!r} as a boolean")
+    if isinstance(value, str):
+        return BOOLEAN_STRINGS.get(value.strip().lower())
+    return None
 
 
-def _coerce_nlp(value, line: int, path: str) -> float:
+def _coerce_nlp(value) -> float | None:
+    """``nlp`` as a finite float, or None when it is not one."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise NonFiniteConfidence(line, path) from None
-    if not math.isfinite(x):
-        raise NonFiniteConfidence(line, path)
-    return x
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if math.isfinite(x) else None
 
 
-def _append_row(columns: dict[str, list], seen: set, row: dict, line: int,
-                path: str) -> None:
+def _row_error(row: dict, line: int, path: str) -> DataError | None:
+    """The first problem of one row: a missing required field (in
+    REQUIRED_FIELDS order), then ``correct``, then ``nlp``."""
     for name in REQUIRED_FIELDS:
-        if name not in row or row[name] is None or row[name] == "":
-            raise MissingField(name, line, path)
-    answer = row.get("answer_text")
-    values = (*(str(row[name]) for name in CODED_FIELDS),
-              _coerce_bool(row["correct"], line, path), _coerce_nlp(row["nlp"], line, path),
-              None if answer is None or answer == "" else str(answer))
-    key = (values[0], values[2], values[3])
-    if key in seen:
-        raise DuplicateKey(key, line, path)
-    seen.add(key)
-    for name, value in zip(ALL_FIELDS, values):
-        columns[name].append(value)
+        if _missing(row.get(name)):
+            return MissingField(name, line, path)
+    if _coerce_bool(row["correct"]) is None:
+        return DataError(f"{path}:{line}: cannot interpret correct={row['correct']!r} "
+                         "as a boolean")
+    if _coerce_nlp(row["nlp"]) is None:
+        return NonFiniteConfidence(line, path)
+    return None
+
+
+def _scanned(lines: list[str]) -> list[dict] | None:
+    """The rows of lines that are each one JSON object and its newline,
+    parsed by the C scanner alone; None when any line is not."""
+    try:
+        parsed = list(map(_DECODER.scan_once, lines, repeat(0)))
+    except ValueError:
+        return None
+    if len(parsed) != len(lines):   # the scanner's StopIteration ended the map
+        return None
+    rows, ends = zip(*parsed)
+    if set(map(type, rows)) != {dict}:
+        return None
+    # each object must end just before its line's newline, or at the end
+    # of the file's last line when that has none
+    rest = np.subtract(list(map(len, lines)), ends)
+    rest[-1] += not lines[-1].endswith("\n")
+    return list(rows) if (rest == 1).all() else None
+
+
+def _jsonl_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], DataError | None]]:
+    """(line numbers, rows, error) per block of _BLOCK_ROWS lines.
+
+    A block whose lines are all plain objects is parsed by _scanned. Any
+    other block is parsed line by line with ``json.loads``, skipping blank
+    lines, up to its first line that is not a JSON object; that line's
+    DataError is the block's error and ends the blocks. Either way a line
+    means exactly what ``json.loads`` makes of it.
+    """
+    first = 1
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        rows = _scanned(lines)
+        if rows is not None:
+            yield range(first, first + len(lines)), rows, None
+            first += len(lines)
+            continue
+        numbers, rows = [], []
+        for line_no, line in enumerate(lines, start=first):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
+                error = DataError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})")
+            else:
+                if isinstance(row, dict):
+                    numbers.append(line_no)
+                    rows.append(row)
+                    continue
+                error = DataError(f"{path}:{line_no}: expected a JSON object")
+            yield numbers, rows, error
+            return
+        yield numbers, rows, None
+        first += len(lines)
+
+
+def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], DataError | None]]:
+    """(line numbers, rows, error) per block of _BLOCK_ROWS CSV records, as
+    _jsonl_blocks. A record's line is the physical line it ends on; a
+    record with more fields than the header, or one the csv module cannot
+    read, is an error."""
+    reader = csv.DictReader(fh)
+    numbers, rows = [], []
+    try:
+        if reader.fieldnames is None:
+            raise EmptySet(f"{path}: no header row")
+        while True:
+            numbers, rows = [], []
+            for row in islice(reader, _BLOCK_ROWS):
+                extra = row.get(None)   # DictReader files surplus fields under None
+                if extra:
+                    yield numbers, rows, DataError(
+                        f"{path}:{reader.line_num}: {len(extra)} more "
+                        f"field{'s' if len(extra) > 1 else ''} than the header")
+                    return
+                numbers.append(reader.line_num)
+                rows.append(row)
+            if not rows:
+                return
+            yield numbers, rows, None
+    except csv.Error as exc:    # DictReader counts only the lines of records it returned
+        yield numbers, rows, DataError(f"{path}:{reader.reader.line_num}: {exc}")
+
+
+def _block_columns(rows: Sequence[dict], line_numbers: Sequence[int],
+                   path: str) -> tuple[dict[str, Sequence], DataError | None]:
+    """The columns of a block of rows up to its first invalid row, and that
+    row's error (None when every row is valid).
+
+    Each column is checked in one pass; only a column that holds other
+    types than the plain ones (str fields, bool ``correct``, int or float
+    ``nlp``) is converted value by value. ``nlp`` comes back as an array,
+    the other columns as lists.
+    """
+    columns = {name: [row.get(name) for row in rows] for name in ALL_FIELDS}
+    first_bad = len(rows)
+    for name in REQUIRED_FIELDS:
+        values = columns[name]
+        if None in values or "" in values:
+            first_bad = min(first_bad, next(i for i, v in enumerate(values) if _missing(v)))
+    for name in CODED_FIELDS:
+        if set(map(type, columns[name])) != {str}:
+            columns[name] = [str(v) for v in columns[name]]
+
+    correct = columns["correct"]
+    if set(map(type, correct)) != {bool}:
+        correct = list(map(_coerce_bool, correct))
+        if None in correct:
+            first_bad = min(first_bad, correct.index(None))
+    nlp = columns["nlp"]
+    try:
+        if not set(map(type, nlp)) <= {int, float}:
+            raise TypeError
+        nlp = np.array(nlp, dtype=float)
+    except (TypeError, OverflowError):
+        nlp = np.array(list(map(_coerce_nlp, nlp)), dtype=float)   # None -> nan
+    finite = np.isfinite(nlp)
+    if not finite.all():
+        first_bad = min(first_bad, int(np.argmin(finite)))
+    answers = columns["answer_text"]
+    if not set(map(type, answers)) <= {str, type(None)} or "" in answers:
+        answers = [None if _missing(v) else str(v) for v in answers]
+
+    error = None
+    if first_bad < len(rows):
+        error = _row_error(rows[first_bad], line_numbers[first_bad], path)
+        assert error is not None, "a column check and the row check disagree"
+    columns.update(correct=correct, nlp=nlp, answer_text=answers)
+    return {name: values[:first_bad] for name, values in columns.items()}, error
+
+
+def _first_duplicate(trials: TrialSet, line_numbers: np.ndarray,
+                     path: str) -> DuplicateKey | None:
+    """The DuplicateKey of the first record whose (question_id, condition,
+    format) an earlier record already has, or None."""
+    key_fields = [trials.codes(name) for name in ("question_id", "condition", "format")]
+    codes = np.stack([field_codes for field_codes, _ in key_fields])
+    order = np.lexsort(codes[::-1])     # stable: repeats follow their first record
+    in_order = codes[:, order]
+    repeats = order[1:][(in_order[:, 1:] == in_order[:, :-1]).all(axis=0)]
+    if repeats.size == 0:
+        return None
+    row = repeats.min()
+    key = tuple(values[field_codes[row]] for field_codes, values in key_fields)
+    return DuplicateKey(key, int(line_numbers[row]), path)
 
 
 def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
@@ -218,41 +382,44 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
 
     ``format_hint`` is ``"jsonl"`` or ``"csv"``; when omitted it is taken
     from the file suffix (``.csv`` means CSV, anything else JSONL).
-    Raises MissingField, DuplicateKey, or NonFiniteConfidence with the
-    offending line number; raises EmptySet for a file with no records.
+    Raises MissingField, DuplicateKey, NonFiniteConfidence or DataError
+    for the first offending line of the file; raises EmptySet for a file
+    with no records.
     """
     path = Path(path)
     fmt = format_hint or ("csv" if path.suffix.lower() == ".csv" else "jsonl")
     if fmt not in ("jsonl", "csv"):
         raise DataError(f"unknown trial file format {fmt!r}")
-
-    columns: dict[str, list] = {name: [] for name in ALL_FIELDS}
-    seen: set[tuple[str, str, str]] = set()
     sname = str(path)
 
-    if fmt == "jsonl":
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{sname}:{line_no}: invalid JSON ({exc.msg})") from None
-                if not isinstance(row, dict):
-                    raise DataError(f"{sname}:{line_no}: expected a JSON object")
-                _append_row(columns, seen, row, line_no, sname)
-    else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise EmptySet(f"{sname}: no header row")
-            for line_no, row in enumerate(reader, start=2):
-                _append_row(columns, seen, row, line_no, sname)
+    pieces: dict[str, list] = {name: [] for name in ALL_FIELDS}
+    number_pieces: list[Sequence[int]] = []
 
-    if not seen:
+    def collected() -> tuple[TrialSet, np.ndarray]:
+        columns = {name: list(chain.from_iterable(parts)) for name, parts in pieces.items()}
+        columns["nlp"] = np.concatenate(pieces["nlp"])
+        return (TrialSet.from_columns(columns, Provenance(source=sname)),
+                np.fromiter(chain.from_iterable(number_pieces), dtype=np.int64))
+
+    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        blocks = _csv_blocks(fh, sname) if fmt == "csv" else _jsonl_blocks(fh, sname)
+        for line_numbers, rows, source_error in blocks:
+            columns, error = _block_columns(rows, line_numbers, sname)
+            for name in ALL_FIELDS:
+                pieces[name].append(columns[name])
+            number_pieces.append(line_numbers[:len(columns["nlp"])])
+            error = error or source_error
+            if error is not None:
+                # every record collected so far precedes the offending line
+                raise _first_duplicate(*collected(), sname) or error
+
+    if not any(map(len, number_pieces)):
         raise EmptySet(f"{sname}: no trial records")
-    return TrialSet.from_columns(columns, Provenance(source=sname))
+    trials, line_numbers = collected()
+    duplicate = _first_duplicate(trials, line_numbers, sname)
+    if duplicate is not None:
+        raise duplicate
+    return trials
 
 
 def save_trials(trials: TrialSet, path: str | Path) -> None:

@@ -24,7 +24,7 @@ from metadkit.errors import (
     WrongCiLevel,
     ZeroDPrime,
 )
-from metadkit.sdt import type1_fit
+from metadkit.sdt import meta_d_fit, type1_fit
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
 
@@ -376,6 +376,29 @@ def stall_every_fourth_table(monkeypatch):
         return (stalled, type1_fit(stalled)) if len(calls) % 4 == 1 else real(*args)
 
     monkeypatch.setattr(bootstrap, "type1_cell_arrays", type1_cell_arrays)
+
+
+def stall_point_fits(monkeypatch):
+    """Make every point-estimate fit the stalled table of
+    stall_every_fourth_table (resample fits are unchanged)."""
+    stalled = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
+    monkeypatch.setattr(bootstrap, "fit_cell_arrays",
+                        lambda *args: meta_d_fit(stalled, type1_fit(stalled)))
+
+
+@pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])
+def test_point_fit_that_did_not_converge_is_undefined_and_flagged(rng, monkeypatch, metric):
+    trials = gaussian_trials(rng, 80)
+    clean = bootstrap_metric(trials, metric, n_resamples=20, seed=3)
+    assert not clean.flagged_degenerate
+    stall_point_fits(monkeypatch)
+    res = bootstrap_metric(trials, metric, n_resamples=20, seed=3)
+    assert np.isnan(res.point)
+    assert res.flagged_degenerate
+    assert res.degenerate_resample_count == 0
+    assert (res.ci_low, res.ci_high) == (clean.ci_low, clean.ci_high)
+    contrast = bootstrap_contrast(trials, trials, metric, n_resamples=20, seed=3)
+    assert np.isnan(contrast.delta_hat) and contrast.flagged_degenerate
 
 
 @pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])

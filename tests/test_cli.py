@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ def test_validate_nan_nlp_exits_one(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
+def test_validate_integer_nlp_too_large_for_a_float_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    row = {"question_id": "q1", "domain": "Arts", "condition": "1", "format": "f16",
+           "correct": True, "nlp": -0.5}
+    path.write_text(json.dumps(row) + "\n"
+                    + json.dumps({**row, "question_id": "q2", "nlp": 10 ** 400}) + "\n")
+    assert main(["validate", "--trials", str(path)]) == EXIT_DATA_ERROR
+    assert f"{path}:2: nlp is not a finite number" in capsys.readouterr().err
+
+
 def test_validate_empty_file_exits_one(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -354,6 +365,22 @@ def test_compare_needs_condition_when_ambiguous(tmp_path, rng):
         == EXIT_CONFIG_ERROR
 
 
+def test_compare_formats_exits_3_when_a_fit_did_not_converge(tmp_path):
+    """Two formats of the stalled c' = 24.4 table above."""
+    f16 = global_binned_trials([0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0])
+    trials = TrialSet(list(f16.records) + [replace(r, format="q5_k_m") for r in f16.records])
+    out_dir = tmp_path / "cmp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        code = main(["compare-formats", "--trials", str(write_trials(tmp_path, trials)),
+                     "--format-a", "q5_k_m", "--format-b", "f16", "--binning-scope", "global",
+                     "--out", str(out_dir)])
+    assert code == EXIT_NUMERICAL_ERROR
+    notes = (out_dir / "notes.md").read_text(encoding="utf-8")
+    for fmt in ("q5_k_m", "f16"):
+        assert f"(1, {fmt}, Arts): sensitivity fit did not converge" in notes
+
+
 # -- confirm -------------------------------------------------------------------
 
 @pytest.mark.parametrize("stalled, exit_code", [(False, EXIT_OK), (True, EXIT_NUMERICAL_ERROR)])
@@ -369,6 +396,21 @@ def test_confirm_exits_3_when_resample_fits_do_not_converge(tmp_path, monkeypatc
         code = main(["confirm", "--trials", str(path), "--out", str(tmp_path / "conf"),
                      "--resamples", "20", "--seed", "42"])
     assert code == exit_code
+
+
+def test_confirm_flags_a_point_estimate_whose_fit_did_not_converge(tmp_path, monkeypatch):
+    from tests.test_bootstrap import four_condition_trials, stall_point_fits
+    stall_point_fits(monkeypatch)
+    path = write_trials(tmp_path, four_condition_trials(np.random.default_rng(78), 400))
+    out_dir = tmp_path / "conf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        code = main(["confirm", "--trials", str(path), "--out", str(out_dir),
+                     "--resamples", "20", "--seed", "42"])
+    assert code == EXIT_NUMERICAL_ERROR
+    notes = (out_dir / "notes.md").read_text(encoding="utf-8")
+    assert "H1/Science: the point estimate is undefined: a sensitivity fit did not " \
+        "converge" in notes
 
 
 def test_confirm_smoke_run(tmp_path, capsys):

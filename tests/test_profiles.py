@@ -1,7 +1,20 @@
+import warnings
+
+import numpy as np
 import pytest
 
-from metadkit.errors import DomainMismatch, MixedProfileSet, TiedRanks
+from metadkit.binning import RatingScale, bin_indices
+from metadkit.errors import (
+    DegenerateResponse,
+    DomainMismatch,
+    MixedProfileSet,
+    NegativeMetaD,
+    TiedRanks,
+    ZeroDPrime,
+)
+from metadkit.nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays
 from metadkit.profiles import (
+    RANK_METRICS,
     DomainProfile,
     build_profiles,
     compare_formats,
@@ -145,3 +158,101 @@ def test_compare_formats_reference_profiles():
 def test_compare_formats_domain_mismatch():
     with pytest.raises(DomainMismatch):
         compare_formats([profile("Arts")], [profile("Science")])
+
+
+def profiles_one_fit_at_a_time(trials, scale=RatingScale(), pad_value=0.5,
+                               binning_scope="per_cell"):
+    """build_profiles as a loop of fit_cell_arrays over the cells, ranking
+    each (condition, format) set as soon as its cells are fitted; also
+    returns each cell's fit."""
+    profiles, fits = [], []
+    for condition in trials.conditions():
+        for format in trials.formats():
+            cf = trials.filter(condition=condition, format=format)
+            if len(cf) == 0:
+                continue
+            shared = (bin_indices(cf.nlp_values, scale.n_bins)
+                      if binning_scope == "global" else None)
+            codes, domains = cf.codes("domain")
+            cells = []
+            for code, domain in enumerate(domains.tolist()):
+                mask = codes == code
+                nlp, correct = cf.nlp_values[mask], cf.correct_mask[mask]
+                fit = fit_cell_arrays(nlp, correct, scale, pad_value,
+                                      bins=None if shared is None else shared[mask])
+                fits.append(fit)
+                cells.append(DomainProfile(
+                    domain=domain, condition=condition, format=format, n=int(mask.sum()),
+                    accuracy=accuracy_arrays(correct), d_prime=fit.d_prime,
+                    meta_d=fit.meta_d, m_ratio=fit.m_ratio,
+                    auroc2=auroc2_arrays(nlp, correct), nlp_gap=nlp_gap_arrays(nlp, correct),
+                    low_dprime_warning=fit.low_dprime_warning, fit_converged=fit.converged))
+            for metric in RANK_METRICS:
+                cells = rank_profile(cells, metric)
+            profiles.extend(cells)
+    return profiles, fits
+
+
+def mixed_cells(seed, stalled=True):
+    """Small cells of weak, absent and strong signal at several accuracies in
+    conditions 2 and 3, plus (``stalled``) condition 1 holding the d' = 0.054,
+    c' = 24.4 table of tests/test_cli.py under global binning."""
+    from tests.test_cli import global_binned_trials
+    rng = np.random.default_rng(seed)
+    records = []
+    if stalled:
+        records += global_binned_trials([0, 0, 18, 0, 0, 0, 0, 0],
+                                        [0, 0, 0, 16, 0, 0, 0, 0]).records
+    for condition in ("2", "3"):
+        for format in ("f16", "q5_k_m"):
+            for domain in ("Arts", "History", "Science"):
+                records += gaussian_trials(
+                    rng, int(rng.integers(24, 60)),
+                    p_correct=float(rng.choice([0.3, 0.5, 0.85])),
+                    mu_correct=float(rng.choice([0.0, 0.1, 0.6])), domain=domain,
+                    condition=condition, format=format,
+                    qid_prefix=f"{domain}{condition}{format}").records
+    return TrialSet(records)
+
+
+def recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# the warnings build_profiles gave on mixed_cells(5) before its fits were
+# batched: meta-d' = 0 cells and ties in two (condition, format) sets, and
+# under global binning the stalled table's one-sided responses
+NM, TR, DR = NegativeMetaD, TiedRanks, DegenerateResponse
+PARENT_WARNINGS = {"per_cell": [NM, NM, TR, NM, NM, NM, TR],
+                   "global": [DR, NM, NM, TR, NM, NM, NM, NM, TR]}
+
+
+@pytest.mark.parametrize("binning_scope", ["per_cell", "global"])
+def test_build_profiles_equals_fitting_one_cell_at_a_time(binning_scope):
+    trials = mixed_cells(5)
+    (expected, fits), expected_warnings = recorded(
+        lambda: profiles_one_fit_at_a_time(trials, binning_scope=binning_scope))
+    got, got_warnings = recorded(lambda: build_profiles(trials, binning_scope=binning_scope))
+    assert got == expected
+    assert got_warnings == expected_warnings
+    assert [category for category, _ in got_warnings] == PARENT_WARNINGS[binning_scope]
+    if binning_scope == "global":   # the restart branch and the stalled fit
+        assert any(abs(f.criterion_c / f.d_prime) > 1.5 for f in fits)
+        assert [p.fit_converged for p in got].count(False) == 1
+
+
+def test_build_profiles_raises_the_first_cells_error():
+    """A cell with d' = 0 after cells that fit, and a later cell with one
+    correctness class: the first cell's error, as fitting the cells one
+    at a time gives."""
+    one_class = gaussian_trials(np.random.default_rng(0), 40, p_correct=1.0, condition="4",
+                                qid_prefix="c4")
+    trials = TrialSet(mixed_cells(1, stalled=False).records + one_class.records)
+    with pytest.raises(ZeroDPrime) as expected:
+        profiles_one_fit_at_a_time(trials, binning_scope="global")
+    with pytest.raises(ZeroDPrime) as got:
+        build_profiles(trials, binning_scope="global")
+    assert str(got.value) == str(expected.value)
