@@ -98,22 +98,44 @@ class CountTable:
         return buf.getvalue()
 
 
+def quantile_bins(levels: np.ndarray, lengths, n_bins: int) -> np.ndarray:
+    """Quantile bins, as bin_indices - 1, of every sample of a block laid end
+    to end (sample j has lengths[j] rows); ``levels`` code the rows' nlp in
+    order. The key (sample, level, position) is unique, so one sort of the
+    block's keys orders each sample within its span as a stable sort would."""
+    lengths = np.asarray(lengths)
+    n_levels, longest = int(levels.max(initial=0)) + 1, int(lengths.max(initial=0))
+    exact = max(len(lengths) * n_levels, n_bins) * longest < 2 ** 31
+    dtype = np.int32 if exact else np.int64     # in place from here on
+    starts = (np.cumsum(lengths) - lengths).astype(dtype)
+    pos = np.arange(len(levels), dtype=dtype)
+    pos -= np.repeat(starts, lengths)
+    key = np.repeat(np.arange(len(lengths), dtype=dtype) * n_levels, lengths)
+    key += levels
+    key *= longest
+    key += pos
+    key.sort()                  # slot r of a sample's span: its row of rank r,
+    key %= longest              # as that row's position in the sample
+    key += np.repeat(starts, lengths)   # and in the block
+    pos *= n_bins               # pos[i] is the rank of slot i
+    pos //= np.repeat(lengths.astype(dtype), lengths)
+    bins = np.empty_like(pos)
+    bins[key] = pos
+    return bins
+
+
 def bin_indices(nlp: np.ndarray, n_bins: int) -> np.ndarray:
     """Quantile bin index (1..n_bins) per trial, in input order.
 
     bin = (rank - 1) * n_bins // n + 1, where rank is the trial's position
     in a stable ascending sort of nlp (ties keep input order). Bin sizes
     differ by at most one and the assignment is invariant under any
-    strictly monotone transform of nlp.
+    strictly monotone transform of nlp. The sample of one of quantile_bins.
     """
     n = len(nlp)
     if n < n_bins:
         raise TooFewTrials(n, n_bins)
-    order = np.argsort(nlp, kind="stable")
-    bins = np.empty(n, dtype=np.int64)
-    ranks = np.arange(n, dtype=np.int64)      # rank - 1
-    bins[order] = ranks * n_bins // n + 1
-    return bins
+    return quantile_bins(np.unique(nlp, return_inverse=True)[1], [n], n_bins) + 1
 
 
 def quantile_bin(trials: TrialSet, scale: RatingScale = RatingScale()) -> list[BinnedTrial]:
@@ -126,19 +148,28 @@ def quantile_bin(trials: TrialSet, scale: RatingScale = RatingScale()) -> list[B
     return out
 
 
+def tally(bins: np.ndarray, correct: np.ndarray, lengths, n_bins: int) -> np.ndarray:
+    """(samples, 2, n_bins) counts, row 0 incorrect, of a block laid out as
+    in quantile_bins, from one offset bincount."""
+    index = np.repeat(np.arange(len(lengths)) * (2 * n_bins), lengths)     # intp: no copy
+    index += bins
+    np.add(index, n_bins, out=index, where=correct)
+    return np.bincount(index, minlength=len(lengths) * 2 * n_bins).reshape(-1, 2, n_bins)
+
+
 def counts_from_arrays(bins: np.ndarray, correct: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tally (counts_incorrect, counts_correct) vectors from bin/correct arrays."""
-    counts_incorrect = np.bincount(bins[~correct] - 1, minlength=n_bins).astype(float)
-    counts_correct = np.bincount(bins[correct] - 1, minlength=n_bins).astype(float)
-    return counts_incorrect, counts_correct
+    """Tally (counts_incorrect, counts_correct) vectors from bin/correct
+    arrays (bins 1..n_bins): the sample of one of ``tally``."""
+    bins = np.asarray(bins)
+    if len(bins) and (bins.min() < 1 or bins.max() > n_bins):
+        raise ValueError(f"bin index outside 1..{n_bins}")
+    return tuple(tally(bins - 1, correct, [len(bins)], n_bins)[0].astype(float))
 
 
 def build_counts(binned: list[BinnedTrial], scale: RatingScale = RatingScale()) -> CountTable:
     """Unpadded count table from binned trials."""
     bins = np.array([bt.bin for bt in binned], dtype=np.int64)
     correct = np.array([bt.trial.correct for bt in binned], dtype=bool)
-    if len(binned) and (bins.min() < 1 or bins.max() > scale.n_bins):
-        raise ValueError("bin index outside 1..n_bins for this scale")
     ci, cc = counts_from_arrays(bins, correct, scale.n_bins)
     return CountTable(n_ratings=scale.n_ratings, counts_incorrect=ci, counts_correct=cc)
 

@@ -29,14 +29,14 @@ expanded to its rows; then each metric computes the whole batch:
 - auroc2 tallies both classes per distinct nlp level of each side with
   one offset bincount over the batch (``nonparam.auroc2_batch``), which
   gives the average-rank Mann-Whitney value bit for bit;
-- meta_d and m_ratio tally and type-1 fit each table on its own, then one
-  batched maximum-likelihood solve fits all of the batch's tables, each
-  exactly as it would be fitted alone;
-- accuracy, nlp_gap and d_prime evaluate each resample's rows in turn.
+- d_prime, meta_d and m_ratio bin, tally, pad and type-1 fit each side's
+  resamples as one block; meta_d and m_ratio then fit all of the batch's
+  tables in one maximum-likelihood solve, each as it would be alone;
+- accuracy and nlp_gap evaluate each resample's rows in turn.
 
 Every value is thus bit-identical to evaluating its resample alone, so
 the batch edges, and with them the worker count, leave the results
-unchanged.
+unchanged. All contrasts of a hypothesis suite share one process pool.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binning import RatingScale
+from .binning import RatingScale, quantile_bins, tally
 from .errors import (
     EmptySet,
     MetadkitWarning,
@@ -62,13 +62,13 @@ from .errors import (
 )
 from .nonparam import accuracy_arrays, auroc2_arrays, auroc2_batch, level_keys, nlp_gap_arrays
 from .profiles import fit_cell_arrays, type1_cell_arrays
-from .sdt import check_d_prime, meta_d_fit_batch
+from .sdt import meta_d_fit_batch, type1_batch
 from .trialstore import TrialSet, validate_paired
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 DEGENERATE_FRACTION_ALARM = 0.01
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
-_FITTED = ("meta_d", "m_ratio")
+_MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
 _DEGENERATE_ERRORS = (OneClassOnly, TooFewTrials, ZeroDPrime, EmptySet)
 
 RULE_CI_LOWER_GT_ZERO = "ci_lower_gt_zero"
@@ -210,18 +210,14 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
         return nlp_gap_arrays(nlp, correct)
     if metric == "auroc2":
         return auroc2_arrays(nlp, correct)
-    if metric not in ("d_prime", "meta_d", "m_ratio"):
+    if metric not in _MODEL:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    _check_both_classes(correct)
+    if correct.all() or not correct.any():
+        raise OneClassOnly("sensitivity metrics need both correctness classes")
     if metric == "d_prime":
         return type1_cell_arrays(nlp, correct, scale, pad_value)[1][0]
     fit = fit_cell_arrays(nlp, correct, scale, pad_value)
     return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else float("nan")
-
-
-def _check_both_classes(correct: np.ndarray) -> None:
-    if correct.all() or not correct.any():
-        raise OneClassOnly("sensitivity metrics need both correctness classes")
 
 
 def _fitted_stat(metric: str, meta_d, d_prime):
@@ -259,8 +255,8 @@ def _batch_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
     if job.metric == "auroc2":
         return np.array([auroc2_batch(side.keys, side.n_levels, side_rows)
                          for side, side_rows in zip(job.sides, rows)])
-    if job.metric in _FITTED:
-        return _fitted_values(job, rows)
+    if job.metric in _MODEL:
+        return _model_values(job, rows)
     values = np.full((len(rows), len(rows[0])), np.nan)
     for s, side in enumerate(job.sides):
         for j, r in enumerate(rows[s]):
@@ -272,43 +268,55 @@ def _batch_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
     return values
 
 
-def _fitted_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
-    """meta_d or m_ratio of each side of each resample, nan where it is
-    undefined or the fit did not converge: each table is tallied and
-    type-1 fitted on its own, then one batched meta-d' solve fits them all."""
-    shape = (len(rows), len(rows[0]))
-    counts = np.zeros(shape + (2, job.scale.n_bins))
-    type1 = np.zeros(shape + (2,))
-    valid = np.zeros(shape, dtype=bool)
-    for s, side in enumerate(job.sides):
-        for j, r in enumerate(rows[s]):
-            nlp, correct = side.nlp[r], side.correct[r]
-            try:
-                _check_both_classes(correct)
-                table, type1[s, j] = type1_cell_arrays(nlp, correct, job.scale, job.pad_value)
-                check_d_prime(type1[s, j, 0])
-            except _DEGENERATE_ERRORS:
-                continue
-            counts[s, j] = table.counts_incorrect, table.counts_correct
-            valid[s, j] = True
-    values = np.full(shape, np.nan)
+def _side_type1(job: _Job, side: _Side, rows: list[np.ndarray]):
+    """One side's resamples binned (by nlp level), tallied, padded and
+    type-1 fitted as one block: the mask of those with both classes and
+    2 * n_bins rows or more, and their tables (B', 2, n_bins), d' and c."""
+    n_bins = job.scale.n_bins
+    lengths = np.array([len(r) for r in rows])
+    levels = (side.keys >> 1).astype(np.int32)
+    bins = quantile_bins(np.concatenate([levels[r] for r in rows]), lengths, n_bins)
+    counts = tally(bins, np.concatenate([side.correct[r] for r in rows]), lengths, n_bins)
+    ok = (lengths >= 2 * n_bins) & counts.any(axis=2).all(axis=1)
+    tables = counts[ok] + job.pad_value
+    return (ok, tables) + type1_batch(tables)
+
+
+def _model_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
+    """d_prime, meta_d or m_ratio of each side of each resample, nan where
+    it is undefined or the fit did not converge: each side is type-1
+    fitted as one block, then one batched meta-d' solve fits every table
+    of the batch whose d' is not 0."""
+    masks, tables, d_prime, criterion_c = zip(*(
+        _side_type1(job, side, side_rows) for side, side_rows in zip(job.sides, rows)))
+    valid = np.array(masks)
+    d_prime = np.concatenate(d_prime)
+    values = np.full(valid.shape, np.nan)
+    if job.metric == "d_prime":
+        values[valid] = d_prime
+        return values
+    fitted = d_prime != 0.0         # meta-d' is undefined at d' = 0
+    valid[valid] = fitted
     if valid.any():
-        d_prime, criterion_c = type1[valid].T
-        fit = meta_d_fit_batch(counts[valid], d_prime, criterion_c)
+        d_prime = d_prime[fitted]
+        fit = meta_d_fit_batch(np.concatenate(tables)[fitted], d_prime,
+                               np.concatenate(criterion_c)[fitted])
         values[valid] = np.where(fit.converged,
                                  _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
     return values
 
 
-def _run_resamples(job: _Job, n_resamples: int, workers: int) -> np.ndarray:
+def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
+    """Each job's statistic (or nan) for ordinals [0, n_resamples): in this
+    process, or in chunks of about a quarter of a worker's share with
+    every (job, chunk) on one process pool."""
     if workers <= 1 or n_resamples < 2 * workers:
-        return _eval_chunk(job, 0, n_resamples)
+        return [_eval_chunk(job, 0, n_resamples) for job in jobs]
     chunk = max(1, -(-n_resamples // (workers * 4)))
-    bounds = [(s, min(s + chunk, n_resamples)) for s in range(0, n_resamples, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_eval_chunk, job, s, e) for s, e in bounds]
-        parts = [f.result() for f in futures]
-    return np.concatenate(parts)
+        futures = [[pool.submit(_eval_chunk, job, s, min(s + chunk, n_resamples))
+                    for s in range(0, n_resamples, chunk)] for job in jobs]
+        return [np.concatenate([f.result() for f in parts]) for parts in futures]
 
 
 def _single_domain(trials: TrialSet) -> str:
@@ -318,22 +326,27 @@ def _single_domain(trials: TrialSet) -> str:
     return domains[0]
 
 
-def _bootstrap(a: TrialSet, b: TrialSet | None, metric: str, unit: str, n_resamples: int,
-               seed: int, ci_level: float, workers: int, scale: RatingScale,
-               pad_value: float, paired: bool = True) -> BootstrapResult:
-    """Percentile bootstrap of metric(a), or of metric(a) - metric(b).
+def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
+           n_resamples: int, seed: int, ci_level: float, scale: RatingScale,
+           pad_value: float, pairing: str = "paired"):
+    """The RNG unit and resampling job of metric(a), or of metric(a) -
+    metric(b), and its BootstrapResult (ContrastResult) with no CI yet.
 
-    The a side draws ids from the stream of ``unit``; an unpaired b side
-    draws from its own stream ``unit|b``, a paired one reuses a's draw.
+    The a side draws ids from the stream of ``unit``; an independent b
+    side draws from its own stream ``unit|b``, a paired one reuses a's draw.
     """
+    if pairing not in ("paired", "independent"):
+        raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
     domain = _single_domain(a)
     if b is not None:
+        label, default_unit = _contrast_names(metric, a, b)
+        unit = unit or default_unit
         domain_b = _single_domain(b)
         if domain != domain_b:
             raise UnpairedSets(f"contrast across domains {domain!r} vs {domain_b!r}")
-        if paired:
+        if pairing == "paired":
             report = validate_paired(a, b)
             if not report.paired:
                 raise UnpairedSets(
@@ -344,28 +357,33 @@ def _bootstrap(a: TrialSet, b: TrialSet | None, metric: str, unit: str, n_resamp
     side_b = None
     if b is not None:
         point -= metric_value(metric, b.nlp_values, b.correct_mask, scale, pad_value)
-        side_b = _side(b, None if paired else _stream_entropy(seed, domain, unit + "|b"))
+        side_b = _side(b, None if pairing == "paired"
+                       else _stream_entropy(seed, domain, unit + "|b"))
     job = _Job(metric, scale, pad_value, _side(a, _stream_entropy(seed, domain, unit)), side_b)
-    stats = _run_resamples(job, n_resamples, workers)
+    fields = dict(metric=metric, domain=domain, ci_low=np.nan, ci_high=np.nan,
+                  ci_level=ci_level, n_resamples=n_resamples, seed=seed,
+                  flagged_degenerate=bool(np.isnan(point)))    # a point fit not converged
+    return unit, job, (BootstrapResult(point=point, **fields) if b is None else
+                       ContrastResult(hypothesis_id="", delta_hat=point, pairing=pairing,
+                                      contrast=label, **fields))
+
+
+def _with_ci(result, unit: str, stats: np.ndarray):
+    """``result`` with the percentile CI of its resample statistics; the
+    undefined (nan) ones are excluded and counted."""
     valid = stats[~np.isnan(stats)]
-    n_bad = int(np.isnan(stats).sum())
-    alarm = n_bad > DEGENERATE_FRACTION_ALARM * n_resamples
-    flagged = alarm or bool(np.isnan(point))    # nan: a point fit did not converge
+    n_bad = len(stats) - len(valid)
+    alarm = n_bad > DEGENERATE_FRACTION_ALARM * result.n_resamples
     if alarm:
-        warnings.warn(
-            f"{domain}/{unit}: {n_bad}/{n_resamples} resamples had an undefined statistic",
-            TooManyDegenerate, stacklevel=3)
-    if len(valid) == 0:
-        ci_low = ci_high = float("nan")
-        flagged = True
-    else:
-        alpha = 1.0 - ci_level
-        low, high = np.percentile(valid, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
-        ci_low, ci_high = float(low), float(high)
-    return BootstrapResult(metric=metric, domain=domain, point=point,
-                           ci_low=ci_low, ci_high=ci_high, ci_level=ci_level,
-                           n_resamples=n_resamples, seed=seed,
-                           degenerate_resample_count=n_bad, flagged_degenerate=flagged)
+        warnings.warn(f"{result.domain}/{unit}: {n_bad}/{result.n_resamples} resamples had "
+                      f"an undefined statistic", TooManyDegenerate, stacklevel=3)
+    ci = (np.nan, np.nan)
+    if len(valid):
+        alpha = 1.0 - result.ci_level
+        ci = np.percentile(valid, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
+    return replace(result, ci_low=float(ci[0]), ci_high=float(ci[1]),
+                   degenerate_resample_count=n_bad,
+                   flagged_degenerate=result.flagged_degenerate or alarm or not len(valid))
 
 
 def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
@@ -378,8 +396,9 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     resulting trial multiset through the full metric pipeline (quantile
     bins recomputed per resample for the model-based metrics).
     """
-    return _bootstrap(trials, None, metric, metric, n_resamples, seed, ci_level, workers,
-                      scale, pad_value)
+    unit, job, result = _setup(trials, None, metric, metric, n_resamples, seed, ci_level,
+                               scale, pad_value)
+    return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
 
 
 def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
@@ -393,17 +412,9 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     both sides, which requires the sets to hold the same question ids;
     ``"independent"`` resamples each side from its own id list.
     """
-    if pairing not in ("paired", "independent"):
-        raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
-    label, default_unit = _contrast_names(metric, trials_a, trials_b)
-    r = _bootstrap(trials_a, trials_b, metric, unit or default_unit, n_resamples, seed,
-                   ci_level, workers, scale, pad_value, paired=pairing == "paired")
-    return ContrastResult(hypothesis_id="", metric=metric, domain=r.domain,
-                          delta_hat=r.point, ci_low=r.ci_low, ci_high=r.ci_high,
-                          ci_level=ci_level, n_resamples=n_resamples, seed=seed,
-                          degenerate_resample_count=r.degenerate_resample_count,
-                          flagged_degenerate=r.flagged_degenerate,
-                          pairing=pairing, contrast=label)
+    unit, job, result = _setup(trials_a, trials_b, metric, unit, n_resamples, seed,
+                               ci_level, scale, pad_value, pairing)
+    return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
 
 
 def _contrast_names(metric: str, a: TrialSet, b: TrialSet) -> tuple[str, str]:
@@ -448,13 +459,22 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
                          workers: int = 1, scale: RatingScale = RatingScale(),
                          pad_value: float = 0.5,
                          pairing: str = "paired") -> list[ContrastResult]:
-    """Evaluate every (spec, domain) contrast and attach decisions."""
-    results: list[ContrastResult] = []
+    """Evaluate every (spec, domain) contrast and attach decisions.
+
+    Every contrast is checked and its point estimate computed before any
+    resampling; then all contrasts share one process pool (or run in this
+    process at one worker) and finish in spec order.
+    """
+    contrasts = []      # (spec, unit, job, result without CI)
     conditions = set(trials.conditions())
     for spec in specs:
         for cond in (spec.condition_a, spec.condition_b):
             if cond not in conditions:
                 raise MissingCondition(cond)
+        if spec.rule == RULE_TOST:
+            check_tost_ci_level(spec.ci_level)
+        elif spec.rule != RULE_CI_LOWER_GT_ZERO:
+            raise ValueError(f"unknown decision rule {spec.rule!r}")
         for domain in spec.domains:
             a = trials.filter(condition=spec.condition_a, domain=domain)
             b = trials.filter(condition=spec.condition_b, domain=domain)
@@ -462,10 +482,9 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
                 raise MissingCondition(
                     f"{spec.condition_a if len(a) == 0 else spec.condition_b} in {domain}")
             unit = f"{spec.metric}|{spec.condition_a}-{spec.condition_b}"
-            contrast = bootstrap_contrast(
-                a, b, spec.metric, n_resamples=n_resamples, seed=seed,
-                ci_level=spec.ci_level, workers=workers, scale=scale,
-                pad_value=pad_value, pairing=pairing, unit=unit)
-            contrast = replace(contrast, hypothesis_id=spec.id)
-            results.append(decide(contrast, spec.rule, spec.delta))
-    return results
+            contrasts.append((spec,) + _setup(a, b, spec.metric, unit, n_resamples, seed,
+                                              spec.ci_level, scale, pad_value, pairing))
+    stats = _run_jobs([job for _, _, job, _ in contrasts], n_resamples, workers)
+    return [decide(replace(_with_ci(result, unit, unit_stats), hypothesis_id=spec.id),
+                   spec.rule, spec.delta)
+            for (spec, unit, _, result), unit_stats in zip(contrasts, stats)]

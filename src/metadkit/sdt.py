@@ -118,15 +118,25 @@ def check_d_prime(d_prime: float) -> None:
         raise ZeroDPrime("meta-d' undefined at d' = 0")
 
 
-def type1_fit(table: CountTable) -> tuple[float, float]:
-    """Median-split sensitivity and criterion from a padded count table.
+def type1_batch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Median-split (d', c) of every padded table in ``counts`` (B, 2,
+    2 * n_ratings), row 0 incorrect: d' = z(HR) - z(FAR) and
+    c = -(z(HR) + z(FAR)) / 2, HR (FAR) being the upper-half mass of the
+    correct (incorrect) class, clamped away from 0 and 1. Raises
+    NumericalError when a class total is not positive."""
+    totals = counts.sum(axis=2)
+    if np.any(totals <= 0):
+        raise NumericalError("both stimulus-class totals must be positive")
+    rates = counts[:, :, counts.shape[2] // 2:].sum(axis=2) / totals
+    z_far, z_hr = ndtri(np.clip(rates, PROB_CLAMP, 1.0 - PROB_CLAMP)).T
+    return z_hr - z_far, -0.5 * (z_hr + z_far)
 
-    HR is the upper-half mass of the correct class, FAR the upper-half
-    mass of the incorrect class; d' = z(HR) - z(FAR) and
-    c = -(z(HR) + z(FAR)) / 2. Rates are clamped away from 0 and 1 before
-    the z-transform. A stimulus class that was empty before padding is
-    reported via a DegenerateTable warning; the fit still runs on the
-    padding mass.
+
+def type1_fit(table: CountTable) -> tuple[float, float]:
+    """type1_batch of one padded count table, as floats.
+
+    A stimulus class that was empty before padding is reported via a
+    DegenerateTable warning; the fit still runs on the padding mass.
     """
     if not table.padded:
         raise NumericalError("type1_fit requires a padded count table")
@@ -134,17 +144,9 @@ def type1_fit(table: CountTable) -> tuple[float, float]:
     if raw_incorrect <= 0 or raw_correct <= 0:
         warnings.warn("a stimulus class has no raw trials; rates come from padding alone",
                       DegenerateTable, stacklevel=2)
-
-    half = table.n_ratings
-    total_correct = table.counts_correct.sum()
-    total_incorrect = table.counts_incorrect.sum()
-    if total_correct <= 0 or total_incorrect <= 0:
-        raise NumericalError("both stimulus-class totals must be positive")
-    hr = float(table.counts_correct[half:].sum() / total_correct)
-    far = float(table.counts_incorrect[half:].sum() / total_incorrect)
-    z_hr = float(ndtri(np.clip(hr, PROB_CLAMP, 1.0 - PROB_CLAMP)))
-    z_far = float(ndtri(np.clip(far, PROB_CLAMP, 1.0 - PROB_CLAMP)))
-    return z_hr - z_far, -0.5 * (z_hr + z_far)
+    d_prime, criterion_c = type1_batch(np.array([[table.counts_incorrect,
+                                                  table.counts_correct]]))
+    return float(d_prime[0]), float(criterion_c[0])
 
 
 def _criteria(meta_c, gaps_r1: np.ndarray, gaps_r2: np.ndarray) -> np.ndarray:

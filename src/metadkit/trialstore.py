@@ -36,6 +36,7 @@ are read.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import warnings
@@ -401,17 +402,24 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
         return (TrialSet.from_columns(columns, Provenance(source=sname)),
                 np.fromiter(chain.from_iterable(number_pieces), dtype=np.int64))
 
-    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
-        blocks = _csv_blocks(fh, sname) if fmt == "csv" else _jsonl_blocks(fh, sname)
-        for line_numbers, rows, source_error in blocks:
-            columns, error = _block_columns(rows, line_numbers, sname)
-            for name in ALL_FIELDS:
-                pieces[name].append(columns[name])
-            number_pieces.append(line_numbers[:len(columns["nlp"])])
-            error = error or source_error
-            if error is not None:
-                # every record collected so far precedes the offending line
-                raise _first_duplicate(*collected(), sname) or error
+    # the row dicts hold no cycles: the cyclic collector would only walk them
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+            blocks = _csv_blocks(fh, sname) if fmt == "csv" else _jsonl_blocks(fh, sname)
+            for line_numbers, rows, source_error in blocks:
+                columns, error = _block_columns(rows, line_numbers, sname)
+                for name in ALL_FIELDS:
+                    pieces[name].append(columns[name])
+                number_pieces.append(line_numbers[:len(columns["nlp"])])
+                error = error or source_error
+                if error is not None:
+                    # every record collected so far precedes the offending line
+                    raise _first_duplicate(*collected(), sname) or error
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     if not any(map(len, number_pieces)):
         raise EmptySet(f"{sname}: no trial records")

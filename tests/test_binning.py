@@ -8,8 +8,10 @@ from metadkit.binning import (
     RatingScale,
     bin_indices,
     build_counts,
+    counts_from_arrays,
     pad_counts,
     quantile_bin,
+    quantile_bins,
     response_and_rating,
 )
 from metadkit.errors import AlreadyPadded, TooFewTrials
@@ -64,6 +66,40 @@ def test_binning_invariant_under_monotone_transform(values):
     base = bin_indices(nlp, 8)
     assert (base == bin_indices(nlp * 8.0, 8)).all()
     assert (base == bin_indices(np.tanh(nlp) * 3.0 - 2.0, 8)).all()
+
+
+def stable_sort_bins(nlp, n_bins):
+    """0-based bins from an explicit stable float sort: rank * n_bins // n."""
+    bins = np.empty(len(nlp), dtype=np.int64)
+    bins[np.argsort(nlp, kind="stable")] = np.arange(len(nlp)) * n_bins // len(nlp)
+    return bins
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=40), min_size=1, max_size=8),
+       st.integers(2, 12))
+def test_block_binning_is_a_stable_sort_of_each_sample(samples, n_bins):
+    # integer-valued nlp: ties within a sample, across samples and across
+    # bin boundaries; levels are codes over the whole block
+    nlp = [np.asarray(sample) / 4.0 for sample in samples]
+    lengths = [len(sample) for sample in samples]
+    levels = np.unique(np.concatenate(nlp), return_inverse=True)[1]
+    # sparse levels make the sort key too wide for int32
+    for block_levels in (levels, levels * 2 ** 26):
+        bins = quantile_bins(block_levels, lengths, n_bins)
+        for values, got in zip(nlp, np.split(bins, np.cumsum(lengths)[:-1])):
+            want = stable_sort_bins(values, n_bins)
+            assert np.array_equal(got, want)
+            if len(values) >= n_bins:
+                assert np.array_equal(bin_indices(values, n_bins), want + 1)
+
+
+@pytest.mark.parametrize("bad", [0, 9])
+def test_counts_reject_a_bin_outside_the_scale(bad):
+    # an out-of-range bin must not land in a neighbouring class's row
+    bins = np.array([1, 2, bad, 8])
+    with pytest.raises(ValueError):
+        counts_from_arrays(bins, np.array([True, False, False, True]), 8)
 
 
 def test_too_few_trials():

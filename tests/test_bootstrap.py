@@ -1,10 +1,12 @@
+import collections
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from metadkit import bootstrap
-from metadkit.binning import CountTable, RatingScale, pad_counts
+from metadkit.binning import CountTable, RatingScale, bin_indices, pad_counts
 from metadkit.bootstrap import (
     ContrastResult,
     HypothesisSpec,
@@ -289,6 +291,31 @@ def test_suite_shapes_and_determinism(rng):
             assert r.ci_level == 0.95
 
 
+def test_suite_on_one_pool_matches_its_contrasts_run_alone(rng):
+    # 60 questions per domain: some meta-d' resamples are undefined, so
+    # several contrasts warn; results and warnings keep the spec order
+    trials = four_condition_trials(rng, n_questions=60)
+    specs = default_hypothesis_specs()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TooManyDegenerate)
+        alone = []
+        for spec in specs:
+            for domain in spec.domains:
+                contrast = bootstrap_contrast(
+                    trials.filter(condition=spec.condition_a, domain=domain),
+                    trials.filter(condition=spec.condition_b, domain=domain), spec.metric,
+                    n_resamples=60, seed=42, ci_level=spec.ci_level,
+                    unit=f"{spec.metric}|{spec.condition_a}-{spec.condition_b}")
+                alone.append(decide(replace(contrast, hypothesis_id=spec.id), spec.rule,
+                                    spec.delta))
+        suites = [run_hypothesis_suite(trials, specs, n_resamples=60, seed=42,
+                                       workers=workers) for workers in (1, 2)]
+    messages = [str(w.message) for w in caught if w.category is TooManyDegenerate]
+    third = len(messages) // 3
+    assert third > 1 and messages == messages[:third] * 3
+    assert suites[0] == suites[1] == alone
+
+
 def test_metric_value_names():
     trials = gaussian_trials(np.random.default_rng(8), 120)
     for name in ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio"):
@@ -336,46 +363,84 @@ def test_auroc2_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, mon
     check_batches_match_one_at_a_time("auroc2", a, b, monkeypatch)
 
 
+def ragged_tied_trials(rng, shift, condition):
+    """13 question ids, every third with two records, one record in six
+    incorrect and nlp rounded to 0.1: resamples of 13 to 18 rows with ties
+    across both classes, some of them one-class, too small to bin or at
+    d' = 0."""
+    qids = np.repeat([f"q{i:02d}" for i in range(13)], 1 + (np.arange(13) % 3 == 0))
+    correct = np.arange(len(qids)) % 6 != 1
+    return make_trials(np.round(rng.normal(shift * correct, 1.0), 1), correct,
+                       condition=condition, qids=list(qids))
+
+
+@pytest.mark.parametrize("metric", ["d_prime", "m_ratio"])
+def test_model_resamples_on_ragged_tied_sides_match_one_at_a_time(metric, monkeypatch):
+    rng = np.random.default_rng(0)
+    a, b = ragged_tied_trials(rng, 0.8, "2"), ragged_tied_trials(rng, 0.4, "1")
+    reasons = check_batches_match_one_at_a_time(metric, a, b, monkeypatch)
+    assert reasons["OneClassOnly"] and reasons["TooFewTrials"] and reasons["split_tie"]
+    # d' = 0 is a d_prime value and an m_ratio exclusion
+    assert reasons["zero" if metric == "d_prime" else "ZeroDPrime"] > 0
+
+
 def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     """Every run at workers 1, 2, 3 and at FIT_BATCH = 7 must be
     bit-identical, and every third ordinal must equal its one-at-a-time
-    metric_value, nan where that raises."""
+    metric_value, nan where that raises. Returns how often, over the
+    checked sides, each exclusion was raised, the value was exactly 0 and
+    a bin boundary fell inside a run of equal nlp holding both classes."""
     job = bootstrap._Job(metric, RatingScale(), 0.5,
                          bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
                          bootstrap._side(b, None))
     checked = np.arange(0, 300, 3)
     want = np.empty(checked.size)
+    reasons = collections.Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
         for j, ordinal in enumerate(checked):
-            try:
-                va, vb = [metric_value(metric, side.nlp[r], side.correct[r])
-                          for side, r in zip(job.sides, bootstrap._rows(job, ordinal))]
-                want[j] = va - vb
-            except bootstrap._DEGENERATE_ERRORS:
-                want[j] = np.nan
+            values = []
+            for side, r in zip(job.sides, bootstrap._rows(job, ordinal)):
+                nlp, correct = side.nlp[r], side.correct[r]
+                try:
+                    values.append(metric_value(metric, nlp, correct))
+                except bootstrap._DEGENERATE_ERRORS as exc:
+                    reasons[type(exc).__name__] += 1
+                    values.append(np.nan)
+                if len(r) >= 8:
+                    bins = bin_indices(nlp, 8)
+                    reasons["split_tie"] += any(
+                        np.unique(bins[nlp == x]).size > 1 and np.unique(correct[nlp == x]).size > 1
+                        for x in np.unique(nlp))
+            reasons["zero"] += values.count(0.0)
+            want[j] = values[0] - values[1]
     assert 0 < np.isnan(want).sum() < 50
-    runs = [bootstrap._run_resamples(job, 300, workers) for workers in (1, 2, 3)]
+    runs = [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 2, 3)]
     monkeypatch.setattr(bootstrap, "FIT_BATCH", 7)
-    runs += [bootstrap._run_resamples(job, 300, workers) for workers in (1, 3)]
+    runs += [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 3)]
     for got in runs:
         np.testing.assert_array_equal(got, runs[0])
     np.testing.assert_array_equal(runs[0][checked], want)
+    return reasons
 
 
 def stall_every_fourth_table(monkeypatch):
-    """Make the 1st, 5th, 9th, ... resample table tallied the d' = 0.054,
-    c' = 24.4 table whose meta-d' fit does not converge (its trial-level
-    form is in tests/test_cli.py)."""
+    """Make the 1st, 5th, 9th, ... resample table type-1 fitted the
+    d' = 0.054, c' = 24.4 table whose meta-d' fit does not converge (its
+    trial-level form is in tests/test_cli.py)."""
     stalled = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
-    real = bootstrap.type1_cell_arrays
-    calls = []
+    real = bootstrap._side_type1
+    seen = [0]
 
-    def type1_cell_arrays(*args):
-        calls.append(args)
-        return (stalled, type1_fit(stalled)) if len(calls) % 4 == 1 else real(*args)
+    def side_type1(*args):
+        ok, tables, d_prime, criterion_c = real(*args)
+        stall = (seen[0] + np.arange(len(tables))) % 4 == 0
+        seen[0] += len(tables)
+        tables[stall] = stalled.counts_incorrect, stalled.counts_correct
+        d_prime[stall], criterion_c[stall] = type1_fit(stalled)
+        return ok, tables, d_prime, criterion_c
 
-    monkeypatch.setattr(bootstrap, "type1_cell_arrays", type1_cell_arrays)
+    monkeypatch.setattr(bootstrap, "_side_type1", side_type1)
 
 
 def stall_point_fits(monkeypatch):

@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from metadkit.binning import CountTable, pad_counts
 from metadkit.sdt import (
+    PROB_CLAMP,
     _nll_and_grad,
     meta_d_fit,
     meta_d_fit_batch,
     predicted_count_table,
+    type1_batch,
     type1_fit,
 )
 
@@ -115,3 +118,20 @@ def test_fit_is_bit_identical_alone_and_in_a_shuffled_batch(tables, seed):
     j = int(np.flatnonzero(order == 0)[0])
     for field in ("meta_d", "criteria", "log_likelihood", "converged", "iterations"):
         assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[j]), field
+
+
+def scalar_type1(table):
+    """The median-split (d', c) of one table from scalar rates."""
+    def z(counts):
+        rate = float(counts[table.n_ratings:].sum() / counts.sum())
+        return float(ndtri(np.clip(rate, PROB_CLAMP, 1.0 - PROB_CLAMP)))
+    z_hr, z_far = z(table.counts_correct), z(table.counts_incorrect)
+    return z_hr - z_far, -0.5 * (z_hr + z_far)
+
+
+@given(st.lists(count_tables(), min_size=1, max_size=6))
+def test_type1_batch_is_the_scalar_fit_of_each_table(tables):
+    counts = np.array([_counts(table) for table, _ in tables])
+    d_prime, criterion_c = type1_batch(counts)
+    for i, (table, type1) in enumerate(tables):
+        assert (d_prime[i], criterion_c[i]) == scalar_type1(table) == type1

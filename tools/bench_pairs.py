@@ -15,16 +15,28 @@ the number of pairs in which the change was lower, the per-layer medians,
 the output digests and the failed-check counts; plus each tree's commit
 and the host's nproc and python, numpy and scipy versions as perfbench
 reports them.
+
+``--protocol N`` adds N protocol-shaped runs per tree: ``metadkit confirm
+--resamples 2000`` on perfbench's trial file for the seed, with
+``--format f16`` and without it (both formats pooled: two records per
+question id), each at ``--workers 1`` and ``--workers nproc``. Each run is
+a fresh process; it records the wall time of the whole command, the peak
+RSS of its largest process (the CLI or a pool worker) and the sha256 of
+its report tree. The report trees of one tree and variant must be equal
+at every worker count, or the script fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRIC = re.compile(r"^(metric|layer) (\S+) = (\S+) ")
@@ -52,6 +64,79 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return out
 
 
+PROTOCOL_RESAMPLES = 2000
+PROTOCOL_VARIANTS = {"f16": ["--format", "f16"], "pooled": []}
+# runs the command in argv, then prints its wall time, the peak RSS of its
+# largest process in KiB and its exit code
+MEASURE = ("import resource, subprocess, sys, time\n"
+           "start = time.perf_counter()\n"
+           "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode\n"
+           "print(time.perf_counter() - start,"
+           " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, code)\n")
+
+
+def tree_sha256(root: Path) -> str:
+    """Digest of every file under root: relative path and bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def confirm(tree: Path, trials: Path, out: Path, variant: str, workers: int) -> dict:
+    """One protocol-shaped ``metadkit confirm`` in a fresh process."""
+    command = [sys.executable, "-m", "metadkit.cli", "confirm", "--trials", str(trials),
+               "--resamples", str(PROTOCOL_RESAMPLES), "--workers", str(workers),
+               "--out", str(out), *PROTOCOL_VARIANTS[variant]]
+    proc = subprocess.run([sys.executable, "-c", MEASURE, *command], capture_output=True,
+                          text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    wall_s, rss_kib, code = proc.stdout.split()
+    if int(code) not in (0, 3):     # 3: written, with a flagged result
+        raise SystemExit(f"confirm failed in {tree} ({variant}, workers {workers}, exit "
+                         f"{code}):\n{proc.stderr[-2000:]}")
+    return {"wall_s": float(wall_s), "peak_rss_mb": int(rss_kib) / 1024,
+            "exit_code": int(code), "tree_sha256": tree_sha256(out)}
+
+
+def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
+    """``runs`` protocol-shaped confirm runs per tree, variant and worker count."""
+    nproc = len(os.sched_getaffinity(0))
+    worker_counts = sorted({1, nproc})
+    entry: dict = {"resamples": PROTOCOL_RESAMPLES, "runs": runs, "variants": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        trials = Path(tmp) / "trials.jsonl"
+        subprocess.run([sys.executable, "perfbench/gen.py", "--seed", str(seed), "--out",
+                        str(trials)], cwd=trees["change"], check=True,
+                       env={**os.environ, "PYTHONPATH": str(trees["change"] / "src")})
+        for variant in PROTOCOL_VARIANTS:
+            results: dict = {side: {w: [] for w in worker_counts} for side in trees}
+            for i in range(runs):
+                for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                    for workers in worker_counts:
+                        out = Path(tmp) / f"{side}-{variant}-{workers}-{i}"
+                        results[side][workers].append(
+                            confirm(trees[side], trials, out, variant, workers))
+                        print(f"protocol {variant} run {i + 1} {side} workers {workers}: "
+                              f"wall_s {results[side][workers][-1]['wall_s']:.2f}",
+                              file=sys.stderr)
+            shas = {side: sorted({r["tree_sha256"] for w in worker_counts
+                                  for r in results[side][w]}) for side in trees}
+            for side, side_shas in shas.items():
+                if len(side_shas) != 1:
+                    raise SystemExit(f"{side} {variant}: report trees differ across "
+                                     f"workers {worker_counts}: {side_shas}")
+            entry["variants"][variant] = {
+                "tree_sha256": shas, "same_tree_as_base": shas["base"] == shas["change"],
+                **{f"workers_{w}": {side: {
+                    "wall_s": summary([r["wall_s"] for r in results[side][w]]),
+                    "peak_rss_mb": summary([r["peak_rss_mb"] for r in results[side][w]]),
+                    "exit_codes": sorted({r["exit_code"] for r in results[side][w]})}
+                    for side in trees} for w in worker_counts}}
+    return entry
+
+
 def describe(tree: Path) -> str:
     """The tree's commit, with "-dirty" when it has uncommitted changes."""
     return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
@@ -68,11 +153,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout of the base commit")
     parser.add_argument("--change", type=Path, default=Path.cwd(), help="default: cwd")
-    parser.add_argument("--pairs", nargs="+", default=["diagnose=10", "confirm=3",
+    parser.add_argument("--pairs", nargs="*", default=["diagnose=10", "confirm=3",
                                                        "rank_bootstrap=3"],
                         help="workload=number of untraced pairs")
     parser.add_argument("--traced", type=int, default=1, help="traced runs per side")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--protocol", type=int, default=0,
+                        help="protocol-shaped confirm runs per tree, variant and worker count")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
@@ -107,6 +194,8 @@ def main() -> int:
                                                  for r in runs[side] + traced[side])
         result["workloads"][workload] = entry
         result["env"] = runs["change"][0]["env"]
+    if args.protocol:
+        result["protocol"] = protocol(trees, args.seed, args.protocol)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
