@@ -2,13 +2,13 @@
 
 Type-2 AUROC and the NLP gap work on the raw (unbinned) confidence
 values, so they are invariant under the scale choices that drive the
-model-based fits.
+model-based fits. Ranks come from a numpy sort, so importing the
+package loads no scipy subpackage beyond scipy.special.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import EmptySet, LengthMismatch, OneClassOnly, ZeroVariance
 
@@ -73,11 +73,23 @@ def accuracy_arrays(correct: np.ndarray) -> float:
     return float(correct.mean())
 
 
+def average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks with tied values sharing the mean of their positions;
+    all nan when any value is nan, as scipy.stats.rankdata(v, "average")."""
+    if np.isnan(v).any():
+        return np.full(v.shape, np.nan)
+    s = np.sort(v)
+    # v's ties fill sorted positions left + 1 .. right: an exact half-integer mean
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
+
+
 def spearman_rho(x, y) -> float:
     """Spearman rank correlation with average ranks for ties.
 
     Raises LengthMismatch for unequal lengths and ZeroVariance when either
-    vector is constant (the correlation is undefined there, not 0).
+    vector is constant (the correlation is undefined there, not 0). A nan
+    in one vector (an unconverged fit's M-ratio) gives nan unless the
+    other is constant.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -85,8 +97,8 @@ def spearman_rho(x, y) -> float:
         raise LengthMismatch(f"need equal-length vectors, got {x.shape} and {y.shape}")
     if len(x) < 2:
         raise LengthMismatch("need at least 2 observations")
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
+    rx = average_ranks(x)
+    ry = average_ranks(y)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     ssx = float(dx @ dx)

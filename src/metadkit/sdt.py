@@ -176,23 +176,6 @@ def _bin_masses(z: np.ndarray):
     return np.where(lower_edge >= 0.0, from_sf, from_cdf), cdf[..., k], sf[..., k]
 
 
-def _cell_probs(criteria: np.ndarray, meta_d: float, k: int) -> np.ndarray:
-    """Response-conditional rating probabilities, shape (2, 2k + 2).
-
-    Row 0 is the incorrect class (mean -meta_d / 2), row 1 the correct
-    class (+meta_d / 2). Entry [s, b] is the Gaussian mass of bin b
-    divided by the mass of bin b's response side. The ratio is what gets
-    clamped downstream: p and Q can both underflow at extreme criteria
-    while p / Q stays a perfectly ordinary probability, so the divisor is
-    floored only against literal zero.
-    """
-    mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
-    p, q1, q2 = _bin_masses(criteria[None, :] - mus[:, None])
-    denom = np.concatenate([np.repeat(q1[:, None], k + 1, axis=1),
-                            np.repeat(q2[:, None], k + 1, axis=1)], axis=1)
-    return p / np.maximum(denom, 1e-300)
-
-
 def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1):
     """Negative mean conditional log-likelihood, per row, and its
     derivatives up to ``order`` (0: value, 1: + gradient, 2: + Hessian).
@@ -282,17 +265,6 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
     return (nll[0], grad[0], hess[0]) if single else (nll, grad, hess)
 
 
-def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime: float) -> float:
-    """Mean conditional NLL with meta_d held fixed (criteria-only search)."""
-    n_bins = counts.shape[1]
-    k = n_bins // 2 - 1
-    ga = np.exp(ab[:k])
-    gb = np.exp(ab[k:])
-    crit = _criteria(cprime * meta_d, ga, gb)
-    cond = _cell_probs(crit, meta_d, k)
-    return -float((counts * np.log(np.maximum(cond, PROB_CLAMP))).sum()) / counts.sum()
-
-
 def _quantile_criteria(counts: np.ndarray) -> np.ndarray:
     """Criterion estimates from the pooled cumulative bin proportions of
     each (2, n_bins) table in ``counts`` (..., 2, n_bins)."""
@@ -310,11 +282,6 @@ def _anchored_gaps(est: np.ndarray, meta_c0) -> tuple[np.ndarray, np.ndarray]:
     gaps_r1 = np.diff(np.concatenate([est[..., :k], meta_c0], axis=-1), axis=-1)[..., ::-1]
     gaps_r2 = np.diff(np.concatenate([meta_c0, est[..., k + 1:]], axis=-1), axis=-1)
     return np.maximum(gaps_r1, 1e-3), np.maximum(gaps_r2, 1e-3)
-
-
-def _initial_gaps(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
-    est = _quantile_criteria(np.vstack([table.counts_incorrect, table.counts_correct]))
-    return _anchored_gaps(est, est[table.n_ratings - 1])
 
 
 def _start(est: np.ndarray, meta_d0: np.ndarray, meta_c0: np.ndarray) -> np.ndarray:

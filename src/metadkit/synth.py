@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .binning import CountTable
 from .errors import InvalidConfig, UnsupportedFamily
-from .sdt import _initial_gaps, _nll_fixed_meta_d, phi
+from .sdt import PROB_CLAMP, _anchored_gaps, _bin_masses, _criteria, _quantile_criteria, phi
 from .trialstore import TrialSet
 
 FAMILIES = ("gaussian", "lognormal_skew", "mixture")
@@ -119,6 +118,25 @@ def oracle_auroc2(config: SynthConfig) -> float:
     return float(phi(gap / spread))
 
 
+def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime: float) -> float:
+    """Mean response-conditional NLL with meta_d held fixed: the oracle's
+    criteria-only search. Each bin's Gaussian mass is divided by the mass
+    of its response side; p and that mass can both underflow at extreme
+    criteria while their ratio stays ordinary, so the divisor is floored
+    only against literal zero and the ratio is what gets clamped."""
+    k = counts.shape[1] // 2 - 1
+    crit = _criteria(cprime * meta_d, np.exp(ab[:k]), np.exp(ab[k:]))
+    mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
+    p, q1, q2 = _bin_masses(crit[None, :] - mus[:, None])
+    cond = p / np.maximum(np.repeat(np.stack([q1, q2], axis=1), k + 1, axis=1), 1e-300)
+    return -float((counts * np.log(np.maximum(cond, PROB_CLAMP))).sum()) / counts.sum()
+
+
+def _initial_gaps(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
+    est = _quantile_criteria(np.vstack([table.counts_incorrect, table.counts_correct]))
+    return _anchored_gaps(est, est[table.n_ratings - 1])
+
+
 def oracle_meta_grid(table: CountTable, type1: tuple[float, float],
                      coarse_step: float = 0.05, fine_step: float = 0.001,
                      upper: float = 3.0) -> tuple[float, float]:
@@ -128,8 +146,11 @@ def oracle_meta_grid(table: CountTable, type1: tuple[float, float],
     advertised 0.001 resolution), re-optimizing the type-2 criteria at
     every grid point with a derivative-free simplex warm-started from the
     previous point. Returns (meta_d, count-weighted log-likelihood).
-    Intended for tests, not production.
+    Intended for tests, not production; scipy.optimize is imported here
+    so that importing the package does not load it.
     """
+    from scipy.optimize import minimize
+
     d_prime, criterion_c = float(type1[0]), float(type1[1])
     cprime = criterion_c / d_prime
     counts = np.vstack([table.counts_incorrect, table.counts_correct])

@@ -1,0 +1,72 @@
+"""What a fresh interpreter loads for the package and its CLI paths.
+
+Every CLI run is a new process, so each scipy subpackage the package
+imports is paid on every command. The runtime needs numpy and
+scipy.special (ndtr / ndtri in the fitter) only; scipy.optimize serves
+the test oracle and is imported inside it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import metadkit
+
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial")
+
+SCRIPT = """
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+HEAVY = {heavy!r}
+tmp = Path(sys.argv[1])
+
+def check(step):
+    loaded = [name for name in HEAVY if name in sys.modules]
+    assert not loaded, f"after {{step}}: {{loaded}} loaded"
+    print("ok", step)
+
+import metadkit
+check("import metadkit")
+from metadkit.cli import build_parser, main
+build_parser()
+check("build_parser")
+
+from metadkit import SynthConfig, TrialSet, generate, save_trials
+records = []
+for d, domain in enumerate(("Arts", "Geography", "History", "Science")):
+    for condition in ("1", "2", "3", "4"):
+        for fmt in ("q5_k_m", "f16"):
+            cell = generate(SynthConfig(n_trials=120, p_correct=0.7, mu_correct=0.8,
+                                        domain=domain, condition=condition, format=fmt,
+                                        seed=100 * d + 10 * int(condition) + len(fmt)))
+            records.extend(replace(r, question_id=f"{{domain}}-{{r.question_id}}")
+                           for r in cell.records)
+trials = tmp / "trials.jsonl"
+save_trials(TrialSet(records), trials)
+check("synth file written")
+
+for argv in (["diagnose", "--out", str(tmp / "diag")],
+             ["compare-formats", "--condition", "1", "--format-a", "q5_k_m",
+              "--format-b", "f16", "--out", str(tmp / "cmp")],
+             ["confirm", "--format", "f16", "--resamples", "4", "--workers", "1",
+              "--out", str(tmp / "conf")]):
+    code = main(argv[:1] + ["--trials", str(trials)] + argv[1:])
+    assert code == 0, f"{{argv[0]}} exited {{code}}"
+    check(argv[0])
+"""
+
+
+def test_cli_paths_load_no_heavy_scipy_subpackage(tmp_path):
+    src = Path(metadkit.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(heavy=HEAVY), str(tmp_path)],
+                          cwd=tmp_path, capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    steps = [line[3:] for line in proc.stdout.splitlines() if line.startswith("ok ")]
+    assert steps == ["import metadkit", "build_parser", "synth file written",
+                     "diagnose", "compare-formats", "confirm"]
+    for report in ("diag", "cmp", "conf"):
+        assert any((tmp_path / report).iterdir())

@@ -9,6 +9,7 @@ from metadkit.nonparam import (
     accuracy_arrays,
     auroc2_arrays,
     auroc2_batch,
+    average_ranks,
     level_keys,
     nlp_gap_arrays,
     spearman_rho,
@@ -195,3 +196,54 @@ def test_spearman_errors():
         spearman_rho([1, 1, 1], [1, 2, 3])
     with pytest.raises(LengthMismatch):
         spearman_rho([1.0], [2.0])
+
+
+@st.composite
+def tied_vectors(draw, n=None):
+    """Length 2-8 vectors drawn from a pool of at most 4 values, so ties are
+    common; the pool may hold +-inf, -0.0 and nan."""
+    special = st.sampled_from([np.inf, -np.inf, -0.0, 0.0, np.nan])
+    pool = draw(st.lists(st.one_of(st.floats(allow_nan=False), special),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(2, 8)) if n is None else n
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@given(tied_vectors())
+def test_average_ranks_equal_rankdata_bit_for_bit(v):
+    got = average_ranks(v)
+    want = rankdata(v, method="average")
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def rankdata_spearman(x, y):
+    """spearman_rho as it was on scipy's ranks; None where it raises ZeroVariance."""
+    rx = rankdata(x, method="average")
+    ry = rankdata(y, method="average")
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    ssx = float(dx @ dx)
+    ssy = float(dy @ dy)
+    if ssx == 0.0 or ssy == 0.0:
+        return None
+    return float((dx @ dy) / np.sqrt(ssx * ssy))
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(tied_vectors(n), tied_vectors(n))))
+def test_spearman_equals_rankdata_form_bit_for_bit(xy):
+    x, y = xy
+    want = rankdata_spearman(x, y)
+    if want is None:
+        with pytest.raises(ZeroVariance):
+            spearman_rho(x, y)
+    else:
+        assert np.float64(spearman_rho(x, y)).tobytes() == np.float64(want).tobytes()
+
+
+def test_spearman_is_nan_when_a_value_is_nan():
+    # an unconverged cell's M-ratio is nan; its rank, and so rho, is undefined
+    nan = np.nan
+    assert np.isnan(spearman_rho([1.0, nan, 3.0, 2.0], [1.0, 2.0, 3.0, 4.0]))
+    assert np.isnan(spearman_rho([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, nan, 1.0]))
+    assert np.isnan(spearman_rho([nan, 2.0, 3.0], [nan, 2.0, 3.0]))

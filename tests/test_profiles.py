@@ -155,6 +155,20 @@ def test_compare_formats_reference_profiles():
     assert moves[("auroc2", "Arts")] == (1, 1)
 
 
+def test_compare_formats_rho_is_nan_for_a_nan_m_ratio():
+    # a cell whose fit did not converge reports m_ratio = nan
+    q5 = [profile("Arts", m_ratio=1.2, auroc2=0.71, format="q5_k_m"),
+          profile("History", m_ratio=np.nan, auroc2=0.67, format="q5_k_m"),
+          profile("Science", m_ratio=0.8, auroc2=0.62, format="q5_k_m")]
+    f16 = [profile("Arts", m_ratio=1.1, auroc2=0.70),
+           profile("History", m_ratio=0.9, auroc2=0.66),
+           profile("Science", m_ratio=0.7, auroc2=0.61)]
+    comparison = compare_formats(q5, f16)
+    assert np.isnan(comparison.rho_m_ratio)
+    assert comparison.rho_auroc2 == 1.0
+    assert np.isnan(compare_formats(f16, q5).rho_m_ratio)
+
+
 def test_compare_formats_domain_mismatch():
     with pytest.raises(DomainMismatch):
         compare_formats([profile("Arts")], [profile("Science")])
