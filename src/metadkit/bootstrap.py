@@ -23,8 +23,15 @@ undefined flags the result. A point estimate whose meta-d' fit did not
 converge is nan and flags the result too.
 
 A worker evaluates its chunk of ordinals in batches of up to FIT_BATCH
-consecutive ordinals. Each resample's id draw is made on its own and
-expanded to its rows; then each metric computes the whole batch:
+consecutive ordinals. The id draws of a batch are one (B, n) block per
+stream (``_draw_batch``): the SeedSequence hashing runs over all of the
+batch's ordinals at once, each row's PCG64 is numpy's own seeded from its
+state, and one multiply-shift (Lemire's bounded draw, as numpy's
+``integers``) maps the block; a row where numpy would reject a word is
+redrawn by ``integers`` itself. Every row is bit for bit the stream
+above, so the contract is unchanged; tests/test_rng_contract.py holds
+the rows against the literal recipe. A paired b side reuses the a side's
+block. Each metric then computes the whole batch:
 
 - auroc2 tallies both classes per distinct nlp level of each side with
   one offset bincount over the batch (``nonparam.auroc2_batch``), which
@@ -42,11 +49,13 @@ unchanged. All contrasts of a hypothesis suite share one process pool.
 from __future__ import annotations
 
 import hashlib
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .binning import RatingScale, quantile_bins, tally
 from .errors import (
@@ -62,7 +71,7 @@ from .errors import (
 )
 from .nonparam import accuracy_arrays, auroc2_arrays, auroc2_batch, level_keys, nlp_gap_arrays
 from .profiles import fit_cell_arrays, type1_cell_arrays
-from .sdt import meta_d_fit_batch, type1_batch
+from .sdt import SdtFit, check_d_prime, meta_d_fit_batch, meta_d_fits, type1_batch
 from .trialstore import TrialSet, validate_paired
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
@@ -144,9 +153,106 @@ def _stream_entropy(seed: int, domain: str, unit: str) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=16).digest(), "big")
 
 
-def _draw_ids(entropy: int, ordinal: int, n_ids: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(ordinal,)))
-    return rng.integers(0, n_ids, size=n_ids)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words.
+# Its k-th hash of a word xors the k-th running multiplier and multiplies by
+# the next: _A for hashing the entropy into the pool, _B for generate_state.
+_M32 = 0xFFFFFFFF
+_A = [0x43B0D7E5 * pow(0x931E8875, k, 2 ** 32) & _M32 for k in range(21)]
+_B = [0x8B51F9DD * pow(0x58F38DED, k, 2 ** 32) & _M32 for k in range(9)]
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_LOW_WORD = 0 if sys.byteorder == "little" else 1    # of a uint64 viewed as 2 uint32
+
+
+def _hash(value, xor, mul):
+    """One SeedSequence hash (hashmix) of ints or uint32 arrays."""
+    value = (value ^ xor) * mul & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
+    return result ^ result >> 16
+
+
+def _seed_states(entropy: int, lo: int, hi: int) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=(i,)).generate_state(4, np.uint64)``
+    of every ordinal i in [lo, hi), as (hi - lo, 4) uint64 rows.
+
+    SeedSequence hashes its words (entropy as 4 words, low first; then i)
+    into a pool of 4: each of the first 4 words, every pool word into every
+    other, then i into each pool word. Only that last step depends on i,
+    so it runs over all ordinals at once in uint32 arithmetic, which wraps
+    as the C code does; so does generate_state's hash of the pool.
+    """
+    pool = [_hash(entropy >> 32 * k & _M32, _A[k], _A[k + 1]) for k in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _A[k], _A[k + 1]))
+                k += 1
+    constants = np.array([pool, _A[16:20], _A[17:21]], dtype=np.uint32)
+    ordinals = np.arange(lo, hi).astype(np.uint32)[:, None]
+    pool = _mix(constants[0], _hash(ordinals, constants[1], constants[2]))
+    words = _hash(np.tile(pool, 2), np.array(_B[:8], dtype=np.uint32),
+                  np.array(_B[1:], dtype=np.uint32))
+    # pairs of words, low first, as uint64 (numpy's own conversion)
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose generate_state is a given state: the (4,)
+    uint64 words PCG64 asks for when it is seeded."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _bounded(block: np.ndarray, n: int) -> np.ndarray:
+    """numpy's 32-bit bounded draw of [0, n), in place on an int64 block
+    whose rows hold uint32 words in the order a generator yields them:
+    Lemire's (word * n) >> 32. Returns the rows holding a word numpy
+    rejects, whose low 32 bits of word * n fall below (2^32 - n) % n;
+    numpy draws another word there, so those rows are not its values."""
+    product = block.view(np.uint64)
+    product *= n
+    rejected = product.view(np.uint32)[:, _LOW_WORD::2].min(axis=1) < (2 ** 32 - n) % n
+    product >>= 32
+    return rejected
+
+
+def _draw_batch(entropy: int, lo: int, hi: int, n_ids: int) -> np.ndarray:
+    """The id draws of resample ordinals [lo, hi) of one stream, as a
+    (hi - lo, n_ids) int64 block: row i - lo is bit for bit
+    ``default_rng(SeedSequence(entropy, spawn_key=(i,))).integers(0, n_ids,
+    size=n_ids)``.
+
+    The seed states are hashed for all rows at once (_seed_states); each
+    row's PCG64 is numpy's own, seeded from its state, and yields the row's
+    words; one bounded step maps the block. A row holding a rejected word
+    is redrawn by numpy's integers on a fresh generator of its state.
+    """
+    if not 0 <= lo <= hi <= 2 ** 32:
+        raise ValueError(f"resample ordinals [{lo}, {hi}) must lie in [0, 2**32)")
+    if not 0 <= entropy < 2 ** 128:
+        raise ValueError("stream entropy must be a 128-bit unsigned integer")
+    if not 1 <= n_ids < 2 ** 32:
+        raise ValueError(f"n_ids must be in [1, 2**32), got {n_ids}")
+    states = _seed_states(entropy, lo, hi)
+    seed = _SeedState()
+    ids = np.empty((hi - lo, n_ids), np.int64)
+    for row, state in zip(ids, states):
+        seed.state = state
+        # a 64-bit output is two words, low first, as numpy's next_uint32 takes them
+        raw = np.random.PCG64(seed).random_raw((n_ids + 1) // 2)
+        row[:] = raw.astype("<u8", copy=False).view("<u4")[:n_ids]
+    for j in np.flatnonzero(_bounded(ids, n_ids)):
+        seed.state = states[j]
+        ids[j] = np.random.Generator(np.random.PCG64(seed)).integers(0, n_ids, size=n_ids)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -161,14 +267,19 @@ class _Side:
     keys: np.ndarray         # AUROC2 tally key of each record (nonparam.level_keys)
     n_levels: int
 
-    def rows(self, draw: np.ndarray) -> np.ndarray:
-        """Every record of the drawn ids, in draw order."""
+    def rows(self, draws: np.ndarray) -> list[np.ndarray]:
+        """Every record of each resample's drawn ids (a row of ``draws``),
+        in draw order."""
         if self.counts is None:
-            return draw
-        lengths = self.counts[draw]     # expand each drawn id to its run of records
-        ends = np.cumsum(lengths)
-        firsts = (np.cumsum(self.counts) - self.counts)[draw]
-        return np.repeat(firsts - (ends - lengths), lengths) + np.arange(ends[-1])
+            return list(draws)
+        firsts = np.cumsum(self.counts) - self.counts
+        rows = []
+        for draw in draws:
+            lengths = self.counts[draw]     # expand each drawn id to its run of records
+            ends = np.cumsum(lengths)
+            rows.append(np.repeat(firsts[draw] - (ends - lengths), lengths)
+                        + np.arange(ends[-1]))
+        return rows
 
 
 def _side(trials: TrialSet, entropy: int | None) -> _Side:
@@ -216,8 +327,7 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
         raise OneClassOnly("sensitivity metrics need both correctness classes")
     if metric == "d_prime":
         return type1_cell_arrays(nlp, correct, scale, pad_value)[1][0]
-    fit = fit_cell_arrays(nlp, correct, scale, pad_value)
-    return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else float("nan")
+    return _fit_value(metric, fit_cell_arrays(nlp, correct, scale, pad_value))
 
 
 def _fitted_stat(metric: str, meta_d, d_prime):
@@ -225,14 +335,35 @@ def _fitted_stat(metric: str, meta_d, d_prime):
     return meta_d if metric == "meta_d" else meta_d / d_prime
 
 
-def _rows(job: _Job, ordinal: int) -> list[np.ndarray]:
-    """Rows of resample ``ordinal`` in each side: the a side, then any b side."""
-    draw = _draw_ids(job.a.entropy, ordinal, job.a.n_ids)
-    rows = [job.a.rows(draw)]
+def _fit_value(metric: str, fit: SdtFit) -> float:
+    """meta_d or m_ratio of one fit, nan when the fit did not converge."""
+    return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else float("nan")
+
+
+def _point_cell(metric: str, trials: TrialSet, scale: RatingScale, pad_value: float):
+    """metric_value of ``trials`` short of its meta-d' solve, with the same
+    checks and errors: the value, or for meta_d and m_ratio the padded
+    table and its (d', c), still to be fitted."""
+    nlp, correct = trials.nlp_values, trials.correct_mask
+    if metric not in ("meta_d", "m_ratio"):
+        return metric_value(metric, nlp, correct, scale, pad_value)
+    if correct.all() or not correct.any():
+        raise OneClassOnly("sensitivity metrics need both correctness classes")
+    table, type1 = type1_cell_arrays(nlp, correct, scale, pad_value)
+    check_d_prime(type1[0])
+    return table, type1
+
+
+def _rows(job: _Job, lo: int, hi: int) -> list[list[np.ndarray]]:
+    """Rows of resample ordinals [lo, hi) in each side, the a side first:
+    ``rows[s][j]`` are those of side s in resample lo + j. One draw per
+    stream; a paired b side reuses the a side's."""
+    draws = _draw_batch(job.a.entropy, lo, hi, job.a.n_ids)
+    rows = [job.a.rows(draws)]
     if job.b is not None:
         if job.b.entropy is not None:
-            draw = _draw_ids(job.b.entropy, ordinal, job.b.n_ids)
-        rows.append(job.b.rows(draw))
+            draws = _draw_batch(job.b.entropy, lo, hi, job.b.n_ids)
+        rows.append(job.b.rows(draws))
     return rows
 
 
@@ -243,8 +374,7 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
         for lo in range(start, stop, FIT_BATCH):
-            draws = [_rows(job, ordinal) for ordinal in range(lo, min(lo + FIT_BATCH, stop))]
-            values = _batch_values(job, [list(side_rows) for side_rows in zip(*draws)])
+            values = _batch_values(job, _rows(job, lo, min(lo + FIT_BATCH, stop)))
             parts.append(values[0] - values[1] if job.b is not None else values[0])
     return np.concatenate(parts)
 
@@ -330,7 +460,8 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
            n_resamples: int, seed: int, ci_level: float, scale: RatingScale,
            pad_value: float, pairing: str = "paired"):
     """The RNG unit and resampling job of metric(a), or of metric(a) -
-    metric(b), and its BootstrapResult (ContrastResult) with no CI yet.
+    metric(b), the point cells of a (and b) (_point_cell), and its
+    BootstrapResult (ContrastResult) with no point estimate or CI yet.
 
     The a side draws ids from the stream of ``unit``; an independent b
     side draws from its own stream ``unit|b``, a paired one reuses a's draw.
@@ -353,19 +484,36 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
                     f"paired contrast needs identical question ids; "
                     f"missing={report.missing[:5]} extra={report.extra[:5]}")
 
-    point = metric_value(metric, a.nlp_values, a.correct_mask, scale, pad_value)
+    cells = [_point_cell(metric, a, scale, pad_value)]
     side_b = None
     if b is not None:
-        point -= metric_value(metric, b.nlp_values, b.correct_mask, scale, pad_value)
+        cells.append(_point_cell(metric, b, scale, pad_value))
         side_b = _side(b, None if pairing == "paired"
                        else _stream_entropy(seed, domain, unit + "|b"))
     job = _Job(metric, scale, pad_value, _side(a, _stream_entropy(seed, domain, unit)), side_b)
     fields = dict(metric=metric, domain=domain, ci_low=np.nan, ci_high=np.nan,
-                  ci_level=ci_level, n_resamples=n_resamples, seed=seed,
-                  flagged_degenerate=bool(np.isnan(point)))    # a point fit not converged
-    return unit, job, (BootstrapResult(point=point, **fields) if b is None else
-                       ContrastResult(hypothesis_id="", delta_hat=point, pairing=pairing,
-                                      contrast=label, **fields))
+                  ci_level=ci_level, n_resamples=n_resamples, seed=seed)
+    return unit, job, cells, (BootstrapResult(point=np.nan, **fields) if b is None else
+                              ContrastResult(hypothesis_id="", delta_hat=np.nan,
+                                             pairing=pairing, contrast=label, **fields))
+
+
+def _with_points(setups: list) -> list:
+    """(unit, job, result) of each _setup (unit, job, cells, result), the
+    result with its point estimate: metric(a), or metric(a) - metric(b),
+    flagged when nan (a point fit that did not converge). One meta_d_fits
+    solve fits every cell of the call; the fits, and their warnings, are
+    taken in (setup, side) order, as setting up one at a time would."""
+    pending = [cell for _, _, cells, _ in setups for cell in cells if isinstance(cell, tuple)]
+    fits = meta_d_fits([table for table, _ in pending], [type1 for _, type1 in pending])
+    out = []
+    for unit, job, cells, result in setups:
+        values = [_fit_value(job.metric, next(fits)) if isinstance(cell, tuple) else cell
+                  for cell in cells]
+        point = values[0] - values[1] if job.b is not None else values[0]
+        out.append((unit, job, replace(result, flagged_degenerate=bool(np.isnan(point)),
+                                       **{"point" if job.b is None else "delta_hat": point})))
+    return out
 
 
 def _with_ci(result, unit: str, stats: np.ndarray):
@@ -396,8 +544,8 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     resulting trial multiset through the full metric pipeline (quantile
     bins recomputed per resample for the model-based metrics).
     """
-    unit, job, result = _setup(trials, None, metric, metric, n_resamples, seed, ci_level,
-                               scale, pad_value)
+    (unit, job, result), = _with_points([_setup(trials, None, metric, metric, n_resamples,
+                                                 seed, ci_level, scale, pad_value)])
     return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
 
 
@@ -412,8 +560,8 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     both sides, which requires the sets to hold the same question ids;
     ``"independent"`` resamples each side from its own id list.
     """
-    unit, job, result = _setup(trials_a, trials_b, metric, unit, n_resamples, seed,
-                               ci_level, scale, pad_value, pairing)
+    (unit, job, result), = _with_points([_setup(trials_a, trials_b, metric, unit, n_resamples,
+                                                 seed, ci_level, scale, pad_value, pairing)])
     return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
 
 
@@ -462,10 +610,11 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
     """Evaluate every (spec, domain) contrast and attach decisions.
 
     Every contrast is checked and its point estimate computed before any
-    resampling; then all contrasts share one process pool (or run in this
-    process at one worker) and finish in spec order.
+    resampling, the meta-d' point fits of all contrasts in one solve; then
+    all contrasts share one process pool (or run in this process at one
+    worker) and finish in spec order.
     """
-    contrasts = []      # (spec, unit, job, result without CI)
+    specs_run, setups = [], []      # per contrast: its spec and its _setup
     conditions = set(trials.conditions())
     for spec in specs:
         for cond in (spec.condition_a, spec.condition_b):
@@ -482,9 +631,11 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
                 raise MissingCondition(
                     f"{spec.condition_a if len(a) == 0 else spec.condition_b} in {domain}")
             unit = f"{spec.metric}|{spec.condition_a}-{spec.condition_b}"
-            contrasts.append((spec,) + _setup(a, b, spec.metric, unit, n_resamples, seed,
-                                              spec.ci_level, scale, pad_value, pairing))
-    stats = _run_jobs([job for _, _, job, _ in contrasts], n_resamples, workers)
+            specs_run.append(spec)
+            setups.append(_setup(a, b, spec.metric, unit, n_resamples, seed, spec.ci_level,
+                                 scale, pad_value, pairing))
+    contrasts = _with_points(setups)
+    stats = _run_jobs([job for _, job, _ in contrasts], n_resamples, workers)
     return [decide(replace(_with_ci(result, unit, unit_stats), hypothesis_id=spec.id),
                    spec.rule, spec.delta)
-            for (spec, unit, _, result), unit_stats in zip(contrasts, stats)]
+            for spec, (unit, _, result), unit_stats in zip(specs_run, contrasts, stats)]

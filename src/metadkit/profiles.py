@@ -8,6 +8,7 @@ rank-based ones (Type-2 AUROC, NLP gap), and the domain's rank within its
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -134,18 +135,22 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
 def rank_profile(profiles: list[DomainProfile], metric: str) -> list[DomainProfile]:
     """Assign ranks for one metric: rank 1 = largest value.
 
-    Metric ties are broken by domain name ascending and reported via a
-    TiedRanks warning, so ranks are always a permutation of 1..n.
+    An undefined (nan) value, such as the M-ratio of a fit that did not
+    converge, ranks after every defined one. Ties, nan with nan included,
+    are broken by domain name ascending and reported via a TiedRanks
+    warning, so ranks are always a permutation of 1..n that does not
+    depend on the order of ``profiles``.
     """
     if metric not in RANK_METRICS:
         raise ValueError(f"metric must be one of {RANK_METRICS}, got {metric!r}")
     if len({(p.condition, p.format) for p in profiles}) > 1:
         raise MixedProfileSet("profiles to rank must share (condition, format)")
-    values = [getattr(p, metric) for p in profiles]
-    if len(set(values)) < len(values):
+    # nan sorts as (True, 0.0): after every defined value, tied with other nans
+    keys = [(True, 0.0) if math.isnan(v) else (False, -v)
+            for v in (getattr(p, metric) for p in profiles)]
+    if len(set(keys)) < len(keys):
         warnings.warn(f"{metric} ties broken by domain name", TiedRanks, stacklevel=2)
-    order = sorted(range(len(profiles)),
-                   key=lambda i: (-values[i], profiles[i].domain))
+    order = sorted(range(len(profiles)), key=lambda i: (keys[i], profiles[i].domain))
     field = f"rank_{metric}"
     ranked = list(profiles)
     for rank, i in enumerate(order, start=1):

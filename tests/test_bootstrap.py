@@ -26,7 +26,7 @@ from metadkit.errors import (
     WrongCiLevel,
     ZeroDPrime,
 )
-from metadkit.sdt import meta_d_fit, type1_fit
+from metadkit.sdt import meta_d_fits, type1_fit
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
 
@@ -316,6 +316,36 @@ def test_suite_on_one_pool_matches_its_contrasts_run_alone(rng):
     assert suites[0] == suites[1] == alone
 
 
+@pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])
+def test_suite_point_estimates_are_the_fits_made_one_at_a_time(metric):
+    # 40 questions per domain: six point fits land on meta-d' = 0 and warn
+    trials = four_condition_trials(np.random.default_rng(77), n_questions=40)
+    specs = [replace(s, metric=metric) for s in default_hypothesis_specs()]
+
+    def fit_warnings(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = call()
+        return out, [(w.category, str(w.message)) for w in caught
+                     if w.category is not TooManyDegenerate]
+
+    def one_at_a_time():
+        deltas = []
+        for spec in specs:
+            for domain in spec.domains:
+                a, b = (trials.filter(condition=c, domain=domain)
+                        for c in (spec.condition_a, spec.condition_b))
+                deltas.append(metric_value(metric, a.nlp_values, a.correct_mask)
+                              - metric_value(metric, b.nlp_values, b.correct_mask))
+        return deltas
+
+    want, want_warnings = fit_warnings(one_at_a_time)
+    results, got_warnings = fit_warnings(
+        lambda: run_hypothesis_suite(trials, specs, n_resamples=2, seed=42))
+    assert [r.delta_hat for r in results] == want
+    assert len(want_warnings) == 6 and got_warnings == want_warnings
+
+
 def test_metric_value_names():
     trials = gaussian_trials(np.random.default_rng(8), 120)
     for name in ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio"):
@@ -400,7 +430,7 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
         warnings.simplefilter("ignore", MetadkitWarning)
         for j, ordinal in enumerate(checked):
             values = []
-            for side, r in zip(job.sides, bootstrap._rows(job, ordinal)):
+            for side, (r,) in zip(job.sides, bootstrap._rows(job, ordinal, ordinal + 1)):
                 nlp, correct = side.nlp[r], side.correct[r]
                 try:
                     values.append(metric_value(metric, nlp, correct))
@@ -447,8 +477,8 @@ def stall_point_fits(monkeypatch):
     """Make every point-estimate fit the stalled table of
     stall_every_fourth_table (resample fits are unchanged)."""
     stalled = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
-    monkeypatch.setattr(bootstrap, "fit_cell_arrays",
-                        lambda *args: meta_d_fit(stalled, type1_fit(stalled)))
+    monkeypatch.setattr(bootstrap, "meta_d_fits", lambda tables, type1s: meta_d_fits(
+        [stalled] * len(tables), [type1_fit(stalled)] * len(tables)))
 
 
 @pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -68,6 +69,24 @@ def test_ranks_are_permutation(rng):
              for i, v in enumerate(rng.normal(1.0, 0.3, 6))]
     ranked = rank_profile(profs, "m_ratio")
     assert sorted(p.rank_m_ratio for p in ranked) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("values, want", [
+    ({"Arts": 1.2, "History": np.nan, "Science": 0.8},
+     {"Arts": 1, "Science": 2, "History": 3}),
+    ({"Arts": np.nan, "Geography": 0.5, "History": np.nan, "Science": 0.9},
+     {"Science": 1, "Geography": 2, "Arts": 3, "History": 4}),
+])
+def test_rank_profile_ranks_nan_last_whatever_the_input_order(values, want):
+    for order in itertools.permutations(values):
+        profs = [profile(d, m_ratio=values[d]) for d in order]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranked = rank_profile(profs, "m_ratio")
+        assert {p.domain: p.rank_m_ratio for p in ranked} == want
+        # two nans are a tie broken by domain name; one nan is not
+        tied = sum(np.isnan(v) for v in values.values()) > 1
+        assert any(w.category is TiedRanks for w in caught) == tied
 
 
 def test_fit_cell_end_to_end(rng):
