@@ -1,13 +1,6 @@
 """Domain-level metacognitive diagnostics for trial-level evaluation records."""
 
-from .binning import (
-    BinnedTrial,
-    CountTable,
-    RatingScale,
-    build_counts,
-    pad_counts,
-    quantile_bin,
-)
+from .binning import CountTable, RatingScale, pad_counts
 from .bootstrap import (
     BootstrapResult,
     ContrastResult,
@@ -27,7 +20,7 @@ from .profiles import (
     rank_profile,
 )
 from .report import ReportBundle, emit_bar_chart, emit_tables, reproduction_notes
-from .sdt import SdtFit, m_ratio, meta_d_fit, phi, phi_inv, type1_fit
+from .sdt import SdtFit, meta_d_fit, phi, phi_inv, type1_fit
 from .synth import SynthConfig, generate, oracle_auroc2, oracle_meta_grid
 from .trialstore import (
     PairingReport,

@@ -1,23 +1,25 @@
 """Quantile binning of confidence scores and count-table construction.
 
 Continuous confidence (nlp) is discretized into 2 * n_ratings quantile
-bins. The lower half of the scale is response R1, the upper half R2, and
-the rating grades the distance from the median boundary, so bin 1 maps to
-(R1, rating n_ratings) and the top bin to (R2, rating n_ratings). Counts
-are tallied per correctness class: the incorrect-answer trials form one
-stimulus class and the correct-answer trials the other, which is what the
-downstream sensitivity fits consume.
+bins, bin 1 lowest. A bin's index is its (response, rating) on the type-2
+scale: bin b <= n_ratings is (R1, n_ratings + 1 - b) and bin b > n_ratings
+is (R2, b - n_ratings), so the rating grades the distance from the median
+boundary; count-table columns are the bins in this order. Counts are
+tallied per correctness class: the incorrect-answer trials form one
+stimulus class and the correct-answer trials the other.
+
+``quantile_bins`` and ``tally`` take samples laid end to end in one block
+(a bootstrap batch); ``bin_indices`` and ``counts_from_arrays`` are their
+sample of one.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AlreadyPadded, TooFewTrials
-from .trialstore import TrialRecord, TrialSet
 
 DEFAULT_PAD_VALUE = 0.5
 
@@ -35,21 +37,6 @@ class RatingScale:
     @property
     def n_bins(self) -> int:
         return 2 * self.n_ratings
-
-
-@dataclass(frozen=True)
-class BinnedTrial:
-    trial: TrialRecord
-    bin: int            # 1..n_bins, 1 = lowest confidence
-    response: str       # "R1" (lower half) or "R2" (upper half)
-    rating: int         # 1..n_ratings, distance from the median boundary
-
-
-def response_and_rating(bin: int, n_ratings: int) -> tuple[str, int]:
-    """Bijection from bin index to (response, rating)."""
-    if bin <= n_ratings:
-        return "R1", n_ratings + 1 - bin
-    return "R2", bin - n_ratings
 
 
 @dataclass(frozen=True)
@@ -79,24 +66,11 @@ class CountTable:
     def n_bins(self) -> int:
         return 2 * self.n_ratings
 
-    @property
-    def total(self) -> float:
-        return float(self.counts_incorrect.sum() + self.counts_correct.sum())
-
     def raw_class_totals(self) -> tuple[float, float]:
         """(incorrect, correct) totals net of any padding."""
         pad = self.n_bins * self.pad_value if self.padded else 0.0
         return (float(self.counts_incorrect.sum()) - pad,
                 float(self.counts_correct.sum()) - pad)
-
-    def to_csv(self) -> str:
-        """Debug serialization: header, then the incorrect and correct rows."""
-        buf = io.StringIO()
-        buf.write(",".join(f"bin_{b}" for b in range(1, self.n_bins + 1)) + "\r\n")
-        for vec in (self.counts_incorrect, self.counts_correct):
-            buf.write(",".join(repr(float(v)) for v in vec) + "\r\n")
-        return buf.getvalue()
-
 
 def quantile_bins(levels: np.ndarray, lengths, n_bins: int) -> np.ndarray:
     """Quantile bins, as bin_indices - 1, of every sample of a block laid end
@@ -138,16 +112,6 @@ def bin_indices(nlp: np.ndarray, n_bins: int) -> np.ndarray:
     return quantile_bins(np.unique(nlp, return_inverse=True)[1], [n], n_bins) + 1
 
 
-def quantile_bin(trials: TrialSet, scale: RatingScale = RatingScale()) -> list[BinnedTrial]:
-    """Assign every trial to a quantile bin of its set's nlp distribution."""
-    bins = bin_indices(trials.nlp_values, scale.n_bins)
-    out = []
-    for rec, b in zip(trials.records, bins):
-        response, rating = response_and_rating(int(b), scale.n_ratings)
-        out.append(BinnedTrial(trial=rec, bin=int(b), response=response, rating=rating))
-    return out
-
-
 def tally(bins: np.ndarray, correct: np.ndarray, lengths, n_bins: int) -> np.ndarray:
     """(samples, 2, n_bins) counts, row 0 incorrect, of a block laid out as
     in quantile_bins, from one offset bincount."""
@@ -164,14 +128,6 @@ def counts_from_arrays(bins: np.ndarray, correct: np.ndarray, n_bins: int) -> tu
     if len(bins) and (bins.min() < 1 or bins.max() > n_bins):
         raise ValueError(f"bin index outside 1..{n_bins}")
     return tuple(tally(bins - 1, correct, [len(bins)], n_bins)[0].astype(float))
-
-
-def build_counts(binned: list[BinnedTrial], scale: RatingScale = RatingScale()) -> CountTable:
-    """Unpadded count table from binned trials."""
-    bins = np.array([bt.bin for bt in binned], dtype=np.int64)
-    correct = np.array([bt.trial.correct for bt in binned], dtype=bool)
-    ci, cc = counts_from_arrays(bins, correct, scale.n_bins)
-    return CountTable(n_ratings=scale.n_ratings, counts_incorrect=ci, counts_correct=cc)
 
 
 def pad_counts(table: CountTable, pad_value: float = DEFAULT_PAD_VALUE) -> CountTable:

@@ -31,7 +31,11 @@ state, and one multiply-shift (Lemire's bounded draw, as numpy's
 redrawn by ``integers`` itself. Every row is bit for bit the stream
 above, so the contract is unchanged; tests/test_rng_contract.py holds
 the rows against the literal recipe. A paired b side reuses the a side's
-block. Each metric then computes the whole batch:
+block. Each side lays the records of the batch's resamples end to end as
+one flat index into its columns, with each resample's record count
+(``_Side.block``): the draw block itself, viewed flat, when every id has
+one record, else every drawn id expanded to its run of records in a few
+whole-block steps. Each metric then computes the whole batch from it:
 
 - auroc2 tallies both classes per distinct nlp level of each side with
   one offset bincount over the batch (``nonparam.auroc2_batch``), which
@@ -39,7 +43,9 @@ block. Each metric then computes the whole batch:
 - d_prime, meta_d and m_ratio bin, tally, pad and type-1 fit each side's
   resamples as one block; meta_d and m_ratio then fit all of the batch's
   tables in one maximum-likelihood solve, each as it would be alone;
-- accuracy and nlp_gap evaluate each resample's rows in turn.
+- accuracy and nlp_gap alone still loop over the resamples, each
+  gathering its own slice of the index, so that ``ndarray.mean`` sums it
+  pairwise as it would alone.
 
 Every value is thus bit-identical to evaluating its resample alone, so
 the batch edges, and with them the worker count, leave the results
@@ -267,19 +273,22 @@ class _Side:
     keys: np.ndarray         # AUROC2 tally key of each record (nonparam.level_keys)
     n_levels: int
 
-    def rows(self, draws: np.ndarray) -> list[np.ndarray]:
-        """Every record of each resample's drawn ids (a row of ``draws``),
-        in draw order."""
+    def block(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The records of every resample's drawn ids (a row of ``draws``), in
+        draw order and laid end to end, and each resample's record count."""
         if self.counts is None:
-            return list(draws)
+            return draws.reshape(-1), np.full(len(draws), draws.shape[1])
+        flat = self.counts[draws.reshape(-1)]   # expand each drawn id to its run of records
+        lengths = flat.reshape(draws.shape).sum(axis=1)
         firsts = np.cumsum(self.counts) - self.counts
-        rows = []
-        for draw in draws:
-            lengths = self.counts[draw]     # expand each drawn id to its run of records
-            ends = np.cumsum(lengths)
-            rows.append(np.repeat(firsts[draw] - (ends - lengths), lengths)
-                        + np.arange(ends[-1]))
-        return rows
+        # slot k of the block, in a run of id i that starts at slot p, is record firsts[i] + k - p
+        shift = firsts[draws.reshape(-1)]
+        shift += flat
+        shift -= np.cumsum(flat)
+        index = np.repeat(shift, flat)
+        del shift
+        index += np.arange(len(index))
+        return index, lengths
 
 
 def _side(trials: TrialSet, entropy: int | None) -> _Side:
@@ -354,17 +363,17 @@ def _point_cell(metric: str, trials: TrialSet, scale: RatingScale, pad_value: fl
     return table, type1
 
 
-def _rows(job: _Job, lo: int, hi: int) -> list[list[np.ndarray]]:
-    """Rows of resample ordinals [lo, hi) in each side, the a side first:
-    ``rows[s][j]`` are those of side s in resample lo + j. One draw per
-    stream; a paired b side reuses the a side's."""
+def _blocks(job: _Job, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (index, lengths) block (_Side.block) of resample ordinals
+    [lo, hi) in each side, the a side first. One draw per stream; a paired
+    b side reuses the a side's."""
     draws = _draw_batch(job.a.entropy, lo, hi, job.a.n_ids)
-    rows = [job.a.rows(draws)]
+    blocks = [job.a.block(draws)]
     if job.b is not None:
         if job.b.entropy is not None:
             draws = _draw_batch(job.b.entropy, lo, hi, job.b.n_ids)
-        rows.append(job.b.rows(draws))
-    return rows
+        blocks.append(job.b.block(draws))
+    return blocks
 
 
 def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
@@ -374,22 +383,22 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
         for lo in range(start, stop, FIT_BATCH):
-            values = _batch_values(job, _rows(job, lo, min(lo + FIT_BATCH, stop)))
+            values = _batch_values(job, _blocks(job, lo, min(lo + FIT_BATCH, stop)))
             parts.append(values[0] - values[1] if job.b is not None else values[0])
     return np.concatenate(parts)
 
 
-def _batch_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
+def _batch_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """(side, resample) statistic of a batch, nan where it is undefined;
-    ``rows[s][j]`` are the rows of side s in the batch's resample j."""
+    ``blocks[s]`` is side s's (index, lengths) block (_blocks)."""
     if job.metric == "auroc2":
-        return np.array([auroc2_batch(side.keys, side.n_levels, side_rows)
-                         for side, side_rows in zip(job.sides, rows)])
+        return np.array([auroc2_batch(side.keys, side.n_levels, *block)
+                         for side, block in zip(job.sides, blocks)])
     if job.metric in _MODEL:
-        return _model_values(job, rows)
-    values = np.full((len(rows), len(rows[0])), np.nan)
-    for s, side in enumerate(job.sides):
-        for j, r in enumerate(rows[s]):
+        return _model_values(job, blocks)
+    values = np.full((len(blocks), len(blocks[0][1])), np.nan)
+    for s, (side, (index, lengths)) in enumerate(zip(job.sides, blocks)):
+        for j, r in enumerate(np.split(index, np.cumsum(lengths)[:-1])):
             try:
                 values[s, j] = metric_value(job.metric, side.nlp[r], side.correct[r],
                                             job.scale, job.pad_value)
@@ -398,27 +407,26 @@ def _batch_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
     return values
 
 
-def _side_type1(job: _Job, side: _Side, rows: list[np.ndarray]):
+def _side_type1(job: _Job, side: _Side, index: np.ndarray, lengths: np.ndarray):
     """One side's resamples binned (by nlp level), tallied, padded and
     type-1 fitted as one block: the mask of those with both classes and
     2 * n_bins rows or more, and their tables (B', 2, n_bins), d' and c."""
     n_bins = job.scale.n_bins
-    lengths = np.array([len(r) for r in rows])
     levels = (side.keys >> 1).astype(np.int32)
-    bins = quantile_bins(np.concatenate([levels[r] for r in rows]), lengths, n_bins)
-    counts = tally(bins, np.concatenate([side.correct[r] for r in rows]), lengths, n_bins)
+    bins = quantile_bins(levels[index], lengths, n_bins)
+    counts = tally(bins, side.correct[index], lengths, n_bins)
     ok = (lengths >= 2 * n_bins) & counts.any(axis=2).all(axis=1)
     tables = counts[ok] + job.pad_value
     return (ok, tables) + type1_batch(tables)
 
 
-def _model_values(job: _Job, rows: list[list[np.ndarray]]) -> np.ndarray:
+def _model_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """d_prime, meta_d or m_ratio of each side of each resample, nan where
     it is undefined or the fit did not converge: each side is type-1
     fitted as one block, then one batched meta-d' solve fits every table
     of the batch whose d' is not 0."""
     masks, tables, d_prime, criterion_c = zip(*(
-        _side_type1(job, side, side_rows) for side, side_rows in zip(job.sides, rows)))
+        _side_type1(job, side, *block) for side, block in zip(job.sides, blocks)))
     valid = np.array(masks)
     d_prime = np.concatenate(d_prime)
     values = np.full(valid.shape, np.nan)

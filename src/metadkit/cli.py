@@ -307,28 +307,29 @@ def cmd_confirm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SYNTH_LIST_KEYS = {"mix_weights_correct", "mix_means_correct", "mix_sigmas_correct",
-                    "mix_weights_incorrect", "mix_means_incorrect", "mix_sigmas_incorrect"}
-_SYNTH_INT_KEYS = {"n_trials", "seed"}
-_SYNTH_FLOAT_KEYS = {"p_correct", "mu_correct", "mu_incorrect",
-                     "sigma_correct", "sigma_incorrect"}
+# the parser of each non-string synth config key, and what it expects
+_SYNTH_PARSERS = {
+    **dict.fromkeys(("n_trials", "seed"), (int, "an integer")),
+    **dict.fromkeys(("p_correct", "mu_correct", "mu_incorrect", "sigma_correct",
+                     "sigma_incorrect"), (float, "a number")),
+    **dict.fromkeys(("mix_weights_correct", "mix_means_correct", "mix_sigmas_correct",
+                     "mix_weights_incorrect", "mix_means_incorrect", "mix_sigmas_incorrect"),
+                    (lambda value: tuple(map(float, value.split(","))),
+                     "a comma-separated list of numbers")),
+}
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
-    raw = parse_kv_file(path)
     kwargs: dict = {}
     valid = {f.name for f in fields(SynthConfig)}
-    for key, value in raw.items():
+    for key, value in parse_kv_file(path).items():
         if key not in valid:
             raise ConfigError(f"unknown synth config key {key!r}")
-        if key in _SYNTH_LIST_KEYS:
-            kwargs[key] = tuple(float(v) for v in value.split(","))
-        elif key in _SYNTH_INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _SYNTH_FLOAT_KEYS:
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        parse, noun = _SYNTH_PARSERS.get(key, (str, "a string"))
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
     if "n_trials" not in kwargs or "p_correct" not in kwargs:
         raise ConfigError("synth config needs at least n_trials and p_correct")
     return SynthConfig(**kwargs)

@@ -20,9 +20,10 @@ def level_keys(nlp: np.ndarray, correct: np.ndarray) -> tuple[np.ndarray, int]:
     return 2 * level + correct, len(distinct)
 
 
-def auroc2_batch(keys: np.ndarray, n_levels: int, rows: list[np.ndarray]) -> np.ndarray:
-    """AUROC2 of each sample ``keys[rows[j]]`` of ``level_keys`` keys; nan
-    for a sample without both correctness classes.
+def auroc2_batch(keys: np.ndarray, n_levels: int, index: np.ndarray, lengths) -> np.ndarray:
+    """AUROC2 of each sample of a block of ``level_keys`` keys: the block
+    ``keys[index]`` lays the samples end to end, sample j having lengths[j]
+    rows. nan for a sample without both correctness classes.
 
     One offset bincount tallies every sample's (incorrect, correct) count
     per level. With the levels ascending, the Mann-Whitney statistic is
@@ -32,9 +33,9 @@ def auroc2_batch(keys: np.ndarray, n_levels: int, rows: list[np.ndarray]) -> np.
     bit for bit, ties included.
     """
     width = 2 * n_levels
-    keys = keys[np.concatenate(rows)]
-    keys += np.repeat(np.arange(len(rows)) * width, [len(r) for r in rows])
-    tally = np.bincount(keys, minlength=len(rows) * width).reshape(len(rows), n_levels, 2)
+    keys = keys[index]
+    keys += np.repeat(np.arange(len(lengths)) * width, lengths)
+    tally = np.bincount(keys, minlength=len(lengths) * width).reshape(-1, n_levels, 2)
     neg, pos = tally[:, :, 0], tally[:, :, 1]
     twice_below = np.cumsum(neg, axis=1)    # 2 * (incorrect below) + incorrect at
     twice_below *= 2
@@ -55,7 +56,7 @@ def auroc2_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
     if n_pos == 0 or n_pos == len(correct):
         raise OneClassOnly("need at least one correct and one incorrect trial")
     keys, n_levels = level_keys(nlp, correct)
-    return float(auroc2_batch(keys, n_levels, [np.arange(len(keys))])[0])
+    return float(auroc2_batch(keys, n_levels, np.arange(len(keys)), [len(keys)])[0])
 
 
 def nlp_gap_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:

@@ -104,13 +104,6 @@ class SdtFit:
     low_dprime_warning: bool = False
 
 
-def m_ratio(fit: SdtFit) -> float:
-    """meta_d / d_prime. Raises ZeroDPrime when d' is exactly zero."""
-    if fit.d_prime == 0.0:
-        raise ZeroDPrime("M-ratio undefined at d' = 0")
-    return fit.meta_d / fit.d_prime
-
-
 def check_d_prime(d_prime: float) -> None:
     """Raise ZeroDPrime when d' is exactly zero: the relative criterion
     c / d' that the type-2 model inherits is undefined there."""

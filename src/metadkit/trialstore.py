@@ -16,8 +16,13 @@ of ``question_id``, ``domain``, ``condition`` and ``format`` an integer
 code per record into the sorted distinct values present in the set.
 Filters are boolean masks over the columns, and a subset drops the values
 it no longer holds, so the distinct values of a field are always exactly
-those of its records. ``TrialRecord`` rows exist only at the edges: a set
-can be built from records and read back as records.
+those of its records, and everything in the package reads the columns.
+``TrialRecord`` rows remain only as an edge: ``TrialSet(records)``,
+``.records``, iteration and ``TrialRecord.to_dict``. The benchmark's trial
+generator builds its set from records (``replace`` on a generated cell's
+``.records``, then ``TrialSet(records)``) and its smoke tests iterate
+sets; the edge can go once the generator moves onto
+``TrialSet.from_columns`` with the generated file's sha256 unchanged.
 
 Loading reads the file in blocks of lines (CSV: records), so it never
 holds a dict for every record at once. A JSONL block whose lines are each
@@ -42,7 +47,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -93,11 +98,6 @@ class TrialRecord:
         return d
 
 
-@dataclass(frozen=True)
-class Provenance:
-    source: str
-
-
 def _factorize(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Integer code per value into the sorted distinct values."""
     distinct = sorted(set(values))
@@ -113,27 +113,24 @@ class TrialSet:
     operations return new sets.
     """
 
-    def __init__(self, records: Iterable[TrialRecord], provenance: Provenance | None = None):
+    def __init__(self, records: Iterable[TrialRecord]):
         records = tuple(records)
-        self._fill({name: [getattr(r, name) for r in records] for name in ALL_FIELDS},
-                   provenance)
+        self._fill({name: [getattr(r, name) for r in records] for name in ALL_FIELDS})
 
     @classmethod
-    def from_columns(cls, columns: dict[str, Sequence],
-                     provenance: Provenance | None = None) -> "TrialSet":
+    def from_columns(cls, columns: dict[str, Sequence]) -> "TrialSet":
         """A set from one equal-length sequence per name in ALL_FIELDS, in
         record order; ``answer_text`` may be left out."""
         trials = cls.__new__(cls)
-        trials._fill(columns, provenance)
+        trials._fill(columns)
         return trials
 
-    def _fill(self, columns: dict[str, Sequence], provenance: Provenance | None) -> None:
+    def _fill(self, columns: dict[str, Sequence]) -> None:
         self.nlp_values = np.asarray(columns["nlp"], dtype=float)
         self.correct_mask = np.asarray(columns["correct"], dtype=bool)
         self._answer_text = np.array(columns.get("answer_text", [None] * len(self.nlp_values)),
                                      dtype=object)
         self._coded = {name: _factorize(columns[name]) for name in CODED_FIELDS}
-        self.provenance = provenance
 
     def _subset(self, mask: np.ndarray) -> "TrialSet":
         subset = TrialSet.__new__(TrialSet)
@@ -145,25 +142,25 @@ class TrialSet:
             kept = codes[mask]
             present = np.bincount(kept, minlength=len(values)) > 0
             subset._coded[name] = (np.cumsum(present)[kept] - 1, values[present])
-        subset.provenance = self.provenance
         return subset
+
+    def _row_values(self) -> Iterator[tuple]:
+        """Each record's values in ALL_FIELDS order, in record order."""
+        strings = [values[codes].tolist()
+                   for codes, values in map(self._coded.get, CODED_FIELDS)]
+        return zip(*strings, self.correct_mask.tolist(), self.nlp_values.tolist(),
+                   self._answer_text.tolist())
 
     @cached_property
     def records(self) -> tuple[TrialRecord, ...]:
         """The trials as TrialRecord rows, in record order."""
-        strings = [values[codes].tolist()
-                   for codes, values in map(self._coded.get, CODED_FIELDS)]
-        return tuple(map(TrialRecord, *strings, self.correct_mask.tolist(),
-                         self.nlp_values.tolist(), self._answer_text.tolist()))
+        return tuple(starmap(TrialRecord, self._row_values()))
 
     def __len__(self) -> int:
         return len(self.nlp_values)
 
     def __iter__(self) -> Iterator[TrialRecord]:
         return iter(self.records)
-
-    def __getitem__(self, i) -> TrialRecord:
-        return self.records[i]
 
     def codes(self, field: str) -> tuple[np.ndarray, np.ndarray]:
         """For one of CODED_FIELDS: the integer code of each record and the
@@ -399,7 +396,7 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
     def collected() -> tuple[TrialSet, np.ndarray]:
         columns = {name: list(chain.from_iterable(parts)) for name, parts in pieces.items()}
         columns["nlp"] = np.concatenate(pieces["nlp"])
-        return (TrialSet.from_columns(columns, Provenance(source=sname)),
+        return (TrialSet.from_columns(columns),
                 np.fromiter(chain.from_iterable(number_pieces), dtype=np.int64))
 
     # the row dicts hold no cycles: the cyclic collector would only walk them
@@ -433,8 +430,8 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
 def save_trials(trials: TrialSet, path: str | Path) -> None:
     """Write a TrialSet as canonical JSONL (load → save → load is identity)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in trials:
-            fh.write(json.dumps(rec.to_dict()) + "\n")
+        for row in trials._row_values():
+            fh.write(json.dumps(TrialRecord(*row).to_dict()) + "\n")
 
 
 def filter_trials(trials: TrialSet, domain: str | None = None,

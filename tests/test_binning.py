@@ -3,45 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadkit.binning import (
-    CountTable,
-    RatingScale,
-    bin_indices,
-    build_counts,
-    counts_from_arrays,
-    pad_counts,
-    quantile_bin,
-    quantile_bins,
-    response_and_rating,
-)
+from metadkit.binning import CountTable, bin_indices, counts_from_arrays, pad_counts, quantile_bins
 from metadkit.errors import AlreadyPadded, TooFewTrials
-from tests.conftest import make_trials
-
-SCALE = RatingScale(4)
 
 
 def test_sorted_distinct_values_fill_bins():
-    trials = make_trials([-8, -7, -6, -5, -4, -3, -2, -1], [True] * 8)
-    binned = quantile_bin(trials, SCALE)
-    assert [bt.bin for bt in binned] == [1, 2, 3, 4, 5, 6, 7, 8]
+    bins = bin_indices(np.array([-8, -7, -6, -5, -4, -3, -2, -1], dtype=float), 8)
+    assert bins.tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_identical_values_binned_in_input_order():
-    trials = make_trials([-2.0] * 8, [True] * 8)
-    binned = quantile_bin(trials, SCALE)
-    assert [bt.bin for bt in binned] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert bin_indices(np.full(8, -2.0), 8).tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_sixteen_values_match_sort_oracle(rng):
     nlp = rng.normal(size=16)
-    trials = make_trials(nlp, [True] * 16)
-    binned = quantile_bin(trials, SCALE)
+    bins = bin_indices(nlp, 8)
     # independent oracle: explicit stable sort, bin = ceil(rank / 2)
     order = sorted(range(16), key=lambda i: (nlp[i], i))
     expected = {}
     for rank, i in enumerate(order, start=1):
         expected[i] = -(-rank // 2)
-    assert [bt.bin for bt in binned] == [expected[i] for i in range(16)]
+    assert bins.tolist() == [expected[i] for i in range(16)]
 
 
 def test_bin_sizes_differ_by_at_most_one(rng):
@@ -107,52 +90,37 @@ def test_too_few_trials():
         bin_indices(np.zeros(7), 8)
 
 
-def test_response_rating_bijection():
-    seen = set()
-    for b in range(1, 9):
-        response, rating = response_and_rating(b, 4)
-        seen.add((response, rating))
-        assert response in ("R1", "R2") and 1 <= rating <= 4
-    assert len(seen) == 8
-    assert response_and_rating(1, 4) == ("R1", 4)
-    assert response_and_rating(4, 4) == ("R1", 1)
-    assert response_and_rating(5, 4) == ("R2", 1)
-    assert response_and_rating(8, 4) == ("R2", 4)
+def test_counts_single_increment():
+    bins = bin_indices(np.array([-8, -7, -6, -5, -4, -3, -2, -1], dtype=float), 8)
+    incorrect, correct = counts_from_arrays(bins, np.array([False] * 7 + [True]), 8)
+    assert correct.tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert incorrect.tolist() == [1, 1, 1, 1, 1, 1, 1, 0]
 
 
-def test_build_counts_single_increment():
-    trials = make_trials([-8, -7, -6, -5, -4, -3, -2, -1],
-                         [False] * 7 + [True])
-    table = build_counts(quantile_bin(trials, SCALE), SCALE)
-    assert table.counts_correct.tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
-    assert table.counts_incorrect.tolist() == [1, 1, 1, 1, 1, 1, 1, 0]
-    assert not table.padded
-
-
-def test_build_counts_conserves_totals(rng):
+def test_counts_conserve_totals(rng):
     n = 3000
-    trials = make_trials(rng.normal(size=n), rng.random(n) < 0.6)
-    table = build_counts(quantile_bin(trials, SCALE), SCALE)
-    assert table.total == n
-    assert table.counts_correct.sum() == trials.correct_mask.sum()
+    correct = rng.random(n) < 0.6
+    incorrect_counts, correct_counts = counts_from_arrays(bin_indices(rng.normal(size=n), 8),
+                                                          correct, 8)
+    assert incorrect_counts.sum() + correct_counts.sum() == n
+    assert correct_counts.sum() == correct.sum()
 
 
-def test_build_counts_matches_per_trial_tally(rng):
+def test_counts_match_per_trial_tally(rng):
     n = 600
     correct = rng.random(n) < 0.7
     nlp = np.where(correct, rng.normal(0.6, 1.0, n), rng.normal(0.0, 1.0, n))
-    trials = make_trials(nlp, correct)
-    binned = quantile_bin(trials, SCALE)
-    table = build_counts(binned, SCALE)
+    bins = bin_indices(nlp, 8)
+    incorrect_counts, correct_counts = counts_from_arrays(bins, correct, 8)
     tally = {(cls, b): 0 for cls in (False, True) for b in range(1, 9)}
-    for bt in binned:
-        tally[(bt.trial.correct, bt.bin)] += 1
+    for cls, b in zip(correct.tolist(), bins.tolist()):
+        tally[(cls, b)] += 1
     for b in range(1, 9):
-        assert table.counts_correct[b - 1] == tally[(True, b)]
-        assert table.counts_incorrect[b - 1] == tally[(False, b)]
+        assert correct_counts[b - 1] == tally[(True, b)]
+        assert incorrect_counts[b - 1] == tally[(False, b)]
     # correct-class mass should sit higher on the scale
-    upper_c = table.counts_correct[4:].sum() / table.counts_correct.sum()
-    upper_i = table.counts_incorrect[4:].sum() / table.counts_incorrect.sum()
+    upper_c = correct_counts[4:].sum() / correct_counts.sum()
+    upper_i = incorrect_counts[4:].sum() / incorrect_counts.sum()
     assert upper_c > upper_i
 
 
@@ -181,11 +149,3 @@ def test_pad_twice_rejected():
     table = pad_counts(CountTable(4, np.zeros(8), np.zeros(8)))
     with pytest.raises(AlreadyPadded):
         pad_counts(table)
-
-
-def test_count_table_csv_shape():
-    table = CountTable(4, np.arange(8, dtype=float), np.arange(8, dtype=float))
-    lines = table.to_csv().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].split(",") == [f"bin_{b}" for b in range(1, 9)]
-    assert len(lines[1].split(",")) == 8

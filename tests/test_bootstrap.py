@@ -414,6 +414,36 @@ def test_model_resamples_on_ragged_tied_sides_match_one_at_a_time(metric, monkey
     assert reasons["zero" if metric == "d_prime" else "ZeroDPrime"] > 0
 
 
+@pytest.mark.parametrize("n_rows", [1, 128])
+def test_side_block_is_each_draw_expanded_to_its_records(n_rows):
+    # ids of 1, 2 and 4 records, their records interleaved in the file
+    rng = np.random.default_rng(11)
+    qids = np.repeat([f"q{i:02d}" for i in range(21)], np.tile([1, 2, 4], 7))
+    rng.shuffle(qids)
+    trials = make_trials(rng.normal(size=len(qids)), rng.random(len(qids)) < 0.7,
+                         qids=list(qids))
+    codes, _ = trials.codes("question_id")
+    side = bootstrap._side(trials, None)
+    draws = rng.integers(0, side.n_ids, size=(n_rows, side.n_ids))
+    draws[:, 1] = draws[:, 0]                   # every draw repeats an id
+    index, lengths = side.block(draws)
+    # the file positions of each drawn id's records, draw after draw
+    want = [np.concatenate([np.flatnonzero(codes == i) for i in draw]) for draw in draws]
+    assert lengths.tolist() == [len(w) for w in want]
+    np.testing.assert_array_equal(side.nlp[index], trials.nlp_values[np.concatenate(want)])
+    np.testing.assert_array_equal(side.correct[index],
+                                  trials.correct_mask[np.concatenate(want)])
+
+
+def test_side_block_of_one_record_per_id_is_the_draws_viewed_flat():
+    side = bootstrap._side(gaussian_trials(np.random.default_rng(2), 40), None)
+    draws = np.random.default_rng(3).integers(0, side.n_ids, size=(5, side.n_ids))
+    index, lengths = side.block(draws)
+    assert np.shares_memory(index, draws)
+    np.testing.assert_array_equal(index, draws.reshape(-1))
+    assert lengths.tolist() == [40] * 5
+
+
 def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     """Every run at workers 1, 2, 3 and at FIT_BATCH = 7 must be
     bit-identical, and every third ordinal must equal its one-at-a-time
@@ -430,7 +460,7 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
         warnings.simplefilter("ignore", MetadkitWarning)
         for j, ordinal in enumerate(checked):
             values = []
-            for side, (r,) in zip(job.sides, bootstrap._rows(job, ordinal, ordinal + 1)):
+            for side, (r, _) in zip(job.sides, bootstrap._blocks(job, ordinal, ordinal + 1)):
                 nlp, correct = side.nlp[r], side.correct[r]
                 try:
                     values.append(metric_value(metric, nlp, correct))

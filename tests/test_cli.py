@@ -269,6 +269,17 @@ def test_synth_config_mixture_lists(tmp_path):
     assert main(["synth", "--synth-config", str(cfg), "--out", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("key, value", [("n_trials", "abc"), ("p_correct", "high"),
+                                        ("mix_means_correct", "1,x")])
+def test_synth_config_value_that_does_not_parse_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = synth_cfg(tmp_path, family="mixture", **{key: value})
+    out = tmp_path / "never.jsonl"
+    assert main(["synth", "--synth-config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and repr(value) in err
+    assert not out.exists()
+
+
 # -- diagnose ------------------------------------------------------------------
 
 def test_diagnose_ideal_observer(tmp_path, capsys):

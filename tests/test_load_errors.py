@@ -325,8 +325,8 @@ def test_mixed_type_rows_load_to_the_same_columns(tmp_path, block):
     mixed = write(tmp_path, "jsonl", [json.dumps(m) for m, _ in MIXED], name="mixed")
     canonical = write(tmp_path, "jsonl", [json.dumps(c) for _, c in MIXED], name="canonical")
     assert_same_columns(load_trials(mixed), load_trials(canonical))
-    assert load_trials(mixed)[2].answer_text == "5"
-    assert load_trials(mixed)[1].answer_text is None
+    assert load_trials(mixed).records[2].answer_text == "5"
+    assert load_trials(mixed).records[1].answer_text is None
 
 
 def test_mixed_type_block_after_a_clean_block(tmp_path, monkeypatch):

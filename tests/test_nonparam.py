@@ -123,7 +123,7 @@ def test_auroc2_batch_equals_rank_sum_form_of_each_sample(trials, seed):
     rows = [rng.integers(0, len(nlp), size=rng.integers(1, 2 * len(nlp) + 1))
             for _ in range(rng.integers(1, 9))]
     keys, n_levels = level_keys(nlp, correct)
-    got = auroc2_batch(keys, n_levels, rows)
+    got = auroc2_batch(keys, n_levels, np.concatenate(rows), [len(r) for r in rows])
     want = [rank_sum_auroc2(nlp[r], correct[r]) for r in rows]
     np.testing.assert_array_equal(got, want)
 

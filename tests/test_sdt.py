@@ -6,9 +6,7 @@ import pytest
 from metadkit.binning import CountTable, pad_counts
 from metadkit.errors import DegenerateTable, NegativeMetaD, OutOfDomain, ZeroDPrime
 from metadkit.sdt import (
-    SdtFit,
     _nll_and_grad,
-    m_ratio,
     meta_d_fit,
     phi,
     phi_inv,
@@ -212,30 +210,6 @@ def test_iteration_cap_returns_best_point(monkeypatch):
     assert fit.iterations <= 4  # a couple of steps per restart at most
     assert np.isfinite(fit.log_likelihood)
     assert not fit.converged
-
-
-# -- m_ratio -------------------------------------------------------------------
-
-def _fit_with(meta_d, d_prime):
-    ratio = meta_d / d_prime if d_prime else float("nan")
-    return SdtFit(d_prime=d_prime, criterion_c=0.0, meta_d=meta_d,
-                  meta_c=0.0, t2_criteria_r1=(-0.3, -0.6, -0.9),
-                  t2_criteria_r2=(0.3, 0.6, 0.9), m_ratio=ratio,
-                  log_likelihood=-1.0)
-
-
-def test_m_ratio_reference_values():
-    assert m_ratio(_fit_with(0.493, 0.365)) == pytest.approx(1.351, abs=5e-4)
-    assert m_ratio(_fit_with(0.862, 0.559)) == pytest.approx(1.542, abs=5e-4)
-
-
-def test_m_ratio_identity():
-    assert m_ratio(_fit_with(0.73, 0.73)) == 1.0
-
-
-def test_m_ratio_zero_d_prime():
-    with pytest.raises(ZeroDPrime):
-        m_ratio(_fit_with(0.5, 0.0))
 
 
 def test_low_dprime_flag():

@@ -25,7 +25,7 @@ def test_generation_is_deterministic():
 def test_schema_conformance():
     trials = generate(SynthConfig(n_trials=20, p_correct=0.5, seed=3,
                                   domain="Arts", condition="2", format="q5_k_m"))
-    rec = trials[0]
+    rec = trials.records[0]
     assert rec.question_id == "q000001"
     assert rec.domain == "Arts" and rec.condition == "2" and rec.format == "q5_k_m"
     assert np.isfinite(rec.nlp)

@@ -40,9 +40,8 @@ def test_load_jsonl_identity(tmp_path):
     trials = load_trials(path)
     assert len(trials) == 4
     assert [r.question_id for r in trials] == ["q1", "q2", "q3", "q4"]
-    assert trials[1].answer_text == "a whale"
-    assert trials[0].answer_text is None
-    assert trials.provenance.source == str(path)
+    assert trials.records[1].answer_text == "a whale"
+    assert trials.records[0].answer_text is None
 
 
 def test_load_preserves_order_and_types(tmp_path):
@@ -50,8 +49,8 @@ def test_load_preserves_order_and_types(tmp_path):
     rows[0] = dict(rows[0], condition=1)  # ints normalize to strings
     path = write_jsonl(tmp_path / "t.jsonl", rows)
     trials = load_trials(path)
-    assert trials[0].condition == "1"
-    assert isinstance(trials[0].nlp, float)
+    assert trials.records[0].condition == "1"
+    assert isinstance(trials.records[0].nlp, float)
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -195,8 +194,8 @@ def test_columnar_queries_match_record_loops():
         assert a.question_ids() == list(dict.fromkeys(r.question_id for r in a))
         assert a.domain_counts() == dict(sorted(Counter(r.domain for r in a).items()))
         assert a.formats() == sorted({r.format for r in a})
-        sub = a.filter(format=a[0].format)
-        assert sub.records == tuple(r for r in a if r.format == a[0].format)
+        sub = a.filter(format=a.records[0].format)
+        assert sub.records == tuple(r for r in a if r.format == a.records[0].format)
         assert sub.domains() == sorted({r.domain for r in sub})
         assert sub.question_ids() == list(dict.fromkeys(r.question_id for r in sub))
 
