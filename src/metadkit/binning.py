@@ -9,8 +9,8 @@ tallied per correctness class: the incorrect-answer trials form one
 stimulus class and the correct-answer trials the other.
 
 ``quantile_bins`` and ``tally`` take samples laid end to end in one block
-(a bootstrap batch); ``bin_indices`` and ``counts_from_arrays`` are their
-sample of one.
+and are called only by ``profiles.type1_block``, the one block path;
+``bin_indices`` and ``counts_from_arrays`` are their sample of one.
 """
 
 from __future__ import annotations

@@ -22,34 +22,21 @@ converge) are counted and excluded, never retried; more than 1%
 undefined flags the result. A point estimate whose meta-d' fit did not
 converge is nan and flags the result too.
 
-A worker evaluates its chunk of ordinals in batches of up to FIT_BATCH
-consecutive ordinals. The id draws of a batch are one (B, n) block per
-stream (``_draw_batch``): the SeedSequence hashing runs over all of the
-batch's ordinals at once, each row's PCG64 is numpy's own seeded from its
-state, and one multiply-shift (Lemire's bounded draw, as numpy's
-``integers``) maps the block; a row where numpy would reject a word is
-redrawn by ``integers`` itself. Every row is bit for bit the stream
-above, so the contract is unchanged; tests/test_rng_contract.py holds
-the rows against the literal recipe. A paired b side reuses the a side's
-block. Each side lays the records of the batch's resamples end to end as
-one flat index into its columns, with each resample's record count
-(``_Side.block``): the draw block itself, viewed flat, when every id has
-one record, else every drawn id expanded to its run of records in a few
-whole-block steps. Each metric then computes the whole batch from it:
-
-- auroc2 tallies both classes per distinct nlp level of each side with
-  one offset bincount over the batch (``nonparam.auroc2_batch``), which
-  gives the average-rank Mann-Whitney value bit for bit;
-- d_prime, meta_d and m_ratio bin, tally, pad and type-1 fit each side's
-  resamples as one block; meta_d and m_ratio then fit all of the batch's
-  tables in one maximum-likelihood solve, each as it would be alone;
-- accuracy and nlp_gap alone still loop over the resamples, each
-  gathering its own slice of the index, so that ``ndarray.mean`` sums it
-  pairwise as it would alone.
-
-Every value is thus bit-identical to evaluating its resample alone, so
-the batch edges, and with them the worker count, leave the results
-unchanged. All contrasts of a hypothesis suite share one process pool.
+A worker evaluates its chunk of ordinals in batches of up to FIT_BATCH.
+The id draws of a batch are one (B, n) block per stream (``_draw_batch``,
+bit for bit the stream above; tests/test_rng_contract.py holds it to the
+literal recipe), which a paired b side reuses. Each side lays the
+records of the batch's resamples end to end as one flat index block
+(``_Side.block``), and each metric computes the whole batch from it:
+auroc2 with one offset bincount (``nonparam.auroc2_batch``); d_prime,
+meta_d and m_ratio through ``profiles.type1_block`` and, for meta_d and
+m_ratio, one ``sdt.meta_d_fit_batch`` solve; accuracy and nlp_gap by a
+loop over the resamples, so ``ndarray.mean`` sums each pairwise as it
+would alone. A point estimate is the identity block of a side's
+records in record order, through the same type1_block. Every value is
+bit-identical to evaluating its resample alone, so the batch edges, and
+with them the worker count, leave the results unchanged. All contrasts
+of a hypothesis suite share one process pool.
 """
 
 from __future__ import annotations
@@ -59,11 +46,12 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .binning import RatingScale, quantile_bins, tally
+from .binning import RatingScale
 from .errors import (
     EmptySet,
     MetadkitWarning,
@@ -76,14 +64,15 @@ from .errors import (
     ZeroDPrime,
 )
 from .nonparam import accuracy_arrays, auroc2_arrays, auroc2_batch, level_keys, nlp_gap_arrays
-from .profiles import fit_cell_arrays, type1_cell_arrays
-from .sdt import SdtFit, check_d_prime, meta_d_fit_batch, meta_d_fits, type1_batch
+from .profiles import DEFINED, fit_cell_arrays, raise_undefined, type1_block
+from .sdt import meta_d_fit_batch, sdt_fits
 from .trialstore import TrialSet, validate_paired
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 DEGENERATE_FRACTION_ALARM = 0.01
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
 _MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
+_FITTED = ("meta_d", "m_ratio")               # and meta-d' fitted
 _DEGENERATE_ERRORS = (OneClassOnly, TooFewTrials, ZeroDPrime, EmptySet)
 
 RULE_CI_LOWER_GT_ZERO = "ci_lower_gt_zero"
@@ -134,7 +123,7 @@ class HypothesisSpec:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        if self.rule == RULE_TOST and self.delta <= 0:
+        if self.rule == RULE_TOST and not self.delta > 0:     # nan included
             raise ValueError("tost rule needs delta > 0")
 
 
@@ -318,11 +307,12 @@ class _Job:
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
                  scale: RatingScale = RatingScale(), pad_value: float = 0.5) -> float:
-    """One named statistic over raw arrays, re-binning from scratch.
+    """One named statistic over raw arrays, re-binning from scratch (the
+    model-based ones as the identity block of profiles.type1_block).
 
-    Raises OneClassOnly / TooFewTrials / ZeroDPrime / EmptySet when the
-    statistic is undefined for this sample; meta_d and m_ratio are nan
-    when the meta-d' fit did not converge.
+    Raises OneClassOnly / TooFewTrials / ZeroDPrime (in that order) or
+    EmptySet when the statistic is undefined for this sample; meta_d and
+    m_ratio are nan when the meta-d' fit did not converge.
     """
     if metric == "accuracy":
         return accuracy_arrays(correct)
@@ -332,11 +322,11 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
         return auroc2_arrays(nlp, correct)
     if metric not in _MODEL:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    if correct.all() or not correct.any():
-        raise OneClassOnly("sensitivity metrics need both correctness classes")
-    if metric == "d_prime":
-        return type1_cell_arrays(nlp, correct, scale, pad_value)[1][0]
-    return _fit_value(metric, fit_cell_arrays(nlp, correct, scale, pad_value))
+    if metric in _FITTED:
+        fit = fit_cell_arrays(nlp, correct, scale, pad_value)
+        return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else np.nan
+    _, d_prime, _ = _identity_type1(metric, nlp, correct, scale, pad_value)
+    return float(d_prime[0])
 
 
 def _fitted_stat(metric: str, meta_d, d_prime):
@@ -344,23 +334,16 @@ def _fitted_stat(metric: str, meta_d, d_prime):
     return meta_d if metric == "meta_d" else meta_d / d_prime
 
 
-def _fit_value(metric: str, fit: SdtFit) -> float:
-    """meta_d or m_ratio of one fit, nan when the fit did not converge."""
-    return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else float("nan")
-
-
-def _point_cell(metric: str, trials: TrialSet, scale: RatingScale, pad_value: float):
-    """metric_value of ``trials`` short of its meta-d' solve, with the same
-    checks and errors: the value, or for meta_d and m_ratio the padded
-    table and its (d', c), still to be fitted."""
-    nlp, correct = trials.nlp_values, trials.correct_mask
-    if metric not in ("meta_d", "m_ratio"):
-        return metric_value(metric, nlp, correct, scale, pad_value)
-    if correct.all() or not correct.any():
-        raise OneClassOnly("sensitivity metrics need both correctness classes")
-    table, type1 = type1_cell_arrays(nlp, correct, scale, pad_value)
-    check_d_prime(type1[0])
-    return table, type1
+def _identity_type1(metric: str, nlp: np.ndarray, correct: np.ndarray, scale: RatingScale,
+                    pad_value: float):
+    """The padded table, d' and c (one row each) of one sample in input
+    order, the identity block of profiles.type1_block, raising
+    metric_value's error where ``metric`` is undefined for it."""
+    lengths = [len(correct)]
+    reasons, *type1 = type1_block(np.unique(nlp, return_inverse=True)[1], correct,
+                                  np.arange(lengths[0]), lengths, scale, pad_value)
+    raise_undefined(reasons, lengths, scale, meta_d=metric in _FITTED)
+    return type1
 
 
 def _blocks(job: _Job, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -407,41 +390,24 @@ def _batch_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.
     return values
 
 
-def _side_type1(job: _Job, side: _Side, index: np.ndarray, lengths: np.ndarray):
-    """One side's resamples binned (by nlp level), tallied, padded and
-    type-1 fitted as one block: the mask of those with both classes and
-    2 * n_bins rows or more, and their tables (B', 2, n_bins), d' and c."""
-    n_bins = job.scale.n_bins
-    levels = (side.keys >> 1).astype(np.int32)
-    bins = quantile_bins(levels[index], lengths, n_bins)
-    counts = tally(bins, side.correct[index], lengths, n_bins)
-    ok = (lengths >= 2 * n_bins) & counts.any(axis=2).all(axis=1)
-    tables = counts[ok] + job.pad_value
-    return (ok, tables) + type1_batch(tables)
-
-
 def _model_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """d_prime, meta_d or m_ratio of each side of each resample, nan where
-    it is undefined or the fit did not converge: each side is type-1
-    fitted as one block, then one batched meta-d' solve fits every table
-    of the batch whose d' is not 0."""
-    masks, tables, d_prime, criterion_c = zip(*(
-        _side_type1(job, side, *block) for side, block in zip(job.sides, blocks)))
-    valid = np.array(masks)
-    d_prime = np.concatenate(d_prime)
-    values = np.full(valid.shape, np.nan)
+    it is undefined or the fit did not converge: each side is one
+    profiles.type1_block, then one meta-d' solve fits every DEFINED table."""
+    reasons, tables, d_prime, criterion_c = (np.concatenate(part) for part in zip(*(
+        type1_block((side.keys >> 1).astype(np.int32), side.correct, *block, job.scale,
+                    job.pad_value)
+        for side, block in zip(job.sides, blocks))))
     if job.metric == "d_prime":
-        values[valid] = d_prime
-        return values
-    fitted = d_prime != 0.0         # meta-d' is undefined at d' = 0
-    valid[valid] = fitted
-    if valid.any():
+        return d_prime.reshape(len(blocks), -1)
+    values = np.full(len(reasons), np.nan)
+    fitted = reasons == DEFINED
+    if fitted.any():
         d_prime = d_prime[fitted]
-        fit = meta_d_fit_batch(np.concatenate(tables)[fitted], d_prime,
-                               np.concatenate(criterion_c)[fitted])
-        values[valid] = np.where(fit.converged,
-                                 _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
-    return values
+        fit = meta_d_fit_batch(tables[fitted], d_prime, criterion_c[fitted])
+        values[fitted] = np.where(fit.converged,
+                                  _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
+    return values.reshape(len(blocks), -1)
 
 
 def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
@@ -468,7 +434,7 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
            n_resamples: int, seed: int, ci_level: float, scale: RatingScale,
            pad_value: float, pairing: str = "paired"):
     """The RNG unit and resampling job of metric(a), or of metric(a) -
-    metric(b), the point cells of a (and b) (_point_cell), and its
+    metric(b), the point of each side in record order, and its
     BootstrapResult (ContrastResult) with no point estimate or CI yet.
 
     The a side draws ids from the stream of ``unit``; an independent b
@@ -492,33 +458,36 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
                     f"paired contrast needs identical question ids; "
                     f"missing={report.missing[:5]} extra={report.extra[:5]}")
 
-    cells = [_point_cell(metric, a, scale, pad_value)]
-    side_b = None
-    if b is not None:
-        cells.append(_point_cell(metric, b, scale, pad_value))
-        side_b = _side(b, None if pairing == "paired"
-                       else _stream_entropy(seed, domain, unit + "|b"))
+    # each side's point: the value, or for meta_d and m_ratio the type-1 still to be fitted
+    points = [_identity_type1(metric, s.nlp_values, s.correct_mask, scale, pad_value)
+              if metric in _FITTED else metric_value(metric, s.nlp_values, s.correct_mask,
+                                                     scale, pad_value)
+              for s in (a, b) if s is not None]
+    side_b = None if b is None else _side(b, None if pairing == "paired"
+                                          else _stream_entropy(seed, domain, unit + "|b"))
     job = _Job(metric, scale, pad_value, _side(a, _stream_entropy(seed, domain, unit)), side_b)
     fields = dict(metric=metric, domain=domain, ci_low=np.nan, ci_high=np.nan,
                   ci_level=ci_level, n_resamples=n_resamples, seed=seed)
-    return unit, job, cells, (BootstrapResult(point=np.nan, **fields) if b is None else
+    return unit, job, points, (BootstrapResult(point=np.nan, **fields) if b is None else
                               ContrastResult(hypothesis_id="", delta_hat=np.nan,
                                              pairing=pairing, contrast=label, **fields))
 
 
-def _with_points(setups: list) -> list:
-    """(unit, job, result) of each _setup (unit, job, cells, result), the
+def _with_points(setups: list, pad_value: float) -> list:
+    """(unit, job, result) of each _setup (unit, job, points, result), the
     result with its point estimate: metric(a), or metric(a) - metric(b),
-    flagged when nan (a point fit that did not converge). One meta_d_fits
-    solve fits every cell of the call; the fits, and their warnings, are
-    taken in (setup, side) order, as setting up one at a time would."""
-    pending = [cell for _, _, cells, _ in setups for cell in cells if isinstance(cell, tuple)]
-    fits = meta_d_fits([table for table, _ in pending], [type1 for _, type1 in pending])
+    flagged when nan (a point fit that did not converge). One sdt_fits
+    solve fits every meta_d and m_ratio point of the call, its fits and
+    warnings taken in (setup, side) order, as one setup at a time would."""
+    pending = [point for _, job, points, _ in setups if job.metric in _FITTED
+               for point in points]
+    fits = sdt_fits(*map(np.concatenate, zip(*pending)), pad_value) if pending else None
     out = []
-    for unit, job, cells, result in setups:
-        values = [_fit_value(job.metric, next(fits)) if isinstance(cell, tuple) else cell
-                  for cell in cells]
-        point = values[0] - values[1] if job.b is not None else values[0]
+    for unit, job, points, result in setups:
+        if job.metric in _FITTED:
+            points = [_fitted_stat(job.metric, fit.meta_d, fit.d_prime) if fit.converged
+                      else np.nan for fit in islice(fits, len(points))]
+        point = points[0] - points[1] if job.b is not None else points[0]
         out.append((unit, job, replace(result, flagged_degenerate=bool(np.isnan(point)),
                                        **{"point" if job.b is None else "delta_hat": point})))
     return out
@@ -553,7 +522,7 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     bins recomputed per resample for the model-based metrics).
     """
     (unit, job, result), = _with_points([_setup(trials, None, metric, metric, n_resamples,
-                                                 seed, ci_level, scale, pad_value)])
+                                                 seed, ci_level, scale, pad_value)], pad_value)
     return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
 
 
@@ -569,7 +538,8 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     ``"independent"`` resamples each side from its own id list.
     """
     (unit, job, result), = _with_points([_setup(trials_a, trials_b, metric, unit, n_resamples,
-                                                 seed, ci_level, scale, pad_value, pairing)])
+                                                 seed, ci_level, scale, pad_value, pairing)],
+                                        pad_value)
     return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
 
 
@@ -593,7 +563,7 @@ def check_tost_ci_level(ci_level: float) -> None:
 def tost(contrast: ContrastResult, delta: float) -> str:
     """Equivalence decision: 90% CI strictly inside (-delta, +delta)."""
     check_tost_ci_level(contrast.ci_level)
-    if delta <= 0:
+    if not delta > 0:       # nan included
         raise ValueError("delta must be positive")
     equivalent = (-delta < contrast.ci_low) and (contrast.ci_high < delta)
     return "equivalent" if equivalent else "not_equivalent"
@@ -642,7 +612,7 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
             specs_run.append(spec)
             setups.append(_setup(a, b, spec.metric, unit, n_resamples, seed, spec.ci_level,
                                  scale, pad_value, pairing))
-    contrasts = _with_points(setups)
+    contrasts = _with_points(setups, pad_value)
     stats = _run_jobs([job for _, job, _ in contrasts], n_resamples, workers)
     return [decide(replace(_with_ci(result, unit, unit_stats), hypothesis_id=spec.id),
                    spec.rule, spec.delta)

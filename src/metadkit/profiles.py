@@ -4,6 +4,15 @@ A DomainProfile is one row of the diagnostic tables: trial count,
 accuracy, the model-based sensitivities (d', meta-d', M-ratio), the
 rank-based ones (Type-2 AUROC, NLP gap), and the domain's rank within its
 (condition, format) profile set for M-ratio and AUROC.
+
+Every model-based number passes one block path, ``type1_block``, then
+``sdt.sdt_fits`` or ``sdt.meta_d_fit_batch``: build_profiles lays all
+cells of a call end to end, the bootstrap a batch of resamples, and a
+point estimate is the identity block (one sample in record order). Its
+batches of one: ``fit_cell_arrays``, ``bootstrap.metric_value``,
+``binning.bin_indices``, ``binning.counts_from_arrays``,
+``binning.pad_counts`` of a ``CountTable``, ``sdt.type1_fit`` and
+``sdt.meta_d_fit``.
 """
 
 from __future__ import annotations
@@ -14,13 +23,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binning import CountTable, RatingScale, bin_indices, counts_from_arrays, pad_counts
-from .errors import DomainMismatch, MixedProfileSet, TiedRanks, TooFewTrials
+from .binning import DEFAULT_PAD_VALUE, RatingScale, bin_indices, quantile_bins, tally
+from .errors import DomainMismatch, MixedProfileSet, OneClassOnly, TiedRanks, TooFewTrials
 from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays, spearman_rho
-from .sdt import SdtFit, check_d_prime, meta_d_fit, meta_d_fits, type1_fit
+from .sdt import SdtFit, check_d_prime, sdt_fits, type1_batch
 from .trialstore import TrialSet
 
+# looked up here by name by perfbench/spans.py only
+from .binning import counts_from_arrays, pad_counts  # noqa: F401
+from .sdt import meta_d_fit, type1_fit  # noqa: F401
+
 RANK_METRICS = ("m_ratio", "auroc2")
+# why a sample's statistic is undefined, in the order they are checked
+DEFINED, ONE_CLASS, TOO_FEW, ZERO_D_PRIME = range(4)
 
 
 @dataclass(frozen=True)
@@ -41,90 +56,115 @@ class DomainProfile:
     fit_converged: bool = True
 
 
-def type1_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
-                      scale: RatingScale = RatingScale(),
-                      pad_value: float = 0.5,
-                      bins: np.ndarray | None = None) -> tuple[CountTable, tuple[float, float]]:
-    """Bin, tally, pad, and type-1 fit one analysis cell: the padded count
-    table and its (d', c).
+def type1_block(levels: np.ndarray | None, correct: np.ndarray, index: np.ndarray, lengths,
+                scale: RatingScale = RatingScale(), pad_value: float = DEFAULT_PAD_VALUE,
+                bins: np.ndarray | None = None):
+    """Bin, tally, pad and type-1 fit every sample of a block: the records
+    ``index`` laid end to end, sample j having lengths[j] of them.
 
-    ``bins`` overrides the quantile binning (used when the binning scope
-    is wider than the cell); otherwise quantiles are computed within the
-    cell itself. A cell needs at least 2 * n_bins trials: one per
-    (stimulus class, bin) on average.
+    ``levels`` code each record's nlp (codes over any superset of a sample
+    bin it as bin_indices would); ``bins`` (1..n_bins per record) replace
+    the quantile binning when the binning scope is wider than a sample.
+    Returns each sample's reason (DEFINED, else ONE_CLASS, TOO_FEW: under
+    2 * n_bins records, or ZERO_D_PRIME, checked in that order), its
+    padded (B, 2, n_bins) table, row 0 incorrect, and its d' and c (nan
+    for ONE_CLASS and TOO_FEW).
     """
-    if len(nlp) < 2 * scale.n_bins:
-        raise TooFewTrials(len(nlp), 2 * scale.n_bins, "a diagnostic cell fit")
+    n_bins = scale.n_bins
+    lengths = np.asarray(lengths)
     if bins is None:
-        bins = bin_indices(nlp, scale.n_bins)
-    ci, cc = counts_from_arrays(bins, correct, scale.n_bins)
-    table = pad_counts(CountTable(scale.n_ratings, ci, cc), pad_value)
-    return table, type1_fit(table)
+        bins = quantile_bins(levels[index], lengths, n_bins)
+    elif len(bins) and (bins.min() < 1 or bins.max() > n_bins):
+        raise ValueError(f"bin index outside 1..{n_bins}")
+    else:
+        bins = bins[index] - 1
+    counts = tally(bins, correct[index], lengths, n_bins)
+    reasons = np.where(counts.any(axis=2).all(axis=1),
+                       np.where(lengths < 2 * n_bins, TOO_FEW, DEFINED), ONE_CLASS)
+    tables = counts + pad_value
+    d_prime, criterion_c = np.full((2, len(lengths)), np.nan)
+    fitted = reasons == DEFINED
+    d_prime[fitted], criterion_c[fitted] = type1_batch(tables[fitted])
+    reasons[fitted & (d_prime == 0.0)] = ZERO_D_PRIME
+    return reasons, tables, d_prime, criterion_c
 
 
-def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray,
-                    scale: RatingScale = RatingScale(),
-                    pad_value: float = 0.5,
+def raise_undefined(reasons: np.ndarray, lengths, scale: RatingScale = RatingScale(),
+                    meta_d: bool = True) -> None:
+    """Raise the error of the first sample of a type1_block whose statistic
+    is undefined; a d' of 0 is an error only when ``meta_d`` is fitted."""
+    for j in np.flatnonzero((reasons != DEFINED) & (meta_d | (reasons != ZERO_D_PRIME)))[:1]:
+        if reasons[j] == ONE_CLASS:
+            raise OneClassOnly("sensitivity metrics need both correctness classes")
+        if reasons[j] == TOO_FEW:
+            raise TooFewTrials(int(lengths[j]), 2 * scale.n_bins, "a diagnostic cell fit")
+        check_d_prime(0.0)
+
+
+def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray, scale: RatingScale = RatingScale(),
+                    pad_value: float = DEFAULT_PAD_VALUE,
                     bins: np.ndarray | None = None) -> SdtFit:
-    """type1_cell_arrays followed by the meta-d' fit of the cell."""
-    return meta_d_fit(*type1_cell_arrays(nlp, correct, scale, pad_value, bins))
+    """The SdtFit of one cell, its records in input order as the identity
+    block of type1_block, binned by ``bins`` if given or else within the
+    cell. Raises OneClassOnly, TooFewTrials or ZeroDPrime, in that order."""
+    lengths = [len(correct)]
+    reasons, tables, d_prime, criterion_c = type1_block(
+        np.unique(nlp, return_inverse=True)[1], correct, np.arange(lengths[0]), lengths, scale,
+        pad_value, None if bins is None else np.asarray(bins))
+    raise_undefined(reasons, lengths, scale)
+    return next(sdt_fits(tables, d_prime, criterion_c, pad_value))
 
 
 def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
-                   pad_value: float = 0.5,
+                   pad_value: float = DEFAULT_PAD_VALUE,
                    binning_scope: str = "per_cell") -> list[DomainProfile]:
     """One ranked DomainProfile per (condition, format, domain) cell.
 
     ``binning_scope`` is ``"per_cell"`` (quantiles within each domain cell,
     the default) or ``"global"`` (quantiles over all domains of a
-    (condition, format) pair, count tables still per domain).
+    (condition, format) set in record order, count tables still per
+    domain).
 
-    Each cell is binned, tallied and type-1 fitted in turn, with its
-    rank-based metrics; then one batched solve (``sdt.meta_d_fits``) fits
-    meta-d' for every cell of the call. A cell's fit is the same bit for
-    bit as fitting it alone, and the profiles, the errors and the warnings
-    are those of fitting the cells one at a time with fit_cell_arrays,
-    except that a build that raises emits no meta-d' warnings.
+    Every cell, its records in record order, is one sample of one
+    type1_block; the first undefined cell raises, and one sdt_fits solve
+    fits every cell. The profiles, errors and warnings are those of
+    fit_cell_arrays on one cell at a time.
     """
     if binning_scope not in ("per_cell", "global"):
         raise ValueError(f"unknown binning_scope {binning_scope!r}")
-    groups: list[list[dict]] = []   # per (condition, format): its cells
-    tables: list[CountTable] = []
-    type1s: list[tuple[float, float]] = []
-    for condition in trials.conditions():
-        for format in trials.formats():
-            cf = trials.filter(condition=condition, format=format)
-            if len(cf) == 0:
-                continue
-            shared_bins = (bin_indices(cf.nlp_values, scale.n_bins)
-                           if binning_scope == "global" else None)
-            domain_codes, domains = cf.codes("domain")
-            cells = []
-            for code, domain in enumerate(domains.tolist()):
-                mask = domain_codes == code
-                nlp = cf.nlp_values[mask]
-                correct = cf.correct_mask[mask]
-                bins = shared_bins[mask] if shared_bins is not None else None
-                table, type1 = type1_cell_arrays(nlp, correct, scale, pad_value, bins=bins)
-                check_d_prime(type1[0])     # raises before this cell's rank metrics can
-                tables.append(table)
-                type1s.append(type1)
-                cells.append(dict(domain=domain, condition=condition, format=format,
-                                  n=int(mask.sum()), accuracy=accuracy_arrays(correct),
-                                  auroc2=auroc2_arrays(nlp, correct),
-                                  nlp_gap=nlp_gap_arrays(nlp, correct)))
-            groups.append(cells)
+    nlp, correct = trials.nlp_values, trials.correct_mask
+    (condition_codes, conditions), (format_codes, formats), (domain_codes, domains) = (
+        trials.codes(field) for field in ("condition", "format", "domain"))
+    pair = condition_codes * len(formats) + format_codes    # each record's (condition, format)
+    cell = pair * len(domains) + domain_codes
+    index = np.argsort(cell, kind="stable")     # the cells end to end, each in record order
+    cells, lengths = np.unique(cell, return_counts=True)
+    bins = None
+    if binning_scope == "global":   # a set too small to bin has no defined cell: any bin will do
+        bins = np.ones(len(trials), dtype=np.int64)
+        for members in (pair == p for p in np.unique(pair)):
+            if members.sum() >= scale.n_bins:
+                bins[members] = bin_indices(nlp[members], scale.n_bins)
+    levels = np.unique(nlp, return_inverse=True)[1] if bins is None else None
+    reasons, tables, d_prime, criterion_c = type1_block(levels, correct, index, lengths,
+                                                        scale, pad_value, bins)
+    raise_undefined(reasons, lengths, scale)
 
     # taking the fits one (condition, format) set at a time puts each
     # cell's fit warnings before the set's rank warnings
-    fits = meta_d_fits(tables, type1s)
+    fits = sdt_fits(tables, d_prime, criterion_c, pad_value)
+    records = np.split(index, np.cumsum(lengths)[:-1])
     profiles: list[DomainProfile] = []
-    for cells in groups:
+    for p in np.unique(cells // len(domains)):
         cell_profiles = []
-        for cell in cells:
-            fit = next(fits)
+        for j in np.flatnonzero(cells // len(domains) == p):
+            r, fit = records[j], next(fits)
             cell_profiles.append(DomainProfile(
-                **cell, d_prime=fit.d_prime, meta_d=fit.meta_d, m_ratio=fit.m_ratio,
+                domain=domains[cells[j] % len(domains)], condition=conditions[p // len(formats)],
+                format=formats[p % len(formats)], n=len(r), accuracy=accuracy_arrays(correct[r]),
+                d_prime=fit.d_prime, meta_d=fit.meta_d, m_ratio=fit.m_ratio,
+                auroc2=auroc2_arrays(nlp[r], correct[r]),
+                nlp_gap=nlp_gap_arrays(nlp[r], correct[r]),
                 low_dprime_warning=fit.low_dprime_warning, fit_converged=fit.converged))
         for metric in RANK_METRICS:
             cell_profiles = rank_profile(cell_profiles, metric)

@@ -26,16 +26,16 @@ its line search, or the iteration cap) counts as converged when its
 gradient norm is at most ACCEPT_GRAD or no step the objective can resolve
 is left. Restarts (large |c'|, a fit at the meta_d = 0 boundary) are
 extra rows, and each table keeps its best row. meta_d_fit_batch serves
-the bootstrap; meta_d_fits adds the per-table checks, warnings and SdtFit
-results for the diagnostic profiles, and meta_d_fit is its batch of one.
-A table's fit is the same bit for bit alone or in any batch.
+the resamples; sdt_fits adds the warnings and SdtFit results for the
+profiles and point estimates, and meta_d_fit is its batch of one. A
+table's fit is the same bit for bit alone or in any batch.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -378,7 +378,7 @@ def meta_d_fit_batch(counts: np.ndarray, d_prime: np.ndarray,
     meta_d = 0 a stationary point even where the likelihood still rises
     with meta_d, so a table whose best fit lands there starts again at
     0.3 and max(1, 2 meta_d0). Each table keeps its best start (the first
-    one on a tie). Emits no warnings; meta_d_fit adds those.
+    one on a tie). Emits no warnings; sdt_fits adds those.
     """
     counts = np.asarray(counts, dtype=float)
     d_prime = np.asarray(d_prime, dtype=float)
@@ -432,62 +432,44 @@ def meta_d_fit_batch(counts: np.ndarray, d_prime: np.ndarray,
                                            minlength=n).astype(np.int64))
 
 
-def _one_response_side(table: CountTable) -> bool:
-    """Whether all of a padded table's raw mass lies on one response side."""
-    k = table.n_ratings - 1
-    pad = table.pad_value
-    lower_raw = (table.counts_incorrect[: k + 1].sum()
-                 + table.counts_correct[: k + 1].sum() - 2 * (k + 1) * pad)
-    upper_raw = (table.counts_incorrect[k + 1:].sum()
-                 + table.counts_correct[k + 1:].sum() - 2 * (k + 1) * pad)
-    return min(lower_raw, upper_raw) <= 1e-12
+def _one_response_side(counts: np.ndarray, pad_value: float) -> np.ndarray:
+    """Whether all of each padded table's raw mass lies on one response side."""
+    half = counts.shape[2] // 2
+    pad = 2 * half * pad_value
+    lower_raw = counts[:, 0, :half].sum(axis=1) + counts[:, 1, :half].sum(axis=1) - pad
+    upper_raw = counts[:, 0, half:].sum(axis=1) + counts[:, 1, half:].sum(axis=1) - pad
+    return np.minimum(lower_raw, upper_raw) <= 1e-12
 
 
-def meta_d_fits(tables: Sequence[CountTable],
-                type1s: Sequence[tuple[float, float]]) -> Iterator[SdtFit]:
-    """meta_d_fit of each padded table with its (d', c), from one
-    meta_d_fit_batch solve; the tables share n_ratings.
+def sdt_fits(counts: np.ndarray, d_prime, criterion_c, pad_value: float) -> Iterator[SdtFit]:
+    """The SdtFit of every table in ``counts`` (B, 2, 2 * n_ratings), each
+    padded by ``pad_value`` and with its type-1 (d', c), d' not 0, from one
+    meta_d_fit_batch solve.
 
-    An iterator: at the first fit taken, every table is checked in order
-    (padded, non-zero d') and then all are solved together. Each table's
-    warnings are emitted as its fit is taken, so a caller that takes the
-    fits one at a time between warnings of its own emits them all in the
-    order a loop of meta_d_fit would.
+    An iterator: the solve runs at the first fit taken, and each table's
+    DegenerateResponse and NegativeMetaD warnings as its fit is taken, so a
+    caller that takes the fits one at a time between warnings of its own
+    emits them all in the order fitting one table at a time would.
     """
-    d_prime = np.array([float(type1[0]) for type1 in type1s])
-    criterion_c = np.array([float(type1[1]) for type1 in type1s])
-    for table, d in zip(tables, d_prime):
-        if not table.padded:
-            raise NumericalError("meta_d_fit requires a padded count table")
-        check_d_prime(d)
-    if not tables:
+    if not len(counts):
         return
-    counts = np.array([(table.counts_incorrect, table.counts_correct) for table in tables],
-                      dtype=float)
     fit = meta_d_fit_batch(counts, d_prime, criterion_c)
-    for i, table in enumerate(tables):
-        if _one_response_side(table):
+    one_side = _one_response_side(counts, pad_value)
+    k = counts.shape[2] // 2 - 1
+    for i, crit in enumerate(fit.criteria):
+        if one_side[i]:
             warnings.warn("all raw mass on one response side; type-2 criteria on the "
                           "empty side are weakly identified", DegenerateResponse, stacklevel=2)
         meta_d, d = float(fit.meta_d[i]), float(d_prime[i])
         if meta_d == 0.0:
             warnings.warn("fitted meta-d' is at its lower bound of 0; confidence carried "
                           "no (or anti-) information", NegativeMetaD, stacklevel=2)
-        k = table.n_ratings - 1
-        crit = fit.criteria[i]
-        yield SdtFit(
-            d_prime=d,
-            criterion_c=float(criterion_c[i]),
-            meta_d=meta_d,
-            meta_c=float(crit[k]),
-            t2_criteria_r1=tuple(float(c) for c in crit[:k][::-1]),
-            t2_criteria_r2=tuple(float(c) for c in crit[k + 1:]),
-            m_ratio=meta_d / d,
-            log_likelihood=float(fit.log_likelihood[i]),
-            converged=bool(fit.converged[i]),
-            iterations=int(fit.iterations[i]),
-            low_dprime_warning=bool(d < LOW_DPRIME_THRESHOLD),
-        )
+        yield SdtFit(d_prime=d, criterion_c=float(criterion_c[i]), meta_d=meta_d,
+                     meta_c=float(crit[k]), t2_criteria_r1=tuple(map(float, crit[:k][::-1])),
+                     t2_criteria_r2=tuple(map(float, crit[k + 1:])), m_ratio=meta_d / d,
+                     log_likelihood=float(fit.log_likelihood[i]),
+                     converged=bool(fit.converged[i]), iterations=int(fit.iterations[i]),
+                     low_dprime_warning=bool(d < LOW_DPRIME_THRESHOLD))
 
 
 def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
@@ -496,9 +478,14 @@ def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
     ``type1`` is the (d_prime, criterion_c) pair whose relative criterion
     the type-2 model inherits. Returns the full SdtFit; a solve that
     stops short of convergence (see _newton) returns the best point found
-    with converged=False. The fit is meta_d_fits on a batch of one.
+    with converged=False. The fit is sdt_fits on a batch of one.
     """
-    return next(meta_d_fits([table], [type1]))
+    if not table.padded:
+        raise NumericalError("meta_d_fit requires a padded count table")
+    d_prime, criterion_c = float(type1[0]), float(type1[1])
+    check_d_prime(d_prime)
+    return next(sdt_fits(np.array([[table.counts_incorrect, table.counts_correct]]),
+                         [d_prime], [criterion_c], table.pad_value))
 
 
 def predicted_count_table(meta_d: float, type1: tuple[float, float],

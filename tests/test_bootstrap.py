@@ -26,7 +26,7 @@ from metadkit.errors import (
     WrongCiLevel,
     ZeroDPrime,
 )
-from metadkit.sdt import meta_d_fits, type1_fit
+from metadkit.sdt import sdt_fits, type1_fit
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
 
@@ -225,6 +225,18 @@ def test_tost_boundary_is_exclusive():
 def test_tost_requires_90_percent_ci():
     with pytest.raises(WrongCiLevel):
         tost(contrast_with(-0.05, 0.05, ci_level=0.95), 0.17)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.17, float("nan")])
+def test_tost_margin_must_be_positive(delta):
+    """A nan margin fails every comparison, so it is rejected as one that
+    is not > 0, as RunConfig rejects a nan tost_delta."""
+    with pytest.raises(ValueError, match="delta"):
+        HypothesisSpec("H2", "2", "1", ("History",), "tost", delta=delta, ci_level=0.90)
+    with pytest.raises(ValueError, match="delta"):
+        tost(contrast_with(-0.05, 0.05), delta)
+    with pytest.raises(ValueError, match="delta"):
+        decide(contrast_with(-0.05, 0.05), "tost", delta)
 
 
 def test_decide_lower_bound_rule():
@@ -484,31 +496,34 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     return reasons
 
 
+STALLED = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
+
+
 def stall_every_fourth_table(monkeypatch):
-    """Make the 1st, 5th, 9th, ... resample table type-1 fitted the
+    """Make the 1st, 5th, 9th, ... resample table meta-d' fitted the
     d' = 0.054, c' = 24.4 table whose meta-d' fit does not converge (its
     trial-level form is in tests/test_cli.py)."""
-    stalled = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
-    real = bootstrap._side_type1
+    real = bootstrap.meta_d_fit_batch
     seen = [0]
 
-    def side_type1(*args):
-        ok, tables, d_prime, criterion_c = real(*args)
-        stall = (seen[0] + np.arange(len(tables))) % 4 == 0
-        seen[0] += len(tables)
-        tables[stall] = stalled.counts_incorrect, stalled.counts_correct
-        d_prime[stall], criterion_c[stall] = type1_fit(stalled)
-        return ok, tables, d_prime, criterion_c
+    def fit_batch(counts, d_prime, criterion_c):
+        counts, d_prime, criterion_c = counts.copy(), d_prime.copy(), criterion_c.copy()
+        stall = (seen[0] + np.arange(len(counts))) % 4 == 0
+        seen[0] += len(counts)
+        counts[stall] = STALLED.counts_incorrect, STALLED.counts_correct
+        d_prime[stall], criterion_c[stall] = type1_fit(STALLED)
+        return real(counts, d_prime, criterion_c)
 
-    monkeypatch.setattr(bootstrap, "_side_type1", side_type1)
+    monkeypatch.setattr(bootstrap, "meta_d_fit_batch", fit_batch)
 
 
 def stall_point_fits(monkeypatch):
-    """Make every point-estimate fit the stalled table of
-    stall_every_fourth_table (resample fits are unchanged)."""
-    stalled = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
-    monkeypatch.setattr(bootstrap, "meta_d_fits", lambda tables, type1s: meta_d_fits(
-        [stalled] * len(tables), [type1_fit(stalled)] * len(tables)))
+    """Make every point-estimate fit (bootstrap.sdt_fits) the stalled table
+    of stall_every_fourth_table (resample fits are unchanged)."""
+    d_prime, criterion_c = type1_fit(STALLED)
+    monkeypatch.setattr(bootstrap, "sdt_fits", lambda counts, *_: sdt_fits(
+        np.repeat([[STALLED.counts_incorrect, STALLED.counts_correct]], len(counts), axis=0),
+        [d_prime] * len(counts), [criterion_c] * len(counts), STALLED.pad_value))
 
 
 @pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])

@@ -16,7 +16,7 @@ from metadkit.cli import (
     main,
     parse_kv_file,
 )
-from metadkit.errors import ConfigError, MetadkitWarning
+from metadkit.errors import ConfigError, DegenerateTable, MetadkitWarning
 from metadkit.profiles import build_profiles
 from metadkit.trialstore import TrialSet, save_trials
 from tests.conftest import gaussian_trials, make_trials
@@ -342,6 +342,31 @@ def test_diagnose_flags_only_fits_that_did_not_converge(tmp_path, capsys, incorr
     notes = (out_dir / "notes.md").read_text(encoding="utf-8")
     assert ("(1, f16, Arts): sensitivity fit did not converge" in notes) is not converged
     assert "Science): sensitivity fit did not converge" not in notes
+
+
+@pytest.mark.parametrize("command, config", [
+    (["diagnose"], ""),
+    (["diagnose"], "pad_value = 0\n"),
+    (["diagnose", "--binning-scope", "global"], ""),
+    (["confirm", "--resamples", "10"], ""),
+])
+def test_a_one_class_cell_is_the_same_data_error_on_every_path(tmp_path, capsys, command, config):
+    """Every History answer correct: the first one-class cell raises
+    OneClassOnly, whatever the binning scope or the padding."""
+    from tests.test_bootstrap import four_condition_trials
+    trials = four_condition_trials(np.random.default_rng(5), 40)
+    trials = TrialSet([replace(r, correct=True) if r.domain == "History" else r
+                       for r in trials.records])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command, "--trials", str(write_trials(tmp_path, trials)),
+                     "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == \
+        "data error: sensitivity metrics need both correctness classes\n"
+    assert not [w for w in caught if issubclass(w.category, DegenerateTable)]
 
 
 def test_diagnose_missing_trials_flag_is_config_error(tmp_path):

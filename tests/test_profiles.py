@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from metadkit.binning import RatingScale, bin_indices
+from metadkit.bootstrap import bootstrap_metric, metric_value
 from metadkit.errors import (
     DegenerateResponse,
     DomainMismatch,
+    MetadkitWarning,
     MixedProfileSet,
     NegativeMetaD,
+    OneClassOnly,
     TiedRanks,
+    TooFewTrials,
     ZeroDPrime,
 )
 from metadkit.nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays
@@ -23,7 +27,7 @@ from metadkit.profiles import (
     rank_profile,
 )
 from metadkit.trialstore import TrialSet
-from tests.conftest import gaussian_trials
+from tests.conftest import gaussian_trials, make_trials
 
 
 def profile(domain, m_ratio=1.0, auroc2=0.65, format="f16", condition="1", **kwargs):
@@ -289,3 +293,62 @@ def test_build_profiles_raises_the_first_cells_error():
     with pytest.raises(ZeroDPrime) as got:
         build_profiles(trials, binning_scope="global")
     assert str(got.value) == str(expected.value)
+
+
+# cells with one or two faults, and the error each raises: a one-class cell
+# is OneClassOnly even when it is also too small, as metric_value checks
+ONE_CLASS_ERROR = (OneClassOnly, "sensitivity metrics need both correctness classes")
+TOO_FEW_ERROR = (TooFewTrials, "a diagnostic cell fit needs at least 16 trials, got 10")
+ZERO_D_PRIME_ERROR = (ZeroDPrime, "meta-d' undefined at d' = 0")
+FAULTY_CELLS = {
+    "too_few_and_one_class": (np.arange(10.0), [True] * 10, ONE_CLASS_ERROR),
+    "too_few": (np.arange(10.0), [i % 2 == 0 for i in range(10)], TOO_FEW_ERROR),
+    # each class splits 4 / 4 at the median: HR = FAR = 0.5
+    "zero_d_prime": (np.arange(16.0), [i % 2 == 1 for i in range(16)], ZERO_D_PRIME_ERROR),
+    "one_class": (np.linspace(-1.0, 1.0, 40), [False] * 40, ONE_CLASS_ERROR),
+}
+
+
+def faulty_cells(*kinds):
+    """One domain per kind, in that (alphabetical) order."""
+    records = []
+    for i, kind in enumerate(kinds):
+        nlp, correct, _ = FAULTY_CELLS[kind]
+        records += make_trials(nlp, correct, domain=f"D{i}", qid_prefix=f"d{i}_").records
+    return TrialSet(records)
+
+
+def assert_raises(error, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        with pytest.raises(error[0]) as raised:
+            call()
+    assert str(raised.value) == error[1]
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTY_CELLS))
+def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
+    nlp, correct, error = FAULTY_CELLS[kind]
+    nlp, correct = np.asarray(nlp), np.asarray(correct)
+    trials = faulty_cells(kind)
+    for metric in ("meta_d", "m_ratio"):
+        assert_raises(error, lambda: metric_value(metric, nlp, correct))
+        assert_raises(error, lambda: bootstrap_metric(trials, metric, n_resamples=1))
+    assert_raises(error, lambda: fit_cell_arrays(nlp, correct))
+    for binning_scope in ("per_cell", "global"):
+        assert_raises(error, lambda: build_profiles(trials, binning_scope=binning_scope))
+    if error is ZERO_D_PRIME_ERROR:     # d' itself is defined, and 0
+        assert metric_value("d_prime", nlp, correct) == 0.0
+        assert bootstrap_metric(trials, "d_prime", n_resamples=1).point == 0.0
+    else:
+        assert_raises(error, lambda: metric_value("d_prime", nlp, correct))
+
+
+@pytest.mark.parametrize("kinds, error", [
+    (("zero_d_prime", "one_class"), ZERO_D_PRIME_ERROR),
+    (("one_class", "zero_d_prime"), ONE_CLASS_ERROR),
+    (("too_few", "too_few_and_one_class"), TOO_FEW_ERROR),
+    (("too_few_and_one_class", "too_few"), ONE_CLASS_ERROR),
+])
+def test_build_profiles_raises_the_error_of_the_first_faulty_cell(kinds, error):
+    assert_raises(error, lambda: build_profiles(faulty_cells(*kinds)))
