@@ -128,7 +128,8 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     Every cell, its records in record order, is one sample of one
     type1_block; the first undefined cell raises, and one sdt_fits solve
     fits every cell. The profiles, errors and warnings are those of
-    fit_cell_arrays on one cell at a time.
+    fit_cell_arrays on one cell at a time, except that a build that
+    raises has emitted no fit warning.
     """
     if binning_scope not in ("per_cell", "global"):
         raise ValueError(f"unknown binning_scope {binning_scope!r}")
