@@ -402,11 +402,10 @@ def _model_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.
         return d_prime.reshape(len(blocks), -1)
     values = np.full(len(reasons), np.nan)
     fitted = reasons == DEFINED
-    if fitted.any():
-        d_prime = d_prime[fitted]
-        fit = meta_d_fit_batch(tables[fitted], d_prime, criterion_c[fitted])
-        values[fitted] = np.where(fit.converged,
-                                  _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
+    d_prime = d_prime[fitted]
+    fit = meta_d_fit_batch(tables[fitted], d_prime, criterion_c[fitted])
+    values[fitted] = np.where(fit.converged, _fitted_stat(job.metric, fit.meta_d, d_prime),
+                              np.nan)
     return values.reshape(len(blocks), -1)
 
 

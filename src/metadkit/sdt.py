@@ -19,16 +19,19 @@ keeps its digits when a criterion sits far in a tail.
 
 The likelihood is maximized by a Newton solve that runs many tables at
 once: a (B, 2, 2 * n_ratings) count tensor, its analytic gradient and
-Hessian, eigenvalues made positive so every step goes downhill, and a
-per-row backtracking line search. A row stops when the largest gradient
-component is at most GTOL; a row that stops short of it (rounding stalls
-its line search, or the iteration cap) counts as converged when its
-gradient norm is at most ACCEPT_GRAD or no step the objective can resolve
-is left. Restarts (large |c'|, a fit at the meta_d = 0 boundary) are
-extra rows, and each table keeps its best row. meta_d_fit_batch serves
-the resamples; sdt_fits adds the warnings and SdtFit results for the
-profiles and point estimates, and meta_d_fit is its batch of one. A
-table's fit is the same bit for bit alone or in any batch.
+Hessian (its outer-product part one batched matmul), a step from the
+Cholesky factor where the Hessian is positive definite and from its
+eigendecomposition with the eigenvalues made positive elsewhere, so every
+step goes downhill, and a per-row backtracking line search. A row stops
+when the largest gradient component is at most GTOL; a row that stops
+short of it (rounding stalls its line search, or the iteration cap)
+counts as converged when its gradient norm is at most ACCEPT_GRAD or no
+step the objective can resolve is left. Restarts (large |c'|, a fit at
+the meta_d = 0 boundary) are extra rows, and each table keeps its best
+row. meta_d_fit_batch serves the resamples; sdt_fits adds the warnings
+and SdtFit results for the profiles and point estimates, and meta_d_fit
+is its batch of one. A table's fit is the same bit for bit alone or in
+any batch.
 """
 
 from __future__ import annotations
@@ -212,10 +215,10 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
 
     # derivatives of the criteria and of the class means; both are
     # diagonal in their second derivatives
-    n_par = 1 + 2 * k
+    n, n_par = len(t), 1 + 2 * k
     lower_mask = np.arange(m)[:, None] < k - np.arange(k)[None, :]      # a_j moves C_i
     upper_mask = np.arange(m)[:, None] >= k + 1 + np.arange(k)[None, :]  # b_j moves C_i
-    dC = np.empty((len(t), m, n_par))
+    dC = np.empty((n, m, n_par))
     dC[:, :, 0] = (2.0 * cprime * t)[:, None]
     dC[:, :, 1:1 + k] = lower_mask * -ga[:, None, :]
     dC[:, :, 1 + k:] = upper_mask * gb[:, None, :]
@@ -234,26 +237,32 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
     weight = (n_act[..., :-1] * (pdf / p_safe[..., :-1])
               - n_act[..., 1:] * (pdf / p_safe[..., 1:]))
     weight[..., k] -= n_lower * (pdf[..., k] / q1) - n_upper * (pdf[..., k] / q2)
-    grad = -(weight[..., None] * dz).sum(axis=(1, 2)) / total[:, None]
+    d_s = (weight[..., None] * dz).sum(axis=(1, 2))
+    grad = -d_s / total[:, None]
     if order == 1:
         return (nll[0], grad[0]) if single else (nll, grad)
 
     # d2F_i = pdf_i (diag(d2z_i) - z_i dz_i dz_i^T), and the outer products
-    # of d log p and d log q
-    d2z_diag = np.repeat(np.concatenate([(2.0 * cprime)[:, None, None]
-                                         * np.ones((1, m, 1)), dC[:, :, 1:]],
-                                        axis=2)[:, None], 2, axis=1)
-    d2z_diag[..., 0] -= sign[None, :, None]
-    hess = -((weight * z)[..., None, None] * dz[..., :, None] * dz[..., None, :]).sum(axis=(1, 2))
-    hess[:, np.arange(n_par), np.arange(n_par)] += (weight[..., None] * d2z_diag).sum(axis=(1, 2))
+    # of d log p and d log q. d2z_i is diagonal: 2 c' - sign for t, and a
+    # gap's second derivative equals its first, so sum_i weight_i d2z_i is
+    # dS but for t. Every outer product is a row of X, weighted by w, so
+    # their sum is the one batched matmul X^T diag(w) X.
     dF = pdf[..., None] * dz
-    zero = np.zeros(dF.shape[:2] + (1, n_par))
-    dlog_p = np.diff(np.concatenate([zero, dF, zero], axis=2), axis=2) / p_safe[..., None]
-    hess -= (n_act[..., None, None] * dlog_p[..., :, None] * dlog_p[..., None, :]).sum(axis=(1, 2))
-    dlog_q1 = dF[:, :, k] / q1[..., None]
-    dlog_q2 = dF[:, :, k] / q2[..., None]
-    hess += (n_lower[..., None, None] * dlog_q1[..., :, None] * dlog_q1[..., None, :]
-             + n_upper[..., None, None] * dlog_q2[..., :, None] * dlog_q2[..., None, :]).sum(axis=1)
+    x = np.empty((n, 4 * m + 6, n_par))
+    x[:, :2 * m] = dz.reshape(n, 2 * m, n_par)
+    dlog_p = x[:, 2 * m:4 * m + 2].reshape(n, 2, n_bins, n_par)
+    dlog_p[:, :, :m] = dF
+    dlog_p[:, :, m] = 0.0
+    dlog_p[:, :, 1:] -= dF
+    dlog_p /= p_safe[..., None]
+    x[:, 4 * m + 2:4 * m + 4] = dF[:, :, k] / q1[..., None]
+    x[:, 4 * m + 4:] = dF[:, :, k] / q2[..., None]
+    w = np.concatenate([-(weight * z).reshape(n, 2 * m), -n_act.reshape(n, 2 * n_bins),
+                        n_lower, n_upper], axis=1)
+    hess = np.swapaxes(x, 1, 2) @ (w[..., None] * x)
+    d2_s = d_s.copy()
+    d2_s[:, 0] = 2.0 * cprime * weight.sum(axis=(1, 2)) - (weight[:, 1] - weight[:, 0]).sum(axis=1)
+    hess[:, np.arange(n_par), np.arange(n_par)] += d2_s
     hess = -hess / total[:, None, None]
     return (nll[0], grad[0], hess[0]) if single else (nll, grad, hess)
 
@@ -285,23 +294,61 @@ def _start(est: np.ndarray, meta_d0: np.ndarray, meta_c0: np.ndarray) -> np.ndar
                           axis=1)
 
 
+def _cholesky_solve(hess: np.ndarray, rhs: np.ndarray):
+    """Solve hess x = rhs on every row whose matrix has a Cholesky factor
+    with each pivot above _EIG_FLOOR of its largest diagonal entry.
+
+    Returns (x, factored); x is meaningless where factored is False. The
+    factor is built a column at a time across all rows with elementwise
+    operations only, so a row's result never depends on the other rows.
+    """
+    a = hess.transpose(1, 2, 0).copy()        # (P, P, B): rows along the last axis
+    x = rhs.T.copy()
+    n = len(a)
+    least = _EIG_FLOOR * np.abs(np.diagonal(hess, axis1=1, axis2=2)).max(axis=1)
+    factored = np.ones(len(hess), dtype=bool)
+    for j in range(n):
+        failed = factored & ~(a[j, j] > least)
+        if failed.any():                # such a row runs on to the end harmlessly
+            factored &= ~failed
+            a[:, :, failed] = np.eye(n)[:, :, None]
+        col = a[j:, j] / np.sqrt(a[j, j])
+        a[j:, j] = col
+        a[j + 1:, j + 1:] -= col[1:, None] * col[None, 1:]
+        x[j] /= col[0]
+        x[j + 1:] -= col[1:] * x[j]
+    for j in range(n - 1, -1, -1):
+        x[j] /= a[j, j]
+        x[:j] -= a[j, :j] * x[j]
+    return x.T, factored
+
+
 def _descent_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Newton step of each row on its Hessian with the eigenvalues replaced
-    by their absolute values (floored), so it always points downhill."""
-    lam, vec = np.linalg.eigh(hess)
-    lam = np.abs(lam)
-    lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + 1e-300)
-    return -(vec * ((vec * grad[:, :, None]).sum(axis=1) / lam)[:, None, :]).sum(axis=2)
+    """Newton step of each row: -H^-1 g from the Cholesky factor of its
+    Hessian where _cholesky_solve finds one, otherwise (eigh) the step on
+    the Hessian with its eigenvalues replaced by their absolute values,
+    floored at _EIG_FLOOR of the largest. Either way the step points
+    downhill, and a row's step does not depend on the other rows."""
+    step, factored = _cholesky_solve(hess, -grad)
+    other = np.flatnonzero(~factored)
+    if other.size:
+        lam, vec = np.linalg.eigh(hess[other])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + 1e-300)
+        g = grad[other]
+        step[other] = -(vec * ((vec * g[:, :, None]).sum(axis=1) / lam)[:, None, :]).sum(axis=2)
+    return step
 
 
 def _newton(theta: np.ndarray, counts: np.ndarray, cprime: np.ndarray):
     """Minimize the mean NLL from every row of ``theta`` independently.
 
     Returns (theta, nll, converged, iterations) per row. A step is the
-    _descent_step, capped at _MAX_STEP per component and halved until it
-    meets the Armijo condition; the condition allows the objective's own
-    rounding, so a row near its optimum still steps when the predicted
-    decrease is below machine precision. A row runs until its largest
+    _descent_step (Cholesky first, eigh otherwise), capped at _MAX_STEP
+    per component and halved until it meets the Armijo condition; the
+    condition allows the objective's own rounding, so a row near its
+    optimum still steps when the predicted decrease is below machine
+    precision. A row runs until its largest
     gradient component is within GTOL, its line search finds no
     acceptable step, or MAX_ITERATIONS. A row that stops short of GTOL
     still counts as converged when its gradient norm is within
@@ -407,8 +454,7 @@ def meta_d_fit_batch(counts: np.ndarray, d_prime: np.ndarray,
     def best(rows_table, nll):
         """Index of the lowest-NLL row of each table (first on a tie)."""
         order = np.lexsort((np.arange(len(nll)), nll, rows_table))
-        first = np.r_[True, rows_table[order][1:] != rows_table[order][:-1]]
-        return order[first]
+        return order[np.diff(rows_table[order], prepend=-1) != 0]
 
     rows_table, theta, nll, converged, iterations = solve(tables, starts, anchored)
     at_zero = np.flatnonzero(theta[best(rows_table, nll), 0] ** 2 < AT_ZERO)
@@ -451,8 +497,6 @@ def sdt_fits(counts: np.ndarray, d_prime, criterion_c, pad_value: float) -> Iter
     caller that takes the fits one at a time between warnings of its own
     emits them all in the order fitting one table at a time would.
     """
-    if not len(counts):
-        return
     fit = meta_d_fit_batch(counts, d_prime, criterion_c)
     one_side = _one_response_side(counts, pad_value)
     k = counts.shape[2] // 2 - 1

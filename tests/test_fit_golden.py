@@ -8,6 +8,11 @@ them. That fitter computed the upper response side as 1 - Phi, which has
 no digits left in a far tail, so where its own log-likelihood disagrees
 with an accurate recomputation it optimized a different objective. Those
 tables are compared by the accurate log-likelihood of both fits only.
+
+tests/data/newton_reference.csv holds the same tables' fits by the
+previous Newton fitter (eigendecomposition steps); the current one must
+match it to NEWTON_META_D_TOL and NEWTON_LOGLIK_RTOL with the same
+converged flags. tests/data/make_newton_reference.py rebuilds that file.
 """
 
 import csv
@@ -19,7 +24,7 @@ import numpy as np
 import pytest
 
 from metadkit.binning import CountTable
-from metadkit.sdt import PROB_CLAMP, meta_d_fit, meta_d_fit_batch, type1_fit
+from metadkit.sdt import PROB_CLAMP, meta_d_fit, meta_d_fit_batch, type1_batch, type1_fit
 
 GOLDEN = Path(__file__).parent / "data" / "fit_golden.csv"
 META_D_TOL = 1e-6
@@ -27,6 +32,9 @@ LOGLIK_TOL = 1e-9
 # the recorded log-likelihood is off by more than this from an accurate
 # recomputation of the recorded fit: that fit's objective lost digits
 RECORDED_OBJECTIVE_TOL = 1e-10
+NEWTON_REFERENCE = GOLDEN.with_name("newton_reference.csv")
+NEWTON_META_D_TOL = 1e-6
+NEWTON_LOGLIK_RTOL = 1e-12
 
 
 def _mass(a: float, b: float) -> float:
@@ -81,6 +89,20 @@ def test_matches_recorded_bfgs_fits():
         assert fits.log_likelihood[i] >= old_loglik - LOGLIK_TOL, i
         by_meta_d += 1
     assert len(rows) >= 1000 and by_meta_d >= 1000
+
+
+def test_matches_previous_newton_fitter():
+    _, counts = _golden()
+    fits = meta_d_fit_batch(counts, *type1_batch(counts))
+    with open(NEWTON_REFERENCE, encoding="utf-8") as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(ref) == len(counts)
+    meta_d = np.array([float(r["meta_d"]) for r in ref])
+    loglik = np.array([float(r["log_likelihood"]) for r in ref])
+    converged = np.array([r["converged"] == "1" for r in ref])
+    assert np.abs(fits.meta_d - meta_d).max() <= NEWTON_META_D_TOL
+    assert (np.abs(fits.log_likelihood - loglik) / np.abs(loglik)).max() <= NEWTON_LOGLIK_RTOL
+    assert np.array_equal(fits.converged, converged)
 
 
 def test_tail_table_reports_accurate_loglik():

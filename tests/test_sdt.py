@@ -8,6 +8,7 @@ from metadkit.errors import DegenerateTable, NegativeMetaD, OutOfDomain, ZeroDPr
 from metadkit.sdt import (
     _nll_and_grad,
     meta_d_fit,
+    meta_d_fit_batch,
     phi,
     phi_inv,
     predicted_count_table,
@@ -219,3 +220,11 @@ def test_low_dprime_flag():
     table = predicted_count_table(0.9, (0.9, 0.05), [0.5] * 3, [0.5] * 3, n=1e5)
     fit = meta_d_fit(table, (0.9, 0.05))
     assert not fit.low_dprime_warning
+
+
+def test_empty_batch_gives_an_empty_fit():
+    fit = meta_d_fit_batch(np.empty((0, 2, 8)), np.empty(0), np.empty(0))
+    assert fit.criteria.shape == (0, 7)
+    for field in (fit.meta_d, fit.log_likelihood, fit.converged, fit.iterations):
+        assert field.shape == (0,)
+    assert fit.converged.dtype == bool and fit.iterations.dtype == np.int64

@@ -24,6 +24,13 @@ a fresh process; it records the wall time of the whole command, the peak
 RSS of its largest process (the CLI or a pool worker) and the sha256 of
 its report tree. The report trees of one tree and variant must be equal
 at every worker count, or the script fails.
+
+Every run also times the fit layer alone, since perfbench's ``sdt.*``
+spans do not see the batched fits: FIT_RUNS alternating fresh processes
+per tree each fit the 1 016 tables of tests/data/fit_golden.csv in one
+``sdt.meta_d_fit_batch`` solve, after a warm-up solve of a few, with one
+BLAS thread. The file holds the process time of the solve, its Newton
+steps and its unconverged tables.
 """
 
 from __future__ import annotations
@@ -137,6 +144,54 @@ def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
     return entry
 
 
+FIT_RUNS = 10
+# fits the golden tables in argv[1] in one solve after a warm-up solve of
+# eight, then prints the solve's process time, its Newton steps, its
+# unconverged tables and the number of tables
+FIT_LAYER = ("import csv, sys, time\n"
+             "import numpy as np\n"
+             "from metadkit.sdt import meta_d_fit_batch, type1_batch\n"
+             "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+             "    rows = list(csv.DictReader(fh))\n"
+             "counts = np.array([[[int(r[f'{s}{b}']) for b in range(1, 9)] for s in 'ic']\n"
+             "                   for r in rows], float) + 0.5\n"
+             "d_prime, criterion_c = type1_batch(counts)\n"
+             "meta_d_fit_batch(counts[:8], d_prime[:8], criterion_c[:8])\n"
+             "start = time.process_time()\n"
+             "fit = meta_d_fit_batch(counts, d_prime, criterion_c)\n"
+             "print(time.process_time() - start, fit.iterations.sum(),"
+             " (~fit.converged).sum(), len(counts))\n")
+
+
+def fit_layer(trees: dict[str, Path]) -> dict:
+    """FIT_RUNS alternating fit-layer runs per tree on the change's golden tables."""
+    golden = trees["change"] / "tests" / "data" / "fit_golden.csv"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    runs: dict[str, list[list[float]]] = {side: [] for side in trees}
+    for i in range(FIT_RUNS):
+        for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+            proc = subprocess.run([sys.executable, "-c", FIT_LAYER, str(golden)],
+                                  capture_output=True, text=True, check=False,
+                                  env={**env, "PYTHONPATH": str(trees[side] / "src")})
+            if proc.returncode != 0:
+                raise SystemExit(f"fit layer failed in {trees[side]}:\n{proc.stderr[-2000:]}")
+            runs[side].append([float(x) for x in proc.stdout.split()])
+            print(f"fit layer run {i + 1} {side}: {runs[side][-1][0]:.3f} s", file=sys.stderr)
+    entry: dict = {"tables": int(runs["change"][0][3]), "runs": FIT_RUNS}
+    for side, side_runs in runs.items():
+        counts = {tuple(r[1:3]) for r in side_runs}
+        if len(counts) != 1:
+            raise SystemExit(f"{side}: Newton steps or unconverged tables differ "
+                             f"between fit-layer runs: {sorted(counts)}")
+        steps, unconverged = counts.pop()
+        entry[side] = {"fit_s": summary([r[0] for r in side_runs]),
+                       "newton_steps": int(steps), "unconverged": int(unconverged)}
+    entry["change_lower_in_pairs"] = sum(c[0] < b[0]
+                                         for b, c in zip(runs["base"], runs["change"]))
+    return entry
+
+
 def describe(tree: Path) -> str:
     """The tree's commit, with "-dirty" when it has uncommitted changes."""
     return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
@@ -194,6 +249,7 @@ def main() -> int:
                                                  for r in runs[side] + traced[side])
         result["workloads"][workload] = entry
         result["env"] = runs["change"][0]["env"]
+    result["fit_layer"] = fit_layer(trees)
     if args.protocol:
         result["protocol"] = protocol(trees, args.seed, args.protocol)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
