@@ -25,12 +25,18 @@ sets; the edge can go once the generator moves onto
 ``TrialSet.from_columns`` with the generated file's sha256 unchanged.
 
 Loading reads the file in blocks of lines (CSV: records), so it never
-holds a dict for every record at once. A JSONL block whose lines are each
-one object is parsed by the C JSON scanner; any other block line by line
-with ``json.loads``, so a line means exactly what ``json.loads`` makes of
-it. Each field of a block is then pulled out as a column and checked in
-one pass; only columns with values other than the plain types are
-coerced value by value. Duplicate (question_id, condition, format) keys
+holds a row for every record at once. A JSONL block whose lines all have
+the layout save_trials writes (``json.dumps``' default separators, the
+fields in TrialRecord order, strings without escapes, ``nlp`` a JSON
+float) is matched by one regular expression and its columns are built
+from the matches; a block of it with an empty coded field or a non-finite
+``nlp`` is left to the general path, so every error comes from there.
+The general path reads a block line by line with the C JSON scanner, and
+with ``json.loads`` a line the scanner alone does not take, so on either
+path a line means exactly what ``json.loads`` makes of it. Each field of
+a general block is then pulled out as a column and checked in one pass;
+only columns with values other than the plain types are coerced value by
+value. Duplicate (question_id, condition, format) keys
 are found from the integer codes of the finished set. The first offending
 line of the file is reported, whatever its kind; within a line the order
 is a missing required field, then ``correct``, then ``nlp``, then the
@@ -44,10 +50,11 @@ import csv
 import gc
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -64,6 +71,15 @@ from .errors import (
 
 _BLOCK_ROWS = 1024      # lines (CSV: records) read and validated together
 _DECODER = json.JSONDecoder()
+# one line as save_trials writes it: json.dumps' default separators, the
+# fields in TrialRecord order, strings without escapes, coded fields not
+# empty, and an nlp with a fraction or an exponent (a JSON float)
+_CODED = r'"([^"\\\x00-\x1f]+)"'
+_FLOAT = r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
+_CANONICAL = re.compile(
+    r'^\{"question_id": ' + _CODED + ', "domain": ' + _CODED + ', "condition": ' + _CODED
+    + ', "format": ' + _CODED + ', "correct": (true|false), "nlp": ' + _FLOAT
+    + r'(?:, "answer_text": "([^"\\\x00-\x1f]*)")?\}$', re.M)
 
 REQUIRED_FIELDS = ("question_id", "domain", "condition", "format", "correct", "nlp")
 ALL_FIELDS = REQUIRED_FIELDS + ("answer_text",)
@@ -229,64 +245,94 @@ def _row_error(row: dict, line: int, path: str) -> DataError | None:
     return None
 
 
-def _scanned(lines: list[str]) -> list[dict] | None:
-    """The rows of lines that are each one JSON object and its newline,
-    parsed by the C scanner alone; None when any line is not."""
-    try:
-        parsed = list(map(_DECODER.scan_once, lines, repeat(0)))
-    except ValueError:
-        return None
-    if len(parsed) != len(lines):   # the scanner's StopIteration ended the map
-        return None
-    rows, ends = zip(*parsed)
-    if set(map(type, rows)) != {dict}:
-        return None
-    # each object must end just before its line's newline, or at the end
-    # of the file's last line when that has none
-    rest = np.subtract(list(map(len, lines)), ends)
-    rest[-1] += not lines[-1].endswith("\n")
-    return list(rows) if (rest == 1).all() else None
+# a block's line numbers, its columns up to its first invalid record, and
+# that record's error (None when there is none)
+_Block = tuple[Sequence[int], dict[str, Sequence], DataError | None]
 
 
-def _jsonl_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], DataError | None]]:
-    """(line numbers, rows, error) per block of _BLOCK_ROWS lines.
+def _canonical_columns(lines: list[str]) -> dict[str, Sequence] | None:
+    """The columns of a block whose lines all have save_trials' layout and
+    hold valid records, or None.
 
-    A block whose lines are all plain objects is parsed by _scanned. Any
-    other block is parsed line by line with ``json.loads``, skipping blank
-    lines, up to its first line that is not a JSON object; that line's
-    DataError is the block's error and ends the blocks. Either way a line
-    means exactly what ``json.loads`` makes of it.
+    One anchored pattern matches the whole block; a line it does not match
+    (another key order or spacing, an escape, an empty coded field, an
+    integer ``nlp``, a blank line) leaves the block to _general_rows, as
+    does a non-finite ``nlp``, so every error comes from that path. Each
+    value is what ``json.loads`` makes of its text: ``float`` of a JSON
+    number is the float the C scanner builds.
     """
-    first = 1
-    while lines := list(islice(fh, _BLOCK_ROWS)):
-        rows = _scanned(lines)
-        if rows is not None:
-            yield range(first, first + len(lines)), rows, None
-            first += len(lines)
-            continue
-        numbers, rows = [], []
-        for line_no, line in enumerate(lines, start=first):
+    if not _CANONICAL.match(lines[0]):     # findall would try every position of the block
+        return None
+    matches = _CANONICAL.findall("".join(lines))
+    if len(matches) != len(lines):
+        return None
+    question_id, domain, condition, format_, correct, nlp, answers = zip(*matches)
+    nlp = np.array(list(map(float, nlp)))
+    if not np.isfinite(nlp).all():
+        return None
+    return {"question_id": question_id, "domain": domain, "condition": condition,
+            "format": format_, "correct": list(map("true".__eq__, correct)), "nlp": nlp,
+            "answer_text": [text or None for text in answers]}
+
+
+def _general_rows(lines: list[str], first: int,
+                  path: str) -> tuple[list[int], list[dict], DataError | None]:
+    """The line numbers and rows of a block of lines starting at line
+    ``first``, up to its first line that is not a JSON object, and that
+    line's DataError (None when there is none).
+
+    A line that the C scanner reads as one object ending just before the
+    line's newline (or at the end of a last line without one) is that
+    object. Any other line means what ``json.loads`` makes of it; a blank
+    line is skipped.
+    """
+    numbers, rows = [], []
+    scan_once = _DECODER.scan_once
+    for line_no, line in enumerate(lines, start=first):
+        try:
+            row, end = scan_once(line, 0)
+        except (StopIteration, ValueError):
+            row, end = None, 0
+        if not isinstance(row, dict) or line[end:] not in ("\n", ""):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
             except ValueError as exc:   # JSONDecodeError, or an integer too long to convert
-                error = DataError(f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})")
-            else:
-                if isinstance(row, dict):
-                    numbers.append(line_no)
-                    rows.append(row)
-                    continue
-                error = DataError(f"{path}:{line_no}: expected a JSON object")
-            yield numbers, rows, error
-            return
-        yield numbers, rows, None
+                return numbers, rows, DataError(
+                    f"{path}:{line_no}: invalid JSON ({getattr(exc, 'msg', exc)})")
+            if not isinstance(row, dict):
+                return numbers, rows, DataError(f"{path}:{line_no}: expected a JSON object")
+        numbers.append(line_no)
+        rows.append(row)
+    return numbers, rows, None
+
+
+def _jsonl_blocks(fh, path: str) -> Iterator[_Block]:
+    """(line numbers, columns, error) per block of _BLOCK_ROWS lines, as
+    _block_columns gives them; a block with an error ends the blocks.
+
+    A block in save_trials' layout is parsed by _canonical_columns, any
+    other by _general_rows and _block_columns. Either way a line means
+    exactly what ``json.loads`` makes of it.
+    """
+    first = 1
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        columns = _canonical_columns(lines)
+        if columns is not None:
+            yield range(first, first + len(lines)), columns, None
+        else:
+            block = _block_columns(*_general_rows(lines, first, path), path)
+            yield block
+            if block[2] is not None:
+                return
         first += len(lines)
 
 
 def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], DataError | None]]:
     """(line numbers, rows, error) per block of _BLOCK_ROWS CSV records, as
-    _jsonl_blocks. A record's line is the physical line it ends on; a
+    _general_rows gives them for a block of lines; a block with an error
+    ends the blocks. A record's line is the physical line it ends on; a
     record with more fields than the header, or one the csv module cannot
     read, is an error."""
     reader = csv.DictReader(fh)
@@ -312,10 +358,11 @@ def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], Data
         yield numbers, rows, DataError(f"{path}:{reader.reader.line_num}: {exc}")
 
 
-def _block_columns(rows: Sequence[dict], line_numbers: Sequence[int],
-                   path: str) -> tuple[dict[str, Sequence], DataError | None]:
-    """The columns of a block of rows up to its first invalid row, and that
-    row's error (None when every row is valid).
+def _block_columns(line_numbers: Sequence[int], rows: Sequence[dict],
+                   source_error: DataError | None, path: str) -> _Block:
+    """The line numbers and columns of a block of rows up to its first
+    invalid row, and that row's error; with every row valid, the error
+    that ended the rows (``source_error``, None when none did).
 
     Each column is checked in one pass; only a column that holds other
     types than the plain ones (str fields, bool ``correct``, int or float
@@ -351,12 +398,13 @@ def _block_columns(rows: Sequence[dict], line_numbers: Sequence[int],
     if not set(map(type, answers)) <= {str, type(None)} or "" in answers:
         answers = [None if _missing(v) else str(v) for v in answers]
 
-    error = None
+    error = source_error
     if first_bad < len(rows):
         error = _row_error(rows[first_bad], line_numbers[first_bad], path)
         assert error is not None, "a column check and the row check disagree"
     columns.update(correct=correct, nlp=nlp, answer_text=answers)
-    return {name: values[:first_bad] for name, values in columns.items()}, error
+    return (line_numbers[:first_bad],
+            {name: values[:first_bad] for name, values in columns.items()}, error)
 
 
 def _first_duplicate(trials: TrialSet, line_numbers: np.ndarray,
@@ -399,18 +447,19 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
         return (TrialSet.from_columns(columns),
                 np.fromiter(chain.from_iterable(number_pieces), dtype=np.int64))
 
-    # the row dicts hold no cycles: the cyclic collector would only walk them
+    # the rows and matches hold no cycles: the cyclic collector would only walk them
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
-            blocks = _csv_blocks(fh, sname) if fmt == "csv" else _jsonl_blocks(fh, sname)
-            for line_numbers, rows, source_error in blocks:
-                columns, error = _block_columns(rows, line_numbers, sname)
+            if fmt == "csv":
+                blocks = (_block_columns(*block, sname) for block in _csv_blocks(fh, sname))
+            else:
+                blocks = _jsonl_blocks(fh, sname)
+            for line_numbers, columns, error in blocks:
                 for name in ALL_FIELDS:
                     pieces[name].append(columns[name])
-                number_pieces.append(line_numbers[:len(columns["nlp"])])
-                error = error or source_error
+                number_pieces.append(line_numbers)
                 if error is not None:
                     # every record collected so far precedes the offending line
                     raise _first_duplicate(*collected(), sname) or error

@@ -25,12 +25,19 @@ RSS of its largest process (the CLI or a pool worker) and the sha256 of
 its report tree. The report trees of one tree and variant must be equal
 at every worker count, or the script fails.
 
-Every run also times the fit layer alone, since perfbench's ``sdt.*``
-spans do not see the batched fits: FIT_RUNS alternating fresh processes
-per tree each fit the 1 016 tables of tests/data/fit_golden.csv in one
-``sdt.meta_d_fit_batch`` solve, after a warm-up solve of a few, with one
-BLAS thread. The file holds the process time of the solve, its Newton
-steps and its unconverged tables.
+Every run also times two layers alone, each in LAYER_RUNS alternating
+fresh processes per tree:
+
+- the fit layer, since perfbench's ``sdt.*`` spans do not see the batched
+  fits: each process fits the 1 016 tables of tests/data/fit_golden.csv
+  in one ``sdt.meta_d_fit_batch`` solve, after a warm-up solve of a few,
+  with one BLAS thread. The file holds the process time of the solve,
+  its Newton steps and its unconverged tables.
+- the loader: each process loads perfbench's trial file for the seed and
+  a copy of it with every line's keys sorted, which no block of the
+  canonical layout parses, so the general path's cost shows beside the
+  canonical one. Each file is loaded once untimed, then once timed; the
+  file holds the process time of each timed ``load_trials``.
 """
 
 from __future__ import annotations
@@ -144,7 +151,26 @@ def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
     return entry
 
 
-FIT_RUNS = 10
+LAYER_RUNS = 10
+
+
+def alternating(trees: dict[str, Path], code: str, args: list[str], env: dict,
+                label: str) -> dict[str, list[list[float]]]:
+    """LAYER_RUNS alternating fresh processes per tree, each running
+    ``python -c code *args`` on the tree's src; the numbers each printed."""
+    runs: dict[str, list[list[float]]] = {side: [] for side in trees}
+    for i in range(LAYER_RUNS):
+        for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+            proc = subprocess.run([sys.executable, "-c", code, *args],
+                                  capture_output=True, text=True, check=False,
+                                  env={**env, "PYTHONPATH": str(trees[side] / "src")})
+            if proc.returncode != 0:
+                raise SystemExit(f"{label} failed in {trees[side]}:\n{proc.stderr[-2000:]}")
+            runs[side].append([float(x) for x in proc.stdout.split()])
+            print(f"{label} run {i + 1} {side}: {runs[side][-1][0]:.3f} s", file=sys.stderr)
+    return runs
+
+
 # fits the golden tables in argv[1] in one solve after a warm-up solve of
 # eight, then prints the solve's process time, its Newton steps, its
 # unconverged tables and the number of tables
@@ -164,21 +190,12 @@ FIT_LAYER = ("import csv, sys, time\n"
 
 
 def fit_layer(trees: dict[str, Path]) -> dict:
-    """FIT_RUNS alternating fit-layer runs per tree on the change's golden tables."""
+    """LAYER_RUNS alternating fit-layer runs per tree on the change's golden tables."""
     golden = trees["change"] / "tests" / "data" / "fit_golden.csv"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
-    runs: dict[str, list[list[float]]] = {side: [] for side in trees}
-    for i in range(FIT_RUNS):
-        for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-            proc = subprocess.run([sys.executable, "-c", FIT_LAYER, str(golden)],
-                                  capture_output=True, text=True, check=False,
-                                  env={**env, "PYTHONPATH": str(trees[side] / "src")})
-            if proc.returncode != 0:
-                raise SystemExit(f"fit layer failed in {trees[side]}:\n{proc.stderr[-2000:]}")
-            runs[side].append([float(x) for x in proc.stdout.split()])
-            print(f"fit layer run {i + 1} {side}: {runs[side][-1][0]:.3f} s", file=sys.stderr)
-    entry: dict = {"tables": int(runs["change"][0][3]), "runs": FIT_RUNS}
+    runs = alternating(trees, FIT_LAYER, [str(golden)], env, "fit layer")
+    entry: dict = {"tables": int(runs["change"][0][3]), "runs": LAYER_RUNS}
     for side, side_runs in runs.items():
         counts = {tuple(r[1:3]) for r in side_runs}
         if len(counts) != 1:
@@ -189,6 +206,42 @@ def fit_layer(trees: dict[str, Path]) -> dict:
                        "newton_steps": int(steps), "unconverged": int(unconverged)}
     entry["change_lower_in_pairs"] = sum(c[0] < b[0]
                                          for b, c in zip(runs["base"], runs["change"]))
+    return entry
+
+
+# loads each trial file in argv once untimed, then once timed, and prints
+# the process time of each timed load
+LOAD_LAYER = ("import sys, time\n"
+              "from metadkit.trialstore import load_trials\n"
+              "for path in sys.argv[1:]:\n"
+              "    load_trials(path)\n"
+              "    start = time.process_time()\n"
+              "    load_trials(path)\n"
+              "    print(time.process_time() - start)\n")
+
+
+def load_layer(trees: dict[str, Path], seed: int) -> dict:
+    """LAYER_RUNS alternating loader runs per tree on perfbench's trial file
+    for the seed and on its key-sorted copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"seed": Path(tmp) / "trials.jsonl", "sorted_keys": Path(tmp) / "sorted.jsonl"}
+        subprocess.run([sys.executable, "perfbench/gen.py", "--seed", str(seed), "--out",
+                        str(files["seed"])], cwd=trees["change"], check=True,
+                       env={**os.environ, "PYTHONPATH": str(trees["change"] / "src")})
+        with open(files["seed"], encoding="utf-8") as src, \
+                open(files["sorted_keys"], "w", encoding="utf-8") as dst:
+            records = 0
+            for line in src:
+                dst.write(json.dumps(json.loads(line), sort_keys=True) + "\n")
+                records += 1
+        runs = alternating(trees, LOAD_LAYER, [str(path) for path in files.values()],
+                           dict(os.environ), "load layer")
+    entry: dict = {"records": records, "runs": LAYER_RUNS}
+    for i, name in enumerate(files):
+        times = {side: [r[i] for r in side_runs] for side, side_runs in runs.items()}
+        entry[name] = {**{side: {"load_s": summary(t)} for side, t in times.items()},
+                       "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"],
+                                                                         times["change"]))}
     return entry
 
 
@@ -250,6 +303,7 @@ def main() -> int:
         result["workloads"][workload] = entry
         result["env"] = runs["change"][0]["env"]
     result["fit_layer"] = fit_layer(trees)
+    result["load_layer"] = load_layer(trees, args.seed)
     if args.protocol:
         result["protocol"] = protocol(trees, args.seed, args.protocol)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
