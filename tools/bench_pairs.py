@@ -36,8 +36,9 @@ fresh processes per tree:
 - the loader: each process loads perfbench's trial file for the seed and
   a copy of it with every line's keys sorted, which no block of the
   canonical layout parses, so the general path's cost shows beside the
-  canonical one. Each file is loaded once untimed, then once timed; the
-  file holds the process time of each timed ``load_trials``.
+  canonical one. Each file is loaded once untimed, then LOAD_REPEATS
+  times timed; the file holds each process's median process time of one
+  ``load_trials``.
 """
 
 from __future__ import annotations
@@ -209,15 +210,19 @@ def fit_layer(trees: dict[str, Path]) -> dict:
     return entry
 
 
-# loads each trial file in argv once untimed, then once timed, and prints
-# the process time of each timed load
-LOAD_LAYER = ("import sys, time\n"
+LOAD_REPEATS = 5
+# loads each trial file in argv once untimed, then LOAD_REPEATS times timed,
+# and prints the median process time of its timed loads
+LOAD_LAYER = ("import statistics, sys, time\n"
               "from metadkit.trialstore import load_trials\n"
               "for path in sys.argv[1:]:\n"
               "    load_trials(path)\n"
-              "    start = time.process_time()\n"
-              "    load_trials(path)\n"
-              "    print(time.process_time() - start)\n")
+              "    times = []\n"
+              f"    for _ in range({LOAD_REPEATS}):\n"
+              "        start = time.process_time()\n"
+              "        load_trials(path)\n"
+              "        times.append(time.process_time() - start)\n"
+              "    print(statistics.median(times))\n")
 
 
 def load_layer(trees: dict[str, Path], seed: int) -> dict:
@@ -236,7 +241,7 @@ def load_layer(trees: dict[str, Path], seed: int) -> dict:
                 records += 1
         runs = alternating(trees, LOAD_LAYER, [str(path) for path in files.values()],
                            dict(os.environ), "load layer")
-    entry: dict = {"records": records, "runs": LAYER_RUNS}
+    entry: dict = {"records": records, "runs": LAYER_RUNS, "loads_per_run": LOAD_REPEATS}
     for i, name in enumerate(files):
         times = {side: [r[i] for r in side_runs] for side, side_runs in runs.items()}
         entry[name] = {**{side: {"load_s": summary(t)} for side, t in times.items()},
