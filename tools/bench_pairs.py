@@ -25,20 +25,23 @@ RSS of its largest process (the CLI or a pool worker) and the sha256 of
 its report tree. The report trees of one tree and variant must be equal
 at every worker count, or the script fails.
 
-Every run also times two layers alone, each in LAYER_RUNS alternating
-fresh processes per tree:
+Every run also times two layers alone, each in alternating fresh
+processes per tree:
 
 - the fit layer, since perfbench's ``sdt.*`` spans do not see the batched
-  fits: each process fits the 1 016 tables of tests/data/fit_golden.csv
+  fits: each of FIT_RUNS processes fits the 1 016 tables of tests/data/fit_golden.csv
   in one ``sdt.meta_d_fit_batch`` solve, after a warm-up solve of a few,
   with one BLAS thread. The file holds the process time of the solve,
   its Newton steps and its unconverged tables.
-- the loader: each process loads perfbench's trial file for the seed and
-  a copy of it with every line's keys sorted, which no block of the
-  canonical layout parses, so the general path's cost shows beside the
-  canonical one. Each file is loaded once untimed, then LOAD_REPEATS
-  times timed; the file holds each process's median process time of one
-  ``load_trials``.
+- the loader: each of LOAD_RUNS processes loads perfbench's trial file
+  for the seed and a copy of it with every line's keys sorted, which no
+  block of the canonical layout parses, so the general path's cost shows
+  beside the canonical one. Each file is loaded once untimed, then
+  LOAD_REPEATS times timed; the file holds each process's fastest
+  ``load_trials`` in process time. On a shared 2-vCPU VM whole processes
+  ran up to 1.5 times slower than others on the same code, so the
+  loader takes more runs than the fit layer, and the minimum, which
+  such slowdowns can only raise.
 """
 
 from __future__ import annotations
@@ -152,15 +155,12 @@ def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
     return entry
 
 
-LAYER_RUNS = 10
-
-
-def alternating(trees: dict[str, Path], code: str, args: list[str], env: dict,
+def alternating(trees: dict[str, Path], n_runs: int, code: str, args: list[str], env: dict,
                 label: str) -> dict[str, list[list[float]]]:
-    """LAYER_RUNS alternating fresh processes per tree, each running
+    """n_runs alternating fresh processes per tree, each running
     ``python -c code *args`` on the tree's src; the numbers each printed."""
     runs: dict[str, list[list[float]]] = {side: [] for side in trees}
-    for i in range(LAYER_RUNS):
+    for i in range(n_runs):
         for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
             proc = subprocess.run([sys.executable, "-c", code, *args],
                                   capture_output=True, text=True, check=False,
@@ -172,6 +172,7 @@ def alternating(trees: dict[str, Path], code: str, args: list[str], env: dict,
     return runs
 
 
+FIT_RUNS = 10
 # fits the golden tables in argv[1] in one solve after a warm-up solve of
 # eight, then prints the solve's process time, its Newton steps, its
 # unconverged tables and the number of tables
@@ -191,12 +192,12 @@ FIT_LAYER = ("import csv, sys, time\n"
 
 
 def fit_layer(trees: dict[str, Path]) -> dict:
-    """LAYER_RUNS alternating fit-layer runs per tree on the change's golden tables."""
+    """FIT_RUNS alternating fit-layer runs per tree on the change's golden tables."""
     golden = trees["change"] / "tests" / "data" / "fit_golden.csv"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
-    runs = alternating(trees, FIT_LAYER, [str(golden)], env, "fit layer")
-    entry: dict = {"tables": int(runs["change"][0][3]), "runs": LAYER_RUNS}
+    runs = alternating(trees, FIT_RUNS, FIT_LAYER, [str(golden)], env, "fit layer")
+    entry: dict = {"tables": int(runs["change"][0][3]), "runs": FIT_RUNS}
     for side, side_runs in runs.items():
         counts = {tuple(r[1:3]) for r in side_runs}
         if len(counts) != 1:
@@ -210,10 +211,11 @@ def fit_layer(trees: dict[str, Path]) -> dict:
     return entry
 
 
+LOAD_RUNS = 30
 LOAD_REPEATS = 5
 # loads each trial file in argv once untimed, then LOAD_REPEATS times timed,
-# and prints the median process time of its timed loads
-LOAD_LAYER = ("import statistics, sys, time\n"
+# and prints the process time of its fastest timed load
+LOAD_LAYER = ("import sys, time\n"
               "from metadkit.trialstore import load_trials\n"
               "for path in sys.argv[1:]:\n"
               "    load_trials(path)\n"
@@ -222,11 +224,11 @@ LOAD_LAYER = ("import statistics, sys, time\n"
               "        start = time.process_time()\n"
               "        load_trials(path)\n"
               "        times.append(time.process_time() - start)\n"
-              "    print(statistics.median(times))\n")
+              "    print(min(times))\n")
 
 
 def load_layer(trees: dict[str, Path], seed: int) -> dict:
-    """LAYER_RUNS alternating loader runs per tree on perfbench's trial file
+    """LOAD_RUNS alternating loader runs per tree on perfbench's trial file
     for the seed and on its key-sorted copy."""
     with tempfile.TemporaryDirectory() as tmp:
         files = {"seed": Path(tmp) / "trials.jsonl", "sorted_keys": Path(tmp) / "sorted.jsonl"}
@@ -239,9 +241,9 @@ def load_layer(trees: dict[str, Path], seed: int) -> dict:
             for line in src:
                 dst.write(json.dumps(json.loads(line), sort_keys=True) + "\n")
                 records += 1
-        runs = alternating(trees, LOAD_LAYER, [str(path) for path in files.values()],
+        runs = alternating(trees, LOAD_RUNS, LOAD_LAYER, [str(path) for path in files.values()],
                            dict(os.environ), "load layer")
-    entry: dict = {"records": records, "runs": LAYER_RUNS, "loads_per_run": LOAD_REPEATS}
+    entry: dict = {"records": records, "runs": LOAD_RUNS, "loads_per_run": LOAD_REPEATS}
     for i, name in enumerate(files):
         times = {side: [r[i] for r in side_runs] for side, side_runs in runs.items()}
         entry[name] = {**{side: {"load_s": summary(t)} for side, t in times.items()},
