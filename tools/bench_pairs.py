@@ -29,10 +29,10 @@ Every run also times two layers alone, each in alternating fresh
 processes per tree:
 
 - the fit layer, since perfbench's ``sdt.*`` spans do not see the batched
-  fits: each of FIT_RUNS processes fits the 1 016 tables of tests/data/fit_golden.csv
-  in one ``sdt.meta_d_fit_batch`` solve, after a warm-up solve of a few,
-  with one BLAS thread. The file holds the process time of the solve,
-  its Newton steps and its unconverged tables.
+  fits: each of FIT_RUNS processes fits the 1 016 tables of
+  tests/data/fit_golden.csv in one ``sdt.meta_d_fit_batch`` solve, after
+  a warm-up solve of a few, with one BLAS thread. The file holds the
+  process time of the solve, its Newton steps and its unconverged tables.
 - the loader: each of LOAD_RUNS processes loads perfbench's trial file
   for the seed and a copy of it with every line's keys sorted, which no
   block of the canonical layout parses, so the general path's cost shows
