@@ -22,21 +22,21 @@ converge) are counted and excluded, never retried; more than 1%
 undefined flags the result. A point estimate whose meta-d' fit did not
 converge is nan and flags the result too.
 
-A worker evaluates its chunk of ordinals in batches of up to FIT_BATCH.
-The id draws of a batch are one (B, n) block per stream (``_draw_batch``,
-bit for bit the stream above; tests/test_rng_contract.py holds it to the
-literal recipe), which a paired b side reuses. Each side lays the
-records of the batch's resamples end to end as one flat index block
-(``_Side.block``), and each metric computes the whole batch from it:
-auroc2 with one offset bincount (``nonparam.auroc2_batch``); d_prime,
-meta_d and m_ratio through ``profiles.type1_block`` and, for meta_d and
-m_ratio, one ``sdt.meta_d_fit_batch`` solve; accuracy and nlp_gap by a
-loop over the resamples, so ``ndarray.mean`` sums each pairwise as it
-would alone. A point estimate is the identity block of a side's
-records in record order, through the same type1_block. Every value is
-bit-identical to evaluating its resample alone, so the batch edges, and
-with them the worker count, leave the results unchanged. All contrasts
-of a hypothesis suite share one process pool.
+One evaluator, ``_evaluate``, gives every statistic of a block: the
+records of a side's samples laid end to end as one flat index. Per
+sample it returns the profiles reason and the value: accuracy and auroc2
+(``nonparam.auroc2_batch``) from one bincount; nlp_gap one sample at a
+time, so ``ndarray.mean`` sums each pairwise as it would alone; d_prime,
+meta_d and m_ratio by ``profiles.type1_block``, meta_d and m_ratio as
+tables still to fit. A worker takes its ordinals FIT_BATCH at a time:
+one (B, n) id draw per stream (``_draw_batch``, bit for bit the stream
+above, as tests/test_rng_contract.py checks), reused by a paired b side;
+each side's block (``_Side.block``) through the evaluator; one
+``sdt.meta_d_fit_batch`` solve. A point estimate, ``metric_value``'s
+too, is a side's identity block (its records in record order), fitted
+by one ``sdt.sdt_fits`` solve with its warnings. Every value equals its
+resample evaluated alone, so neither the batch edges nor the worker
+count change a result. All contrasts of a suite share one process pool.
 """
 
 from __future__ import annotations
@@ -54,26 +54,26 @@ from numpy.random.bit_generator import ISeedSequence
 from .binning import RatingScale
 from .errors import (
     EmptySet,
-    MetadkitWarning,
     MissingCondition,
     OneClassOnly,
-    TooFewTrials,
     TooManyDegenerate,
     UnpairedSets,
     WrongCiLevel,
-    ZeroDPrime,
 )
-from .nonparam import accuracy_arrays, auroc2_arrays, auroc2_batch, level_keys, nlp_gap_arrays
-from .profiles import DEFINED, fit_cell_arrays, raise_undefined, type1_block
+from .nonparam import auroc2_batch, level_keys, nlp_gap_arrays
+from .profiles import DEFINED, ONE_CLASS, ZERO_D_PRIME, raise_undefined, type1_block
 from .sdt import meta_d_fit_batch, sdt_fits
 from .trialstore import TrialSet, validate_paired
+
+# looked up here by name by perfbench/spans.py only
+from .nonparam import accuracy_arrays, auroc2_arrays  # noqa: F401
+from .profiles import fit_cell_arrays  # noqa: F401
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 DEGENERATE_FRACTION_ALARM = 0.01
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
 _MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
 _FITTED = ("meta_d", "m_ratio")               # and meta-d' fitted
-_DEGENERATE_ERRORS = (OneClassOnly, TooFewTrials, ZeroDPrime, EmptySet)
 
 RULE_CI_LOWER_GT_ZERO = "ci_lower_gt_zero"
 RULE_TOST = "tost"
@@ -257,6 +257,7 @@ class _Side:
     entropy: int | None      # None: a paired b side, which reuses the a side's draw
     n_ids: int
     counts: np.ndarray | None    # records per id; None when every id has one
+    records: np.ndarray      # each record's row below, in record order: the identity block
     nlp: np.ndarray          # by id, in record order within an id
     correct: np.ndarray
     keys: np.ndarray         # AUROC2 tally key of each record (nonparam.level_keys)
@@ -285,8 +286,8 @@ def _side(trials: TrialSet, entropy: int | None) -> _Side:
     order = np.argsort(codes, kind="stable")
     counts = np.bincount(codes, minlength=len(ids))
     nlp, correct = trials.nlp_values[order], trials.correct_mask[order]
-    return _Side(entropy, len(ids), None if counts.max() == 1 else counts, nlp, correct,
-                 *level_keys(nlp, correct))
+    return _Side(entropy, len(ids), None if counts.max() == 1 else counts,
+                 np.argsort(order), nlp, correct, *level_keys(nlp, correct))
 
 
 @dataclass(frozen=True)
@@ -307,26 +308,20 @@ class _Job:
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
                  scale: RatingScale = RatingScale(), pad_value: float = 0.5) -> float:
-    """One named statistic over raw arrays, re-binning from scratch (the
-    model-based ones as the identity block of profiles.type1_block).
+    """One named statistic of one sample, as a point estimate: the records
+    in input order are the identity block of a one-sample side.
 
-    Raises OneClassOnly / TooFewTrials / ZeroDPrime (in that order) or
-    EmptySet when the statistic is undefined for this sample; meta_d and
-    m_ratio are nan when the meta-d' fit did not converge.
+    Raises EmptySet for no records, else OneClassOnly / TooFewTrials /
+    ZeroDPrime (in that order) when the statistic is undefined for this
+    sample; meta_d and m_ratio are nan when the meta-d' fit did not
+    converge.
     """
-    if metric == "accuracy":
-        return accuracy_arrays(correct)
-    if metric == "nlp_gap":
-        return nlp_gap_arrays(nlp, correct)
-    if metric == "auroc2":
-        return auroc2_arrays(nlp, correct)
-    if metric not in _MODEL:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    if metric in _FITTED:
-        fit = fit_cell_arrays(nlp, correct, scale, pad_value)
-        return _fitted_stat(metric, fit.meta_d, fit.d_prime) if fit.converged else np.nan
-    _, d_prime, _ = _identity_type1(metric, nlp, correct, scale, pad_value)
-    return float(d_prime[0])
+    if not len(correct):
+        raise EmptySet(f"{metric} undefined for an empty set")
+    side = _Side(None, len(correct), None, np.arange(len(correct)), nlp, correct,
+                 *level_keys(nlp, correct))
+    job = _Job(metric, scale, pad_value, side)
+    return _point_values([(job, _points(job))], pad_value)[0]
 
 
 def _fitted_stat(metric: str, meta_d, d_prime):
@@ -334,16 +329,53 @@ def _fitted_stat(metric: str, meta_d, d_prime):
     return meta_d if metric == "meta_d" else meta_d / d_prime
 
 
-def _identity_type1(metric: str, nlp: np.ndarray, correct: np.ndarray, scale: RatingScale,
-                    pad_value: float):
-    """The padded table, d' and c (one row each) of one sample in input
-    order, the identity block of profiles.type1_block, raising
-    metric_value's error where ``metric`` is undefined for it."""
-    lengths = [len(correct)]
-    reasons, *type1 = type1_block(np.unique(nlp, return_inverse=True)[1], correct,
-                                  np.arange(lengths[0]), lengths, scale, pad_value)
-    raise_undefined(reasons, lengths, scale, meta_d=metric in _FITTED)
-    return type1
+def _evaluate(job: _Job, side: _Side, index: np.ndarray, lengths):
+    """Each sample's reason and statistic in a block of ``side``: records
+    ``index`` laid end to end, sample j having lengths[j] of them. The
+    reasons are profiles.type1_block's, with a d' of 0 a d_prime value. A
+    statistic is nan unless DEFINED, and for meta_d and m_ratio always:
+    their DEFINED samples' padded tables, d' and c, still to be fitted,
+    come third (None for the other metrics)."""
+    lengths = np.asarray(lengths)
+    if job.metric in _MODEL:
+        reasons, tables, d_prime, criterion_c = type1_block(
+            (side.keys >> 1).astype(np.int32), side.correct, index, lengths, job.scale,
+            job.pad_value)
+        if job.metric == "d_prime":
+            reasons[reasons == ZERO_D_PRIME] = DEFINED
+            return reasons, d_prime, None
+        fitted = reasons == DEFINED
+        return (reasons, np.full(len(lengths), np.nan),
+                (tables[fitted], d_prime[fitted], criterion_c[fitted]))
+    if job.metric == "accuracy":
+        values = np.bincount(np.repeat(np.arange(len(lengths)), lengths),
+                             weights=side.correct[index], minlength=len(lengths)) / lengths
+    elif job.metric == "auroc2":
+        values = auroc2_batch(side.keys, side.n_levels, index, lengths)
+    elif job.metric == "nlp_gap":
+        # one sample at a time, so ndarray.mean sums each pairwise as it would alone
+        values = np.full(len(lengths), np.nan)
+        for j, r in enumerate(np.split(index, np.cumsum(lengths)[:-1])):
+            try:
+                values[j] = nlp_gap_arrays(side.nlp[r], side.correct[r])
+            except OneClassOnly:
+                pass
+    else:
+        raise ValueError(f"unknown metric {job.metric!r}; choose from {METRICS}")
+    return np.where(np.isnan(values), ONE_CLASS, DEFINED), values, None
+
+
+def _points(job: _Job) -> list:
+    """Each side's point estimate: its identity block through _evaluate,
+    raising the error of an undefined one. A value, or for meta_d and
+    m_ratio the (table, d', c) still to be fitted."""
+    points = []
+    for side in job.sides:
+        lengths = [len(side.records)]
+        reasons, values, pending = _evaluate(job, side, side.records, lengths)
+        raise_undefined(reasons, lengths, job.scale)
+        points.append(float(values[0]) if pending is None else pending)
+    return points
 
 
 def _blocks(job: _Job, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -361,52 +393,21 @@ def _blocks(job: _Job, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     """Statistic (or nan) for resample ordinals [start, stop), evaluated
-    FIT_BATCH ordinals at a time."""
+    FIT_BATCH ordinals at a time: each side's block through _evaluate,
+    then one meta-d' solve for the tables of both sides."""
     parts = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MetadkitWarning)
-        for lo in range(start, stop, FIT_BATCH):
-            values = _batch_values(job, _blocks(job, lo, min(lo + FIT_BATCH, stop)))
-            parts.append(values[0] - values[1] if job.b is not None else values[0])
+    for lo in range(start, stop, FIT_BATCH):
+        reasons, values, pending = zip(*(
+            _evaluate(job, side, *block)
+            for side, block in zip(job.sides, _blocks(job, lo, min(lo + FIT_BATCH, stop)))))
+        values = np.array(values)
+        if job.metric in _FITTED:
+            tables, d_prime, criterion_c = map(np.concatenate, zip(*pending))
+            fit = meta_d_fit_batch(tables, d_prime, criterion_c)
+            values[np.array(reasons) == DEFINED] = np.where(
+                fit.converged, _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
+        parts.append(values[0] - values[1] if job.b is not None else values[0])
     return np.concatenate(parts)
-
-
-def _batch_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """(side, resample) statistic of a batch, nan where it is undefined;
-    ``blocks[s]`` is side s's (index, lengths) block (_blocks)."""
-    if job.metric == "auroc2":
-        return np.array([auroc2_batch(side.keys, side.n_levels, *block)
-                         for side, block in zip(job.sides, blocks)])
-    if job.metric in _MODEL:
-        return _model_values(job, blocks)
-    values = np.full((len(blocks), len(blocks[0][1])), np.nan)
-    for s, (side, (index, lengths)) in enumerate(zip(job.sides, blocks)):
-        for j, r in enumerate(np.split(index, np.cumsum(lengths)[:-1])):
-            try:
-                values[s, j] = metric_value(job.metric, side.nlp[r], side.correct[r],
-                                            job.scale, job.pad_value)
-            except _DEGENERATE_ERRORS:
-                pass
-    return values
-
-
-def _model_values(job: _Job, blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """d_prime, meta_d or m_ratio of each side of each resample, nan where
-    it is undefined or the fit did not converge: each side is one
-    profiles.type1_block, then one meta-d' solve fits every DEFINED table."""
-    reasons, tables, d_prime, criterion_c = (np.concatenate(part) for part in zip(*(
-        type1_block((side.keys >> 1).astype(np.int32), side.correct, *block, job.scale,
-                    job.pad_value)
-        for side, block in zip(job.sides, blocks))))
-    if job.metric == "d_prime":
-        return d_prime.reshape(len(blocks), -1)
-    values = np.full(len(reasons), np.nan)
-    fitted = reasons == DEFINED
-    d_prime = d_prime[fitted]
-    fit = meta_d_fit_batch(tables[fitted], d_prime, criterion_c[fitted])
-    values[fitted] = np.where(fit.converged, _fitted_stat(job.metric, fit.meta_d, d_prime),
-                              np.nan)
-    return values.reshape(len(blocks), -1)
 
 
 def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
@@ -433,8 +434,8 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
            n_resamples: int, seed: int, ci_level: float, scale: RatingScale,
            pad_value: float, pairing: str = "paired"):
     """The RNG unit and resampling job of metric(a), or of metric(a) -
-    metric(b), the point of each side in record order, and its
-    BootstrapResult (ContrastResult) with no point estimate or CI yet.
+    metric(b), the point of each side (_points), and its BootstrapResult
+    (ContrastResult) with no point estimate or CI yet.
 
     The a side draws ids from the stream of ``unit``; an independent b
     side draws from its own stream ``unit|b``, a paired one reuses a's draw.
@@ -457,44 +458,37 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
                     f"paired contrast needs identical question ids; "
                     f"missing={report.missing[:5]} extra={report.extra[:5]}")
 
-    # each side's point: the value, or for meta_d and m_ratio the type-1 still to be fitted
-    points = [_identity_type1(metric, s.nlp_values, s.correct_mask, scale, pad_value)
-              if metric in _FITTED else metric_value(metric, s.nlp_values, s.correct_mask,
-                                                     scale, pad_value)
-              for s in (a, b) if s is not None]
     side_b = None if b is None else _side(b, None if pairing == "paired"
                                           else _stream_entropy(seed, domain, unit + "|b"))
     job = _Job(metric, scale, pad_value, _side(a, _stream_entropy(seed, domain, unit)), side_b)
     fields = dict(metric=metric, domain=domain, ci_low=np.nan, ci_high=np.nan,
                   ci_level=ci_level, n_resamples=n_resamples, seed=seed)
-    return unit, job, points, (BootstrapResult(point=np.nan, **fields) if b is None else
-                              ContrastResult(hypothesis_id="", delta_hat=np.nan,
-                                             pairing=pairing, contrast=label, **fields))
+    return unit, job, _points(job), (
+        BootstrapResult(point=np.nan, **fields) if b is None else
+        ContrastResult(hypothesis_id="", delta_hat=np.nan, pairing=pairing, contrast=label,
+                       **fields))
 
 
-def _with_points(setups: list, pad_value: float) -> list:
-    """(unit, job, result) of each _setup (unit, job, points, result), the
-    result with its point estimate: metric(a), or metric(a) - metric(b),
-    flagged when nan (a point fit that did not converge). One sdt_fits
-    solve fits every meta_d and m_ratio point of the call, its fits and
-    warnings taken in (setup, side) order, as one setup at a time would."""
-    pending = [point for _, job, points, _ in setups if job.metric in _FITTED
-               for point in points]
+def _point_values(units: list, pad_value: float) -> list[float]:
+    """metric(a), or metric(a) - metric(b), of each (job, points of _points),
+    nan where a point fit did not converge. One sdt_fits solve fits every
+    meta_d and m_ratio point, its fits and warnings taken in (unit, side)
+    order, as one unit at a time would."""
+    pending = [point for job, points in units if job.metric in _FITTED for point in points]
     fits = sdt_fits(*map(np.concatenate, zip(*pending)), pad_value) if pending else None
     out = []
-    for unit, job, points, result in setups:
+    for job, points in units:
         if job.metric in _FITTED:
             points = [_fitted_stat(job.metric, fit.meta_d, fit.d_prime) if fit.converged
                       else np.nan for fit in islice(fits, len(points))]
-        point = points[0] - points[1] if job.b is not None else points[0]
-        out.append((unit, job, replace(result, flagged_degenerate=bool(np.isnan(point)),
-                                       **{"point" if job.b is None else "delta_hat": point})))
+        out.append(points[0] - points[1] if job.b is not None else points[0])
     return out
 
 
-def _with_ci(result, unit: str, stats: np.ndarray):
-    """``result`` with the percentile CI of its resample statistics; the
-    undefined (nan) ones are excluded and counted."""
+def _with_ci(result, unit: str, point: float, stats: np.ndarray):
+    """``result`` with its point estimate, flagged when nan, and the
+    percentile CI of its resample statistics; the undefined (nan) ones are
+    excluded and counted."""
     valid = stats[~np.isnan(stats)]
     n_bad = len(stats) - len(valid)
     alarm = n_bad > DEGENERATE_FRACTION_ALARM * result.n_resamples
@@ -507,7 +501,8 @@ def _with_ci(result, unit: str, stats: np.ndarray):
         ci = np.percentile(valid, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
     return replace(result, ci_low=float(ci[0]), ci_high=float(ci[1]),
                    degenerate_resample_count=n_bad,
-                   flagged_degenerate=result.flagged_degenerate or alarm or not len(valid))
+                   flagged_degenerate=bool(np.isnan(point)) or alarm or not len(valid),
+                   **{"delta_hat" if isinstance(result, ContrastResult) else "point": point})
 
 
 def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
@@ -520,9 +515,10 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     resulting trial multiset through the full metric pipeline (quantile
     bins recomputed per resample for the model-based metrics).
     """
-    (unit, job, result), = _with_points([_setup(trials, None, metric, metric, n_resamples,
-                                                 seed, ci_level, scale, pad_value)], pad_value)
-    return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
+    unit, job, points, result = _setup(trials, None, metric, metric, n_resamples, seed,
+                                       ci_level, scale, pad_value)
+    point, = _point_values([(job, points)], pad_value)
+    return _with_ci(result, unit, point, _run_jobs([job], n_resamples, workers)[0])
 
 
 def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
@@ -536,10 +532,10 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     both sides, which requires the sets to hold the same question ids;
     ``"independent"`` resamples each side from its own id list.
     """
-    (unit, job, result), = _with_points([_setup(trials_a, trials_b, metric, unit, n_resamples,
-                                                 seed, ci_level, scale, pad_value, pairing)],
-                                        pad_value)
-    return _with_ci(result, unit, _run_jobs([job], n_resamples, workers)[0])
+    unit, job, points, result = _setup(trials_a, trials_b, metric, unit, n_resamples, seed,
+                                       ci_level, scale, pad_value, pairing)
+    point, = _point_values([(job, points)], pad_value)
+    return _with_ci(result, unit, point, _run_jobs([job], n_resamples, workers)[0])
 
 
 def _contrast_names(metric: str, a: TrialSet, b: TrialSet) -> tuple[str, str]:
@@ -611,8 +607,9 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
             specs_run.append(spec)
             setups.append(_setup(a, b, spec.metric, unit, n_resamples, seed, spec.ci_level,
                                  scale, pad_value, pairing))
-    contrasts = _with_points(setups, pad_value)
-    stats = _run_jobs([job for _, job, _ in contrasts], n_resamples, workers)
-    return [decide(replace(_with_ci(result, unit, unit_stats), hypothesis_id=spec.id),
+    points = _point_values([(job, points) for _, job, points, _ in setups], pad_value)
+    stats = _run_jobs([job for _, job, _, _ in setups], n_resamples, workers)
+    return [decide(replace(_with_ci(result, unit, point, unit_stats), hypothesis_id=spec.id),
                    spec.rule, spec.delta)
-            for spec, (unit, _, result), unit_stats in zip(specs_run, contrasts, stats)]
+            for spec, (unit, _, _, result), point, unit_stats
+            in zip(specs_run, setups, points, stats)]

@@ -85,6 +85,10 @@ class RunConfig:
         return RatingScale(self.n_ratings)
 
 
+# every key a config file or a flag may set: the RunConfig fields, and n_bins
+CONFIG_KEYS = (*(f.name for f in fields(RunConfig)), "n_bins")
+
+
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     """Flat 'key = value' file; blank lines and # comments ignored."""
     values: dict[str, str] = {}
@@ -105,11 +109,10 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
     Either layer may give ``n_bins`` (``--bins``); it is stored as the
     ``n_ratings`` it implies.
     """
-    known = {f.name for f in fields(RunConfig)} | {"n_bins"}
     from_file: dict = {}
     if config_path:
         for key, raw in parse_kv_file(config_path).items():
-            if key not in known:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             from_file[key] = _coerce(key, raw)
     from_flags = {k: v for k, v in overrides.items() if v is not None}
@@ -168,7 +171,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, dest="tost_delta",
                         help="TOST equivalence margin (default 0.17)")
     parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--format", help="restrict analysis to one format")
     parser.add_argument("--workers", type=int, default=_default_workers(),
                         help=f"parallel workers (default ${WORKERS_ENV_VAR} or 1)")
     parser.add_argument("--full-precision", action="store_const", const=True,
@@ -193,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="profile tables per (condition, format)")
     _add_common_flags(p)
+    p.add_argument("--format", help="restrict analysis to one format")
 
     p = sub.add_parser("compare-formats", help="profile stability across two formats")
     _add_common_flags(p)
@@ -202,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confirm", help="run the confirmatory hypothesis suite")
     _add_common_flags(p)
+    p.add_argument("--format", help="restrict analysis to one format")
 
     p = sub.add_parser("synth", help="generate synthetic trials")
     p.add_argument("--synth-config", required=True,
@@ -212,16 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in (
-        "trials", "seed", "n_resamples", "n_bins", "n_ratings", "tost_delta",
-        "out", "workers", "full_precision", "binning_scope", "pairing")}
+    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     return load_run_config(getattr(args, "config", None), overrides)
 
 
-def _load(config: RunConfig):
+def _load(config: RunConfig, fmt: str | None = None):
+    """The trial file, restricted to format ``fmt`` when one is given."""
     if not config.trials:
         raise ConfigError("no trial file given (use --trials or the config file)")
-    return load_trials(config.trials)
+    trials = load_trials(config.trials)
+    if fmt:
+        trials = trials.filter(format=fmt)
+        if len(trials) == 0:
+            raise DataError(f"no trials for format {fmt!r}")
+    return trials
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -236,9 +244,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    trials = _load(config)
-    if getattr(args, "format", None):
-        trials = trials.filter(format=args.format)
+    trials = _load(config, args.format)
     profiles = build_profiles(trials, scale=config.scale, pad_value=config.pad_value,
                               binning_scope=config.binning_scope)
     bundle = ReportBundle(profiles=tuple(profiles))
@@ -286,9 +292,7 @@ def cmd_compare_formats(args: argparse.Namespace) -> int:
 
 def cmd_confirm(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    trials = _load(config)
-    if getattr(args, "format", None):
-        trials = trials.filter(format=args.format)
+    trials = _load(config, args.format)
     specs = default_hypothesis_specs(tost_delta=config.tost_delta,
                                      ci_confirmatory=config.ci_level_confirmatory,
                                      ci_tost=config.ci_level_tost)

@@ -89,7 +89,7 @@ def spearman_rho(x, y) -> float:
 
     Raises LengthMismatch for unequal lengths and ZeroVariance when either
     vector is constant (the correlation is undefined there, not 0). A nan
-    in one vector (an unconverged fit's M-ratio) gives nan unless the
+    in one vector (an undefined value) gives nan unless the
     other is constant.
     """
     x = np.asarray(x, dtype=float)

@@ -89,11 +89,10 @@ def type1_block(levels: np.ndarray | None, correct: np.ndarray, index: np.ndarra
     return reasons, tables, d_prime, criterion_c
 
 
-def raise_undefined(reasons: np.ndarray, lengths, scale: RatingScale = RatingScale(),
-                    meta_d: bool = True) -> None:
+def raise_undefined(reasons: np.ndarray, lengths, scale: RatingScale = RatingScale()) -> None:
     """Raise the error of the first sample of a type1_block whose statistic
-    is undefined; a d' of 0 is an error only when ``meta_d`` is fitted."""
-    for j in np.flatnonzero((reasons != DEFINED) & (meta_d | (reasons != ZERO_D_PRIME)))[:1]:
+    is undefined."""
+    for j in np.flatnonzero(reasons != DEFINED)[:1]:
         if reasons[j] == ONE_CLASS:
             raise OneClassOnly("sensitivity metrics need both correctness classes")
         if reasons[j] == TOO_FEW:
@@ -173,25 +172,37 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     return profiles
 
 
+def _rank_key(value: float) -> tuple[bool, float]:
+    """A value's rank sort key: descending, and a nan as (True, 0.0), so
+    after every defined value and tied with other nans."""
+    return (True, 0.0) if math.isnan(value) else (False, -value)
+
+
+def ranks_tie(values) -> bool:
+    """Whether two of ``values`` tie for a rank: equal, or both nan."""
+    keys = [_rank_key(v) for v in values]
+    return len(set(keys)) < len(keys)
+
+
 def rank_profile(profiles: list[DomainProfile], metric: str) -> list[DomainProfile]:
     """Assign ranks for one metric: rank 1 = largest value.
 
-    An undefined (nan) value, such as the M-ratio of a fit that did not
-    converge, ranks after every defined one. Ties, nan with nan included,
-    are broken by domain name ascending and reported via a TiedRanks
-    warning, so ranks are always a permutation of 1..n that does not
-    depend on the order of ``profiles``.
+    An undefined (nan) value ranks after every defined one. Ties, nan with
+    nan included (ranks_tie), are broken by domain name ascending and
+    reported via a TiedRanks warning, so ranks are always a permutation of
+    1..n that does not depend on the order of ``profiles``. build_profiles
+    gives a cell whose fit did not converge its fitted M-ratio, flagged by
+    ``fit_converged``, not nan.
     """
     if metric not in RANK_METRICS:
         raise ValueError(f"metric must be one of {RANK_METRICS}, got {metric!r}")
     if len({(p.condition, p.format) for p in profiles}) > 1:
         raise MixedProfileSet("profiles to rank must share (condition, format)")
-    # nan sorts as (True, 0.0): after every defined value, tied with other nans
-    keys = [(True, 0.0) if math.isnan(v) else (False, -v)
-            for v in (getattr(p, metric) for p in profiles)]
-    if len(set(keys)) < len(keys):
+    values = [getattr(p, metric) for p in profiles]
+    if ranks_tie(values):
         warnings.warn(f"{metric} ties broken by domain name", TiedRanks, stacklevel=2)
-    order = sorted(range(len(profiles)), key=lambda i: (keys[i], profiles[i].domain))
+    order = sorted(range(len(profiles)),
+                   key=lambda i: (_rank_key(values[i]), profiles[i].domain))
     field = f"rank_{metric}"
     ranked = list(profiles)
     for rank, i in enumerate(order, start=1):

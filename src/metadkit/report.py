@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bootstrap import ContrastResult
 from .errors import EmptyInput, IncompleteInput
-from .profiles import DomainProfile, FormatComparison
+from .profiles import DomainProfile, FormatComparison, ranks_tie
 
 TABLE_NAMES = ("sensitivity_by_format", "auroc2_by_format",
                "nlp_gap_by_condition", "metrics_full", "contrasts",
@@ -190,8 +190,7 @@ def reproduction_notes(profiles: list[DomainProfile] = (),
         by_cf.setdefault((p.condition, p.format), []).append(p)
     for key, group in sorted(by_cf.items()):
         for metric in ("m_ratio", "auroc2"):
-            values = [getattr(p, metric) for p in group]
-            if len(set(values)) < len(values):
+            if ranks_tie([getattr(p, metric) for p in group]):
                 notes.append(f"{key}: {metric} ranks contain ties, broken by "
                              "domain name")
     for c in contrasts:

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import warnings
 from dataclasses import replace
 
@@ -19,13 +20,17 @@ from metadkit.bootstrap import (
     tost,
 )
 from metadkit.errors import (
+    EmptySet,
     MetadkitWarning,
     MissingCondition,
+    OneClassOnly,
+    TooFewTrials,
     TooManyDegenerate,
     UnpairedSets,
     WrongCiLevel,
     ZeroDPrime,
 )
+from metadkit.profiles import DEFINED, ONE_CLASS, TOO_FEW, ZERO_D_PRIME
 from metadkit.sdt import sdt_fits, type1_fit
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
@@ -363,8 +368,12 @@ def test_metric_value_names():
     for name in ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio"):
         value = metric_value(name, trials.nlp_values, trials.correct_mask)
         assert np.isfinite(value)
+        with pytest.raises(EmptySet):
+            metric_value(name, np.array([]), np.array([], dtype=bool))
     with pytest.raises(ValueError):
         metric_value("brier", trials.nlp_values, trials.correct_mask)
+
+
 
 
 def test_zero_d_prime_is_a_value_not_an_exclusion():
@@ -426,6 +435,46 @@ def test_model_resamples_on_ragged_tied_sides_match_one_at_a_time(metric, monkey
     assert reasons["zero" if metric == "d_prime" else "ZeroDPrime"] > 0
 
 
+def ragged_tied_job(metric):
+    rng = np.random.default_rng(0)
+    a, b = ragged_tied_trials(rng, 0.8, "2"), ragged_tied_trials(rng, 0.4, "1")
+    return bootstrap._Job(metric, RatingScale(), 0.5,
+                          bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
+                          bootstrap._side(b, None))
+
+
+# the error metric_value raises for a sample of each reason
+UNDEFINED_ERRORS = {ONE_CLASS: OneClassOnly, TOO_FEW: TooFewTrials, ZERO_D_PRIME: ZeroDPrime}
+
+
+@pytest.mark.parametrize("metric", bootstrap.METRICS)
+def test_each_reason_of_a_block_is_the_error_of_its_sample_alone(metric):
+    job = ragged_tied_job(metric)
+    (index, lengths), _ = bootstrap._blocks(job, 0, 100)
+    reasons, _, _ = bootstrap._evaluate(job, job.a, index, lengths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MetadkitWarning)
+        for reason, r in zip(reasons, np.split(index, np.cumsum(lengths)[:-1])):
+            with pytest.raises(UNDEFINED_ERRORS[reason]) if reason != DEFINED else \
+                    contextlib.nullcontext():
+                metric_value(metric, job.a.nlp[r], job.a.correct[r])
+    want = {"accuracy": {DEFINED}, "nlp_gap": {DEFINED, ONE_CLASS},
+            "auroc2": {DEFINED, ONE_CLASS}, "d_prime": {DEFINED, ONE_CLASS, TOO_FEW}}
+    assert set(reasons) == want.get(metric, {DEFINED, ONE_CLASS, TOO_FEW, ZERO_D_PRIME})
+
+
+def test_a_resample_pass_over_every_undefined_kind_warns_nothing(monkeypatch):
+    # one-class, too-small and d' = 0 resamples, and every fourth fitted
+    # table the stalled one, whose fit does not converge
+    job = ragged_tied_job("m_ratio")
+    clean = bootstrap._run_jobs([job], 300, 1)[0]
+    stall_every_fourth_table(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MetadkitWarning)
+        stalled = bootstrap._run_jobs([job], 300, 1)[0]
+    assert np.isnan(clean).sum() < np.isnan(stalled).sum() < 300
+
+
 @pytest.mark.parametrize("n_rows", [1, 128])
 def test_side_block_is_each_draw_expanded_to_its_records(n_rows):
     # ids of 1, 2 and 4 records, their records interleaved in the file
@@ -476,7 +525,7 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
                 nlp, correct = side.nlp[r], side.correct[r]
                 try:
                     values.append(metric_value(metric, nlp, correct))
-                except bootstrap._DEGENERATE_ERRORS as exc:
+                except tuple(UNDEFINED_ERRORS.values()) as exc:
                     reasons[type(exc).__name__] += 1
                     values.append(np.nan)
                 if len(r) >= 8:

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from metadkit.cli import (
+    CONFIG_KEYS,
     EXIT_CONFIG_ERROR,
     EXIT_DATA_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     RunConfig,
+    _config_from_args,
+    build_parser,
     load_run_config,
     load_synth_config,
     main,
@@ -94,6 +97,17 @@ def test_inconsistent_bins_rejected():
         load_run_config(None, {"n_ratings": 4, "n_bins": 6})
     with pytest.raises(ConfigError):
         load_run_config(None, {"n_bins": 7})
+
+
+def test_every_config_flag_reaches_the_config():
+    args = build_parser().parse_args([
+        "confirm", "--trials", "t.jsonl", "--seed", "5", "--resamples", "7", "--bins", "6",
+        "--delta", "0.1", "--out", "o", "--workers", "2", "--full-precision",
+        "--binning-scope", "global", "--pairing", "independent"])
+    assert _config_from_args(args) == RunConfig(
+        trials="t.jsonl", seed=5, n_resamples=7, n_ratings=3, tost_delta=0.1, out="o",
+        workers=2, full_precision=True, binning_scope="global", pairing="independent")
+    assert set(CONFIG_KEYS) == set(vars(RunConfig())) | {"n_bins"}
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -373,7 +387,28 @@ def test_diagnose_missing_trials_flag_is_config_error(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path / "d")]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("command", [["diagnose"], ["confirm", "--resamples", "10"]])
+def test_a_format_with_no_trials_fails_before_anything_is_written(tmp_path, capsys, command):
+    path = write_trials(tmp_path, gaussian_trials(np.random.default_rng(3), 100))
+    out_dir = tmp_path / "out"
+    code = main([*command, "--trials", str(path), "--format", "nosuch", "--out", str(out_dir)])
+    assert code == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == "data error: no trials for format 'nosuch'\n"
+    assert not out_dir.exists()
+
+
 # -- compare-formats -----------------------------------------------------------
+
+def test_compare_formats_rejects_format(tmp_path, capsys):
+    """It compares --format-a with --format-b; one --format is an error."""
+    path = write_trials(tmp_path, gaussian_trials(np.random.default_rng(3), 100))
+    with pytest.raises(SystemExit) as exited:
+        main(["compare-formats", "--trials", str(path), "--format", "f16", "--format-a", "f16",
+              "--format-b", "f16", "--out", str(tmp_path / "cmp")])
+    assert exited.value.code == EXIT_CONFIG_ERROR
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
 
 def test_compare_dataset_against_itself(tmp_path, capsys, rng):
     records = []

@@ -25,6 +25,7 @@ from metadkit.profiles import (
     compare_formats,
     fit_cell_arrays,
     rank_profile,
+    ranks_tie,
 )
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
@@ -60,6 +61,17 @@ def test_rank_profile_ties_break_by_domain_and_warn():
         ranked = rank_profile(profs, "m_ratio")
     ranks = {p.domain: p.rank_m_ratio for p in ranked}
     assert ranks == {"A": 1, "B": 2, "C": 3}
+
+
+@pytest.mark.parametrize("values, tie", [
+    ([1.0, 0.5], False),
+    ([1.0, 1.0], True),
+    ([0.0, -0.0], True),
+    ([np.nan, 0.5], False),
+    ([np.nan, 0.5, np.nan], True),
+])
+def test_ranks_tie_counts_two_nans_as_a_tie(values, tie):
+    assert ranks_tie(values) == tie
 
 
 def test_rank_profile_rejects_mixed_cells():
@@ -342,6 +354,10 @@ def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
         assert bootstrap_metric(trials, "d_prime", n_resamples=1).point == 0.0
     else:
         assert_raises(error, lambda: metric_value("d_prime", nlp, correct))
+    if error is ONE_CLASS_ERROR:    # so are the rank-based ones
+        for metric in ("auroc2", "nlp_gap"):
+            assert_raises(error, lambda: metric_value(metric, nlp, correct))
+            assert_raises(error, lambda: bootstrap_metric(trials, metric, n_resamples=1))
 
 
 @pytest.mark.parametrize("kinds, error", [

@@ -4,7 +4,7 @@ import io
 import pytest
 
 from metadkit.bootstrap import ContrastResult
-from metadkit.errors import EmptyInput, IncompleteInput
+from metadkit.errors import EmptyInput, IncompleteInput, TiedRanks
 from metadkit.profiles import compare_formats, rank_profile
 from metadkit.report import ReportBundle, emit_bar_chart, emit_tables, reproduction_notes
 from tests.test_profiles import profile
@@ -121,6 +121,16 @@ def test_notes_flag_ties():
             profile("B", m_ratio=1.0, rank_m_ratio=2, rank_auroc2=2)]
     notes = reproduction_notes(tied)
     assert any("ties" in n for n in notes)
+
+
+def test_notes_flag_the_nan_ties_that_rank_profile_warns_about():
+    profs = [profile("A", m_ratio=float("nan"), auroc2=0.6),
+             profile("B", m_ratio=float("nan"), auroc2=0.7),
+             profile("C", m_ratio=0.8, auroc2=0.8)]
+    with pytest.warns(TiedRanks):
+        rank_profile(profs, "m_ratio")
+    assert reproduction_notes(profs) == [
+        "('1', 'f16'): m_ratio ranks contain ties, broken by domain name"]
 
 
 def test_svg_deterministic(tmp_path):
