@@ -226,9 +226,9 @@ def _load(config: RunConfig, fmt: str | None = None):
         raise ConfigError("no trial file given (use --trials or the config file)")
     trials = load_trials(config.trials)
     if fmt:
-        trials = trials.filter(format=fmt)
-        if len(trials) == 0:
+        if fmt not in trials.formats():
             raise DataError(f"no trials for format {fmt!r}")
+        trials = trials.filter(format=fmt)
     return trials
 
 

@@ -374,8 +374,6 @@ def test_metric_value_names():
         metric_value("brier", trials.nlp_values, trials.correct_mask)
 
 
-
-
 def test_zero_d_prime_is_a_value_not_an_exclusion():
     # every question has a correct and an incorrect trial at the same
     # confidence, so both classes tally alike in every resample: d' = 0
