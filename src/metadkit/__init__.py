@@ -1,6 +1,6 @@
 """Domain-level metacognitive diagnostics for trial-level evaluation records."""
 
-from .binning import CountTable, RatingScale, pad_counts
+from .binning import RatingScale, pad_counts
 from .bootstrap import (
     BootstrapResult,
     ContrastResult,

@@ -6,20 +6,23 @@ scale: bin b <= n_ratings is (R1, n_ratings + 1 - b) and bin b > n_ratings
 is (R2, b - n_ratings), so the rating grades the distance from the median
 boundary; count-table columns are the bins in this order. Counts are
 tallied per correctness class: the incorrect-answer trials form one
-stimulus class and the correct-answer trials the other.
+stimulus class and the correct-answer trials the other. A count table is
+a (2, n_bins) float array, row 0 incorrect; a block of them is
+(samples, 2, n_bins).
 
 ``quantile_bins`` and ``tally`` take samples laid end to end in one block
 and are called only by ``profiles.type1_block``, the one block path;
-``bin_indices`` and ``counts_from_arrays`` are their sample of one.
+``bin_indices``, ``counts_from_arrays`` and ``pad_counts`` are their
+sample of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyPadded, TooFewTrials
+from .errors import TooFewTrials
 
 DEFAULT_PAD_VALUE = 0.5
 
@@ -38,39 +41,6 @@ class RatingScale:
     def n_bins(self) -> int:
         return 2 * self.n_ratings
 
-
-@dataclass(frozen=True)
-class CountTable:
-    """Response/rating counts per correctness class, indexed by bin."""
-
-    n_ratings: int
-    counts_incorrect: np.ndarray
-    counts_correct: np.ndarray
-    padded: bool = False
-    pad_value: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts_incorrect",
-                           np.asarray(self.counts_incorrect, dtype=float))
-        object.__setattr__(self, "counts_correct",
-                           np.asarray(self.counts_correct, dtype=float))
-        n_bins = 2 * self.n_ratings
-        for name in ("counts_incorrect", "counts_correct"):
-            vec = getattr(self, name)
-            if vec.shape != (n_bins,):
-                raise ValueError(f"{name} must have length {n_bins}, got {vec.shape}")
-            if np.any(vec < 0):
-                raise ValueError(f"{name} has negative entries")
-
-    @property
-    def n_bins(self) -> int:
-        return 2 * self.n_ratings
-
-    def raw_class_totals(self) -> tuple[float, float]:
-        """(incorrect, correct) totals net of any padding."""
-        pad = self.n_bins * self.pad_value if self.padded else 0.0
-        return (float(self.counts_incorrect.sum()) - pad,
-                float(self.counts_correct.sum()) - pad)
 
 def quantile_bins(levels: np.ndarray, lengths, n_bins: int) -> np.ndarray:
     """Quantile bins, as bin_indices - 1, of every sample of a block laid end
@@ -121,27 +91,19 @@ def tally(bins: np.ndarray, correct: np.ndarray, lengths, n_bins: int) -> np.nda
     return np.bincount(index, minlength=len(lengths) * 2 * n_bins).reshape(-1, 2, n_bins)
 
 
-def counts_from_arrays(bins: np.ndarray, correct: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tally (counts_incorrect, counts_correct) vectors from bin/correct
+def counts_from_arrays(bins: np.ndarray, correct: np.ndarray, n_bins: int) -> np.ndarray:
+    """The (2, n_bins) float count table, row 0 incorrect, of bin/correct
     arrays (bins 1..n_bins): the sample of one of ``tally``."""
     bins = np.asarray(bins)
     if len(bins) and (bins.min() < 1 or bins.max() > n_bins):
         raise ValueError(f"bin index outside 1..{n_bins}")
-    return tuple(tally(bins - 1, correct, [len(bins)], n_bins)[0].astype(float))
+    return tally(bins - 1, correct, [len(bins)], n_bins)[0].astype(float)
 
 
-def pad_counts(table: CountTable, pad_value: float = DEFAULT_PAD_VALUE) -> CountTable:
-    """Log-linear correction: add pad_value to every cell, unconditionally.
+def pad_counts(counts: np.ndarray, pad_value: float = DEFAULT_PAD_VALUE) -> np.ndarray:
+    """Log-linear correction: ``counts`` with pad_value added to every cell.
 
     Applied always, not only when zeros occur, so estimates stay
     deterministic and continuous across bootstrap resamples.
     """
-    if table.padded:
-        raise AlreadyPadded("count table is already padded")
-    return replace(
-        table,
-        counts_incorrect=table.counts_incorrect + pad_value,
-        counts_correct=table.counts_correct + pad_value,
-        padded=True,
-        pad_value=pad_value,
-    )
+    return np.asarray(counts, dtype=float) + pad_value

@@ -51,7 +51,7 @@ from itertools import islice
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .binning import RatingScale
+from .binning import DEFAULT_PAD_VALUE, RatingScale
 from .errors import (
     EmptySet,
     MissingCondition,
@@ -307,7 +307,8 @@ class _Job:
 
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
-                 scale: RatingScale = RatingScale(), pad_value: float = 0.5) -> float:
+                 scale: RatingScale = RatingScale(),
+                 pad_value: float = DEFAULT_PAD_VALUE) -> float:
     """One named statistic of one sample, as a point estimate: the records
     in input order are the identity block of a one-sample side.
 
@@ -508,7 +509,7 @@ def _with_ci(result, unit: str, point: float, stats: np.ndarray):
 def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
                      seed: int = 42, ci_level: float = 0.95, workers: int = 1,
                      scale: RatingScale = RatingScale(),
-                     pad_value: float = 0.5) -> BootstrapResult:
+                     pad_value: float = DEFAULT_PAD_VALUE) -> BootstrapResult:
     """Percentile bootstrap CI for one statistic on one domain's trials.
 
     Each resample draws n question ids with replacement and pushes the
@@ -524,7 +525,7 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
 def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
                        n_resamples: int = 10_000, seed: int = 42,
                        ci_level: float = 0.95, workers: int = 1,
-                       scale: RatingScale = RatingScale(), pad_value: float = 0.5,
+                       scale: RatingScale = RatingScale(), pad_value: float = DEFAULT_PAD_VALUE,
                        pairing: str = "paired", unit: str | None = None) -> ContrastResult:
     """Bootstrap CI for metric(a) - metric(b) on one domain.
 
@@ -578,7 +579,7 @@ def decide(contrast: ContrastResult, rule: str, delta: float = 0.0) -> ContrastR
 def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
                          n_resamples: int = 10_000, seed: int = 42,
                          workers: int = 1, scale: RatingScale = RatingScale(),
-                         pad_value: float = 0.5,
+                         pad_value: float = DEFAULT_PAD_VALUE,
                          pairing: str = "paired") -> list[ContrastResult]:
     """Evaluate every (spec, domain) contrast and attach decisions.
 
@@ -609,7 +610,8 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
                                  scale, pad_value, pairing))
     points = _point_values([(job, points) for _, job, points, _ in setups], pad_value)
     stats = _run_jobs([job for _, job, _, _ in setups], n_resamples, workers)
-    return [decide(replace(_with_ci(result, unit, point, unit_stats), hypothesis_id=spec.id),
-                   spec.rule, spec.delta)
-            for spec, (unit, _, _, result), point, unit_stats
-            in zip(specs_run, setups, points, stats)]
+    results = []    # a loop, not a comprehension: _with_ci's stacklevel names the caller
+    for spec, (unit, _, _, result), point, unit_stats in zip(specs_run, setups, points, stats):
+        result = replace(_with_ci(result, unit, point, unit_stats), hypothesis_id=spec.id)
+        results.append(decide(result, spec.rule, spec.delta))
+    return results

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .binning import RatingScale
+from .binning import DEFAULT_PAD_VALUE, RatingScale
 from .bootstrap import check_tost_ci_level, default_hypothesis_specs, run_hypothesis_suite
 from .errors import ConfigError, DataError, MetadkitError
 from .profiles import build_profiles, compare_formats
@@ -42,7 +42,7 @@ class RunConfig:
 
     trials: str = ""
     n_ratings: int = 4
-    pad_value: float = 0.5
+    pad_value: float = DEFAULT_PAD_VALUE
     seed: int = 42
     n_resamples: int = 10_000
     tost_delta: float = 0.17

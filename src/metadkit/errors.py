@@ -69,10 +69,6 @@ class TooFewTrials(DataError):
         super().__init__(f"{reason} needs at least {required} trials, got {n}")
 
 
-class AlreadyPadded(NumericalError):
-    """pad_counts was called on a table that is already padded."""
-
-
 # -- SDT fits -----------------------------------------------------------------
 
 class OutOfDomain(NumericalError):
@@ -139,10 +135,6 @@ class MetadkitWarning(UserWarning):
 
 class UnknownSelectorValue(MetadkitWarning):
     """A filter selector value does not occur anywhere in the set."""
-
-
-class DegenerateTable(MetadkitWarning):
-    """A stimulus class had zero raw trials; the fit runs on padding alone."""
 
 
 class DegenerateResponse(MetadkitWarning):

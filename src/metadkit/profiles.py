@@ -11,8 +11,8 @@ cells of a call end to end, the bootstrap a batch of resamples, and a
 point estimate is the identity block (one sample in record order). Its
 batches of one: ``fit_cell_arrays``, ``bootstrap.metric_value``,
 ``binning.bin_indices``, ``binning.counts_from_arrays``,
-``binning.pad_counts`` of a ``CountTable``, ``sdt.type1_fit`` and
-``sdt.meta_d_fit``.
+``binning.pad_counts``, ``sdt.type1_fit`` and ``sdt.meta_d_fit``, whose
+one table is the (2, n_bins) row of the block.
 """
 
 from __future__ import annotations

@@ -29,9 +29,13 @@ counts as converged when its gradient norm is at most ACCEPT_GRAD or no
 step the objective can resolve is left. Restarts (large |c'|, a fit at
 the meta_d = 0 boundary) are extra rows, and each table keeps its best
 row. meta_d_fit_batch serves the resamples; sdt_fits adds the warnings
-and SdtFit results for the profiles and point estimates, and meta_d_fit
-is its batch of one. A table's fit is the same bit for bit alone or in
-any batch.
+and SdtFit results for the profiles and point estimates. A table's fit is
+the same bit for bit alone or in any batch.
+
+A count table is one (2, 2 * n_ratings) float array, row 0 incorrect,
+with the pad value already added to every cell and passed alongside.
+The scalar entries type1_fit and meta_d_fit take one such table, checked
+by check_table, and are type1_batch and sdt_fits on a batch of one.
 """
 
 from __future__ import annotations
@@ -43,15 +47,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .binning import CountTable
-from .errors import (
-    DegenerateResponse,
-    DegenerateTable,
-    NegativeMetaD,
-    NumericalError,
-    OutOfDomain,
-    ZeroDPrime,
-)
+from .errors import DegenerateResponse, NegativeMetaD, NumericalError, OutOfDomain, ZeroDPrime
 
 PROB_CLAMP = 1e-12
 LOW_DPRIME_THRESHOLD = 0.5
@@ -128,20 +124,22 @@ def type1_batch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z_hr - z_far, -0.5 * (z_hr + z_far)
 
 
-def type1_fit(table: CountTable) -> tuple[float, float]:
-    """type1_batch of one padded count table, as floats.
+def check_table(counts) -> np.ndarray:
+    """One count table from outside the pipeline as a (2, 2 * n_ratings)
+    float array, row 0 incorrect; ValueError unless it has that shape with
+    n_ratings >= 2 and finite, non-negative counts."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[0] != 2 or counts.shape[1] % 2 or counts.shape[1] < 4:
+        raise ValueError(f"a count table is (2, 2 * n_ratings) with n_ratings >= 2, "
+                         f"got shape {counts.shape}")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("a count table needs finite, non-negative counts")
+    return counts
 
-    A stimulus class that was empty before padding is reported via a
-    DegenerateTable warning; the fit still runs on the padding mass.
-    """
-    if not table.padded:
-        raise NumericalError("type1_fit requires a padded count table")
-    raw_incorrect, raw_correct = table.raw_class_totals()
-    if raw_incorrect <= 0 or raw_correct <= 0:
-        warnings.warn("a stimulus class has no raw trials; rates come from padding alone",
-                      DegenerateTable, stacklevel=2)
-    d_prime, criterion_c = type1_batch(np.array([[table.counts_incorrect,
-                                                  table.counts_correct]]))
+
+def type1_fit(counts) -> tuple[float, float]:
+    """type1_batch of one padded count table (check_table), as floats."""
+    d_prime, criterion_c = type1_batch(check_table(counts)[None])
     return float(d_prime[0]), float(criterion_c[0])
 
 
@@ -178,14 +176,9 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
 
     theta (B, 1 + 2k) = [t, a_1..a_k, b_1..b_k]; meta_d = t**2, criteria
     gaps are exp(a) below meta_c and exp(b) above. counts (B, 2, 2k + 2),
-    cprime (B,). A single table (theta (1 + 2k,), counts (2, 2k + 2),
-    scalar cprime) gives unbatched results. The mean (per-trial) scale
-    makes the objective invariant under count rescaling.
+    cprime (B,). The mean (per-trial) scale makes the objective invariant
+    under count rescaling.
     """
-    theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    if single:
-        theta, counts, cprime = theta[None], counts[None], np.array([cprime], dtype=float)
     n_bins = counts.shape[-1]
     k = n_bins // 2 - 1
     m = 2 * k + 1
@@ -211,7 +204,7 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
     total = counts.sum(axis=(1, 2))
     nll = -(counts * np.log(np.maximum(cond, PROB_CLAMP))).sum(axis=(1, 2)) / total
     if order == 0:
-        return nll[0] if single else nll
+        return nll
 
     # derivatives of the criteria and of the class means; both are
     # diagonal in their second derivatives
@@ -240,7 +233,7 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
     d_s = (weight[..., None] * dz).sum(axis=(1, 2))
     grad = -d_s / total[:, None]
     if order == 1:
-        return (nll[0], grad[0]) if single else (nll, grad)
+        return nll, grad
 
     # d2F_i = pdf_i (diag(d2z_i) - z_i dz_i dz_i^T), and the outer products
     # of d log p and d log q. d2z_i is diagonal: 2 c' - sign for t, and a
@@ -264,7 +257,7 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
     d2_s[:, 0] = 2.0 * cprime * weight.sum(axis=(1, 2)) - (weight[:, 1] - weight[:, 0]).sum(axis=1)
     hess[:, np.arange(n_par), np.arange(n_par)] += d2_s
     hess = -hess / total[:, None, None]
-    return (nll[0], grad[0], hess[0]) if single else (nll, grad, hess)
+    return nll, grad, hess
 
 
 def _quantile_criteria(counts: np.ndarray) -> np.ndarray:
@@ -516,33 +509,31 @@ def sdt_fits(counts: np.ndarray, d_prime, criterion_c, pad_value: float) -> Iter
                      low_dprime_warning=bool(d < LOW_DPRIME_THRESHOLD))
 
 
-def meta_d_fit(table: CountTable, type1: tuple[float, float]) -> SdtFit:
-    """Maximum-likelihood meta-d' under the equal-variance model.
+def meta_d_fit(counts, type1: tuple[float, float], pad_value: float) -> SdtFit:
+    """Maximum-likelihood meta-d' of one count table (check_table) padded
+    by ``pad_value``, under the equal-variance model: sdt_fits of one.
 
     ``type1`` is the (d_prime, criterion_c) pair whose relative criterion
     the type-2 model inherits. Returns the full SdtFit; a solve that
     stops short of convergence (see _newton) returns the best point found
-    with converged=False. The fit is sdt_fits on a batch of one.
+    with converged=False.
     """
-    if not table.padded:
-        raise NumericalError("meta_d_fit requires a padded count table")
     d_prime, criterion_c = float(type1[0]), float(type1[1])
     check_d_prime(d_prime)
-    return next(sdt_fits(np.array([[table.counts_incorrect, table.counts_correct]]),
-                         [d_prime], [criterion_c], table.pad_value))
+    return next(sdt_fits(check_table(counts)[None], [d_prime], [criterion_c], pad_value))
 
 
 def predicted_count_table(meta_d: float, type1: tuple[float, float],
                           gaps_r1: np.ndarray | list, gaps_r2: np.ndarray | list,
                           n: float, p_correct: float = 0.5,
-                          n_ratings: int = 4) -> CountTable:
-    """Exact model-implied count table, scaled to n trials.
+                          n_ratings: int = 4) -> np.ndarray:
+    """Exact model-implied (2, 2 * n_ratings) count table, row 0
+    incorrect, scaled to n trials.
 
     The generative check for the fitter: feeding this table back to
-    meta_d_fit with the same ``type1`` must recover ``meta_d``. Criteria
-    sit at meta_c = c * meta_d / d' plus/minus the given positive gaps.
-    Cells hold expected (fractional) counts; the table is marked padded
-    with pad_value 0 so it goes straight into the fit.
+    meta_d_fit with the same ``type1`` and pad_value 0 must recover
+    ``meta_d``. Criteria sit at meta_c = c * meta_d / d' plus/minus the
+    given positive gaps. Cells hold expected (fractional) counts.
     """
     d_prime, criterion_c = float(type1[0]), float(type1[1])
     check_d_prime(d_prime)
@@ -556,6 +547,4 @@ def predicted_count_table(meta_d: float, type1: tuple[float, float],
     mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
     joint = _bin_masses(crit[None, :] - mus[:, None])[0]
     weights = np.array([1.0 - p_correct, p_correct])
-    cells = joint * weights[:, None] * n
-    return CountTable(n_ratings=n_ratings, counts_incorrect=cells[0],
-                      counts_correct=cells[1], padded=True, pad_value=0.0)
+    return joint * weights[:, None] * n

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import CountTable
 from .errors import InvalidConfig, UnsupportedFamily
-from .sdt import PROB_CLAMP, _anchored_gaps, _bin_masses, _criteria, _quantile_criteria, phi
+from .sdt import (PROB_CLAMP, _anchored_gaps, _bin_masses, _criteria, _quantile_criteria,
+                  check_table, phi)
 from .trialstore import TrialSet
 
 FAMILIES = ("gaussian", "lognormal_skew", "mixture")
@@ -132,15 +132,11 @@ def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime:
     return -float((counts * np.log(np.maximum(cond, PROB_CLAMP))).sum()) / counts.sum()
 
 
-def _initial_gaps(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
-    est = _quantile_criteria(np.vstack([table.counts_incorrect, table.counts_correct]))
-    return _anchored_gaps(est, est[table.n_ratings - 1])
-
-
-def oracle_meta_grid(table: CountTable, type1: tuple[float, float],
+def oracle_meta_grid(counts, type1: tuple[float, float],
                      coarse_step: float = 0.05, fine_step: float = 0.001,
                      upper: float = 3.0) -> tuple[float, float]:
-    """Exhaustive meta-d' grid search, the independent check on the MLE.
+    """Exhaustive meta-d' grid search of one padded count table
+    (sdt.check_table), the independent check on the MLE.
 
     Scans meta_d over [0, upper] coarse-to-fine (fine_step matching the
     advertised 0.001 resolution), re-optimizing the type-2 criteria at
@@ -153,8 +149,9 @@ def oracle_meta_grid(table: CountTable, type1: tuple[float, float],
 
     d_prime, criterion_c = float(type1[0]), float(type1[1])
     cprime = criterion_c / d_prime
-    counts = np.vstack([table.counts_incorrect, table.counts_correct])
-    g1, g2 = _initial_gaps(table)
+    counts = check_table(counts)
+    est = _quantile_criteria(counts)
+    g1, g2 = _anchored_gaps(est, est[counts.shape[1] // 2 - 1])
     fresh = np.log(np.concatenate([g1, g2]))
 
     def inner(meta_d: float, warm: np.ndarray) -> tuple[float, np.ndarray]:

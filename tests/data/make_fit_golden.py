@@ -32,17 +32,19 @@ from pathlib import Path
 
 import numpy as np
 
-from metadkit.binning import CountTable, bin_indices, counts_from_arrays, pad_counts
+from metadkit.binning import bin_indices, counts_from_arrays, pad_counts
 from metadkit.sdt import meta_d_fit, type1_fit
 from metadkit.synth import SynthConfig, generate
 
 OUT = Path(__file__).with_name("fit_golden.csv")
 N_RATINGS = 4
+PAD = 0.5
 RESAMPLES = 6
 
 
 def tables():
-    """(raw incorrect counts, raw correct counts, n) of every golden table."""
+    """(raw (2, 2 * N_RATINGS) count table, row 0 incorrect, n) of every
+    golden table."""
     grid = itertools.product((16, 24, 40, 150, 956),        # trials per set
                              (0.5, 0.7, 0.9),                # p_correct
                              (0.0, 0.3, 1.0),                # signal: mean gap
@@ -65,21 +67,20 @@ def tables():
                                    2 * N_RATINGS)[:n]
             else:
                 bins = bin_indices(nlp, 2 * N_RATINGS)
-            ci, cc = counts_from_arrays(bins, correct, 2 * N_RATINGS)
-            yield ci, cc, n
+            yield counts_from_arrays(bins, correct, 2 * N_RATINGS), n
 
 
 def main() -> None:
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for ci, cc, n in tables():
-            table = pad_counts(CountTable(N_RATINGS, ci, cc), 0.5)
+        for raw, n in tables():
+            table = pad_counts(raw, PAD)
             type1 = type1_fit(table)
             if type1[0] == 0.0:
                 continue
-            fit = meta_d_fit(table, type1)
-            rows.append([*map(int, ci), *map(int, cc), n]
+            fit = meta_d_fit(table, type1, PAD)
+            rows.append([*map(int, raw.ravel()), n]
                         + [repr(fit.meta_d), repr(fit.meta_c), repr(fit.log_likelihood)]
                         + [repr(c) for c in fit.t2_criteria_r1 + fit.t2_criteria_r2])
     with open(OUT, "w", newline="", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from metadkit.binning import CountTable, bin_indices, counts_from_arrays, pad_counts
+from metadkit.binning import DEFAULT_PAD_VALUE, bin_indices, counts_from_arrays, pad_counts
 from metadkit.bootstrap import (
     bootstrap_contrast,
     default_hypothesis_specs,
@@ -68,8 +68,7 @@ def _random_table_with_signal(seed):
     # inherited criterion c * meta_d / d' diverges and the fit is flagged
     # unstable rather than compared against the grid
     r = np.random.default_rng(seed)
-    table = pad_counts(CountTable(4, r.integers(0, 30, 8).astype(float),
-                                  r.integers(0, 30, 8).astype(float)))
+    table = pad_counts([r.integers(0, 30, 8), r.integers(0, 30, 8)])
     t1 = type1_fit(table)
     return (table, t1) if abs(t1[0]) >= 0.1 else None
 
@@ -78,7 +77,7 @@ def _mle_vs_grid(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table, t1 = _random_table_with_signal(seed)
-        fit = meta_d_fit(table, t1)
+        fit = meta_d_fit(table, t1, DEFAULT_PAD_VALUE)
         grid_md, grid_ll = oracle_meta_grid(table, t1)
     return fit.meta_d, fit.log_likelihood, grid_md, grid_ll
 
@@ -106,7 +105,7 @@ def test_c03_generative_self_consistency():
     for meta_star in (0.3, 0.8, 1.2, 2.0):
         table = predicted_count_table(meta_star, (1.0, 0.1),
                                       [0.5, 0.45, 0.55], [0.5, 0.55, 0.45], n=1e6)
-        fit = meta_d_fit(table, (1.0, 0.1))
+        fit = meta_d_fit(table, (1.0, 0.1), 0.0)
         worst = max(worst, abs(fit.meta_d - meta_star))
     check("C3", "self-consistency at meta-d' in {0.3, 0.8, 1.2, 2.0}",
           worst <= 0.01, f"max recovery error {worst:.5f}")
@@ -347,14 +346,11 @@ def _sensitivity_deviations(released, binning_scope, pad_always=True):
             mask = domain_rows == domain
             nlp, correct = cf.nlp_values[mask], cf.correct_mask[mask]
             bins = shared[mask] if shared is not None else bin_indices(nlp, 8)
-            ci, cc = counts_from_arrays(bins, correct, 8)
-            raw = CountTable(4, ci, cc)
-            if pad_always or (ci.min() == 0 or cc.min() == 0):
-                table = pad_counts(raw)
-            else:
-                table = CountTable(4, ci, cc, padded=True, pad_value=0.0)
+            counts = counts_from_arrays(bins, correct, 8)
+            pad_value = DEFAULT_PAD_VALUE if pad_always or counts.min() == 0 else 0.0
+            table = pad_counts(counts, pad_value)
             t1 = type1_fit(table)
-            fit = meta_d_fit(table, t1)
+            fit = meta_d_fit(table, t1, pad_value)
             deviations[(format, domain)] = (abs(fit.d_prime - d_ref),
                                             abs(fit.meta_d - meta_ref),
                                             abs(fit.m_ratio - ratio_ref))

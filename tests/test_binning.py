@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadkit.binning import CountTable, bin_indices, counts_from_arrays, pad_counts, quantile_bins
-from metadkit.errors import AlreadyPadded, TooFewTrials
+from metadkit.binning import bin_indices, counts_from_arrays, pad_counts, quantile_bins
+from metadkit.errors import TooFewTrials
 
 
 def test_sorted_distinct_values_fill_bins():
@@ -92,7 +92,9 @@ def test_too_few_trials():
 
 def test_counts_single_increment():
     bins = bin_indices(np.array([-8, -7, -6, -5, -4, -3, -2, -1], dtype=float), 8)
-    incorrect, correct = counts_from_arrays(bins, np.array([False] * 7 + [True]), 8)
+    counts = counts_from_arrays(bins, np.array([False] * 7 + [True]), 8)
+    assert counts.shape == (2, 8) and counts.dtype == float
+    incorrect, correct = counts
     assert correct.tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
     assert incorrect.tolist() == [1, 1, 1, 1, 1, 1, 1, 0]
 
@@ -125,27 +127,17 @@ def test_counts_match_per_trial_tally(rng):
 
 
 def test_pad_counts_all_zero():
-    table = CountTable(4, np.zeros(8), np.zeros(8))
-    padded = pad_counts(table)
-    assert (padded.counts_correct == 0.5).all()
-    assert (padded.counts_incorrect == 0.5).all()
-    assert padded.padded and padded.pad_value == 0.5
+    padded = pad_counts(np.zeros((2, 8)))
+    assert (padded == 0.5).all()
 
 
 def test_pad_counts_uniform_increment():
-    table = CountTable(4, np.zeros(8), np.array([1, 0, 0, 0, 0, 0, 0, 0], float))
-    padded = pad_counts(table)
-    assert padded.counts_correct.tolist() == [1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+    counts = np.zeros((2, 8))
+    counts[1, 0] = 1
+    padded = pad_counts(counts)
+    assert padded[1].tolist() == [1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
 
 
 def test_pad_adds_half_per_cell():
-    raw = CountTable(4, np.full(8, 2.5), np.full(8, 2.5))  # 20 raw per class
-    padded = pad_counts(raw)
-    assert padded.counts_correct.sum() == pytest.approx(24.0)
-    assert padded.raw_class_totals() == (pytest.approx(20.0), pytest.approx(20.0))
-
-
-def test_pad_twice_rejected():
-    table = pad_counts(CountTable(4, np.zeros(8), np.zeros(8)))
-    with pytest.raises(AlreadyPadded):
-        pad_counts(table)
+    padded = pad_counts(np.full((2, 8), 2.5))  # 20 raw per class
+    assert padded.sum(axis=1).tolist() == [pytest.approx(24.0), pytest.approx(24.0)]

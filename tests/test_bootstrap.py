@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from metadkit import bootstrap
-from metadkit.binning import CountTable, RatingScale, bin_indices, pad_counts
+from metadkit.binning import DEFAULT_PAD_VALUE, RatingScale, bin_indices, pad_counts
 from metadkit.bootstrap import (
+    RULE_CI_LOWER_GT_ZERO,
     ContrastResult,
     HypothesisSpec,
     bootstrap_contrast,
@@ -129,6 +130,27 @@ def test_golden_auroc2_contrast_runs(case, pairing, expected):
         res = bootstrap_contrast(a, b, "auroc2", n_resamples=100, seed=7, pairing=pairing)
     assert (res.delta_hat, res.ci_low, res.ci_high,
             res.degenerate_resample_count) == expected
+
+
+ALARM_ENTRIES = {
+    "bootstrap_metric": lambda a, b: bootstrap_metric(a, "nlp_gap", n_resamples=100, seed=7),
+    "bootstrap_contrast": lambda a, b: bootstrap_contrast(a, b, "nlp_gap", n_resamples=100,
+                                                          seed=7),
+    "run_hypothesis_suite": lambda a, b: run_hypothesis_suite(
+        TrialSet(a.records + b.records),
+        [HypothesisSpec("H", "1", "2", ("Science",), RULE_CI_LOWER_GT_ZERO, "nlp_gap")],
+        n_resamples=100, seed=7),
+}
+
+
+@pytest.mark.parametrize("entry", ALARM_ENTRIES)
+def test_too_many_degenerate_names_the_caller(entry):
+    a = toy_trials()
+    b = make_trials([-0.8, -0.5, -0.1], [False, True, True], condition="2",
+                    qids=["qa", "qb", "qc"])
+    with pytest.warns(TooManyDegenerate) as caught:
+        ALARM_ENTRIES[entry](a, b)
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_bit_identical_across_runs_and_workers():
@@ -543,7 +565,7 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     return reasons
 
 
-STALLED = pad_counts(CountTable(4, [0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]))
+STALLED = pad_counts([[0, 0, 18, 0, 0, 0, 0, 0], [0, 0, 0, 16, 0, 0, 0, 0]])
 
 
 def stall_every_fourth_table(monkeypatch):
@@ -557,7 +579,7 @@ def stall_every_fourth_table(monkeypatch):
         counts, d_prime, criterion_c = counts.copy(), d_prime.copy(), criterion_c.copy()
         stall = (seen[0] + np.arange(len(counts))) % 4 == 0
         seen[0] += len(counts)
-        counts[stall] = STALLED.counts_incorrect, STALLED.counts_correct
+        counts[stall] = STALLED
         d_prime[stall], criterion_c[stall] = type1_fit(STALLED)
         return real(counts, d_prime, criterion_c)
 
@@ -569,8 +591,8 @@ def stall_point_fits(monkeypatch):
     of stall_every_fourth_table (resample fits are unchanged)."""
     d_prime, criterion_c = type1_fit(STALLED)
     monkeypatch.setattr(bootstrap, "sdt_fits", lambda counts, *_: sdt_fits(
-        np.repeat([[STALLED.counts_incorrect, STALLED.counts_correct]], len(counts), axis=0),
-        [d_prime] * len(counts), [criterion_c] * len(counts), STALLED.pad_value))
+        np.repeat(STALLED[None], len(counts), axis=0),
+        [d_prime] * len(counts), [criterion_c] * len(counts), DEFAULT_PAD_VALUE))
 
 
 @pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])

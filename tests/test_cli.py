@@ -19,7 +19,7 @@ from metadkit.cli import (
     main,
     parse_kv_file,
 )
-from metadkit.errors import ConfigError, DegenerateTable, MetadkitWarning
+from metadkit.errors import ConfigError, MetadkitWarning
 from metadkit.profiles import build_profiles
 from metadkit.trialstore import TrialSet, save_trials
 from tests.conftest import gaussian_trials, make_trials
@@ -380,7 +380,7 @@ def test_a_one_class_cell_is_the_same_data_error_on_every_path(tmp_path, capsys,
     assert code == EXIT_DATA_ERROR
     assert capsys.readouterr().err == \
         "data error: sensitivity metrics need both correctness classes\n"
-    assert not [w for w in caught if issubclass(w.category, DegenerateTable)]
+    assert not [w for w in caught if issubclass(w.category, MetadkitWarning)]
 
 
 def test_diagnose_missing_trials_flag_is_config_error(tmp_path):

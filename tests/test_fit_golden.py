@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metadkit.binning import CountTable
 from metadkit.sdt import PROB_CLAMP, meta_d_fit, meta_d_fit_batch, type1_batch, type1_fit
 
 GOLDEN = Path(__file__).parent / "data" / "fit_golden.csv"
+PAD = 0.5
 META_D_TOL = 1e-6
 LOGLIK_TOL = 1e-9
 # the recorded log-likelihood is off by more than this from an accurate
@@ -62,16 +62,13 @@ def _golden():
     with open(GOLDEN, encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     counts = np.array([[[int(r[f"i{b}"]) for b in range(1, 9)],
-                        [int(r[f"c{b}"]) for b in range(1, 9)]] for r in rows], float) + 0.5
+                        [int(r[f"c{b}"]) for b in range(1, 9)]] for r in rows], float) + PAD
     return rows, counts
 
 
 def test_matches_recorded_bfgs_fits():
     rows, counts = _golden()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        type1 = np.array([type1_fit(CountTable(4, c[0], c[1], padded=True, pad_value=0.5))
-                          for c in counts])
+    type1 = np.array([type1_fit(c) for c in counts])
     fits = meta_d_fit_batch(counts, type1[:, 0], type1[:, 1])
     by_meta_d = 0
     for i, row in enumerate(rows):
@@ -110,10 +107,9 @@ def test_tail_table_reports_accurate_loglik():
     tail = [i for i, r in enumerate(rows) if abs(float(r["meta_c"])) > 5]
     checked = 0
     for i in tail:
-        table = CountTable(4, counts[i, 0], counts[i, 1], padded=True, pad_value=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = meta_d_fit(table, type1_fit(table))
+            fit = meta_d_fit(counts[i], type1_fit(counts[i]), PAD)
         if abs(fit.meta_c) <= 5:
             continue
         want = erfc_loglik(counts[i], fit.meta_d, fit.meta_c,

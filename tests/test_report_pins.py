@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metadkit.binning import CountTable, bin_indices, counts_from_arrays, pad_counts
+from metadkit.binning import DEFAULT_PAD_VALUE, bin_indices, counts_from_arrays, pad_counts
 from metadkit.bootstrap import bootstrap_contrast, bootstrap_metric
 from metadkit.cli import main
 from metadkit.errors import MetadkitWarning
@@ -101,12 +101,11 @@ def scalar_chain(trials, metric):
     nlp, correct = trials.nlp_values, trials.correct_mask
     if metric == "nlp_gap":
         return nlp_gap_arrays(nlp, correct)
-    ci, cc = counts_from_arrays(bin_indices(nlp, 8), correct, 8)
-    table = pad_counts(CountTable(4, ci, cc))
+    table = pad_counts(counts_from_arrays(bin_indices(nlp, 8), correct, 8))
     type1 = type1_fit(table)
     if metric == "d_prime":
         return type1[0]
-    fit = meta_d_fit(table, type1)
+    fit = meta_d_fit(table, type1, DEFAULT_PAD_VALUE)
     return fit.meta_d if metric == "meta_d" else fit.m_ratio
 
 

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from metadkit.binning import CountTable, pad_counts
-from metadkit.errors import DegenerateTable, NegativeMetaD, OutOfDomain, ZeroDPrime
+from metadkit.binning import pad_counts
+from metadkit.errors import NegativeMetaD, OutOfDomain, ZeroDPrime
 from metadkit.sdt import (
     _nll_and_grad,
     meta_d_fit,
@@ -14,11 +14,13 @@ from metadkit.sdt import (
     predicted_count_table,
     type1_fit,
 )
+from metadkit.synth import oracle_meta_grid
+
+PAD = 0.5
 
 
 def padded(counts_incorrect, counts_correct):
-    return pad_counts(CountTable(4, np.asarray(counts_incorrect, float),
-                                 np.asarray(counts_correct, float)))
+    return pad_counts([counts_incorrect, counts_correct], PAD)
 
 
 def random_padded_table(seed, lo=0, hi=30):
@@ -90,33 +92,42 @@ def test_type1_hand_computed_example():
     assert c == pytest.approx(0.0, abs=1e-12)
 
 
-def test_type1_degenerate_class_warns_but_fits():
-    table = padded([5, 5, 5, 5, 0, 0, 0, 0], [0] * 8)
-    with pytest.warns(DegenerateTable):
-        d, c = type1_fit(table)
-    assert np.isfinite(d) and np.isfinite(c)
+BAD_TABLES = {
+    "one row": np.ones(8),
+    "three rows": np.ones((3, 8)),
+    "a batch": np.ones((1, 2, 8)),
+    "odd width": np.ones((2, 7)),
+    "one rating": np.ones((2, 2)),
+    "negative": np.r_[np.ones(15), -0.5].reshape(2, 8),
+    "nan": np.r_[np.ones(15), np.nan].reshape(2, 8),
+    "inf": np.r_[np.ones(15), np.inf].reshape(2, 8),
+}
+TABLE_ENTRIES = {
+    "type1_fit": type1_fit,
+    "meta_d_fit": lambda counts: meta_d_fit(counts, (0.7, 0.1), PAD),
+    "oracle_meta_grid": lambda counts: oracle_meta_grid(counts, (0.7, 0.1)),
+}
 
 
-def test_type1_requires_padding():
-    from metadkit.errors import NumericalError
-    with pytest.raises(NumericalError):
-        type1_fit(CountTable(4, np.ones(8), np.ones(8)))
+@pytest.mark.parametrize("entry", TABLE_ENTRIES)
+@pytest.mark.parametrize("bad", BAD_TABLES)
+def test_table_entries_reject_a_malformed_table(entry, bad):
+    with pytest.raises(ValueError, match="count table"):
+        TABLE_ENTRIES[entry](BAD_TABLES[bad])
 
 
 # -- meta-d fit ----------------------------------------------------------------
 
 def test_flat_type2_table_gives_zero_meta_d():
     # identical rating distribution for both classes within each response
-    table = CountTable(4, np.full(8, 12.0), np.full(8, 12.0),
-                       padded=True, pad_value=0.0)
     with pytest.warns(NegativeMetaD):
-        fit = meta_d_fit(table, (0.8, 0.1))
+        fit = meta_d_fit(np.full((2, 8), 12.0), (0.8, 0.1), 0.0)
     assert abs(fit.meta_d) <= 0.01
 
 
 def test_self_consistency_recovers_generating_meta_d():
     table = predicted_count_table(1.2, (1.2, 0.1), [0.5] * 3, [0.5] * 3, n=1e6)
-    fit = meta_d_fit(table, (1.2, 0.1))
+    fit = meta_d_fit(table, (1.2, 0.1), 0.0)
     assert fit.meta_d == pytest.approx(1.2, abs=0.01)
     assert fit.converged
 
@@ -125,13 +136,13 @@ def test_self_consistency_recovers_generating_meta_d():
 def test_self_consistency_across_range(meta_star):
     table = predicted_count_table(meta_star, (0.9, -0.2),
                                   [0.4, 0.6, 0.5], [0.7, 0.3, 0.5], n=1e6)
-    fit = meta_d_fit(table, (0.9, -0.2))
+    fit = meta_d_fit(table, (0.9, -0.2), 0.0)
     assert fit.meta_d == pytest.approx(meta_star, abs=0.01)
 
 
 def test_fit_shape_and_invariants():
     fit = meta_d_fit(predicted_count_table(0.8, (0.7, 0.15), [0.4, 0.5, 0.6],
-                                           [0.5, 0.4, 0.7], n=5000), (0.7, 0.15))
+                                           [0.5, 0.4, 0.7], n=5000), (0.7, 0.15), 0.0)
     assert fit.meta_d > 0.5
     r1 = fit.t2_criteria_r1
     r2 = fit.t2_criteria_r2
@@ -148,11 +159,8 @@ def test_fit_shape_and_invariants():
 def test_fit_is_scale_free():
     table = random_padded_table(11)
     t1 = (0.6, 0.1)
-    base = meta_d_fit(table, t1)
-    scaled_table = CountTable(4, table.counts_incorrect * 37.0,
-                              table.counts_correct * 37.0,
-                              padded=True, pad_value=table.pad_value * 37.0)
-    scaled = meta_d_fit(scaled_table, t1)
+    base = meta_d_fit(table, t1, PAD)
+    scaled = meta_d_fit(table * 37.0, t1, PAD * 37.0)
     assert scaled.meta_d == pytest.approx(base.meta_d, abs=1e-6)
     assert np.allclose(scaled.t2_criteria_r1, base.t2_criteria_r1, atol=1e-6)
     assert np.allclose(scaled.t2_criteria_r2, base.t2_criteria_r2, atol=1e-6)
@@ -167,7 +175,7 @@ def test_gradient_vanishes_at_interior_optimum():
             t1 = type1_fit(table)
             if t1[0] == 0.0:
                 continue
-            fit = meta_d_fit(table, t1)
+            fit = meta_d_fit(table, t1, PAD)
         if fit.meta_d < 1e-6:
             continue  # boundary optimum, gradient need not vanish
         lower = np.r_[fit.t2_criteria_r1[::-1], fit.meta_c]
@@ -175,16 +183,15 @@ def test_gradient_vanishes_at_interior_optimum():
         theta = np.concatenate([[np.sqrt(fit.meta_d)],
                                 np.log(np.diff(lower))[::-1],
                                 np.log(np.diff(upper))])
-        counts = np.vstack([table.counts_incorrect, table.counts_correct])
-        cprime = t1[1] / t1[0]
+        cprime = np.array([t1[1] / t1[0]])
         eps = 1e-6
         g_fd = np.zeros_like(theta)
         for i in range(len(theta)):
             up, dn = theta.copy(), theta.copy()
             up[i] += eps
             dn[i] -= eps
-            g_fd[i] = (_nll_and_grad(up, counts, cprime)[0]
-                       - _nll_and_grad(dn, counts, cprime)[0]) / (2 * eps)
+            g_fd[i] = (_nll_and_grad(up[None], table[None], cprime, order=0)[0]
+                       - _nll_and_grad(dn[None], table[None], cprime, order=0)[0]) / (2 * eps)
         assert np.linalg.norm(g_fd) <= 1e-4
         checked += 1
     assert checked >= 10
@@ -192,22 +199,20 @@ def test_gradient_vanishes_at_interior_optimum():
 
 def test_meta_d_fit_rejects_zero_d_prime():
     with pytest.raises(ZeroDPrime):
-        meta_d_fit(random_padded_table(5), (0.0, 0.1))
+        meta_d_fit(random_padded_table(5), (0.0, 0.1), PAD)
 
 
 def test_one_sided_raw_mass_warns():
     from metadkit.errors import DegenerateResponse
-    table = CountTable(4, np.array([8, 6, 4, 2, 0, 0, 0, 0], float),
-                       np.array([2, 4, 6, 8, 0, 0, 0, 0], float),
-                       padded=True, pad_value=0.0)
+    table = [[8, 6, 4, 2, 0, 0, 0, 0], [2, 4, 6, 8, 0, 0, 0, 0]]
     with pytest.warns(DegenerateResponse):
-        meta_d_fit(table, (0.5, 0.1))
+        meta_d_fit(table, (0.5, 0.1), 0.0)
 
 
 def test_iteration_cap_returns_best_point(monkeypatch):
     import metadkit.sdt as sdt_module
     monkeypatch.setattr(sdt_module, "MAX_ITERATIONS", 2)
-    fit = meta_d_fit(random_padded_table(3), (0.7, 0.15))
+    fit = meta_d_fit(random_padded_table(3), (0.7, 0.15), PAD)
     assert fit.iterations <= 4  # a couple of steps per restart at most
     assert np.isfinite(fit.log_likelihood)
     assert not fit.converged
@@ -215,10 +220,10 @@ def test_iteration_cap_returns_best_point(monkeypatch):
 
 def test_low_dprime_flag():
     table = predicted_count_table(0.4, (0.4, 0.05), [0.5] * 3, [0.5] * 3, n=1e5)
-    fit = meta_d_fit(table, (0.4, 0.05))
+    fit = meta_d_fit(table, (0.4, 0.05), 0.0)
     assert fit.low_dprime_warning
     table = predicted_count_table(0.9, (0.9, 0.05), [0.5] * 3, [0.5] * 3, n=1e5)
-    fit = meta_d_fit(table, (0.9, 0.05))
+    fit = meta_d_fit(table, (0.9, 0.05), 0.0)
     assert not fit.low_dprime_warning
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from metadkit.binning import CountTable, pad_counts
+from metadkit.binning import pad_counts
 from metadkit.sdt import (
     PROB_CLAMP,
     _nll_and_grad,
@@ -24,6 +24,8 @@ from metadkit.sdt import (
     type1_fit,
 )
 
+PAD = 0.5
+
 
 @st.composite
 def count_tables(draw):
@@ -33,18 +35,16 @@ def count_tables(draw):
     empty_side = draw(st.sampled_from([None, slice(0, 4), slice(4, 8)]))
     if empty_side is not None:
         raw[:, empty_side] = 0.0
-    table = pad_counts(CountTable(4, raw[0], raw[1]), 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        type1 = type1_fit(table)
+    table = pad_counts(raw, PAD)
+    type1 = type1_fit(table)
     assume(type1[0] != 0.0)
     return table, type1
 
 
-def _fit(table, type1):
+def _fit(table, type1, pad_value=PAD):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return meta_d_fit(table, type1)
+        return meta_d_fit(table, type1, pad_value)
 
 
 def _theta(fit) -> np.ndarray:
@@ -54,17 +54,13 @@ def _theta(fit) -> np.ndarray:
                            np.log(np.diff(upper))])
 
 
-def _counts(table) -> np.ndarray:
-    return np.vstack([table.counts_incorrect, table.counts_correct])
-
-
 @given(meta_d=st.floats(0.1, 3.0), d_prime=st.floats(0.4, 2.5), c=st.floats(-0.5, 0.5),
        gaps=st.lists(st.floats(0.1, 1.2), min_size=6, max_size=6),
        p_correct=st.floats(0.2, 0.9))
 def test_predicted_table_round_trips(meta_d, d_prime, c, gaps, p_correct):
     table = predicted_count_table(meta_d, (d_prime, c), gaps[:3], gaps[3:], n=1e4,
                                   p_correct=p_correct)
-    fit = _fit(table, (d_prime, c))
+    fit = _fit(table, (d_prime, c), 0.0)
     assert fit.converged
     assert fit.meta_d == pytest.approx(meta_d, abs=1e-6)
 
@@ -72,9 +68,7 @@ def test_predicted_table_round_trips(meta_d, d_prime, c, gaps, p_correct):
 @given(count_tables(), st.sampled_from([2.0, 3.5, 37.0]))
 def test_fit_is_invariant_to_count_scale(table_type1, factor):
     table, type1 = table_type1
-    scaled = CountTable(4, table.counts_incorrect * factor, table.counts_correct * factor,
-                        padded=True, pad_value=table.pad_value * factor)
-    base, other = _fit(table, type1), _fit(scaled, type1)
+    base, other = _fit(table, type1), _fit(table * factor, type1, PAD * factor)
     # an unconverged fit stops where rounding stalled its line search,
     # which is not a property of the table
     assume(base.converged and other.converged)
@@ -87,11 +81,11 @@ def test_gradient_vanishes_at_interior_optimum(table_type1):
     table, type1 = table_type1
     fit = _fit(table, type1)
     assume(fit.converged and fit.meta_d > 1e-3)
-    theta, counts, cprime = _theta(fit), _counts(table), type1[1] / type1[0]
+    theta, counts, cprime = _theta(fit)[None], table[None], np.array([type1[1] / type1[0]])
     eps = 1e-6
     g_fd = np.array([(_nll_and_grad(theta + eps * e, counts, cprime, order=0)
                       - _nll_and_grad(theta - eps * e, counts, cprime, order=0)) / (2 * eps)
-                     for e in np.eye(len(theta))])
+                     for e in np.eye(theta.shape[1])])
     assert np.abs(g_fd).max() <= 1e-7
 
 
@@ -99,18 +93,18 @@ def test_gradient_vanishes_at_interior_optimum(table_type1):
        st.floats(0.2, 1.5))
 def test_hessian_is_the_derivative_of_the_gradient(table_type1, log_gaps, t):
     table, type1 = table_type1
-    theta, counts, cprime = np.r_[t, log_gaps], _counts(table), type1[1] / type1[0]
+    theta, counts, cprime = np.r_[t, log_gaps][None], table[None], np.array([type1[1] / type1[0]])
     _, _, hess = _nll_and_grad(theta, counts, cprime, order=2)
     eps = 1e-6
     h_fd = np.array([(_nll_and_grad(theta + eps * e, counts, cprime)[1]
-                      - _nll_and_grad(theta - eps * e, counts, cprime)[1]) / (2 * eps)
-                     for e in np.eye(len(theta))])
-    assert np.abs(hess - h_fd).max() <= 1e-6 * max(1.0, np.abs(hess).max())
+                      - _nll_and_grad(theta - eps * e, counts, cprime)[1])[0] / (2 * eps)
+                     for e in np.eye(theta.shape[1])])
+    assert np.abs(hess[0] - h_fd).max() <= 1e-6 * max(1.0, np.abs(hess).max())
 
 
 @given(st.lists(count_tables(), min_size=2, max_size=6), st.integers(0, 2 ** 32 - 1))
 def test_fit_is_bit_identical_alone_and_in_a_shuffled_batch(tables, seed):
-    counts = np.array([_counts(table) for table, _ in tables])
+    counts = np.array([table for table, _ in tables])
     type1 = np.array([t1 for _, t1 in tables])
     alone = meta_d_fit_batch(counts[:1], type1[:1, 0], type1[:1, 1])
     order = np.random.default_rng(seed).permutation(len(tables))
@@ -123,15 +117,15 @@ def test_fit_is_bit_identical_alone_and_in_a_shuffled_batch(tables, seed):
 def scalar_type1(table):
     """The median-split (d', c) of one table from scalar rates."""
     def z(counts):
-        rate = float(counts[table.n_ratings:].sum() / counts.sum())
+        rate = float(counts[len(counts) // 2:].sum() / counts.sum())
         return float(ndtri(np.clip(rate, PROB_CLAMP, 1.0 - PROB_CLAMP)))
-    z_hr, z_far = z(table.counts_correct), z(table.counts_incorrect)
+    z_far, z_hr = z(table[0]), z(table[1])
     return z_hr - z_far, -0.5 * (z_hr + z_far)
 
 
 @given(st.lists(count_tables(), min_size=1, max_size=6))
 def test_type1_batch_is_the_scalar_fit_of_each_table(tables):
-    counts = np.array([_counts(table) for table, _ in tables])
+    counts = np.array([table for table, _ in tables])
     d_prime, criterion_c = type1_batch(counts)
     for i, (table, type1) in enumerate(tables):
         assert (d_prime[i], criterion_c[i]) == scalar_type1(table) == type1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metadkit.binning import DEFAULT_PAD_VALUE, pad_counts
 from metadkit.errors import InvalidConfig, UnsupportedFamily
 from metadkit.nonparam import auroc2_arrays
 from metadkit.sdt import meta_d_fit, predicted_count_table, type1_fit
@@ -126,10 +127,7 @@ def test_grid_recovers_generating_meta_d():
 
 
 def test_grid_flat_table_is_zero():
-    from metadkit.binning import CountTable
-    table = CountTable(4, np.full(8, 9.0), np.full(8, 9.0), padded=True,
-                       pad_value=0.0)
-    meta_d, _ = oracle_meta_grid(table, (0.7, 0.1))
+    meta_d, _ = oracle_meta_grid(np.full((2, 8), 9.0), (0.7, 0.1))
     assert meta_d == pytest.approx(0.0, abs=1e-9)
 
 
@@ -137,14 +135,12 @@ def test_grid_never_beats_mle(rng):
     import warnings
     for seed in (301, 302, 303):
         r = np.random.default_rng(seed)
-        from metadkit.binning import CountTable, pad_counts
-        table = pad_counts(CountTable(4, r.integers(0, 25, 8).astype(float),
-                                      r.integers(0, 25, 8).astype(float)))
+        table = pad_counts([r.integers(0, 25, 8), r.integers(0, 25, 8)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             t1 = type1_fit(table)
             if t1[0] == 0.0:
                 continue
-            fit = meta_d_fit(table, t1)
+            fit = meta_d_fit(table, t1, DEFAULT_PAD_VALUE)
         _, grid_ll = oracle_meta_grid(table, t1)
         assert grid_ll <= fit.log_likelihood + 1e-6
