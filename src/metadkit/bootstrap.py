@@ -25,12 +25,13 @@ converge is nan and flags the result too.
 One evaluator, ``_evaluate``, gives every statistic of a block: the
 records of a side's samples laid end to end as one flat index. Per
 sample it returns the profiles reason and the value: accuracy and auroc2
-(``nonparam.auroc2_batch``) from one bincount; nlp_gap one sample at a
-time, so ``ndarray.mean`` sums each pairwise as it would alone; d_prime,
-meta_d and m_ratio by ``profiles.type1_block``, meta_d and m_ratio as
-tables still to fit. A worker takes its ordinals FIT_BATCH at a time:
-one (B, n) id draw per stream (``_draw_batch``, bit for bit the stream
-above, as tests/test_rng_contract.py checks), reused by a paired b side;
+(``nonparam.auroc2_batch``) from one bincount; nlp_gap
+(``nonparam.nlp_gap_batch``) from one run per sample and class, each
+summed as ``ndarray.mean`` sums it alone; d_prime, meta_d and m_ratio by
+``profiles.type1_block``, meta_d and m_ratio as tables still to fit. A
+worker takes its ordinals FIT_BATCH at a time: one (B, n) id draw per
+stream (``_draw_batch``, bit for bit the stream above, as
+tests/test_rng_contract.py checks), reused by a paired b side;
 each side's block (``_Side.block``) through the evaluator; one
 ``sdt.meta_d_fit_batch`` solve. A point estimate, ``metric_value``'s
 too, is a side's identity block (its records in record order), fitted
@@ -55,18 +56,17 @@ from .binning import DEFAULT_PAD_VALUE, RatingScale
 from .errors import (
     EmptySet,
     MissingCondition,
-    OneClassOnly,
     TooManyDegenerate,
     UnpairedSets,
     WrongCiLevel,
 )
-from .nonparam import auroc2_batch, level_keys, nlp_gap_arrays
+from .nonparam import auroc2_batch, level_keys, nlp_gap_batch
 from .profiles import DEFINED, ONE_CLASS, ZERO_D_PRIME, raise_undefined, type1_block
 from .sdt import meta_d_fit_batch, sdt_fits
 from .trialstore import TrialSet, validate_paired
 
 # looked up here by name by perfbench/spans.py only
-from .nonparam import accuracy_arrays, auroc2_arrays  # noqa: F401
+from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays  # noqa: F401
 from .profiles import fit_cell_arrays  # noqa: F401
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
@@ -354,13 +354,7 @@ def _evaluate(job: _Job, side: _Side, index: np.ndarray, lengths):
     elif job.metric == "auroc2":
         values = auroc2_batch(side.keys, side.n_levels, index, lengths)
     elif job.metric == "nlp_gap":
-        # one sample at a time, so ndarray.mean sums each pairwise as it would alone
-        values = np.full(len(lengths), np.nan)
-        for j, r in enumerate(np.split(index, np.cumsum(lengths)[:-1])):
-            try:
-                values[j] = nlp_gap_arrays(side.nlp[r], side.correct[r])
-            except OneClassOnly:
-                pass
+        values = nlp_gap_batch(side.nlp, side.correct, index, lengths)
     else:
         raise ValueError(f"unknown metric {job.metric!r}; choose from {METRICS}")
     return np.where(np.isnan(values), ONE_CLASS, DEFINED), values, None

@@ -59,12 +59,48 @@ def auroc2_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
     return float(auroc2_batch(keys, n_levels, np.arange(len(keys)), [len(keys)])[0])
 
 
+def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
+    """The float64 sum of each run of ``values``, laid end to end with run
+    j having lengths[j] values: bit for bit ``np.add.reduce`` of that run
+    alone.
+
+    np.add.reduce of a run starts from the identity 0.0 and adds the run's
+    pairwise sum (numpy's ``pairwise_sum``). np.add.reduceat copies a
+    segment's first value and adds the pairwise sum of the rest, so a 0.0
+    put before each run makes every segment sum the run as reduce does.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    return np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(len(lengths)))
+
+
+def nlp_gap_batch(nlp: np.ndarray, correct: np.ndarray, index: np.ndarray,
+                  lengths) -> np.ndarray:
+    """NLP gap of each sample of a block: the records ``index`` laid end to
+    end, sample j having lengths[j] of them. nan for a sample without both
+    correctness classes.
+
+    Each class's values, taken out of the block in block order, are one
+    run per sample, so segment_sums and one division give every class mean
+    as ``ndarray.mean`` gives it for that sample alone, bit for bit.
+    """
+    lengths = np.asarray(lengths)
+    correct, nlp = correct[index], nlp[index]
+    pos, neg = np.flatnonzero(correct), np.flatnonzero(~correct)
+    # correct records before each sample's end, less those before its start
+    n_pos = np.diff(np.searchsorted(pos, np.cumsum(lengths)), prepend=0)
+    n_neg = lengths - n_pos
+    with np.errstate(invalid="ignore"):     # 0 / 0: one class only
+        return segment_sums(nlp[pos], n_pos) / n_pos - segment_sums(nlp[neg], n_neg) / n_neg
+
+
 def nlp_gap_arrays(nlp: np.ndarray, correct: np.ndarray) -> float:
-    """Mean nlp over correct trials minus mean nlp over incorrect trials."""
+    """Mean nlp over correct trials minus mean nlp over incorrect trials:
+    the batch of one of ``nlp_gap_batch``."""
     n_pos = int(correct.sum())
     if n_pos == 0 or n_pos == len(correct):
         raise OneClassOnly("need at least one trial in each correctness class")
-    return float(nlp[correct].mean() - nlp[~correct].mean())
+    return float(nlp_gap_batch(nlp, correct, np.arange(len(correct)), [len(correct)])[0])
 
 
 def accuracy_arrays(correct: np.ndarray) -> float:

@@ -12,7 +12,8 @@ point estimate is the identity block (one sample in record order). Its
 batches of one: ``fit_cell_arrays``, ``bootstrap.metric_value``,
 ``binning.bin_indices``, ``binning.counts_from_arrays``,
 ``binning.pad_counts``, ``sdt.type1_fit`` and ``sdt.meta_d_fit``, whose
-one table is the (2, n_bins) row of the block.
+one table is the (2, n_bins) row of the block. build_profiles takes the
+NLP gap of every cell from the same block in one ``nonparam.nlp_gap_batch``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import numpy as np
 
 from .binning import DEFAULT_PAD_VALUE, RatingScale, bin_indices, quantile_bins, tally
 from .errors import DomainMismatch, MixedProfileSet, OneClassOnly, TiedRanks, TooFewTrials
-from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays, spearman_rho
+from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_batch, spearman_rho
 from .sdt import SdtFit, check_d_prime, sdt_fits, type1_batch
 from .trialstore import TrialSet
 
 # looked up here by name by perfbench/spans.py only
 from .binning import counts_from_arrays, pad_counts  # noqa: F401
+from .nonparam import nlp_gap_arrays  # noqa: F401
 from .sdt import meta_d_fit, type1_fit  # noqa: F401
 
 RANK_METRICS = ("m_ratio", "auroc2")
@@ -153,6 +155,7 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     # taking the fits one (condition, format) set at a time puts each
     # cell's fit warnings before the set's rank warnings
     fits = sdt_fits(tables, d_prime, criterion_c, pad_value)
+    gaps = nlp_gap_batch(nlp, correct, index, lengths)
     records = np.split(index, np.cumsum(lengths)[:-1])
     profiles: list[DomainProfile] = []
     for p in np.unique(cells // len(domains)):
@@ -164,7 +167,7 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
                 format=formats[p % len(formats)], n=len(r), accuracy=accuracy_arrays(correct[r]),
                 d_prime=fit.d_prime, meta_d=fit.meta_d, m_ratio=fit.m_ratio,
                 auroc2=auroc2_arrays(nlp[r], correct[r]),
-                nlp_gap=nlp_gap_arrays(nlp[r], correct[r]),
+                nlp_gap=float(gaps[j]),
                 low_dprime_warning=fit.low_dprime_warning, fit_converged=fit.converged))
         for metric in RANK_METRICS:
             cell_profiles = rank_profile(cell_profiles, metric)

@@ -121,9 +121,10 @@ def oracle_auroc2(config: SynthConfig) -> float:
 def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime: float) -> float:
     """Mean response-conditional NLL with meta_d held fixed: the oracle's
     criteria-only search. Each bin's Gaussian mass is divided by the mass
-    of its response side; p and that mass can both underflow at extreme
-    criteria while their ratio stays ordinary, so the divisor is floored
-    only against literal zero and the ratio is what gets clamped."""
+    of its response side, floored at 1e-300 as in ``sdt._nll_and_grad``,
+    and the ratio is clamped at PROB_CLAMP. Where a side's true mass is a
+    normal float below 1e-300 the floor scales the ratio down, so the
+    oracle shares the fitter's far-tail error (ROADMAP item 8)."""
     k = counts.shape[1] // 2 - 1
     crit = _criteria(cprime * meta_d, np.exp(ab[:k]), np.exp(ab[k:]))
     mus = np.array([-0.5 * meta_d, 0.5 * meta_d])

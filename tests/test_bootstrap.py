@@ -495,6 +495,66 @@ def test_a_resample_pass_over_every_undefined_kind_warns_nothing(monkeypatch):
     assert np.isnan(clean).sum() < np.isnan(stalled).sum() < 300
 
 
+def spread_sides(records_per_id):
+    """Paired conditions 2 and 1 on 300 ids of records_per_id records each
+    (two: a pooled side, whose _Side has counts), nlp from 1e-3 to 1e6 in
+    size so that the order of a sum shows in its last bits."""
+    rng = np.random.default_rng(8)
+    qids = list(np.repeat([f"q{i:03d}" for i in range(300)], records_per_id))
+    sides = []
+    for condition in ("2", "1"):
+        correct = rng.random(len(qids)) < 0.65
+        nlp = rng.normal(size=len(qids)) * 10.0 ** rng.uniform(-3, 6, len(qids))
+        sides.append(make_trials(nlp, correct, condition=condition, qids=qids))
+    return sides
+
+
+def nlp_gap_alone(nlp, correct):
+    """The NLP gap of one sample as the evaluator once took it, one sample
+    at a time: the difference of two ndarray.mean, nan for one class."""
+    if correct.all() or not correct.any():
+        return np.nan
+    return nlp[correct].mean() - nlp[~correct].mean()
+
+
+@pytest.mark.parametrize("records_per_id", [1, 2])
+def test_nlp_gap_chunk_is_each_resample_alone_bit_for_bit(records_per_id):
+    a, b = spread_sides(records_per_id)
+    job = bootstrap._Job("nlp_gap", RatingScale(), 0.5,
+                         bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
+                         bootstrap._side(b, None))
+    assert (job.a.counts is None) == (records_per_id == 1)
+    got = bootstrap._eval_chunk(job, 0, 300)    # batches of 128, 128 and 44 ordinals
+    want = np.array([
+        nlp_gap_alone(job.a.nlp[ra], job.a.correct[ra])
+        - nlp_gap_alone(job.b.nlp[rb], job.b.correct[rb])
+        for (ra, _), (rb, _) in (bootstrap._blocks(job, i, i + 1) for i in range(300))])
+    assert not np.isnan(want).any()
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_nlp_gap_block_marks_one_class_samples():
+    job = ragged_tied_job("nlp_gap")
+    (index, lengths), _ = bootstrap._blocks(job, 0, 300)
+    reasons, values, _ = bootstrap._evaluate(job, job.a, index, lengths)
+    alone = np.array([nlp_gap_alone(job.a.nlp[r], job.a.correct[r])
+                      for r in np.split(index, np.cumsum(lengths)[:-1])])
+    one_class = np.isnan(alone)
+    assert 0 < one_class.sum() < 300
+    np.testing.assert_array_equal(reasons, np.where(one_class, ONE_CLASS, DEFINED))
+    assert np.isnan(values[one_class]).all()
+    np.testing.assert_array_equal(values[~one_class].view(np.int64),
+                                  alone[~one_class].view(np.int64))
+
+
+def test_nlp_gap_contrast_is_the_same_at_one_and_two_workers():
+    a, b = spread_sides(2)
+    runs = [bootstrap_contrast(a, b, "nlp_gap", n_resamples=300, seed=9, workers=workers)
+            for workers in (1, 2)]
+    assert runs[0] == runs[1]
+    assert runs[0].degenerate_resample_count == 0
+
+
 @pytest.mark.parametrize("n_rows", [1, 128])
 def test_side_block_is_each_draw_expanded_to_its_records(n_rows):
     # ids of 1, 2 and 4 records, their records interleaved in the file

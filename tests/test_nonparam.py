@@ -12,6 +12,8 @@ from metadkit.nonparam import (
     average_ranks,
     level_keys,
     nlp_gap_arrays,
+    nlp_gap_batch,
+    segment_sums,
     spearman_rho,
 )
 
@@ -149,6 +151,67 @@ def test_nlp_gap_antisymmetric(rng):
 def test_nlp_gap_one_class_only():
     with pytest.raises(OneClassOnly):
         nlp_gap_arrays(np.array([-1.0, -2.0]), np.array([False, False]))
+
+
+# where numpy's pairwise sum changes shape: 8 column accumulators, blocks
+# of 128 and a split into halves past that; 1 912 is a pooled History side
+# (956 ids of two records each)
+PAIRWISE_EDGES = [0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1912]
+
+
+def spread_values(rng, n, zero_fraction):
+    """n values of both signs from 1e-3 to 1e6 in size, about
+    zero_fraction of them +0.0 or -0.0."""
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 6, n)
+    zeros = rng.random(n) < zero_fraction
+    values[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+    return values
+
+
+run_lengths = st.lists(st.one_of(st.sampled_from(PAIRWISE_EDGES), st.integers(0, 2100)),
+                       min_size=1, max_size=6)
+
+
+@given(run_lengths, st.sampled_from([0.0, 0.1, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_segment_sums_are_each_runs_own_sum_bit_for_bit(lengths, zero_fraction, seed):
+    # fails if an installed numpy ever sums a run in another order
+    values = spread_values(np.random.default_rng(seed), sum(lengths), zero_fraction)
+    want = np.array([np.add.reduce(run) for run in np.split(values, np.cumsum(lengths)[:-1])])
+    np.testing.assert_array_equal(segment_sums(values, lengths).view(np.int64),
+                                  want.view(np.int64))
+
+
+def test_segment_sums_of_long_runs_and_of_none():
+    values = spread_values(np.random.default_rng(4), 2 * 100_000 + 9_000, 0.0)
+    lengths = [9_000, 100_000, 0, 100_000]
+    want = np.array([np.add.reduce(run) for run in np.split(values, np.cumsum(lengths)[:-1])])
+    np.testing.assert_array_equal(segment_sums(values, lengths).view(np.int64),
+                                  want.view(np.int64))
+    assert segment_sums(np.empty(0), []).shape == (0,)
+
+
+@given(run_lengths, st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.integers(0, 2 ** 32 - 1))
+def test_nlp_gap_batch_is_each_samples_own_class_means_bit_for_bit(lengths, p_correct, seed):
+    # samples drawn with replacement from 300 records; at p_correct 0 or 1,
+    # and for samples of 0 or 1 records, a sample has one class only
+    rng = np.random.default_rng(seed)
+    nlp, correct = spread_values(rng, 300, 0.05), rng.random(300) < p_correct
+    index = rng.integers(0, 300, sum(lengths))
+    got = nlp_gap_batch(nlp, correct, index, lengths)
+    for gap, r in zip(got, np.split(index, np.cumsum(lengths)[:-1])):
+        c = correct[r]
+        if c.all() or not c.any():
+            assert np.isnan(gap)
+        else:
+            want = nlp[r][c].mean() - nlp[r][~c].mean()
+            assert gap.view(np.int64) == want.view(np.int64)
+
+
+def test_nlp_gap_of_one_sample_is_its_batch_of_one(rng):
+    nlp, correct = rng.normal(size=957) * 1e3, rng.random(957) < 0.6
+    gap = nlp_gap_arrays(nlp, correct)
+    assert gap == nlp_gap_batch(nlp, correct, np.arange(957), [957])[0]
+    assert gap == nlp[correct].mean() - nlp[~correct].mean()
 
 
 def test_accuracy_all_correct():

@@ -25,7 +25,7 @@ RSS of its largest process (the CLI or a pool worker) and the sha256 of
 its report tree. The report trees of one tree and variant must be equal
 at every worker count, or the script fails.
 
-Every run also times two layers alone, each in alternating fresh
+Every run also times three layers alone, each in alternating fresh
 processes per tree:
 
 - the fit layer, since perfbench's ``sdt.*`` spans do not see the batched
@@ -42,6 +42,13 @@ processes per tree:
   ran up to 1.5 times slower than others on the same code, so the
   loader takes more runs than the fit layer, and the minimum, which
   such slowdowns can only raise.
+- the resample statistics, since perfbench's ``nonparam.*`` spans do not
+  see the batched statistics: each of STAT_RUNS processes loads
+  perfbench's trial file for the seed and runs ``bootstrap_metric`` for
+  nlp_gap and auroc2 on its condition 1, f16, History cell at one
+  worker, once untimed, then STAT_REPEATS times timed at STAT_RESAMPLES
+  resamples. The file holds each process's fastest run in process time
+  per metric, and whether both trees gave the same CI.
 """
 
 from __future__ import annotations
@@ -118,6 +125,13 @@ def confirm(tree: Path, trials: Path, out: Path, variant: str, workers: int) -> 
             "exit_code": int(code), "tree_sha256": tree_sha256(out)}
 
 
+def write_trials(trees: dict[str, Path], seed: int, path: Path) -> None:
+    """perfbench's trial file for the seed, written by the change's gen.py."""
+    subprocess.run([sys.executable, "perfbench/gen.py", "--seed", str(seed), "--out",
+                    str(path)], cwd=trees["change"], check=True,
+                   env={**os.environ, "PYTHONPATH": str(trees["change"] / "src")})
+
+
 def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
     """``runs`` protocol-shaped confirm runs per tree, variant and worker count."""
     nproc = len(os.sched_getaffinity(0))
@@ -125,9 +139,7 @@ def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
     entry: dict = {"resamples": PROTOCOL_RESAMPLES, "runs": runs, "variants": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trials = Path(tmp) / "trials.jsonl"
-        subprocess.run([sys.executable, "perfbench/gen.py", "--seed", str(seed), "--out",
-                        str(trials)], cwd=trees["change"], check=True,
-                       env={**os.environ, "PYTHONPATH": str(trees["change"] / "src")})
+        write_trials(trees, seed, trials)
         for variant in PROTOCOL_VARIANTS:
             results: dict = {side: {w: [] for w in worker_counts} for side in trees}
             for i in range(runs):
@@ -232,9 +244,7 @@ def load_layer(trees: dict[str, Path], seed: int) -> dict:
     for the seed and on its key-sorted copy."""
     with tempfile.TemporaryDirectory() as tmp:
         files = {"seed": Path(tmp) / "trials.jsonl", "sorted_keys": Path(tmp) / "sorted.jsonl"}
-        subprocess.run([sys.executable, "perfbench/gen.py", "--seed", str(seed), "--out",
-                        str(files["seed"])], cwd=trees["change"], check=True,
-                       env={**os.environ, "PYTHONPATH": str(trees["change"] / "src")})
+        write_trials(trees, seed, files["seed"])
         with open(files["seed"], encoding="utf-8") as src, \
                 open(files["sorted_keys"], "w", encoding="utf-8") as dst:
             records = 0
@@ -249,6 +259,51 @@ def load_layer(trees: dict[str, Path], seed: int) -> dict:
         entry[name] = {**{side: {"load_s": summary(t)} for side, t in times.items()},
                        "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"],
                                                                          times["change"]))}
+    return entry
+
+
+STAT_RUNS = 10
+STAT_REPEATS = 3
+STAT_RESAMPLES = 2000
+STAT_METRICS = ("nlp_gap", "auroc2")
+# for each metric in argv[2:], bootstrap_metric on condition 1's f16 History
+# cell of the trial file argv[1] at one worker, once untimed, then
+# STAT_REPEATS times timed; prints the process time of the fastest timed
+# run and the CI's two bounds
+STAT_LAYER = ("import sys, time\n"
+              "from metadkit import load_trials\n"
+              "from metadkit.bootstrap import bootstrap_metric\n"
+              "trials = load_trials(sys.argv[1])\n"
+              "cell = trials.filter(condition='1', format='f16', domain='History')\n"
+              "for metric in sys.argv[2:]:\n"
+              f"    bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES})\n"
+              "    times = []\n"
+              f"    for _ in range({STAT_REPEATS}):\n"
+              "        start = time.process_time()\n"
+              f"        ci = bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
+              " workers=1)\n"
+              "        times.append(time.process_time() - start)\n"
+              "    print(min(times), repr(ci.ci_low), repr(ci.ci_high))\n")
+
+
+def stat_layer(trees: dict[str, Path], seed: int) -> dict:
+    """STAT_RUNS alternating resample-statistic runs per tree on
+    perfbench's trial file for the seed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trials = Path(tmp) / "trials.jsonl"
+        write_trials(trees, seed, trials)
+        runs = alternating(trees, STAT_RUNS, STAT_LAYER, [str(trials), *STAT_METRICS],
+                           dict(os.environ), "stat layer")
+    entry: dict = {"cell": "condition 1, f16, History", "resamples": STAT_RESAMPLES,
+                   "workers": 1, "runs": STAT_RUNS, "repeats_per_run": STAT_REPEATS}
+    for i, metric in enumerate(STAT_METRICS):
+        times = {side: [r[3 * i] for r in side_runs] for side, side_runs in runs.items()}
+        cis = {side: {tuple(r[3 * i + 1:3 * i + 3]) for r in side_runs}
+               for side, side_runs in runs.items()}
+        entry[metric] = {**{side: {"stat_s": summary(t)} for side, t in times.items()},
+                         "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"],
+                                                                           times["change"])),
+                         "same_ci": len(cis["base"] | cis["change"]) == 1}
     return entry
 
 
@@ -311,6 +366,7 @@ def main() -> int:
         result["env"] = runs["change"][0]["env"]
     result["fit_layer"] = fit_layer(trees)
     result["load_layer"] = load_layer(trees, args.seed)
+    result["stat_layer"] = stat_layer(trees, args.seed)
     if args.protocol:
         result["protocol"] = protocol(trees, args.seed, args.protocol)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
