@@ -37,15 +37,22 @@ each side's block (``_Side.block``) through the evaluator; one
 too, is a side's identity block (its records in record order), fitted
 by one ``sdt.sdt_fits`` solve with its warnings. Every value equals its
 resample evaluated alone, so neither the batch edges nor the worker
-count change a result. All contrasts of a suite share one process pool.
+count change a result.
+
+``workers`` counts processes in all, the calling one included. Every
+contrast of a call, a whole suite's too, is cut into chunks of whole
+FIT_BATCH batches; a pool of ``workers - 1`` processes takes chunks from
+the front of the list while the caller takes them from the back, and one
+worker starts no pool.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -238,12 +245,13 @@ def _draw_batch(entropy: int, lo: int, hi: int, n_ids: int) -> np.ndarray:
         raise ValueError(f"n_ids must be in [1, 2**32), got {n_ids}")
     states = _seed_states(entropy, lo, hi)
     seed = _SeedState()
-    ids = np.empty((hi - lo, n_ids), np.int64)
-    for row, state in zip(ids, states):
+    raw = np.empty((hi - lo, (n_ids + 1) // 2), "<u8")
+    for row, state in zip(raw, states):
         seed.state = state
-        # a 64-bit output is two words, low first, as numpy's next_uint32 takes them
-        raw = np.random.PCG64(seed).random_raw((n_ids + 1) // 2)
-        row[:] = raw.astype("<u8", copy=False).view("<u4")[:n_ids]
+        row[:] = np.random.PCG64(seed).random_raw(len(row))
+    # a 64-bit output is two words, low first, as numpy's next_uint32 takes them
+    ids = raw.view("<u4")[:, :n_ids].astype(np.int64)
+    del raw
     for j in np.flatnonzero(_bounded(ids, n_ids)):
         seed.state = states[j]
         ids[j] = np.random.Generator(np.random.PCG64(seed)).integers(0, n_ids, size=n_ids)
@@ -406,16 +414,47 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
 
 
 def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
-    """Each job's statistic (or nan) for ordinals [0, n_resamples): in this
-    process, or in chunks of about a quarter of a worker's share with
-    every (job, chunk) on one process pool."""
-    if workers <= 1 or n_resamples < 2 * workers:
-        return [_eval_chunk(job, 0, n_resamples) for job in jobs]
-    chunk = max(1, -(-n_resamples // (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [[pool.submit(_eval_chunk, job, s, min(s + chunk, n_resamples))
-                    for s in range(0, n_resamples, chunk)] for job in jobs]
-        return [np.concatenate([f.result() for f in parts]) for parts in futures]
+    """Each job's statistic (or nan) for ordinals [0, n_resamples), on
+    ``workers`` processes in all, this one included.
+
+    Each job's ordinals are cut into chunks of whole FIT_BATCH batches,
+    about four per worker. A pool of workers - 1 processes takes chunks
+    from the front of the list; this process takes them from the back,
+    claiming each still pending one by cancelling its future, until it
+    meets one the pool has started or a pool chunk has raised. At one
+    worker, or with a single chunk, it runs every chunk and starts no
+    pool. On any error the chunks not yet started are cancelled and the
+    pool is joined before the first error is raised.
+    """
+    workers = max(workers, 1)
+    size = FIT_BATCH * -(-n_resamples // (FIT_BATCH * 4 * workers))
+    per_job = -(-n_resamples // size)
+    chunks = [(job, lo, min(lo + size, n_resamples))
+              for job in jobs for lo in range(0, n_resamples, size)]
+    parts = [None] * len(chunks)
+    pool = ProcessPoolExecutor(workers - 1) if workers > 1 and len(chunks) > 1 else None
+    failed = threading.Event()
+
+    def note_failure(future):
+        if not future.cancelled() and future.exception() is not None:
+            failed.set()
+
+    try:
+        futures = [pool.submit(_eval_chunk, *chunk) for chunk in chunks] if pool else []
+        for future in futures:
+            future.add_done_callback(note_failure)
+        left = len(chunks)      # chunks [0, left) are the pool's
+        while left and not failed.is_set() and (pool is None or futures[left - 1].cancel()):
+            left -= 1
+            parts[left] = _eval_chunk(*chunks[left])
+        done, _ = wait(futures[:left], return_when=FIRST_EXCEPTION)
+        for future in done:
+            future.result()     # raises a pool chunk's error before waiting on the rest
+        parts[:left] = [future.result() for future in futures[:left]]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return [np.concatenate(parts[i:i + per_job]) for i in range(0, len(parts), per_job)]
 
 
 def _single_domain(trials: TrialSet) -> str:
@@ -579,8 +618,9 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
 
     Every contrast is checked and its point estimate computed before any
     resampling, the meta-d' point fits of all contrasts in one solve; then
-    all contrasts share one process pool (or run in this process at one
-    worker) and finish in spec order.
+    the resamples of all contrasts run as one list of chunks on
+    ``workers`` processes, this one included (_run_jobs), and finish in
+    spec order.
     """
     specs_run, setups = [], []      # per contrast: its spec and its _setup
     conditions = set(trials.conditions())

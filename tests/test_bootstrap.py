@@ -1,6 +1,8 @@
 import collections
 import contextlib
+import multiprocessing
 import warnings
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -412,9 +414,10 @@ def test_zero_d_prime_is_a_value_not_an_exclusion():
 
 
 def test_fitted_resamples_match_one_at_a_time_for_any_batch_and_workers(rng, monkeypatch):
-    # 300 paired M-ratio resamples: one worker fits batches of 128, 128 and
-    # 44 ordinals, two and three workers fit chunks of 38 and 25, and a
-    # FIT_BATCH of 7 cuts those again
+    # 300 paired M-ratio resamples: one, two and three workers each take
+    # chunks of one batch, of 128, 128 and 44 ordinals; at a FIT_BATCH of
+    # 7, one worker takes chunks of 11 batches (77 ordinals) and three
+    # workers chunks of 4 (28 ordinals), the last chunk shorter
     qids = [f"q{i:02d}" for i in range(20)]
     correct = np.arange(20) % 7 != 0
     a = make_trials(rng.normal(0.8 * correct, 1.0), correct, condition="2", qids=qids)
@@ -553,6 +556,115 @@ def test_nlp_gap_contrast_is_the_same_at_one_and_two_workers():
             for workers in (1, 2)]
     assert runs[0] == runs[1]
     assert runs[0].degenerate_resample_count == 0
+
+
+EVAL_CHUNK = bootstrap._eval_chunk
+CALLER_CHUNKS = []      # (start, stop) of each chunk this process evaluated
+
+
+def recorded_chunk(job, start, stop):
+    """_eval_chunk, noting in this process which chunks it evaluated (a
+    pool process notes them in its own copy of the list)."""
+    CALLER_CHUNKS.append((start, stop))
+    return EVAL_CHUNK(job, start, stop)
+
+
+def chunk_failing_at_128(job, start, stop):
+    """_eval_chunk, but the chunk of ordinals from 128 raises."""
+    if start == 128:
+        raise RuntimeError(f"chunk [{start}, {stop}) failed")
+    return EVAL_CHUNK(job, start, stop)
+
+
+class IdlePool:
+    """A pool whose submitted chunks never start: the caller takes them all.
+    Notes the cancel_futures of each shutdown."""
+
+    shutdowns = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        return Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+
+class BusyPool(ProcessPoolExecutor):
+    """A pool whose every chunk counts as started, so the caller claims none."""
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        future.cancel = lambda: False
+        return future
+
+
+class NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a process pool was started")
+
+
+def schedule_jobs():
+    """An auroc2 contrast of f16-like sides (one record per id), an nlp_gap
+    contrast of pooled sides (two records per id) and an m_ratio contrast."""
+    jobs = []
+    for metric, records_per_id in (("auroc2", 1), ("nlp_gap", 2), ("m_ratio", 1)):
+        a, b = spread_sides(records_per_id)
+        jobs.append(bootstrap._Job(
+            metric, RatingScale(), 0.5,
+            bootstrap._side(a, bootstrap._stream_entropy(3, "Science", metric)),
+            bootstrap._side(b, None)))
+    return jobs
+
+
+@pytest.mark.parametrize("schedule", ["caller_takes_all", "pool_takes_all", "default"])
+def test_every_schedule_of_the_chunks_is_one_worker_bit_for_bit(schedule, monkeypatch):
+    # 500 resamples at two workers: chunks of one batch, four per contrast
+    jobs = schedule_jobs()
+    want = bootstrap._run_jobs(jobs, 500, 1)
+    if schedule == "caller_takes_all":
+        monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", IdlePool)
+    elif schedule == "pool_takes_all":
+        monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", BusyPool)
+    monkeypatch.setattr(bootstrap, "_eval_chunk", recorded_chunk)
+    CALLER_CHUNKS.clear()
+    got = bootstrap._run_jobs(jobs, 500, 2)
+    if schedule == "caller_takes_all":
+        assert sorted(CALLER_CHUNKS) == sorted(
+            [(lo, min(lo + 128, 500)) for lo in range(0, 500, 128)] * 3)
+    elif schedule == "pool_takes_all":
+        assert CALLER_CHUNKS == []
+    assert not multiprocessing.active_children()
+    for got_job, want_job in zip(got, want, strict=True):
+        np.testing.assert_array_equal(got_job.view(np.int64), want_job.view(np.int64))
+
+
+def test_one_worker_or_one_chunk_starts_no_pool(monkeypatch):
+    a, b = spread_sides(1)
+    want = bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=2)
+    monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", NoPool)
+    assert bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=1) == want
+    bootstrap_contrast(a, b, "auroc2", n_resamples=100, seed=9, workers=2)   # one chunk
+    with pytest.raises(AssertionError, match="pool was started"):
+        bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=2)
+
+
+@pytest.mark.parametrize("schedule", ["caller", "pool", "default"])
+def test_a_failing_chunk_raises_and_leaves_no_process(schedule, monkeypatch):
+    # three chunks at two workers; the middle one raises, run by the caller
+    # (a pool whose chunks never start), by a pool process, or by either
+    a, b = spread_sides(1)
+    monkeypatch.setattr(bootstrap, "_eval_chunk", chunk_failing_at_128)
+    pools = {"caller": IdlePool, "pool": BusyPool, "default": ProcessPoolExecutor}
+    monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", pools[schedule])
+    IdlePool.shutdowns.clear()
+    with pytest.raises(RuntimeError, match=r"chunk \[128, 256\) failed"):
+        bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=2)
+    assert not multiprocessing.active_children()
+    if schedule == "caller":
+        assert IdlePool.shutdowns == [True]     # the chunks not yet started are cancelled
 
 
 @pytest.mark.parametrize("n_rows", [1, 128])

@@ -46,9 +46,12 @@ processes per tree:
   see the batched statistics: each of STAT_RUNS processes loads
   perfbench's trial file for the seed and runs ``bootstrap_metric`` for
   nlp_gap and auroc2 on its condition 1, f16, History cell at one
-  worker, once untimed, then STAT_REPEATS times timed at STAT_RESAMPLES
-  resamples. The file holds each process's fastest run in process time
-  per metric, and whether both trees gave the same CI.
+  worker and at nproc workers, each once untimed, then STAT_REPEATS
+  times timed at STAT_RESAMPLES resamples. The file holds each
+  process's fastest run per metric: in process time at one worker, and
+  in wall time at nproc (under ``workers_nproc``), so that a pooled
+  call's fixed cost shows beside the one-worker figure; and whether
+  both trees gave the same CI at both worker counts.
 """
 
 from __future__ import annotations
@@ -267,43 +270,54 @@ STAT_REPEATS = 3
 STAT_RESAMPLES = 2000
 STAT_METRICS = ("nlp_gap", "auroc2")
 # for each metric in argv[2:], bootstrap_metric on condition 1's f16 History
-# cell of the trial file argv[1] at one worker, once untimed, then
-# STAT_REPEATS times timed; prints the process time of the fastest timed
-# run and the CI's two bounds
-STAT_LAYER = ("import sys, time\n"
+# cell of the trial file argv[1] at one worker and at nproc, each once
+# untimed, then STAT_REPEATS times timed; prints, per metric and worker
+# count, the fastest timed run (process time at one worker, wall time at
+# nproc, where pool processes do part of the work) and the CI's two bounds
+STAT_LAYER = ("import os, sys, time\n"
               "from metadkit import load_trials\n"
               "from metadkit.bootstrap import bootstrap_metric\n"
               "trials = load_trials(sys.argv[1])\n"
               "cell = trials.filter(condition='1', format='f16', domain='History')\n"
+              "nproc = len(os.sched_getaffinity(0))\n"
               "for metric in sys.argv[2:]:\n"
-              f"    bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES})\n"
-              "    times = []\n"
-              f"    for _ in range({STAT_REPEATS}):\n"
-              "        start = time.process_time()\n"
-              f"        ci = bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
-              " workers=1)\n"
-              "        times.append(time.process_time() - start)\n"
-              "    print(min(times), repr(ci.ci_low), repr(ci.ci_high))\n")
+              "    for workers, clock in ((1, time.process_time), (nproc, time.perf_counter)):\n"
+              f"        bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
+              " workers=workers)\n"
+              "        times = []\n"
+              f"        for _ in range({STAT_REPEATS}):\n"
+              "            start = clock()\n"
+              f"            ci = bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
+              " workers=workers)\n"
+              "            times.append(clock() - start)\n"
+              "        print(min(times), repr(ci.ci_low), repr(ci.ci_high))\n")
 
 
 def stat_layer(trees: dict[str, Path], seed: int) -> dict:
     """STAT_RUNS alternating resample-statistic runs per tree on
-    perfbench's trial file for the seed."""
+    perfbench's trial file for the seed, at one worker and at nproc."""
     with tempfile.TemporaryDirectory() as tmp:
         trials = Path(tmp) / "trials.jsonl"
         write_trials(trees, seed, trials)
         runs = alternating(trees, STAT_RUNS, STAT_LAYER, [str(trials), *STAT_METRICS],
                            dict(os.environ), "stat layer")
     entry: dict = {"cell": "condition 1, f16, History", "resamples": STAT_RESAMPLES,
-                   "workers": 1, "runs": STAT_RUNS, "repeats_per_run": STAT_REPEATS}
+                   "workers": 1, "nproc": len(os.sched_getaffinity(0)), "runs": STAT_RUNS,
+                   "repeats_per_run": STAT_REPEATS}
+
+    def figures(col: int, name: str) -> dict:
+        times = {side: [r[col] for r in side_runs] for side, side_runs in runs.items()}
+        return {**{side: {name: summary(t)} for side, t in times.items()},
+                "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"],
+                                                                  times["change"]))}
+
     for i, metric in enumerate(STAT_METRICS):
-        times = {side: [r[3 * i] for r in side_runs] for side, side_runs in runs.items()}
-        cis = {side: {tuple(r[3 * i + 1:3 * i + 3]) for r in side_runs}
-               for side, side_runs in runs.items()}
-        entry[metric] = {**{side: {"stat_s": summary(t)} for side, t in times.items()},
-                         "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"],
-                                                                           times["change"])),
-                         "same_ci": len(cis["base"] | cis["change"]) == 1}
+        # per metric: one worker's time and CI at 6 * i, nproc's at 6 * i + 3
+        cis = {tuple(r[6 * i + k:6 * i + k + 2]) for side_runs in runs.values()
+               for r in side_runs for k in (1, 4)}
+        entry[metric] = {**figures(6 * i, "stat_s"),
+                         "workers_nproc": figures(6 * i + 3, "wall_s"),
+                         "same_ci": len(cis) == 1}
     return entry
 
 
