@@ -40,19 +40,21 @@ resample evaluated alone, so neither the batch edges nor the worker
 count change a result.
 
 ``workers`` counts processes in all, the calling one included. Every
-contrast of a call, a whole suite's too, is cut into chunks of whole
-FIT_BATCH batches; a pool of ``workers - 1`` processes takes chunks from
-the front of the list while the caller takes them from the back, and one
-worker starts no pool.
+contrast of a call, a whole suite's too, is cut into chunks of one
+FIT_BATCH batch each. At more than one worker a call starts a team:
+``workers - 1`` child processes (no more than the chunks need) and the
+caller each claim the next chunk from one shared counter and write its
+values into one shared array. One worker starts no process.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import pickle
 import sys
-import threading
+import traceback
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -132,6 +134,17 @@ class HypothesisSpec:
     def __post_init__(self):
         if self.rule == RULE_TOST and not self.delta > 0:     # nan included
             raise ValueError("tost rule needs delta > 0")
+        _check_ci_level(self.ci_level)
+
+
+def _check_ci_level(ci_level: float) -> None:
+    if not 0 < ci_level < 1:        # nan and inf included
+        raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def default_hypothesis_specs(tost_delta: float = 0.17,
@@ -413,48 +426,116 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _claim_chunks(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed,
+                  shared) -> None:
+    """The loop of every process of a team: claim the next chunk under the
+    lock of the shared counter ``claimed`` and write its statistics into
+    its slots of ``shared``, the (len(jobs), n_resamples) float64 results,
+    until no chunk is left. A chunk's error moves the counter past the
+    last chunk, so that every process stops after its current one."""
+    out = np.frombuffer(shared).reshape(len(jobs), -1)
+    while True:
+        with claimed.get_lock():
+            k = claimed.value
+            claimed.value = k + 1
+        if k >= len(chunks):
+            return
+        j, lo, hi = chunks[k]
+        try:
+            out[j, lo:hi] = _eval_chunk(jobs[j], lo, hi)
+        except BaseException:
+            with claimed.get_lock():
+                claimed.value = len(chunks)
+            raise
+
+
+def _child(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed, shared,
+           report) -> None:
+    """A child process of a team: the caller's loop, then its one report
+    on the pipe ``report``: None, or the error a chunk raised and its
+    traceback here. An error that does not pickle is sent as a
+    RuntimeError of its type and message."""
+    message = None
+    try:
+        _claim_chunks(jobs, chunks, claimed, shared)
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        message = exc, "".join(traceback.format_exception(exc))
+    with report:
+        report.send(message)
+
+
+def _join(child, reader) -> BaseException | None:
+    """Join one child of a team and return its error: the one it reported,
+    its traceback in the child as the cause; a RuntimeError if it exited
+    without a report (a signal, the OOM killer); else None. The report is
+    read before the join, so a child never blocks on sending it."""
+    with reader:
+        try:
+            message = reader.recv()
+        except EOFError:
+            child.join()
+            return RuntimeError(f"bootstrap worker process {child.pid} exited with code "
+                                f"{child.exitcode} without a report")
+    child.join()
+    if message is None:
+        return None
+    error, trace = message
+    error.__cause__ = RuntimeError(f"in bootstrap worker process {child.pid}:\n{trace}")
+    return error
+
+
 def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
     """Each job's statistic (or nan) for ordinals [0, n_resamples), on
     ``workers`` processes in all, this one included.
 
-    Each job's ordinals are cut into chunks of whole FIT_BATCH batches,
-    about four per worker. A pool of workers - 1 processes takes chunks
-    from the front of the list; this process takes them from the back,
-    claiming each still pending one by cancelling its future, until it
-    meets one the pool has started or a pool chunk has raised. At one
-    worker, or with a single chunk, it runs every chunk and starts no
-    pool. On any error the chunks not yet started are cancelled and the
-    pool is joined before the first error is raised.
+    Every chunk is one FIT_BATCH batch of one job. One worker, or a single
+    chunk, runs them in turn here and creates no process. Otherwise
+    min(workers, chunks) - 1 child processes are started and form a team
+    with this one: each process claims the next chunk from one shared
+    counter (_claim_chunks) and writes its statistics into one shared
+    array. With fork the jobs reach the children at fork time; under spawn
+    or forkserver they are pickled once per child. On any error the
+    counter moves past the last chunk, every child is joined, and the
+    first error is raised: this process's own, else the first child's in
+    start order. A child that exits without a report makes the call raise
+    once the others stop. A child killed while it holds the counter's lock
+    (for a few microseconds per chunk) would leave the others waiting on it.
     """
-    workers = max(workers, 1)
-    size = FIT_BATCH * -(-n_resamples // (FIT_BATCH * 4 * workers))
-    per_job = -(-n_resamples // size)
-    chunks = [(job, lo, min(lo + size, n_resamples))
-              for job in jobs for lo in range(0, n_resamples, size)]
-    parts = [None] * len(chunks)
-    pool = ProcessPoolExecutor(workers - 1) if workers > 1 and len(chunks) > 1 else None
-    failed = threading.Event()
-
-    def note_failure(future):
-        if not future.cancelled() and future.exception() is not None:
-            failed.set()
-
+    chunks = [(j, lo, min(lo + FIT_BATCH, n_resamples))
+              for j in range(len(jobs)) for lo in range(0, n_resamples, FIT_BATCH)]
+    team = min(workers, len(chunks))
+    if team <= 1:
+        out = np.empty((len(jobs), n_resamples))
+        for j, lo, hi in chunks:
+            out[j, lo:hi] = _eval_chunk(jobs[j], lo, hi)
+        return list(out)
+    ctx = multiprocessing.get_context()
+    claimed = ctx.Value("q", 0)
+    shared = ctx.RawArray("d", len(jobs) * n_resamples)
+    children = []       # (process, the read end of its report pipe)
     try:
-        futures = [pool.submit(_eval_chunk, *chunk) for chunk in chunks] if pool else []
-        for future in futures:
-            future.add_done_callback(note_failure)
-        left = len(chunks)      # chunks [0, left) are the pool's
-        while left and not failed.is_set() and (pool is None or futures[left - 1].cancel()):
-            left -= 1
-            parts[left] = _eval_chunk(*chunks[left])
-        done, _ = wait(futures[:left], return_when=FIRST_EXCEPTION)
-        for future in done:
-            future.result()     # raises a pool chunk's error before waiting on the rest
-        parts[:left] = [future.result() for future in futures[:left]]
+        for _ in range(team - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            with writer:    # closed here once the child has it: EOF then means it exited
+                child = ctx.Process(target=_child, args=(jobs, chunks, claimed, shared, writer),
+                                    daemon=True)
+                child.start()
+            children.append((child, reader))
+        _claim_chunks(jobs, chunks, claimed, shared)
+    except BaseException:
+        with claimed.get_lock():
+            claimed.value = len(chunks)
+        raise
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return [np.concatenate(parts[i:i + per_job]) for i in range(0, len(parts), per_job)]
+        errors = [_join(child, reader) for child, reader in children]
+    for error in errors:
+        if error is not None:
+            raise error
+    return list(np.frombuffer(shared).reshape(len(jobs), n_resamples).copy())
 
 
 def _single_domain(trials: TrialSet) -> str:
@@ -478,6 +559,7 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
         raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
+    _check_ci_level(ci_level)
     domain = _single_domain(a)
     if b is not None:
         label, default_unit = _contrast_names(metric, a, b)
@@ -549,6 +631,7 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     resulting trial multiset through the full metric pipeline (quantile
     bins recomputed per resample for the model-based metrics).
     """
+    _check_workers(workers)
     unit, job, points, result = _setup(trials, None, metric, metric, n_resamples, seed,
                                        ci_level, scale, pad_value)
     point, = _point_values([(job, points)], pad_value)
@@ -566,6 +649,7 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     both sides, which requires the sets to hold the same question ids;
     ``"independent"`` resamples each side from its own id list.
     """
+    _check_workers(workers)
     unit, job, points, result = _setup(trials_a, trials_b, metric, unit, n_resamples, seed,
                                        ci_level, scale, pad_value, pairing)
     point, = _point_values([(job, points)], pad_value)
@@ -622,6 +706,7 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
     ``workers`` processes, this one included (_run_jobs), and finish in
     spec order.
     """
+    _check_workers(workers)
     specs_run, setups = [], []      # per contrast: its spec and its _setup
     conditions = set(trials.conditions())
     for spec in specs:

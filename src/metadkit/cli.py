@@ -51,7 +51,7 @@ class RunConfig:
     binning_scope: str = "per_cell"
     pairing: str = "paired"
     out: str = "out"
-    workers: int = 1        # processes in all, this one included; 1 starts no pool
+    workers: int = 1        # processes in all, this one included; 1 starts no worker process
     full_precision: bool = False
 
     def validate(self) -> None:
@@ -173,7 +173,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (default ./out)")
     parser.add_argument("--workers", type=int, default=_default_workers(),
                         help=f"bootstrap processes in all, this one included; 1 starts "
-                             f"no pool (default ${WORKERS_ENV_VAR} or 1)")
+                             f"no worker process (default ${WORKERS_ENV_VAR} or 1)")
     parser.add_argument("--full-precision", action="store_const", const=True,
                         dest="full_precision", default=None,
                         help="write CSV values at full precision")

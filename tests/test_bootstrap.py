@@ -1,8 +1,11 @@
 import collections
 import contextlib
 import multiprocessing
+import os
+import signal
+import time
+import types
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -266,6 +269,38 @@ def test_tost_margin_must_be_positive(delta):
         tost(contrast_with(-0.05, 0.05), delta)
     with pytest.raises(ValueError, match="delta"):
         decide(contrast_with(-0.05, 0.05), "tost", delta)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work began before the arguments were checked")
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_fewer_than_one_worker_is_refused_before_any_work(workers, monkeypatch):
+    trials = gaussian_trials(np.random.default_rng(0), 40)
+    spec = HypothesisSpec("H1", "1", "1", ("Science",), RULE_CI_LOWER_GT_ZERO)
+    monkeypatch.setattr(bootstrap, "_setup", no_work)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        bootstrap_metric(trials, "auroc2", n_resamples=10, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        bootstrap_contrast(trials, trials, "auroc2", n_resamples=10, workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_hypothesis_suite(trials, [spec], n_resamples=10, workers=workers)
+
+
+@pytest.mark.parametrize("ci_level", [0.0, -0.2, 1.0, 1.5, float("nan"), float("inf")])
+def test_a_ci_level_outside_zero_to_one_is_refused_before_any_work(ci_level, monkeypatch):
+    """0 gave a zero-width CI and -0.2 an inverted one; 1.5 and nan failed
+    in np.percentile only after every resample had run."""
+    trials = gaussian_trials(np.random.default_rng(0), 40)
+    monkeypatch.setattr(bootstrap, "_side", no_work)
+    monkeypatch.setattr(bootstrap, "_run_jobs", no_work)
+    with pytest.raises(ValueError, match="ci_level must be in"):
+        bootstrap_metric(trials, "auroc2", n_resamples=10, ci_level=ci_level)
+    with pytest.raises(ValueError, match="ci_level must be in"):
+        bootstrap_contrast(trials, trials, "auroc2", n_resamples=10, ci_level=ci_level)
+    with pytest.raises(ValueError, match="ci_level must be in"):
+        HypothesisSpec("H1", "2", "1", ("Science",), RULE_CI_LOWER_GT_ZERO, ci_level=ci_level)
 
 
 def test_decide_lower_bound_rule():
@@ -559,51 +594,58 @@ def test_nlp_gap_contrast_is_the_same_at_one_and_two_workers():
 
 
 EVAL_CHUNK = bootstrap._eval_chunk
-CALLER_CHUNKS = []      # (start, stop) of each chunk this process evaluated
+CLAIM_CHUNKS = bootstrap._claim_chunks
 
 
-def recorded_chunk(job, start, stop):
-    """_eval_chunk, noting in this process which chunks it evaluated (a
-    pool process notes them in its own copy of the list)."""
-    CALLER_CHUNKS.append((start, stop))
-    return EVAL_CHUNK(job, start, stop)
+def logged_chunk(log, fail_at=None, pause=0.0):
+    """_eval_chunk, first appending "pid metric start stop" to the file
+    ``log`` (from whichever process of the team runs the chunk); the chunk
+    of ordinals from ``fail_at`` raises, and every other one waits
+    ``pause`` seconds before it is evaluated."""
+    def chunk(job, start, stop):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {job.metric} {start} {stop}\n")
+        if start == fail_at:
+            raise RuntimeError(f"chunk [{start}, {stop}) failed")
+        time.sleep(pause)
+        return EVAL_CHUNK(job, start, stop)
+    return chunk
 
 
-def chunk_failing_at_128(job, start, stop):
-    """_eval_chunk, but the chunk of ordinals from 128 raises."""
-    if start == 128:
-        raise RuntimeError(f"chunk [{start}, {stop}) failed")
-    return EVAL_CHUNK(job, start, stop)
+def read_log(log):
+    """The (pid, metric, start, stop) lines of a logged_chunk log."""
+    return [(int(pid), metric, int(start), int(stop)) for pid, metric, start, stop in
+            (line.split() for line in log.read_text(encoding="utf-8").splitlines())]
 
 
-class IdlePool:
-    """A pool whose submitted chunks never start: the caller takes them all.
-    Notes the cancel_futures of each shutdown."""
-
-    shutdowns = []
-
-    def __init__(self, max_workers):
-        pass
-
-    def submit(self, fn, *args):
-        return Future()
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdowns.append(cancel_futures)
+def idle_child(jobs, chunks, claimed, shared, report):
+    """A child of the team that claims no chunk: the caller takes them all."""
+    with report:
+        report.send(None)
 
 
-class BusyPool(ProcessPoolExecutor):
-    """A pool whose every chunk counts as started, so the caller claims none."""
+def children_only(caller):
+    """_claim_chunks for every process but ``caller``, which claims none:
+    the children take every chunk."""
+    def claim(*args):
+        if os.getpid() != caller:
+            CLAIM_CHUNKS(*args)
+    return claim
 
-    def submit(self, fn, *args):
-        future = super().submit(fn, *args)
-        future.cancel = lambda: False
-        return future
+
+def use_schedule(schedule, monkeypatch):
+    """Make the caller take every chunk ("caller..."), or the children
+    of the team, its pool, take them all ("pool..."); leave any other
+    schedule as the team runs it."""
+    if schedule.startswith("caller"):
+        monkeypatch.setattr(bootstrap, "_child", idle_child)
+    elif schedule.startswith("pool"):
+        monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(os.getpid()))
 
 
-class NoPool:
-    def __init__(self, max_workers):
-        raise AssertionError("a process pool was started")
+class NoMultiprocessing:
+    def __getattr__(self, name):
+        raise AssertionError("a worker process was started")
 
 
 def schedule_jobs():
@@ -619,24 +661,28 @@ def schedule_jobs():
     return jobs
 
 
-@pytest.mark.parametrize("schedule", ["caller_takes_all", "pool_takes_all", "default"])
-def test_every_schedule_of_the_chunks_is_one_worker_bit_for_bit(schedule, monkeypatch):
-    # 500 resamples at two workers: chunks of one batch, four per contrast
-    jobs = schedule_jobs()
+@pytest.mark.parametrize("schedule", ["caller_takes_all", "pool_takes_all", "default",
+                                      "more_workers_than_cores"])
+def test_every_schedule_of_the_chunks_is_one_worker_bit_for_bit(schedule, monkeypatch,
+                                                                  tmp_path):
+    # 500 resamples: four chunks of one batch per contrast, each evaluated
+    # once: by the caller, by the child at two workers, by either, or by a
+    # team of more processes than cores (up to one per chunk)
+    jobs, caller, log = schedule_jobs(), os.getpid(), tmp_path / "chunks.log"
     want = bootstrap._run_jobs(jobs, 500, 1)
-    if schedule == "caller_takes_all":
-        monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", IdlePool)
-    elif schedule == "pool_takes_all":
-        monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", BusyPool)
-    monkeypatch.setattr(bootstrap, "_eval_chunk", recorded_chunk)
-    CALLER_CHUNKS.clear()
-    got = bootstrap._run_jobs(jobs, 500, 2)
-    if schedule == "caller_takes_all":
-        assert sorted(CALLER_CHUNKS) == sorted(
-            [(lo, min(lo + 128, 500)) for lo in range(0, 500, 128)] * 3)
-    elif schedule == "pool_takes_all":
-        assert CALLER_CHUNKS == []
+    use_schedule(schedule, monkeypatch)
+    monkeypatch.setattr(bootstrap, "_eval_chunk", logged_chunk(log))
+    workers = os.cpu_count() + 2 if schedule == "more_workers_than_cores" else 2
+    got = bootstrap._run_jobs(jobs, 500, workers)
     assert not multiprocessing.active_children()
+    chunks = read_log(log)
+    assert sorted(chunk[1:] for chunk in chunks) == sorted(
+        (job.metric, lo, min(lo + 128, 500)) for job in jobs for lo in range(0, 500, 128))
+    by_caller = {pid == caller for pid, *_ in chunks}
+    if schedule == "caller_takes_all":
+        assert by_caller == {True}
+    elif schedule == "pool_takes_all":
+        assert by_caller == {False}
     for got_job, want_job in zip(got, want, strict=True):
         np.testing.assert_array_equal(got_job.view(np.int64), want_job.view(np.int64))
 
@@ -644,27 +690,76 @@ def test_every_schedule_of_the_chunks_is_one_worker_bit_for_bit(schedule, monkey
 def test_one_worker_or_one_chunk_starts_no_pool(monkeypatch):
     a, b = spread_sides(1)
     want = bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=2)
-    monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(bootstrap, "multiprocessing", NoMultiprocessing())
     assert bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=1) == want
     bootstrap_contrast(a, b, "auroc2", n_resamples=100, seed=9, workers=2)   # one chunk
-    with pytest.raises(AssertionError, match="pool was started"):
+    with pytest.raises(AssertionError, match="worker process was started"):
         bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=2)
 
 
 @pytest.mark.parametrize("schedule", ["caller", "pool", "default"])
-def test_a_failing_chunk_raises_and_leaves_no_process(schedule, monkeypatch):
-    # three chunks at two workers; the middle one raises, run by the caller
-    # (a pool whose chunks never start), by a pool process, or by either
+def test_a_failing_chunk_raises_and_leaves_no_process(schedule, monkeypatch, tmp_path):
+    # ten chunks; the second raises, run by the caller (at two workers), by
+    # one of two children (at three, the caller claiming none) or by the
+    # caller or the child (at two). Every other chunk pauses 0.1 s first,
+    # so that the process holding the first chunk is still in it when the
+    # failure stops the team: no chunk is claimed after
     a, b = spread_sides(1)
-    monkeypatch.setattr(bootstrap, "_eval_chunk", chunk_failing_at_128)
-    pools = {"caller": IdlePool, "pool": BusyPool, "default": ProcessPoolExecutor}
-    monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", pools[schedule])
-    IdlePool.shutdowns.clear()
+    caller, log = os.getpid(), tmp_path / "chunks.log"
+    use_schedule(schedule, monkeypatch)
+    monkeypatch.setattr(bootstrap, "_eval_chunk", logged_chunk(log, fail_at=128, pause=0.1))
     with pytest.raises(RuntimeError, match=r"chunk \[128, 256\) failed"):
-        bootstrap_contrast(a, b, "auroc2", n_resamples=300, seed=9, workers=2)
+        bootstrap_contrast(a, b, "auroc2", n_resamples=1280, seed=9,
+                           workers=3 if schedule == "pool" else 2)
     assert not multiprocessing.active_children()
+    chunks = read_log(log)
+    assert sorted(start for _, _, start, _ in chunks) == [0, 128]
+    failed_by = {pid for pid, _, start, _ in chunks if start == 128}
     if schedule == "caller":
-        assert IdlePool.shutdowns == [True]     # the chunks not yet started are cancelled
+        assert failed_by == {caller}
+    elif schedule == "pool":
+        assert failed_by != {caller}
+
+
+def test_a_killed_child_raises_and_leaves_no_process(monkeypatch):
+    # the child SIGKILLs itself in its first chunk, so it sends no report
+    caller = os.getpid()
+
+    def killing_chunk(job, start, stop):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return EVAL_CHUNK(job, start, stop)
+
+    def hung(signum, frame):
+        raise TimeoutError("_run_jobs did not return after its child was killed")
+
+    monkeypatch.setattr(bootstrap, "_eval_chunk", killing_chunk)
+    monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(caller))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code -9 without a report"):
+            bootstrap._run_jobs(schedule_jobs(), 500, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not multiprocessing.active_children()
+
+
+def test_a_spawned_team_is_one_worker_bit_for_bit(monkeypatch):
+    # the start method of macOS and the default of Python >= 3.14: the
+    # child imports metadkit afresh and gets the jobs pickled. The caller
+    # claims no chunk (the spawned child runs the unpatched module)
+    jobs = schedule_jobs()
+    want = bootstrap._run_jobs(jobs, 500, 1)
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(bootstrap, "multiprocessing", types.SimpleNamespace(
+        get_context=lambda: spawn))
+    monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(os.getpid()))
+    got = bootstrap._run_jobs(jobs, 500, 2)
+    assert not multiprocessing.active_children()
+    for got_job, want_job in zip(got, want, strict=True):
+        np.testing.assert_array_equal(got_job.view(np.int64), want_job.view(np.int64))
 
 
 @pytest.mark.parametrize("n_rows", [1, 128])
