@@ -31,13 +31,18 @@ summed as ``ndarray.mean`` sums it alone; d_prime, meta_d and m_ratio by
 ``profiles.type1_block``, meta_d and m_ratio as tables still to fit. A
 worker takes its ordinals FIT_BATCH at a time: one (B, n) id draw per
 stream (``_draw_batch``, bit for bit the stream above, as
-tests/test_rng_contract.py checks), reused by a paired b side;
-each side's block (``_Side.block``) through the evaluator; one
-``sdt.meta_d_fit_batch`` solve. A point estimate, ``metric_value``'s
-too, is a side's identity block (its records in record order), fitted
+tests/test_rng_contract.py checks), reused by a paired b side; each
+side's rows through the evaluator in blocks of at most BLOCK_RECORDS
+records (``_Side.blocks``); one ``sdt.meta_d_fit_batch`` solve for the
+tables of every block. The draw is made once per batch because each
+draw has a fixed cost (``_seed_states``); the blocks keep the gathers,
+offsets and tallies of a block a few hundred kB, so the allocator
+reuses them from block to block instead of handing MB-sized buffers
+back to the kernel and faulting them in again. A point estimate,
+``metric_value``'s too, is a side's identity block (its records in record order), fitted
 by one ``sdt.sdt_fits`` solve with its warnings. Every value equals its
-resample evaluated alone, so neither the batch edges nor the worker
-count change a result.
+resample evaluated alone, so neither the batch or block edges nor the
+worker count change a result.
 
 ``workers`` counts processes in all, the calling one included. Every
 contrast of a call, a whole suite's too, is cut into chunks of one
@@ -56,6 +61,7 @@ import sys
 import traceback
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -81,6 +87,7 @@ from .profiles import fit_cell_arrays  # noqa: F401
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 DEGENERATE_FRACTION_ALARM = 0.01
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
+BLOCK_RECORDS = 32_768  # most records of a side that one evaluation block holds
 _MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
 _FITTED = ("meta_d", "m_ratio")               # and meta-d' fitted
 
@@ -284,6 +291,16 @@ class _Side:
     keys: np.ndarray         # AUROC2 tally key of each record (nonparam.level_keys)
     n_levels: int
 
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Each record's nlp level, the code profiles.type1_block bins."""
+        return (self.keys >> 1).astype(np.int32)
+
+    @cached_property
+    def firsts(self) -> np.ndarray:
+        """The row of each id's first record (a side with counts)."""
+        return np.cumsum(self.counts) - self.counts
+
     def block(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The records of every resample's drawn ids (a row of ``draws``), in
         draw order and laid end to end, and each resample's record count."""
@@ -291,15 +308,23 @@ class _Side:
             return draws.reshape(-1), np.full(len(draws), draws.shape[1])
         flat = self.counts[draws.reshape(-1)]   # expand each drawn id to its run of records
         lengths = flat.reshape(draws.shape).sum(axis=1)
-        firsts = np.cumsum(self.counts) - self.counts
         # slot k of the block, in a run of id i that starts at slot p, is record firsts[i] + k - p
-        shift = firsts[draws.reshape(-1)]
+        shift = self.firsts[draws.reshape(-1)]
         shift += flat
         shift -= np.cumsum(flat)
         index = np.repeat(shift, flat)
         del shift
         index += np.arange(len(index))
         return index, lengths
+
+    def blocks(self, draws: np.ndarray):
+        """The blocks (``block``) of consecutive runs of rows of ``draws``,
+        in row order: each run holds at most BLOCK_RECORDS records, however
+        the ids fall, and at least one row."""
+        most = draws.shape[1] * (1 if self.counts is None else int(self.counts.max()))
+        rows = max(1, BLOCK_RECORDS // most)
+        for lo in range(0, len(draws), rows):
+            yield self.block(draws[lo:lo + rows])
 
 
 def _side(trials: TrialSet, entropy: int | None) -> _Side:
@@ -361,8 +386,7 @@ def _evaluate(job: _Job, side: _Side, index: np.ndarray, lengths):
     lengths = np.asarray(lengths)
     if job.metric in _MODEL:
         reasons, tables, d_prime, criterion_c = type1_block(
-            (side.keys >> 1).astype(np.int32), side.correct, index, lengths, job.scale,
-            job.pad_value)
+            side.levels, side.correct, index, lengths, job.scale, job.pad_value)
         if job.metric == "d_prime":
             reasons[reasons == ZERO_D_PRIME] = DEFINED
             return reasons, d_prime, None
@@ -394,33 +418,35 @@ def _points(job: _Job) -> list:
     return points
 
 
-def _blocks(job: _Job, lo: int, hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (index, lengths) block (_Side.block) of resample ordinals
-    [lo, hi) in each side, the a side first. One draw per stream; a paired
-    b side reuses the a side's."""
-    draws = _draw_batch(job.a.entropy, lo, hi, job.a.n_ids)
-    blocks = [job.a.block(draws)]
+def _draws(job: _Job, lo: int, hi: int) -> list[np.ndarray]:
+    """Each side's id draw (_draw_batch) of resample ordinals [lo, hi), the
+    a side first. One draw per stream; a paired b side reuses the a side's."""
+    draws = [_draw_batch(job.a.entropy, lo, hi, job.a.n_ids)]
     if job.b is not None:
-        if job.b.entropy is not None:
-            draws = _draw_batch(job.b.entropy, lo, hi, job.b.n_ids)
-        blocks.append(job.b.block(draws))
-    return blocks
+        draws.append(draws[0] if job.b.entropy is None else
+                     _draw_batch(job.b.entropy, lo, hi, job.b.n_ids))
+    return draws
 
 
 def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     """Statistic (or nan) for resample ordinals [start, stop), evaluated
-    FIT_BATCH ordinals at a time: each side's block through _evaluate,
-    then one meta-d' solve for the tables of both sides."""
+    FIT_BATCH ordinals at a time: one id draw per stream, each side's rows
+    through _evaluate in blocks of bounded size (_Side.blocks), then one
+    meta-d' solve for the tables of every block of both sides, in order."""
     parts = []
     for lo in range(start, stop, FIT_BATCH):
-        reasons, values, pending = zip(*(
-            _evaluate(job, side, *block)
-            for side, block in zip(job.sides, _blocks(job, lo, min(lo + FIT_BATCH, stop)))))
-        values = np.array(values)
+        reasons, values, pending = [], [], []   # per side; the pending fits of every block
+        for side, draws in zip(job.sides, _draws(job, lo, min(lo + FIT_BATCH, stop))):
+            side_reasons, side_values, side_pending = zip(
+                *(_evaluate(job, side, *block) for block in side.blocks(draws)))
+            reasons.append(np.concatenate(side_reasons))
+            values.append(np.concatenate(side_values))
+            pending += side_pending
+        reasons, values = np.array(reasons), np.array(values)
         if job.metric in _FITTED:
             tables, d_prime, criterion_c = map(np.concatenate, zip(*pending))
             fit = meta_d_fit_batch(tables, d_prime, criterion_c)
-            values[np.array(reasons) == DEFINED] = np.where(
+            values[reasons == DEFINED] = np.where(
                 fit.converged, _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
         parts.append(values[0] - values[1] if job.b is not None else values[0])
     return np.concatenate(parts)
@@ -453,8 +479,9 @@ def _child(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed, shared
            report) -> None:
     """A child process of a team: the caller's loop, then its one report
     on the pipe ``report``: None, or the error a chunk raised and its
-    traceback here. An error that does not pickle is sent as a
-    RuntimeError of its type and message."""
+    traceback here. Every toolkit error pickles (errors.MetadkitError) and
+    is sent as it is; only a foreign error that does not pickle is sent as
+    a RuntimeError of its type and message."""
     message = None
     try:
         _claim_chunks(jobs, chunks, claimed, shared)

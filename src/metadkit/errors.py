@@ -6,9 +6,19 @@ usable result is reported through ``MetadkitWarning`` subclasses instead
 of an exception.
 """
 
+import copyreg
+
 
 class MetadkitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    An error pickles as its message and attributes, not its constructor's
+    arguments, so every subclass, whatever its ``__init__`` takes, comes
+    back from a worker process with the same type, message and attributes.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DataError(MetadkitError):

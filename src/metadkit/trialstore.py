@@ -517,8 +517,11 @@ class PairingReport:
 
 def _union_codes(a: TrialSet, b: TrialSet,
                  field: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Codes of a field in a and in b, both into the sorted union of their values."""
+    """Codes of a field in a and in b, both into the sorted union of their
+    values: the codes as they are when both sets hold the same values."""
     (codes_a, values_a), (codes_b, values_b) = a.codes(field), b.codes(field)
+    if np.array_equal(values_a, values_b):
+        return codes_a, codes_b, values_a
     union = np.union1d(values_a, values_b)
     return (np.searchsorted(union, values_a)[codes_a],
             np.searchsorted(union, values_b)[codes_b], union)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 import types
 import warnings
 from dataclasses import replace
@@ -501,6 +502,12 @@ def ragged_tied_job(metric):
                           bootstrap._side(b, None))
 
 
+def sample_blocks(job, lo, hi):
+    """Each side's (index, lengths) block (_Side.block) of resample ordinals
+    [lo, hi), all of its rows in one block, the a side first."""
+    return [side.block(draws) for side, draws in zip(job.sides, bootstrap._draws(job, lo, hi))]
+
+
 # the error metric_value raises for a sample of each reason
 UNDEFINED_ERRORS = {ONE_CLASS: OneClassOnly, TOO_FEW: TooFewTrials, ZERO_D_PRIME: ZeroDPrime}
 
@@ -508,7 +515,7 @@ UNDEFINED_ERRORS = {ONE_CLASS: OneClassOnly, TOO_FEW: TooFewTrials, ZERO_D_PRIME
 @pytest.mark.parametrize("metric", bootstrap.METRICS)
 def test_each_reason_of_a_block_is_the_error_of_its_sample_alone(metric):
     job = ragged_tied_job(metric)
-    (index, lengths), _ = bootstrap._blocks(job, 0, 100)
+    (index, lengths), _ = sample_blocks(job, 0, 100)
     reasons, _, _ = bootstrap._evaluate(job, job.a, index, lengths)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
@@ -566,14 +573,14 @@ def test_nlp_gap_chunk_is_each_resample_alone_bit_for_bit(records_per_id):
     want = np.array([
         nlp_gap_alone(job.a.nlp[ra], job.a.correct[ra])
         - nlp_gap_alone(job.b.nlp[rb], job.b.correct[rb])
-        for (ra, _), (rb, _) in (bootstrap._blocks(job, i, i + 1) for i in range(300))])
+        for (ra, _), (rb, _) in (sample_blocks(job, i, i + 1) for i in range(300))])
     assert not np.isnan(want).any()
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_nlp_gap_block_marks_one_class_samples():
     job = ragged_tied_job("nlp_gap")
-    (index, lengths), _ = bootstrap._blocks(job, 0, 300)
+    (index, lengths), _ = sample_blocks(job, 0, 300)
     reasons, values, _ = bootstrap._evaluate(job, job.a, index, lengths)
     alone = np.array([nlp_gap_alone(job.a.nlp[r], job.a.correct[r])
                       for r in np.split(index, np.cumsum(lengths)[:-1])])
@@ -721,6 +728,35 @@ def test_a_failing_chunk_raises_and_leaves_no_process(schedule, monkeypatch, tmp
         assert failed_by != {caller}
 
 
+class ForeignError(Exception):
+    """An error outside the toolkit that does not pickle."""
+
+    def __reduce__(self):
+        raise TypeError("cannot pickle ForeignError")
+
+
+@pytest.mark.parametrize("error, raised", [
+    (TooFewTrials(3, 8), TooFewTrials),
+    (MissingCondition("2"), MissingCondition),
+    (ForeignError("no pickle"), RuntimeError),
+])
+def test_a_child_error_reaches_the_caller_as_itself_unless_it_does_not_pickle(
+        error, raised, monkeypatch):
+    # every toolkit error comes back with its type and message; only a
+    # foreign error that does not pickle is sent as a RuntimeError
+    def failing_chunk(job, start, stop):
+        raise error
+
+    monkeypatch.setattr(bootstrap, "_eval_chunk", failing_chunk)
+    monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(os.getpid()))
+    want = str(error) if raised is not RuntimeError else f"ForeignError: {error}"
+    with pytest.raises(raised) as caught:
+        bootstrap._run_jobs(schedule_jobs(), 500, 2)
+    assert str(caught.value) == want
+    assert "in bootstrap worker process" in str(caught.value.__cause__)
+    assert not multiprocessing.active_children()
+
+
 def test_a_killed_child_raises_and_leaves_no_process(monkeypatch):
     # the child SIGKILLs itself in its first chunk, so it sends no report
     caller = os.getpid()
@@ -792,8 +828,55 @@ def test_side_block_of_one_record_per_id_is_the_draws_viewed_flat():
     assert lengths.tolist() == [40] * 5
 
 
+@pytest.mark.parametrize("records_per_id", [1, 2])
+@pytest.mark.parametrize("block_records", [1, 1000, 4000, 10 ** 6])
+def test_side_blocks_hold_at_most_block_records_and_tile_the_block(records_per_id,
+                                                                  block_records, monkeypatch):
+    # 300 ids of one or two records: rows of 300 or 600 records, so blocks
+    # of one row (at 1 record, and at 1000 of 600), of 3, 13 or 6 rows, the
+    # last one shorter, or one block of all 128
+    a, _ = spread_sides(records_per_id)
+    side = bootstrap._side(a, None)
+    draws = np.random.default_rng(4).integers(0, side.n_ids, size=(128, side.n_ids))
+    monkeypatch.setattr(bootstrap, "BLOCK_RECORDS", block_records)
+    blocks = list(side.blocks(draws))
+    rows = [len(lengths) for _, lengths in blocks]
+    assert min(rows) >= 1 and sum(rows) == 128
+    assert all(len(index) <= block_records for index, _ in blocks) or rows == [1] * 128
+    assert len(set(rows[:-1])) <= 1 and rows[-1] <= rows[0]
+    index, lengths = side.block(draws)
+    np.testing.assert_array_equal(np.concatenate([i for i, _ in blocks]), index)
+    np.testing.assert_array_equal(np.concatenate([n for _, n in blocks]), lengths)
+
+
+def chunk_peak_bytes(job):
+    """tracemalloc's peak over one _eval_chunk of one FIT_BATCH batch,
+    above what was allocated before it; after one untimed chunk, so that
+    the side's constants are computed."""
+    bootstrap._eval_chunk(job, 0, bootstrap.FIT_BATCH)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        bootstrap._eval_chunk(job, 0, bootstrap.FIT_BATCH)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metric", ["auroc2", "nlp_gap", "meta_d"])
+def test_a_batch_of_a_release_sized_side_peaks_under_2_5_mb(metric):
+    # 956 ids of one record each and 956 nlp levels, as the release's f16
+    # History cell: 128 resamples hold 122 368 records, which row blocks of
+    # BLOCK_RECORDS records evaluate a few rows at a time
+    trials = gaussian_trials(np.random.default_rng(12), 956)
+    job = bootstrap._Job(metric, RatingScale(), 0.5,
+                         bootstrap._side(trials, bootstrap._stream_entropy(1, "History", "u")))
+    assert chunk_peak_bytes(job) < 2.5e6
+
+
 def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
-    """Every run at workers 1, 2, 3 and at FIT_BATCH = 7 must be
+    """Every run at workers 1, 2, 3, at one row per block, at blocks that
+    split a batch unevenly and at FIT_BATCH = 7 must be
     bit-identical, and every third ordinal must equal its one-at-a-time
     metric_value, nan where that raises. Returns how often, over the
     checked sides, each exclusion was raised, the value was exactly 0 and
@@ -808,7 +891,7 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
         warnings.simplefilter("ignore", MetadkitWarning)
         for j, ordinal in enumerate(checked):
             values = []
-            for side, (r, _) in zip(job.sides, bootstrap._blocks(job, ordinal, ordinal + 1)):
+            for side, (r, _) in zip(job.sides, sample_blocks(job, ordinal, ordinal + 1)):
                 nlp, correct = side.nlp[r], side.correct[r]
                 try:
                     values.append(metric_value(metric, nlp, correct))
@@ -824,6 +907,12 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
             want[j] = values[0] - values[1]
     assert 0 < np.isnan(want).sum() < 50
     runs = [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 2, 3)]
+    monkeypatch.setattr(bootstrap, "BLOCK_RECORDS", 1)     # one row per block
+    runs.append(bootstrap._run_jobs([job], 300, 1)[0])
+    # blocks of 5 rows of 20 ids, or of 3 rows of 13 ids with up to 2
+    # records each: batches of 128 and 44 rows end in a shorter block
+    monkeypatch.setattr(bootstrap, "BLOCK_RECORDS", 100)
+    runs += [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 2)]
     monkeypatch.setattr(bootstrap, "FIT_BATCH", 7)
     runs += [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 3)]
     for got in runs:

@@ -162,6 +162,17 @@ def test_validate_paired_differences():
     assert report.extra == ("q3",)
 
 
+def test_validate_paired_counts_records_when_both_hold_the_same_ids():
+    # the same distinct ids and domain in both sets, which skips the union
+    # of their values: only the multiplicities differ
+    a = TrialSet([TrialRecord(q, "Arts", "1", "f16", True, -0.5) for q in ("q1", "q1", "q2")])
+    b = TrialSet([TrialRecord(q, "Arts", "2", "f16", True, -0.5) for q in ("q1", "q2", "q2")])
+    report = validate_paired(a, b)
+    assert not report.paired
+    assert report.missing == ("q1",) and report.extra == ("q2",)
+    assert report.n_shared == 2
+
+
 def test_validate_paired_verdict_symmetric():
     a = TrialSet([TrialRecord("q1", "Arts", "1", "f16", True, -0.5)])
     b = TrialSet([TrialRecord("q1", "History", "1", "f16", True, -0.5)])

@@ -50,8 +50,11 @@ processes per tree:
   times timed at STAT_RESAMPLES resamples. The file holds each
   process's fastest run per metric: in process time at one worker, and
   in wall time at nproc (under ``workers_nproc``), so that a pooled
-  call's fixed cost shows beside the one-worker figure; and whether
-  both trees gave the same CI at both worker counts.
+  call's fixed cost shows beside the one-worker figure; the minor page
+  faults and system time per call of the caller and of its children
+  (getrusage), which show temporaries handed back to the kernel and
+  faulted in again; and whether both trees gave the same CI at both
+  worker counts.
 """
 
 from __future__ import annotations
@@ -269,14 +272,21 @@ STAT_RUNS = 10
 STAT_REPEATS = 3
 STAT_RESAMPLES = 2000
 STAT_METRICS = ("nlp_gap", "auroc2")
+# what STAT_LAYER prints per metric and worker count: the fastest timed run
+# (process time at one worker, wall time at nproc, where team processes do
+# part of the work), the CI's two bounds, and per timed run the minor page
+# faults and system time of the caller and of its children, from getrusage
+STAT_COLUMNS = ("time_s", "ci_low", "ci_high", "faults_caller", "faults_children",
+                "sys_s_caller", "sys_s_children")
 # for each metric in argv[2:], bootstrap_metric on condition 1's f16 History
 # cell of the trial file argv[1] at one worker and at nproc, each once
-# untimed, then STAT_REPEATS times timed; prints, per metric and worker
-# count, the fastest timed run (process time at one worker, wall time at
-# nproc, where pool processes do part of the work) and the CI's two bounds
-STAT_LAYER = ("import os, sys, time\n"
+# untimed, then STAT_REPEATS times timed; prints STAT_COLUMNS for each
+STAT_LAYER = ("import os, resource, sys, time\n"
               "from metadkit import load_trials\n"
               "from metadkit.bootstrap import bootstrap_metric\n"
+              "def usage():\n"
+              "    return [(u.ru_minflt, u.ru_stime) for u in map(resource.getrusage,\n"
+              "            (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))]\n"
               "trials = load_trials(sys.argv[1])\n"
               "cell = trials.filter(condition='1', format='f16', domain='History')\n"
               "nproc = len(os.sched_getaffinity(0))\n"
@@ -285,12 +295,17 @@ STAT_LAYER = ("import os, sys, time\n"
               f"        bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
               " workers=workers)\n"
               "        times = []\n"
+              "        before = usage()\n"
               f"        for _ in range({STAT_REPEATS}):\n"
               "            start = clock()\n"
               f"            ci = bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
               " workers=workers)\n"
               "            times.append(clock() - start)\n"
-              "        print(min(times), repr(ci.ci_low), repr(ci.ci_high))\n")
+              "        (faults, sys_s), (child_faults, child_sys_s) = (\n"
+              f"            [(a - b) / {STAT_REPEATS} for a, b in zip(after, prior)]\n"
+              "            for after, prior in zip(usage(), before))\n"
+              "        print(min(times), repr(ci.ci_low), repr(ci.ci_high),\n"
+              "              faults, child_faults, sys_s, child_sys_s)\n")
 
 
 def stat_layer(trees: dict[str, Path], seed: int) -> dict:
@@ -305,18 +320,22 @@ def stat_layer(trees: dict[str, Path], seed: int) -> dict:
                    "workers": 1, "nproc": len(os.sched_getaffinity(0)), "runs": STAT_RUNS,
                    "repeats_per_run": STAT_REPEATS}
 
-    def figures(col: int, name: str) -> dict:
-        times = {side: [r[col] for r in side_runs] for side, side_runs in runs.items()}
-        return {**{side: {name: summary(t)} for side, t in times.items()},
-                "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"],
-                                                                  times["change"]))}
+    def figures(start: int, name: str) -> dict:
+        """The time at column ``start`` of every run, as ``name``, with its
+        pairs won, and the fault and system-time columns that follow it."""
+        columns = {name: start, **{c: start + STAT_COLUMNS.index(c) for c in STAT_COLUMNS[3:]}}
+        return {**{side: {c: summary([r[col] for r in side_runs]) for c, col in columns.items()}
+                   for side, side_runs in runs.items()},
+                "change_lower_in_pairs": sum(c[start] < b[start]
+                                             for b, c in zip(runs["base"], runs["change"]))}
 
+    width = len(STAT_COLUMNS)
     for i, metric in enumerate(STAT_METRICS):
-        # per metric: one worker's time and CI at 6 * i, nproc's at 6 * i + 3
-        cis = {tuple(r[6 * i + k:6 * i + k + 2]) for side_runs in runs.values()
-               for r in side_runs for k in (1, 4)}
-        entry[metric] = {**figures(6 * i, "stat_s"),
-                         "workers_nproc": figures(6 * i + 3, "wall_s"),
+        # per metric: one worker's columns at 2 * i * width, nproc's a width later
+        cis = {tuple(r[k + 1:k + 3]) for side_runs in runs.values() for r in side_runs
+               for k in (2 * i * width, (2 * i + 1) * width)}
+        entry[metric] = {**figures(2 * i * width, "stat_s"),
+                         "workers_nproc": figures((2 * i + 1) * width, "wall_s"),
                          "same_ci": len(cis) == 1}
     return entry
 
