@@ -851,7 +851,7 @@ def test_side_blocks_hold_at_most_block_records_and_tile_the_block(records_per_i
 
 def chunk_peak_bytes(job):
     """tracemalloc's peak over one _eval_chunk of one FIT_BATCH batch,
-    above what was allocated before it; after one untimed chunk, so that
+    above what was allocated before it; after one untraced chunk, so that
     the side's constants are computed."""
     bootstrap._eval_chunk(job, 0, bootstrap.FIT_BATCH)
     tracemalloc.start()
