@@ -586,6 +586,8 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
         raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
+    if n_resamples > 2 ** 32:   # _draw_batch's ordinals lie in [0, 2**32)
+        raise ValueError(f"n_resamples must be <= 2**32, got {n_resamples}")
     _check_ci_level(ci_level)
     domain = _single_domain(a)
     if b is not None:

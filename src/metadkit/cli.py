@@ -59,6 +59,8 @@ class RunConfig:
             raise ConfigError("n_ratings must be >= 2")
         if self.n_resamples < 1:
             raise ConfigError("n_resamples must be >= 1")
+        if self.n_resamples > 2 ** 32:     # resample ordinals must lie in [0, 2**32)
+            raise ConfigError(f"n_resamples must be <= 2**32, got {self.n_resamples}")
         if not self.tost_delta > 0:
             raise ConfigError("tost_delta must be > 0")
         if not 0 < self.ci_level_confirmatory < 1:
@@ -85,8 +87,29 @@ class RunConfig:
         return RatingScale(self.n_ratings)
 
 
-# every key a config file or a flag may set: the RunConfig fields, and n_bins
-CONFIG_KEYS = (*(f.name for f in fields(RunConfig)), "n_bins")
+# the parser of each setting type, by the field annotation that names it, and
+# the noun of the error when a value does not parse
+_PARSERS = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda raw: BOOLEAN_STRINGS[raw.lower()], "true/false/1/0/yes/no"),
+    "tuple[float, ...]": (lambda raw: tuple(map(float, raw.split(","))),
+                          "a comma-separated list of numbers"),
+}
+
+# the type of every key a config file or a flag may set: RunConfig's fields, n_bins
+_RUN_TYPES = {**{f.name: f.type for f in fields(RunConfig)}, "n_bins": "int"}
+CONFIG_KEYS = tuple(_RUN_TYPES)
+
+
+def _parse(type_: str, key: str, raw: str):
+    """``raw`` read as a value of the annotated type ``type_``."""
+    parse, noun = _PARSERS[type_]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from None
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -103,18 +126,23 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _read_settings(path: str | Path, types: dict[str, str], kind: str) -> dict:
+    """The key=value file at ``path``, each value parsed by its key's type."""
+    values = {}
+    for key, raw in parse_kv_file(path).items():
+        if key not in types:
+            raise ConfigError(f"unknown {kind} key {key!r}")
+        values[key] = _parse(types[key], key, raw)
+    return values
+
+
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
-    """Defaults <- config file <- command-line flags, with type coercion.
+    """Defaults <- config file <- command-line flags, file values read by type.
 
     Either layer may give ``n_bins`` (``--bins``); it is stored as the
     ``n_ratings`` it implies.
     """
-    from_file: dict = {}
-    if config_path:
-        for key, raw in parse_kv_file(config_path).items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            from_file[key] = _coerce(key, raw)
+    from_file = _read_settings(config_path, _RUN_TYPES, "config") if config_path else {}
     from_flags = {k: v for k, v in overrides.items() if v is not None}
     config = RunConfig(**{**_ratings_from_bins(from_file), **_ratings_from_bins(from_flags)})
     config.validate()
@@ -133,29 +161,9 @@ def _ratings_from_bins(values: dict) -> dict:
     return values
 
 
-def _coerce(key: str, raw: str):
-    current = getattr(RunConfig(), key)
-    if isinstance(current, bool):
-        if raw.lower() not in BOOLEAN_STRINGS:
-            raise ConfigError(f"{key} must be true/false/1/0/yes/no, got {raw!r}")
-        return BOOLEAN_STRINGS[raw.lower()]
-    if not isinstance(current, (int, float)):
-        return raw
-    try:
-        return type(current)(raw)
-    except ValueError:
-        noun = "an integer" if isinstance(current, int) else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {raw!r}") from None
-
-
 def _default_workers() -> int | None:
     value = os.environ.get(WORKERS_ENV_VAR)
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {value!r}") from None
+    return _parse("int", WORKERS_ENV_VAR, value) if value else None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -312,29 +320,9 @@ def cmd_confirm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the parser of each non-string synth config key, and what it expects
-_SYNTH_PARSERS = {
-    **dict.fromkeys(("n_trials", "seed"), (int, "an integer")),
-    **dict.fromkeys(("p_correct", "mu_correct", "mu_incorrect", "sigma_correct",
-                     "sigma_incorrect"), (float, "a number")),
-    **dict.fromkeys(("mix_weights_correct", "mix_means_correct", "mix_sigmas_correct",
-                     "mix_weights_incorrect", "mix_means_incorrect", "mix_sigmas_incorrect"),
-                    (lambda value: tuple(map(float, value.split(","))),
-                     "a comma-separated list of numbers")),
-}
-
-
 def load_synth_config(path: str | Path) -> SynthConfig:
-    kwargs: dict = {}
-    valid = {f.name for f in fields(SynthConfig)}
-    for key, value in parse_kv_file(path).items():
-        if key not in valid:
-            raise ConfigError(f"unknown synth config key {key!r}")
-        parse, noun = _SYNTH_PARSERS.get(key, (str, "a string"))
-        try:
-            kwargs[key] = parse(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+    kwargs = _read_settings(path, {f.name: f.type for f in fields(SynthConfig)},
+                            "synth config")
     if "n_trials" not in kwargs or "p_correct" not in kwargs:
         raise ConfigError("synth config needs at least n_trials and p_correct")
     return SynthConfig(**kwargs)

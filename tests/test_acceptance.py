@@ -11,6 +11,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,27 @@ REFERENCE_SENSITIVITY = {  # format -> domain -> (d', meta-d', M-ratio)
     "f16": {"Science": (0.461, 0.663, 1.436), "Geography": (0.648, 0.518, 0.798),
             "History": (0.722, 0.339, 0.470), "Arts": (0.559, 0.862, 1.542)},
 }
+
+
+def test_headline_rank_correlations_on_the_reference_cells():
+    """The abstract's profile stability across q5_k_m and f16, on the
+    paper's own cells: 0.00 for M-ratio and 1.00 for AUROC2. The M-ratio
+    0.00 is Kendall's tau; Spearman's rho, which compare-formats prints,
+    is -0.20 on the same cells."""
+    domains = sorted(REFERENCE_SENSITIVITY["f16"])
+    ratios = {f: [REFERENCE_SENSITIVITY[f][d][2] for d in domains] for f in ("q5_k_m", "f16")}
+    lowest_first = {f: [d for _, d in sorted(zip(ratios[f], domains))] for f in ratios}
+    assert lowest_first == {"q5_k_m": ["Arts", "History", "Geography", "Science"],
+                            "f16": ["History", "Geography", "Science", "Arts"]}
+    assert spearman_rho(ratios["q5_k_m"], ratios["f16"]) == pytest.approx(-0.20, abs=1e-12)
+    signs = [np.sign((ratios["q5_k_m"][i] - ratios["q5_k_m"][j])
+                     * (ratios["f16"][i] - ratios["f16"][j]))
+             for i, j in combinations(range(len(domains)), 2)]
+    concordant, discordant = signs.count(1), signs.count(-1)
+    assert (concordant, discordant) == (3, 3)
+    assert (concordant - discordant) / len(signs) == 0.0
+    assert spearman_rho([REFERENCE_AUROC2["q5_k_m"][d] for d in domains],
+                        [REFERENCE_AUROC2["f16"][d] for d in domains]) == 1.0
 
 REFERENCE_CONTRASTS = {  # (hypothesis, domain) -> (delta, ci_low, ci_high, decision)
     ("H1", "Science"): (-0.118, -0.539, 0.348, "not_supported"),

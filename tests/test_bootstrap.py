@@ -304,6 +304,30 @@ def test_a_ci_level_outside_zero_to_one_is_refused_before_any_work(ci_level, mon
         HypothesisSpec("H1", "2", "1", ("Science",), RULE_CI_LOWER_GT_ZERO, ci_level=ci_level)
 
 
+def test_more_resamples_than_the_rng_contract_has_ordinals_are_refused_before_any_work(
+        monkeypatch):
+    """Ordinals lie in [0, 2**32). 2**32 + 1 resamples built 33.5 million
+    chunks per job before the last one raised in _draw_batch."""
+    trials = gaussian_trials(np.random.default_rng(0), 40)
+    spec = HypothesisSpec("H1", "1", "1", ("Science",), RULE_CI_LOWER_GT_ZERO)
+    monkeypatch.setattr(bootstrap, "_side", no_work)
+    monkeypatch.setattr(bootstrap, "_run_jobs", no_work)
+    message = r"n_resamples must be <= 2\*\*32, got 4294967297"
+    with pytest.raises(ValueError, match=message):
+        bootstrap_metric(trials, "auroc2", n_resamples=2 ** 32 + 1)
+    with pytest.raises(ValueError, match=message):
+        bootstrap_contrast(trials, trials, "auroc2", n_resamples=2 ** 32 + 1)
+    with pytest.raises(ValueError, match=message):
+        run_hypothesis_suite(trials, [spec], n_resamples=2 ** 32 + 1)
+
+
+def test_setup_accepts_every_ordinal_of_the_rng_contract():
+    trials = gaussian_trials(np.random.default_rng(0), 40)
+    *_, result = bootstrap._setup(trials, None, "auroc2", "auroc2", 2 ** 32, 42, 0.95,
+                                  RatingScale(), DEFAULT_PAD_VALUE)
+    assert result.n_resamples == 2 ** 32
+
+
 def test_decide_lower_bound_rule():
     assert decide(contrast_with(0.01, 0.40, 0.95), "ci_lower_gt_zero").decision \
         == "supported"

@@ -1,6 +1,7 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from metadkit.cli import (
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     RunConfig,
+    _PARSERS,
     _config_from_args,
     build_parser,
     load_run_config,
@@ -21,6 +23,7 @@ from metadkit.cli import (
 )
 from metadkit.errors import ConfigError, MetadkitWarning
 from metadkit.profiles import build_profiles
+from metadkit.synth import SynthConfig
 from metadkit.trialstore import TrialSet, save_trials
 from tests.conftest import gaussian_trials, make_trials
 
@@ -140,6 +143,55 @@ def test_malformed_workers_env_var_is_config_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+# (source, key, value, message): a value of each type that does not parse, and
+# an unknown key, through each place a setting is read from text
+SETTING_MESSAGES = [
+    ("run", "seed", "abc", "seed must be an integer, got 'abc'"),
+    ("run", "n_bins", "8.0", "n_bins must be an integer, got '8.0'"),
+    ("run", "tost_delta", "wide", "tost_delta must be a number, got 'wide'"),
+    ("run", "full_precision", "ture",
+     "full_precision must be true/false/1/0/yes/no, got 'ture'"),
+    ("run", "resample_count", "10", "unknown config key 'resample_count'"),
+    ("synth", "n_trials", "6e2", "n_trials must be an integer, got '6e2'"),
+    ("synth", "p_correct", "high", "p_correct must be a number, got 'high'"),
+    ("synth", "mix_means_correct", "0.5,x",
+     "mix_means_correct must be a comma-separated list of numbers, got '0.5,x'"),
+    ("synth", "n_trial", "600", "unknown synth config key 'n_trial'"),
+    ("env", "METADKIT_WORKERS", "1.5", "METADKIT_WORKERS must be an integer, got '1.5'"),
+]
+
+
+@pytest.mark.parametrize("source, key, value, message", SETTING_MESSAGES,
+                         ids=[f"{source}-{key}" for source, key, *_ in SETTING_MESSAGES])
+def test_a_setting_that_does_not_parse_has_one_message_and_exits_2(
+        tmp_path, monkeypatch, capsys, source, key, value, message):
+    missing = str(tmp_path / "none.jsonl")
+    if source == "run":
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        read = partial(load_run_config, str(path), {})
+        argv = ["confirm", "--config", str(path), "--trials", missing]
+    elif source == "synth":
+        path = synth_cfg(tmp_path, **{key: value})
+        read = partial(load_synth_config, path)
+        argv = ["synth", "--synth-config", str(path), "--out", str(tmp_path / "s.jsonl")]
+    else:
+        monkeypatch.setenv(key, value)
+        read = build_parser
+        argv = ["diagnose", "--trials", missing]
+    with pytest.raises(ConfigError) as caught:
+        read()
+    assert str(caught.value) == message
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_every_setting_type_has_a_parser():
+    """A field of a new type fails here, not when a user's config sets it."""
+    types = {f.type for config in (RunConfig, SynthConfig) for f in fields(config)}
+    assert types <= set(_PARSERS)
+
+
 def test_wrong_tost_level_fails_before_load_and_resampling(tmp_path, monkeypatch):
     import metadkit.cli
 
@@ -173,6 +225,13 @@ def run_confirm_with_config(tmp_path, monkeypatch, text):
 def test_config_value_that_is_not_a_number_is_config_error(tmp_path, monkeypatch, capsys, text):
     assert run_confirm_with_config(tmp_path, monkeypatch, text) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_more_resamples_than_rng_ordinals_fails_before_load(tmp_path, capsys):
+    argv = ["confirm", "--trials", str(tmp_path / "none.jsonl"), "--resamples", "4294967297"]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.endswith(
+        "config error: n_resamples must be <= 2**32, got 4294967297\n")
 
 
 @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.95", "nan"])

@@ -43,12 +43,15 @@ processes per tree:
   loader takes more runs than the fit layer, and the minimum, which
   such slowdowns can only raise.
 - the resample statistics, since perfbench's ``nonparam.*`` spans do not
-  see the batched statistics: each of STAT_RUNS processes loads
-  perfbench's trial file for the seed and runs ``bootstrap_metric`` for
-  nlp_gap and auroc2 on its condition 1, f16, History cell at one
-  worker and at nproc workers, each once untimed, then STAT_REPEATS
-  times timed at STAT_RESAMPLES resamples. The file holds each
-  process's fastest run per metric: in process time at one worker, and
+  see the batched statistics: for nlp_gap and for auroc2 in turn, each of
+  STAT_RUNS processes per tree loads perfbench's trial file for the seed
+  and runs ``bootstrap_metric`` for that one metric on its condition 1,
+  f16, History cell at one worker and at nproc workers, each once
+  untimed, then STAT_REPEATS times timed at STAT_RESAMPLES resamples. A
+  metric never runs after the other in one process, whose earlier calls
+  would have left the heap warm (glibc's raised mmap and trim thresholds
+  hide the page faults of a fresh process). The file holds each
+  process's fastest run: in process time at one worker, and
   in wall time at nproc (under ``workers_nproc``), so that a pooled
   call's fixed cost shows beside the one-worker figure; the minor page
   faults and system time per call of the caller and of its children
@@ -272,15 +275,15 @@ STAT_RUNS = 10
 STAT_REPEATS = 3
 STAT_RESAMPLES = 2000
 STAT_METRICS = ("nlp_gap", "auroc2")
-# what STAT_LAYER prints per metric and worker count: the fastest timed run
-# (process time at one worker, wall time at nproc, where team processes do
-# part of the work), the CI's two bounds, and per timed run the minor page
-# faults and system time of the caller and of its children, from getrusage
+# what STAT_LAYER prints per worker count: the fastest timed run (process
+# time at one worker, wall time at nproc, where team processes do part of
+# the work), the CI's two bounds, and per timed run the minor page faults
+# and system time of the caller and of its children, from getrusage
 STAT_COLUMNS = ("time_s", "ci_low", "ci_high", "faults_caller", "faults_children",
                 "sys_s_caller", "sys_s_children")
-# for each metric in argv[2:], bootstrap_metric on condition 1's f16 History
-# cell of the trial file argv[1] at one worker and at nproc, each once
-# untimed, then STAT_REPEATS times timed; prints STAT_COLUMNS for each
+# bootstrap_metric for the metric argv[2] on condition 1's f16 History cell
+# of the trial file argv[1] at one worker and at nproc, each once untimed,
+# then STAT_REPEATS times timed; prints STAT_COLUMNS for each
 STAT_LAYER = ("import os, resource, sys, time\n"
               "from metadkit import load_trials\n"
               "from metadkit.bootstrap import bootstrap_metric\n"
@@ -289,53 +292,55 @@ STAT_LAYER = ("import os, resource, sys, time\n"
               "            (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))]\n"
               "trials = load_trials(sys.argv[1])\n"
               "cell = trials.filter(condition='1', format='f16', domain='History')\n"
+              "metric = sys.argv[2]\n"
               "nproc = len(os.sched_getaffinity(0))\n"
-              "for metric in sys.argv[2:]:\n"
-              "    for workers, clock in ((1, time.process_time), (nproc, time.perf_counter)):\n"
-              f"        bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
+              "for workers, clock in ((1, time.process_time), (nproc, time.perf_counter)):\n"
+              f"    bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
               " workers=workers)\n"
-              "        times = []\n"
-              "        before = usage()\n"
-              f"        for _ in range({STAT_REPEATS}):\n"
-              "            start = clock()\n"
-              f"            ci = bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
+              "    times = []\n"
+              "    before = usage()\n"
+              f"    for _ in range({STAT_REPEATS}):\n"
+              "        start = clock()\n"
+              f"        ci = bootstrap_metric(cell, metric, n_resamples={STAT_RESAMPLES},"
               " workers=workers)\n"
-              "            times.append(clock() - start)\n"
-              "        (faults, sys_s), (child_faults, child_sys_s) = (\n"
-              f"            [(a - b) / {STAT_REPEATS} for a, b in zip(after, prior)]\n"
-              "            for after, prior in zip(usage(), before))\n"
-              "        print(min(times), repr(ci.ci_low), repr(ci.ci_high),\n"
-              "              faults, child_faults, sys_s, child_sys_s)\n")
+              "        times.append(clock() - start)\n"
+              "    (faults, sys_s), (child_faults, child_sys_s) = (\n"
+              f"        [(a - b) / {STAT_REPEATS} for a, b in zip(after, prior)]\n"
+              "        for after, prior in zip(usage(), before))\n"
+              "    print(min(times), repr(ci.ci_low), repr(ci.ci_high),\n"
+              "          faults, child_faults, sys_s, child_sys_s)\n")
 
 
 def stat_layer(trees: dict[str, Path], seed: int) -> dict:
-    """STAT_RUNS alternating resample-statistic runs per tree on
-    perfbench's trial file for the seed, at one worker and at nproc."""
+    """Per metric, STAT_RUNS alternating fresh processes per tree running
+    that metric alone on perfbench's trial file for the seed, at one
+    worker and at nproc."""
     with tempfile.TemporaryDirectory() as tmp:
         trials = Path(tmp) / "trials.jsonl"
         write_trials(trees, seed, trials)
-        runs = alternating(trees, STAT_RUNS, STAT_LAYER, [str(trials), *STAT_METRICS],
-                           dict(os.environ), "stat layer")
+        runs = {metric: alternating(trees, STAT_RUNS, STAT_LAYER, [str(trials), metric],
+                                    dict(os.environ), f"stat layer {metric}")
+                for metric in STAT_METRICS}
     entry: dict = {"cell": "condition 1, f16, History", "resamples": STAT_RESAMPLES,
                    "workers": 1, "nproc": len(os.sched_getaffinity(0)), "runs": STAT_RUNS,
                    "repeats_per_run": STAT_REPEATS}
 
-    def figures(start: int, name: str) -> dict:
+    def figures(metric_runs: dict, start: int, name: str) -> dict:
         """The time at column ``start`` of every run, as ``name``, with its
         pairs won, and the fault and system-time columns that follow it."""
         columns = {name: start, **{c: start + STAT_COLUMNS.index(c) for c in STAT_COLUMNS[3:]}}
         return {**{side: {c: summary([r[col] for r in side_runs]) for c, col in columns.items()}
-                   for side, side_runs in runs.items()},
-                "change_lower_in_pairs": sum(c[start] < b[start]
-                                             for b, c in zip(runs["base"], runs["change"]))}
+                   for side, side_runs in metric_runs.items()},
+                "change_lower_in_pairs": sum(c[start] < b[start] for b, c in
+                                             zip(metric_runs["base"], metric_runs["change"]))}
 
     width = len(STAT_COLUMNS)
-    for i, metric in enumerate(STAT_METRICS):
-        # per metric: one worker's columns at 2 * i * width, nproc's a width later
-        cis = {tuple(r[k + 1:k + 3]) for side_runs in runs.values() for r in side_runs
-               for k in (2 * i * width, (2 * i + 1) * width)}
-        entry[metric] = {**figures(2 * i * width, "stat_s"),
-                         "workers_nproc": figures((2 * i + 1) * width, "wall_s"),
+    for metric, metric_runs in runs.items():
+        # one worker's columns first, nproc's a width later
+        cis = {tuple(r[k + 1:k + 3]) for side_runs in metric_runs.values() for r in side_runs
+               for k in (0, width)}
+        entry[metric] = {**figures(metric_runs, 0, "stat_s"),
+                         "workers_nproc": figures(metric_runs, width, "wall_s"),
                          "same_ci": len(cis) == 1}
     return entry
 
