@@ -31,16 +31,17 @@ summed as ``ndarray.mean`` sums it alone; d_prime, meta_d and m_ratio by
 ``profiles.type1_block``, meta_d and m_ratio as tables still to fit. A
 worker takes its ordinals FIT_BATCH at a time: one (B, n) id draw per
 stream (``_draw_batch``, bit for bit the stream above, as
-tests/test_rng_contract.py checks), reused by a paired b side; each
-side's rows through the evaluator in blocks of at most BLOCK_RECORDS
-records (``_Side.blocks``); one ``sdt.meta_d_fit_batch`` solve for the
-tables of every block. The draw is made once per batch because each
-draw has a fixed cost (``_seed_states``); the blocks keep the gathers,
-offsets and tallies of a block a few hundred kB, so the allocator
-reuses them from block to block instead of handing MB-sized buffers
-back to the kernel and faulting them in again. A point estimate,
-``metric_value``'s too, is a side's identity block (its records in record order), fitted
-by one ``sdt.sdt_fits`` solve with its warnings. Every value equals its
+tests/test_rng_contract.py checks), shared by the sides of that stream,
+as a paired side shares the first side's; each side's rows through the
+evaluator in blocks of at most BLOCK_RECORDS records (``_Side.blocks``);
+one ``sdt.meta_d_fit_batch`` solve for the tables of every block. The
+draw is made once per batch because each draw has a fixed cost
+(``_seed_states``); the blocks keep the gathers, offsets and tallies of
+a block a few hundred kB, so the allocator reuses them from block to
+block instead of handing MB-sized buffers back to the kernel and
+faulting them in again. A point estimate, ``metric_value``'s too, is a
+side's identity block (its records in record order), fitted by one
+``sdt.sdt_fits`` solve with its warnings. Every value equals its
 resample evaluated alone, so neither the batch or block edges nor the
 worker count change a result.
 
@@ -177,7 +178,8 @@ def _stream_entropy(seed: int, domain: str, unit: str) -> int:
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words.
 # Its k-th hash of a word xors the k-th running multiplier and multiplies by
-# the next: _A for hashing the entropy into the pool, _B for generate_state.
+# the next: _A for hashing words into the pool (hashes 0-15 take in the
+# entropy, 16-19 the spawn key), _B for generate_state.
 _M32 = 0xFFFFFFFF
 _A = [0x43B0D7E5 * pow(0x931E8875, k, 2 ** 32) & _M32 for k in range(21)]
 _B = [0x8B51F9DD * pow(0x58F38DED, k, 2 ** 32) & _M32 for k in range(9)]
@@ -202,19 +204,14 @@ def _seed_states(entropy: int, lo: int, hi: int) -> np.ndarray:
     of every ordinal i in [lo, hi), as (hi - lo, 4) uint64 rows.
 
     SeedSequence hashes its words (entropy as 4 words, low first; then i)
-    into a pool of 4: each of the first 4 words, every pool word into every
-    other, then i into each pool word. Only that last step depends on i,
-    so it runs over all ordinals at once in uint32 arithmetic, which wraps
-    as the C code does; so does generate_state's hash of the pool.
+    into a pool of 4: the entropy first, which gives the pool of
+    ``SeedSequence(entropy)``, taken from numpy; then i into each pool
+    word. Only that last step depends on i, so it is replicated here over
+    all ordinals at once in uint32 arithmetic, which wraps as the C code
+    does; so is generate_state's hash of the pool.
     """
-    pool = [_hash(entropy >> 32 * k & _M32, _A[k], _A[k + 1]) for k in range(4)]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], _A[k], _A[k + 1]))
-                k += 1
-    constants = np.array([pool, _A[16:20], _A[17:21]], dtype=np.uint32)
+    constants = np.array([np.random.SeedSequence(entropy).pool, _A[16:20], _A[17:21]],
+                         dtype=np.uint32)
     ordinals = np.arange(lo, hi).astype(np.uint32)[:, None]
     pool = _mix(constants[0], _hash(ordinals, constants[1], constants[2]))
     words = _hash(np.tile(pool, 2), np.array(_B[:8], dtype=np.uint32),
@@ -282,7 +279,7 @@ def _draw_batch(entropy: int, lo: int, hi: int, n_ids: int) -> np.ndarray:
 class _Side:
     """One resampled trial set: its id stream and its records ordered by id."""
 
-    entropy: int | None      # None: a paired b side, which reuses the a side's draw
+    entropy: int             # its id stream; a paired side's is the first side's
     n_ids: int
     counts: np.ndarray | None    # records per id; None when every id has one
     records: np.ndarray      # each record's row below, in record order: the identity block
@@ -327,7 +324,7 @@ class _Side:
             yield self.block(draws[lo:lo + rows])
 
 
-def _side(trials: TrialSet, entropy: int | None) -> _Side:
+def _side(trials: TrialSet, entropy: int) -> _Side:
     codes, ids = trials.codes("question_id")
     order = np.argsort(codes, kind="stable")
     counts = np.bincount(codes, minlength=len(ids))
@@ -339,17 +336,12 @@ def _side(trials: TrialSet, entropy: int | None) -> _Side:
 @dataclass(frozen=True)
 class _Job:
     """What a worker needs to evaluate resample ordinals of one unit: the
-    metric of the a side, minus that of the b side for a contrast."""
+    metric of the first side, minus that of each other side (a contrast's b)."""
 
     metric: str
     scale: RatingScale
     pad_value: float
-    a: _Side
-    b: _Side | None = None
-
-    @property
-    def sides(self) -> tuple[_Side, ...]:
-        return (self.a,) if self.b is None else (self.a, self.b)
+    sides: tuple[_Side, ...]
 
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
@@ -365,9 +357,9 @@ def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
     """
     if not len(correct):
         raise EmptySet(f"{metric} undefined for an empty set")
-    side = _Side(None, len(correct), None, np.arange(len(correct)), nlp, correct,
-                 *level_keys(nlp, correct))
-    job = _Job(metric, scale, pad_value, side)
+    side = _Side(0, len(correct), None, np.arange(len(correct)), nlp, correct,
+                 *level_keys(nlp, correct))     # entropy 0: a point estimate draws no ids
+    job = _Job(metric, scale, pad_value, (side,))
     return _point_values([(job, _points(job))], pad_value)[0]
 
 
@@ -419,20 +411,20 @@ def _points(job: _Job) -> list:
 
 
 def _draws(job: _Job, lo: int, hi: int) -> list[np.ndarray]:
-    """Each side's id draw (_draw_batch) of resample ordinals [lo, hi), the
-    a side first. One draw per stream; a paired b side reuses the a side's."""
-    draws = [_draw_batch(job.a.entropy, lo, hi, job.a.n_ids)]
-    if job.b is not None:
-        draws.append(draws[0] if job.b.entropy is None else
-                     _draw_batch(job.b.entropy, lo, hi, job.b.n_ids))
-    return draws
+    """Each side's id draw (_draw_batch) of resample ordinals [lo, hi), in
+    side order. Each distinct stream is drawn once, and its sides share
+    the draw: a paired side that of the first side."""
+    streams = dict.fromkeys((side.entropy, side.n_ids) for side in job.sides)
+    for entropy, n_ids in streams:
+        streams[entropy, n_ids] = _draw_batch(entropy, lo, hi, n_ids)
+    return [streams[side.entropy, side.n_ids] for side in job.sides]
 
 
 def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     """Statistic (or nan) for resample ordinals [start, stop), evaluated
     FIT_BATCH ordinals at a time: one id draw per stream, each side's rows
     through _evaluate in blocks of bounded size (_Side.blocks), then one
-    meta-d' solve for the tables of every block of both sides, in order."""
+    meta-d' solve for the tables of every block of every side, in order."""
     parts = []
     for lo in range(start, stop, FIT_BATCH):
         reasons, values, pending = [], [], []   # per side; the pending fits of every block
@@ -448,7 +440,7 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
             fit = meta_d_fit_batch(tables, d_prime, criterion_c)
             values[reasons == DEFINED] = np.where(
                 fit.converged, _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
-        parts.append(values[0] - values[1] if job.b is not None else values[0])
+        parts.append(np.subtract.reduce(values))
     return np.concatenate(parts)
 
 
@@ -579,8 +571,8 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
     metric(b), the point of each side (_points), and its BootstrapResult
     (ContrastResult) with no point estimate or CI yet.
 
-    The a side draws ids from the stream of ``unit``; an independent b
-    side draws from its own stream ``unit|b``, a paired one reuses a's draw.
+    The a side draws ids from the stream of ``unit``; a paired b side
+    shares that stream, an independent one has its own, ``unit|b``.
     """
     if pairing not in ("paired", "independent"):
         raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
@@ -603,9 +595,12 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
                     f"paired contrast needs identical question ids; "
                     f"missing={report.missing[:5]} extra={report.extra[:5]}")
 
-    side_b = None if b is None else _side(b, None if pairing == "paired"
-                                          else _stream_entropy(seed, domain, unit + "|b"))
-    job = _Job(metric, scale, pad_value, _side(a, _stream_entropy(seed, domain, unit)), side_b)
+    entropy = _stream_entropy(seed, domain, unit)
+    sides = (_side(a, entropy),)
+    if b is not None:
+        sides += (_side(b, entropy if pairing == "paired"
+                        else _stream_entropy(seed, domain, unit + "|b")),)
+    job = _Job(metric, scale, pad_value, sides)
     fields = dict(metric=metric, domain=domain, ci_low=np.nan, ci_high=np.nan,
                   ci_level=ci_level, n_resamples=n_resamples, seed=seed)
     return unit, job, _points(job), (
@@ -626,7 +621,7 @@ def _point_values(units: list, pad_value: float) -> list[float]:
         if job.metric in _FITTED:
             points = [_fitted_stat(job.metric, fit.meta_d, fit.d_prime) if fit.converged
                       else np.nan for fit in islice(fits, len(points))]
-        out.append(points[0] - points[1] if job.b is not None else points[0])
+        out.append(float(np.subtract.reduce(points)))
     return out
 
 

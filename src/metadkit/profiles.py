@@ -72,6 +72,8 @@ def type1_block(levels: np.ndarray | None, correct: np.ndarray, index: np.ndarra
     padded (B, 2, n_bins) table, row 0 incorrect, and its d' and c (nan
     for ONE_CLASS and TOO_FEW).
     """
+    if not (math.isfinite(pad_value) and pad_value >= 0):
+        raise ValueError(f"pad_value must be finite and >= 0, got {pad_value}")
     n_bins = scale.n_bins
     lengths = np.asarray(lengths)
     if bins is None:

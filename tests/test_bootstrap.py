@@ -521,9 +521,9 @@ def test_model_resamples_on_ragged_tied_sides_match_one_at_a_time(metric, monkey
 def ragged_tied_job(metric):
     rng = np.random.default_rng(0)
     a, b = ragged_tied_trials(rng, 0.8, "2"), ragged_tied_trials(rng, 0.4, "1")
+    entropy = bootstrap._stream_entropy(3, "Science", "u")
     return bootstrap._Job(metric, RatingScale(), 0.5,
-                          bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
-                          bootstrap._side(b, None))
+                          (bootstrap._side(a, entropy), bootstrap._side(b, entropy)))
 
 
 def sample_blocks(job, lo, hi):
@@ -540,13 +540,13 @@ UNDEFINED_ERRORS = {ONE_CLASS: OneClassOnly, TOO_FEW: TooFewTrials, ZERO_D_PRIME
 def test_each_reason_of_a_block_is_the_error_of_its_sample_alone(metric):
     job = ragged_tied_job(metric)
     (index, lengths), _ = sample_blocks(job, 0, 100)
-    reasons, _, _ = bootstrap._evaluate(job, job.a, index, lengths)
+    reasons, _, _ = bootstrap._evaluate(job, job.sides[0], index, lengths)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MetadkitWarning)
         for reason, r in zip(reasons, np.split(index, np.cumsum(lengths)[:-1])):
             with pytest.raises(UNDEFINED_ERRORS[reason]) if reason != DEFINED else \
                     contextlib.nullcontext():
-                metric_value(metric, job.a.nlp[r], job.a.correct[r])
+                metric_value(metric, job.sides[0].nlp[r], job.sides[0].correct[r])
     want = {"accuracy": {DEFINED}, "nlp_gap": {DEFINED, ONE_CLASS},
             "auroc2": {DEFINED, ONE_CLASS}, "d_prime": {DEFINED, ONE_CLASS, TOO_FEW}}
     assert set(reasons) == want.get(metric, {DEFINED, ONE_CLASS, TOO_FEW, ZERO_D_PRIME})
@@ -589,14 +589,14 @@ def nlp_gap_alone(nlp, correct):
 @pytest.mark.parametrize("records_per_id", [1, 2])
 def test_nlp_gap_chunk_is_each_resample_alone_bit_for_bit(records_per_id):
     a, b = spread_sides(records_per_id)
+    entropy = bootstrap._stream_entropy(3, "Science", "u")
     job = bootstrap._Job("nlp_gap", RatingScale(), 0.5,
-                         bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
-                         bootstrap._side(b, None))
-    assert (job.a.counts is None) == (records_per_id == 1)
+                         (bootstrap._side(a, entropy), bootstrap._side(b, entropy)))
+    assert (job.sides[0].counts is None) == (records_per_id == 1)
     got = bootstrap._eval_chunk(job, 0, 300)    # batches of 128, 128 and 44 ordinals
     want = np.array([
-        nlp_gap_alone(job.a.nlp[ra], job.a.correct[ra])
-        - nlp_gap_alone(job.b.nlp[rb], job.b.correct[rb])
+        nlp_gap_alone(job.sides[0].nlp[ra], job.sides[0].correct[ra])
+        - nlp_gap_alone(job.sides[1].nlp[rb], job.sides[1].correct[rb])
         for (ra, _), (rb, _) in (sample_blocks(job, i, i + 1) for i in range(300))])
     assert not np.isnan(want).any()
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -605,8 +605,8 @@ def test_nlp_gap_chunk_is_each_resample_alone_bit_for_bit(records_per_id):
 def test_nlp_gap_block_marks_one_class_samples():
     job = ragged_tied_job("nlp_gap")
     (index, lengths), _ = sample_blocks(job, 0, 300)
-    reasons, values, _ = bootstrap._evaluate(job, job.a, index, lengths)
-    alone = np.array([nlp_gap_alone(job.a.nlp[r], job.a.correct[r])
+    reasons, values, _ = bootstrap._evaluate(job, job.sides[0], index, lengths)
+    alone = np.array([nlp_gap_alone(job.sides[0].nlp[r], job.sides[0].correct[r])
                       for r in np.split(index, np.cumsum(lengths)[:-1])])
     one_class = np.isnan(alone)
     assert 0 < one_class.sum() < 300
@@ -622,6 +622,27 @@ def test_nlp_gap_contrast_is_the_same_at_one_and_two_workers():
             for workers in (1, 2)]
     assert runs[0] == runs[1]
     assert runs[0].degenerate_resample_count == 0
+
+
+DRAW_BATCH = bootstrap._draw_batch
+
+
+@pytest.mark.parametrize("pairing, draws", [("paired", 3), ("independent", 6)])
+def test_a_batch_draws_each_stream_once(pairing, draws, monkeypatch):
+    # 300 resamples are three FIT_BATCH batches; a paired contrast has one
+    # id stream, an independent one two, and a single statistic one
+    calls = []
+
+    def draw_batch(*args):
+        calls.append(args)
+        return DRAW_BATCH(*args)
+    monkeypatch.setattr(bootstrap, "_draw_batch", draw_batch)
+    a, b = spread_sides(1)
+    bootstrap_contrast(a, b, "auroc2", n_resamples=300, workers=1, pairing=pairing)
+    assert len(calls) == draws
+    calls.clear()
+    bootstrap_metric(a, "auroc2", n_resamples=300, workers=1)
+    assert len(calls) == 3
 
 
 EVAL_CHUNK = bootstrap._eval_chunk
@@ -685,10 +706,9 @@ def schedule_jobs():
     jobs = []
     for metric, records_per_id in (("auroc2", 1), ("nlp_gap", 2), ("m_ratio", 1)):
         a, b = spread_sides(records_per_id)
-        jobs.append(bootstrap._Job(
-            metric, RatingScale(), 0.5,
-            bootstrap._side(a, bootstrap._stream_entropy(3, "Science", metric)),
-            bootstrap._side(b, None)))
+        entropy = bootstrap._stream_entropy(3, "Science", metric)
+        jobs.append(bootstrap._Job(metric, RatingScale(), 0.5,
+                                   (bootstrap._side(a, entropy), bootstrap._side(b, entropy))))
     return jobs
 
 
@@ -894,7 +914,7 @@ def test_a_batch_of_a_release_sized_side_peaks_under_2_5_mb(metric):
     # BLOCK_RECORDS records evaluate a few rows at a time
     trials = gaussian_trials(np.random.default_rng(12), 956)
     job = bootstrap._Job(metric, RatingScale(), 0.5,
-                         bootstrap._side(trials, bootstrap._stream_entropy(1, "History", "u")))
+                         (bootstrap._side(trials, bootstrap._stream_entropy(1, "History", "u")),))
     assert chunk_peak_bytes(job) < 2.5e6
 
 
@@ -905,9 +925,9 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     metric_value, nan where that raises. Returns how often, over the
     checked sides, each exclusion was raised, the value was exactly 0 and
     a bin boundary fell inside a run of equal nlp holding both classes."""
+    entropy = bootstrap._stream_entropy(3, "Science", "u")
     job = bootstrap._Job(metric, RatingScale(), 0.5,
-                         bootstrap._side(a, bootstrap._stream_entropy(3, "Science", "u")),
-                         bootstrap._side(b, None))
+                         (bootstrap._side(a, entropy), bootstrap._side(b, entropy)))
     checked = np.arange(0, 300, 3)
     want = np.empty(checked.size)
     reasons = collections.Counter()

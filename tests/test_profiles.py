@@ -1,9 +1,11 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from metadkit import bootstrap
 from metadkit.binning import RatingScale, bin_indices
 from metadkit.bootstrap import bootstrap_metric, metric_value
 from metadkit.errors import (
@@ -27,6 +29,7 @@ from metadkit.profiles import (
     rank_profile,
     ranks_tie,
 )
+from metadkit.synth import SynthConfig, generate
 from metadkit.trialstore import TrialSet
 from tests.conftest import gaussian_trials, make_trials
 
@@ -368,3 +371,25 @@ def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
 ])
 def test_build_profiles_raises_the_error_of_the_first_faulty_cell(kinds, error):
     assert_raises(error, lambda: build_profiles(faulty_cells(*kinds)))
+
+
+def resampling(*args):
+    raise AssertionError("resampling began before pad_value was checked")
+
+
+@pytest.mark.parametrize("pad_value", [-0.5, float("nan"), float("inf")])
+def test_an_invalid_pad_value_is_refused_on_every_model_path(pad_value, monkeypatch):
+    """-1.0 fitted tables of -1 "counts" (meta-d' 1.473 on this set), and
+    nan and inf escaped as numpy's LinAlgError."""
+    trials = generate(SynthConfig(n_trials=400, p_correct=0.7, seed=1))
+    monkeypatch.setattr(bootstrap, "_run_jobs", resampling)
+    message = f"pad_value must be finite and >= 0, got {pad_value}"
+    calls = [lambda: build_profiles(trials, pad_value=pad_value),
+             lambda: fit_cell_arrays(trials.nlp_values, trials.correct_mask,
+                                     pad_value=pad_value),
+             lambda: metric_value("meta_d", trials.nlp_values, trials.correct_mask,
+                                  pad_value=pad_value),
+             lambda: bootstrap_metric(trials, "m_ratio", n_resamples=50, pad_value=pad_value)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

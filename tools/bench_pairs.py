@@ -12,9 +12,10 @@ does not land on one side only. ``--traced N`` adds N ``--trace 1`` runs
 per side and workload for the per-layer figures. The file holds, per
 workload and side, the median and quartiles of every end-to-end metric,
 the number of pairs in which the change was lower, the per-layer medians,
-the output digests and the failed-check counts; plus each tree's commit
-and the host's nproc and python, numpy and scipy versions as perfbench
-reports them.
+the output digests and the failed-check counts; plus each tree's commit,
+its size (``src_lines``: the lines of every ``.py`` file under ``src/``,
+per module and in total, as ``wc -l`` counts them) and the host's nproc
+and python, numpy and scipy versions as perfbench reports them.
 
 ``--protocol N`` adds N protocol-shaped runs per tree: ``metadkit confirm
 --resamples 2000`` on perfbench's trial file for the seed, with
@@ -351,6 +352,15 @@ def describe(tree: Path) -> str:
                           capture_output=True, text=True, check=False).stdout.strip()
 
 
+def src_lines(tree: Path) -> dict:
+    """The newline count of every .py file under the tree's src/, by path
+    relative to it, and their total."""
+    src = tree / "src"
+    modules = {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+               for path in sorted(src.rglob("*.py"))}
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
@@ -374,6 +384,7 @@ def main() -> int:
 
     result: dict = {"seed": args.seed, "trees": {side: describe(tree)
                                                  for side, tree in trees.items()},
+                    "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
                     "workloads": {}}
     for spec in args.pairs:
         workload, n_pairs = spec.split("=")
