@@ -42,6 +42,12 @@ class RatingScale:
         return 2 * self.n_ratings
 
 
+def check_pad_value(pad_value: float) -> None:
+    """Raise ValueError unless pad_value is a finite count >= 0."""
+    if not 0 <= pad_value < np.inf:     # nan included
+        raise ValueError(f"pad_value must be finite and >= 0, got {pad_value}")
+
+
 def quantile_bins(levels: np.ndarray, lengths, n_bins: int) -> np.ndarray:
     """Quantile bins, as bin_indices - 1, of every sample of a block laid end
     to end (sample j has lengths[j] rows); ``levels`` code the rows' nlp in

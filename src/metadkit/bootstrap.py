@@ -86,6 +86,7 @@ from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_arrays  # noqa: F4
 from .profiles import fit_cell_arrays  # noqa: F401
 
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
+PAIRINGS = ("paired", "independent")
 DEGENERATE_FRACTION_ALARM = 0.01
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
 BLOCK_RECORDS = 32_768  # most records of a side that one evaluation block holds
@@ -140,8 +141,12 @@ class HypothesisSpec:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        if self.rule == RULE_TOST and not self.delta > 0:     # nan included
-            raise ValueError("tost rule needs delta > 0")
+        if self.rule == RULE_TOST:
+            if not self.delta > 0:      # nan included
+                raise ValueError(f"tost rule needs delta > 0, got {self.delta}")
+            check_tost_ci_level(self.ci_level)
+        elif self.rule != RULE_CI_LOWER_GT_ZERO:
+            raise ValueError(f"unknown decision rule {self.rule!r}")
         _check_ci_level(self.ci_level)
 
 
@@ -150,9 +155,16 @@ def _check_ci_level(ci_level: float) -> None:
         raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
 
 
-def _check_workers(workers: int) -> None:
+def check_resampling(n_resamples: int, workers: int = 1, pairing: str = "paired") -> None:
+    """The entry check of every bootstrap call's resampling settings."""
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    if n_resamples > 2 ** 32:       # _draw_batch's ordinals lie in [0, 2**32)
+        raise ValueError(f"n_resamples must be <= 2**32, got {n_resamples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if pairing not in PAIRINGS:
+        raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
 
 
 def default_hypothesis_specs(tost_delta: float = 0.17,
@@ -574,12 +586,6 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
     The a side draws ids from the stream of ``unit``; a paired b side
     shares that stream, an independent one has its own, ``unit|b``.
     """
-    if pairing not in ("paired", "independent"):
-        raise ValueError(f"pairing must be 'paired' or 'independent', got {pairing!r}")
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
-    if n_resamples > 2 ** 32:   # _draw_batch's ordinals lie in [0, 2**32)
-        raise ValueError(f"n_resamples must be <= 2**32, got {n_resamples}")
     _check_ci_level(ci_level)
     domain = _single_domain(a)
     if b is not None:
@@ -655,7 +661,7 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     resulting trial multiset through the full metric pipeline (quantile
     bins recomputed per resample for the model-based metrics).
     """
-    _check_workers(workers)
+    check_resampling(n_resamples, workers)
     unit, job, points, result = _setup(trials, None, metric, metric, n_resamples, seed,
                                        ci_level, scale, pad_value)
     point, = _point_values([(job, points)], pad_value)
@@ -673,7 +679,7 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     both sides, which requires the sets to hold the same question ids;
     ``"independent"`` resamples each side from its own id list.
     """
-    _check_workers(workers)
+    check_resampling(n_resamples, workers, pairing)
     unit, job, points, result = _setup(trials_a, trials_b, metric, unit, n_resamples, seed,
                                        ci_level, scale, pad_value, pairing)
     point, = _point_values([(job, points)], pad_value)
@@ -730,17 +736,13 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
     ``workers`` processes, this one included (_run_jobs), and finish in
     spec order.
     """
-    _check_workers(workers)
+    check_resampling(n_resamples, workers, pairing)
     specs_run, setups = [], []      # per contrast: its spec and its _setup
     conditions = set(trials.conditions())
     for spec in specs:
         for cond in (spec.condition_a, spec.condition_b):
             if cond not in conditions:
                 raise MissingCondition(cond)
-        if spec.rule == RULE_TOST:
-            check_tost_ci_level(spec.ci_level)
-        elif spec.rule != RULE_CI_LOWER_GT_ZERO:
-            raise ValueError(f"unknown decision rule {spec.rule!r}")
         for domain in spec.domains:
             a = trials.filter(condition=spec.condition_a, domain=domain)
             b = trials.filter(condition=spec.condition_b, domain=domain)

@@ -14,16 +14,16 @@ every key can be overridden by a same-named flag. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .binning import DEFAULT_PAD_VALUE, RatingScale
-from .bootstrap import check_tost_ci_level, default_hypothesis_specs, run_hypothesis_suite
+from .binning import DEFAULT_PAD_VALUE, RatingScale, check_pad_value
+from .bootstrap import (PAIRINGS, check_resampling, default_hypothesis_specs,
+                        run_hypothesis_suite)
 from .errors import ConfigError, DataError, MetadkitError
-from .profiles import build_profiles, compare_formats
+from .profiles import BINNING_SCOPES, build_profiles, check_binning_scope, compare_formats
 from .report import ReportBundle
 from .synth import SynthConfig, generate
 from .trialstore import BOOLEAN_STRINGS, load_trials, save_trials
@@ -55,32 +55,16 @@ class RunConfig:
     full_precision: bool = False
 
     def validate(self) -> None:
-        if self.n_ratings < 2:
-            raise ConfigError("n_ratings must be >= 2")
-        if self.n_resamples < 1:
-            raise ConfigError("n_resamples must be >= 1")
-        if self.n_resamples > 2 ** 32:     # resample ordinals must lie in [0, 2**32)
-            raise ConfigError(f"n_resamples must be <= 2**32, got {self.n_resamples}")
-        if not self.tost_delta > 0:
-            raise ConfigError("tost_delta must be > 0")
-        if not 0 < self.ci_level_confirmatory < 1:
-            raise ConfigError(f"ci_level_confirmatory must be in (0, 1), "
-                              f"got {self.ci_level_confirmatory}")
-        if not (math.isfinite(self.pad_value) and self.pad_value >= 0):
-            raise ConfigError(f"pad_value must be finite and >= 0, got {self.pad_value}")
-        if self.binning_scope not in ("per_cell", "global"):
-            raise ConfigError(f"binning_scope must be per_cell or global, "
-                              f"got {self.binning_scope!r}")
-        if self.pairing not in ("paired", "independent"):
-            raise ConfigError(f"pairing must be paired or independent, "
-                              f"got {self.pairing!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        check_tost_ci_level(self.ci_level_tost)
-
-    @property
-    def n_bins(self) -> int:
-        return 2 * self.n_ratings
+        """Check each setting by the library check of the code that uses it."""
+        try:
+            RatingScale(self.n_ratings)
+            check_pad_value(self.pad_value)
+            check_binning_scope(self.binning_scope)
+            check_resampling(self.n_resamples, self.workers, self.pairing)
+            default_hypothesis_specs(self.tost_delta, self.ci_level_confirmatory,
+                                     self.ci_level_tost)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def scale(self) -> RatingScale:
@@ -186,9 +170,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         dest="full_precision", default=None,
                         help="write CSV values at full precision")
     parser.add_argument("--binning-scope", dest="binning_scope",
-                        choices=["per_cell", "global"],
+                        choices=BINNING_SCOPES,
                         help="quantile binning scope (default per_cell)")
-    parser.add_argument("--pairing", choices=["paired", "independent"],
+    parser.add_argument("--pairing", choices=PAIRINGS,
                         help="contrast resampling mode (default paired)")
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binning import DEFAULT_PAD_VALUE, RatingScale, bin_indices, quantile_bins, tally
+from .binning import (DEFAULT_PAD_VALUE, RatingScale, bin_indices, check_pad_value,
+                      quantile_bins, tally)
 from .errors import DomainMismatch, MixedProfileSet, OneClassOnly, TiedRanks, TooFewTrials
 from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_batch, spearman_rho
 from .sdt import SdtFit, check_d_prime, sdt_fits, type1_batch
@@ -36,6 +37,7 @@ from .nonparam import nlp_gap_arrays  # noqa: F401
 from .sdt import meta_d_fit, type1_fit  # noqa: F401
 
 RANK_METRICS = ("m_ratio", "auroc2")
+BINNING_SCOPES = ("per_cell", "global")
 # why a sample's statistic is undefined, in the order they are checked
 DEFINED, ONE_CLASS, TOO_FEW, ZERO_D_PRIME = range(4)
 
@@ -72,8 +74,7 @@ def type1_block(levels: np.ndarray | None, correct: np.ndarray, index: np.ndarra
     padded (B, 2, n_bins) table, row 0 incorrect, and its d' and c (nan
     for ONE_CLASS and TOO_FEW).
     """
-    if not (math.isfinite(pad_value) and pad_value >= 0):
-        raise ValueError(f"pad_value must be finite and >= 0, got {pad_value}")
+    check_pad_value(pad_value)
     n_bins = scale.n_bins
     lengths = np.asarray(lengths)
     if bins is None:
@@ -118,6 +119,12 @@ def fit_cell_arrays(nlp: np.ndarray, correct: np.ndarray, scale: RatingScale = R
     return next(sdt_fits(tables, d_prime, criterion_c, pad_value))
 
 
+def check_binning_scope(binning_scope: str) -> None:
+    """Raise ValueError unless binning_scope is one of BINNING_SCOPES."""
+    if binning_scope not in BINNING_SCOPES:
+        raise ValueError(f"binning_scope must be one of {BINNING_SCOPES}, got {binning_scope!r}")
+
+
 def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
                    pad_value: float = DEFAULT_PAD_VALUE,
                    binning_scope: str = "per_cell") -> list[DomainProfile]:
@@ -134,8 +141,7 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     fit_cell_arrays on one cell at a time, except that a build that
     raises has emitted no fit warning.
     """
-    if binning_scope not in ("per_cell", "global"):
-        raise ValueError(f"unknown binning_scope {binning_scope!r}")
+    check_binning_scope(binning_scope)
     nlp, correct = trials.nlp_values, trials.correct_mask
     (condition_codes, conditions), (format_codes, formats), (domain_codes, domains) = (
         trials.codes(field) for field in ("condition", "format", "domain"))

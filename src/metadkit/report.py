@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bootstrap import ContrastResult
+from .bootstrap import DEGENERATE_FRACTION_ALARM, ContrastResult
 from .errors import EmptyInput, IncompleteInput
 from .profiles import DomainProfile, FormatComparison, ranks_tie
 
@@ -197,12 +197,13 @@ def reproduction_notes(profiles: list[DomainProfile] = (),
         if math.isnan(c.delta_hat):
             notes.append(f"{c.hypothesis_id or c.metric}/{c.domain}: the point estimate "
                          "is undefined: a sensitivity fit did not converge")
-        if c.degenerate_resample_count:
+        n_bad = c.degenerate_resample_count
+        if n_bad:
             notes.append(
-                f"{c.hypothesis_id or c.metric}/{c.domain}: "
-                f"{c.degenerate_resample_count}/{c.n_resamples} resamples had an "
-                f"undefined statistic and were excluded"
-                + (" (above the 1% alarm threshold)" if c.flagged_degenerate else ""))
+                f"{c.hypothesis_id or c.metric}/{c.domain}: {n_bad}/{c.n_resamples} resamples "
+                f"had an undefined statistic and were excluded"
+                + (f" (above the {DEGENERATE_FRACTION_ALARM:.0%} alarm threshold)"
+                   if n_bad > DEGENERATE_FRACTION_ALARM * c.n_resamples else ""))
     if contrasts:
         pairings = sorted({c.pairing for c in contrasts})
         notes.append(f"resampling mode: {', '.join(pairings)}; percentile CIs; "

@@ -6,6 +6,14 @@ from functools import partial
 import numpy as np
 import pytest
 
+from metadkit.binning import RatingScale, check_pad_value
+from metadkit.bootstrap import (
+    RULE_CI_LOWER_GT_ZERO,
+    RULE_TOST,
+    HypothesisSpec,
+    check_resampling,
+    check_tost_ci_level,
+)
 from metadkit.cli import (
     CONFIG_KEYS,
     EXIT_CONFIG_ERROR,
@@ -22,7 +30,7 @@ from metadkit.cli import (
     parse_kv_file,
 )
 from metadkit.errors import ConfigError, MetadkitWarning
-from metadkit.profiles import build_profiles
+from metadkit.profiles import build_profiles, check_binning_scope
 from metadkit.synth import SynthConfig
 from metadkit.trialstore import TrialSet, save_trials
 from tests.conftest import gaussian_trials, make_trials
@@ -63,7 +71,7 @@ def test_parse_kv_file(tmp_path):
 def test_config_defaults_match_protocol():
     config = RunConfig()
     assert config.n_ratings == 4
-    assert config.n_bins == 8
+    assert config.scale.n_bins == 8
     assert config.pad_value == 0.5
     assert config.seed == 42
     assert config.n_resamples == 10_000
@@ -84,7 +92,7 @@ def test_flags_override_config_file(tmp_path):
 
 def test_nratings_implies_bins():
     config = load_run_config(None, {"n_ratings": 3})
-    assert config.n_bins == 6
+    assert config.scale.n_bins == 6
 
 
 def test_config_file_nratings_implies_bins(tmp_path):
@@ -92,7 +100,7 @@ def test_config_file_nratings_implies_bins(tmp_path):
     path.write_text("n_ratings = 3\n")
     config = load_run_config(str(path), {})
     assert config.n_ratings == 3
-    assert config.n_bins == 6
+    assert config.scale.n_bins == 6
 
 
 def test_inconsistent_bins_rejected():
@@ -232,6 +240,39 @@ def test_more_resamples_than_rng_ordinals_fails_before_load(tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err.endswith(
         "config error: n_resamples must be <= 2**32, got 4294967297\n")
+
+
+def tost_spec(delta=0.17, ci_level=0.90):
+    return HypothesisSpec("H2", "2", "1", ("History",), RULE_TOST, delta=delta,
+                          ci_level=ci_level)
+
+
+# a bad value of each setting and the library check of the code that uses it
+OWNED_SETTINGS = [
+    ("n_ratings", "1", lambda: RatingScale(1)),
+    ("n_resamples", "0", lambda: check_resampling(0)),
+    ("n_resamples", "4294967297", lambda: check_resampling(2 ** 32 + 1)),
+    ("workers", "0", lambda: check_resampling(1, workers=0)),
+    ("pairing", "x", lambda: check_resampling(1, pairing="x")),
+    ("binning_scope", "x", lambda: check_binning_scope("x")),
+    ("pad_value", "-1", lambda: check_pad_value(-1.0)),
+    ("tost_delta", "-1", lambda: tost_spec(delta=-1.0)),
+    ("tost_delta", "nan", lambda: tost_spec(delta=float("nan"))),
+    ("ci_level_confirmatory", "1.5",
+     lambda: HypothesisSpec("H1", "2", "1", ("Science",), RULE_CI_LOWER_GT_ZERO, ci_level=1.5)),
+    ("ci_level_tost", "0.95", lambda: check_tost_ci_level(0.95)),
+]
+
+
+@pytest.mark.parametrize("key, value, check", OWNED_SETTINGS,
+                         ids=[f"{key}={value}" for key, value, _ in OWNED_SETTINGS])
+def test_a_bad_setting_fails_before_load_with_its_library_check_message(
+        tmp_path, monkeypatch, capsys, key, value, check):
+    with pytest.raises((ValueError, ConfigError)) as caught:
+        check()
+    assert run_confirm_with_config(tmp_path, monkeypatch, f"{key} = {value}\n") \
+        == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {caught.value}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.95", "nan"])
