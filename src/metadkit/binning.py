@@ -112,4 +112,5 @@ def pad_counts(counts: np.ndarray, pad_value: float = DEFAULT_PAD_VALUE) -> np.n
     Applied always, not only when zeros occur, so estimates stay
     deterministic and continuous across bootstrap resamples.
     """
+    check_pad_value(pad_value)
     return np.asarray(counts, dtype=float) + pad_value

@@ -239,26 +239,35 @@ def _nice_ticks(upper: float, n: int = 5) -> list[float]:
     return ticks
 
 
+# the escapes that make any string an XML text node
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _svg_text(x, y, text, size: int, attrs: str = "") -> str:
+    """A sans-serif SVG text element at (x, y), its text XML-escaped."""
+    return (f'<text x="{x}" y="{y}"{attrs} font-family="sans-serif" font-size="{size}">'
+            f'{str(text).translate(_XML_TEXT)}</text>')
+
+
 def emit_bar_chart(profiles: list[DomainProfile], metric: str, path: str | Path) -> str:
-    """Grouped bar chart (domain x format) as a deterministic SVG document."""
+    """Bar chart of ``metric`` as a deterministic SVG document: one bar per
+    profile, grouped by (condition, domain), one colour per format."""
     if not profiles:
         raise EmptyInput("no profiles to chart")
-    domains = sorted({p.domain for p in profiles})
+    groups = sorted({(p.condition, p.domain) for p in profiles})
     formats = sorted({p.format for p in profiles})
-    values = {(p.domain, p.format): getattr(p, metric) for p in profiles}
+    labels = [f"cond {condition} {domain}" for condition, domain in groups]
 
-    width, height = 720, 420
-    margin_l, margin_r, margin_t, margin_b = 70, 160, 40, 60
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
-    vmax = max(max(values.values()), 0.0)
+    margin_l, margin_r, margin_t = 70, 160, 40
+    margin_b = 50 + 5 * max(map(len, labels))   # room for the slanted group labels
+    plot_w = max(490, len(groups) * max(36, 14 * len(formats)))
+    plot_h = 320
+    width, height = margin_l + plot_w + margin_r, margin_t + plot_h + margin_b
+    vmax = max(max(getattr(p, metric) for p in profiles), 0.0)
     ticks = _nice_ticks(vmax * 1.1 if vmax > 0 else 1.0)
     top = ticks[-1]
-
-    def x_of(di: int, fi: int) -> float:
-        group_w = plot_w / len(domains)
-        bar_w = group_w * 0.8 / max(len(formats), 1)
-        return margin_l + di * group_w + group_w * 0.1 + fi * bar_w
+    group_w = plot_w / len(groups)
+    bar_w = group_w * 0.8 / len(formats)
 
     def y_of(v: float) -> float:
         return margin_t + plot_h * (1.0 - v / top)
@@ -267,48 +276,43 @@ def emit_bar_chart(profiles: list[DomainProfile], metric: str, path: str | Path)
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{metric} by domain and format</text>',
+        _svg_text(f"{margin_l + plot_w / 2:.1f}", 24,
+                  f"{metric} by condition, domain and format", 16, ' text-anchor="middle"'),
     ]
     for t in ticks:
         y = y_of(t)
         parts.append(f'<line x1="{margin_l}" y1="{y:.2f}" x2="{margin_l + plot_w}" '
                      f'y2="{y:.2f}" stroke="#dddddd"/>')
-        parts.append(f'<text x="{margin_l - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{t:g}</text>')
-    group_w = plot_w / len(domains)
-    bar_w = group_w * 0.8 / max(len(formats), 1)
-    for di, domain in enumerate(domains):
-        for fi, fmt in enumerate(formats):
-            if (domain, fmt) not in values:
-                continue
-            v = values[(domain, fmt)]
-            x = x_of(di, fi)
-            y = y_of(max(v, 0.0))
-            h = abs(y_of(0.0) - y)
-            color = _PALETTE[fi % len(_PALETTE)]
-            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-                         f'height="{h:.2f}" fill="{color}"/>')
-        parts.append(f'<text x="{margin_l + (di + 0.5) * group_w:.2f}" '
-                     f'y="{margin_t + plot_h + 18}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="12">{domain}</text>')
+        parts.append(_svg_text(margin_l - 8, f"{y + 4:.2f}", f"{t:g}", 11, ' text-anchor="end"'))
+    parts.append('<g id="bars">')
+    column = {group: gi for gi, group in enumerate(groups)}
+    for p in sorted(profiles, key=lambda p: (p.condition, p.domain, p.format)):
+        fi = formats.index(p.format)
+        x = margin_l + (column[p.condition, p.domain] + 0.1) * group_w + fi * bar_w
+        y = y_of(max(getattr(p, metric), 0.0))
+        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
+                     f'height="{abs(y_of(0.0) - y):.2f}" fill="{_PALETTE[fi % len(_PALETTE)]}"/>')
+    parts.append("</g>")
+    label_y = margin_t + plot_h + 14
+    for gi, label in enumerate(labels):
+        x = f"{margin_l + (gi + 0.5) * group_w:.2f}"
+        parts.append(_svg_text(x, label_y, label, 12,
+                               f' text-anchor="end" transform="rotate(-45 {x} {label_y})"'))
     parts.append(f'<line x1="{margin_l}" y1="{y_of(0.0):.2f}" x2="{margin_l + plot_w}" '
                  f'y2="{y_of(0.0):.2f}" stroke="#333333"/>')
     parts.append(f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
                  f'y2="{margin_t + plot_h}" stroke="#333333"/>')
-    parts.append(f'<text x="18" y="{margin_t + plot_h / 2:.1f}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 18 {margin_t + plot_h / 2:.1f})">{metric}</text>')
+    middle = f"{margin_t + plot_h / 2:.1f}"
+    parts.append(_svg_text(18, middle, metric, 13,
+                           f' text-anchor="middle" transform="rotate(-90 18 {middle})"'))
     for fi, fmt in enumerate(formats):
         lx = margin_l + plot_w + 16
         ly = margin_t + 10 + fi * 22
         parts.append(f'<rect x="{lx}" y="{ly}" width="14" height="14" '
                      f'fill="{_PALETTE[fi % len(_PALETTE)]}"/>')
-        parts.append(f'<text x="{lx + 20}" y="{ly + 11}" font-family="sans-serif" '
-                     f'font-size="12">{fmt}</text>')
-    parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 14}" '
-                 f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="13">domain</text>')
+        parts.append(_svg_text(lx + 20, ly + 11, fmt, 12))
+    parts.append(_svg_text(f"{margin_l + plot_w / 2:.1f}", height - 14, "condition, domain", 13,
+                           ' text-anchor="middle"'))
     parts.append("</svg>")
     doc = "\n".join(parts) + "\n"
     Path(path).write_text(doc, encoding="utf-8")

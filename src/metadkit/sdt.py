@@ -47,6 +47,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .binning import check_pad_value
 from .errors import DegenerateResponse, NegativeMetaD, NumericalError, OutOfDomain, ZeroDPrime
 
 PROB_CLAMP = 1e-12
@@ -483,13 +484,19 @@ def _one_response_side(counts: np.ndarray, pad_value: float) -> np.ndarray:
 def sdt_fits(counts: np.ndarray, d_prime, criterion_c, pad_value: float) -> Iterator[SdtFit]:
     """The SdtFit of every table in ``counts`` (B, 2, 2 * n_ratings), each
     padded by ``pad_value`` and with its type-1 (d', c), d' not 0, from one
-    meta_d_fit_batch solve.
+    meta_d_fit_batch solve. ValueError unless pad_value passes
+    binning.check_pad_value and is at most the smallest cell: a table
+    padded by it holds no cell below it.
 
     An iterator: the solve runs at the first fit taken, and each table's
     DegenerateResponse and NegativeMetaD warnings as its fit is taken, so a
     caller that takes the fits one at a time between warnings of its own
     emits them all in the order fitting one table at a time would.
     """
+    check_pad_value(pad_value)
+    if pad_value > counts.min(initial=np.inf):
+        raise ValueError(f"pad_value {pad_value} exceeds the smallest cell "
+                         f"{counts.min()} of a table padded by it")
     fit = meta_d_fit_batch(counts, d_prime, criterion_c)
     one_side = _one_response_side(counts, pad_value)
     k = counts.shape[2] // 2 - 1

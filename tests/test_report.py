@@ -1,5 +1,7 @@
 import csv
 import io
+import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +118,17 @@ def test_notes_surface_warnings():
     assert "resampling mode: paired" in text
 
 
+@pytest.mark.parametrize("excluded, suffix", [(3, ""),
+                                               (11, " (above the 1% alarm threshold)")])
+def test_alarm_note_reads_the_excluded_count_not_the_flag(excluded, suffix):
+    """An undefined point estimate flags a result whatever its resamples."""
+    contrast = replace(sample_contrast(), delta_hat=float("nan"), n_resamples=1000,
+                       degenerate_resample_count=excluded, flagged_degenerate=True)
+    assert [n for n in reproduction_notes(contrasts=[contrast]) if "excluded" in n] == [
+        f"H1/Science: {excluded}/1000 resamples had an undefined statistic and were "
+        f"excluded{suffix}"]
+
+
 def test_notes_flag_ties():
     tied = [profile("A", m_ratio=1.0, rank_m_ratio=1, rank_auroc2=1),
             profile("B", m_ratio=1.0, rank_m_ratio=2, rank_auroc2=2)]
@@ -142,6 +155,31 @@ def test_svg_deterministic(tmp_path):
     assert a.startswith("<svg")
     # one bar per (domain, format) pair plus legend swatches
     assert a.count("<rect") == 8 + 2 + 1  # bars + legend + background
+
+
+def chart_bars(doc):
+    """The bar rects of an emit_bar_chart document; it must parse as XML."""
+    svg = "{http://www.w3.org/2000/svg}"
+    return ET.fromstring(doc).findall(f"{svg}g[@id='bars']/{svg}rect")
+
+
+def test_svg_escapes_text_and_draws_one_bar_per_profile(tmp_path):
+    """"Arts & Literature" gave a document no XML parser reads, and bars
+    keyed by (domain, format) drew the last condition's values alone."""
+    profiles = [profile(domain, m_ratio=value, format=fmt, condition=condition)
+                for condition, scale in (("1", 1.0), ("2", 0.5), ("3", 1.5))
+                for fmt, shift in (("f16", 0.0), ("q5_k_m", 0.1))
+                for domain, base in (("Arts & Literature", 0.6), ("Science", 1.2))
+                for value in [scale * base + shift]]
+    doc = emit_bar_chart(profiles, "m_ratio", tmp_path / "m.svg")
+    assert "cond 2 Arts &amp; Literature" in doc
+    bars = sorted(chart_bars(doc), key=lambda bar: float(bar.get("x")))
+    assert len(bars) == len(profiles)
+    # left to right, each bar's height is its profile's value on one scale
+    ordered = sorted(profiles, key=lambda p: (p.condition, p.domain, p.format))
+    heights = [float(bar.get("height")) for bar in bars]
+    per_unit = heights[-1] / ordered[-1].m_ratio
+    assert heights == pytest.approx([p.m_ratio * per_unit for p in ordered], abs=0.01)
 
 
 def test_svg_single_profile(tmp_path):

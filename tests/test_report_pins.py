@@ -76,8 +76,8 @@ PINS = {
     "confirm_pooled_w2": ("confirm", "--resamples", "200", "--workers", "2"),
 }
 TREE_SHA256 = {
-    "diagnose": "1457ed960403955b806d96e04648c1c29736dc55763b568d30969cad15557e09",
-    "diagnose_global": "19af3c93c5a17aecb0e62a0b11cd579df52923d65cb85837c76caac4b9cd6ad6",
+    "diagnose": "6e8f3bfa423b30f525805568f62fe3f72008808e342a6d8656b94437a5668c2f",
+    "diagnose_global": "2f8d6736e8e3043a12ef8c0c70143470736250a36f832ac76ebb2946ed3e9f37",
     "compare_formats": "06fd91e75b71fa81d9fd74f3332a846f37a96f684d64dc8776b7f1e99bbace87",
     "confirm_f16_w1": "8a62a7577017dcbdfde7e9c34ad50696bb7afdcfbd86ffafe374495f970c181c",
     "confirm_f16_w2": "8a62a7577017dcbdfde7e9c34ad50696bb7afdcfbd86ffafe374495f970c181c",

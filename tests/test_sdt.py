@@ -202,6 +202,19 @@ def test_meta_d_fit_rejects_zero_d_prime():
         meta_d_fit(random_padded_table(5), (0.0, 0.1), PAD)
 
 
+@pytest.mark.parametrize("pad_value", [-1.0, float("nan"), 100.0])
+def test_meta_d_fit_refuses_a_pad_value_its_table_cannot_hold(pad_value):
+    """-1 and nan fitted silently, and 100 warned DegenerateResponse for a
+    table with mass on both response sides: a pad must pass the binning
+    check and be at most the smallest cell of the table it padded."""
+    table = np.array([[30, 20, 15, 10, 8, 5, 3, 2], [5, 8, 10, 12, 15, 20, 25, 30]]) + 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pad_value"):
+            meta_d_fit(table, type1_fit(table), pad_value)
+    assert meta_d_fit(table, type1_fit(table), 0.5).meta_d == pytest.approx(1.2242, abs=1e-4)
+
+
 def test_one_sided_raw_mass_warns():
     from metadkit.errors import DegenerateResponse
     table = [[8, 6, 4, 2, 0, 0, 0, 0], [2, 4, 6, 8, 0, 0, 0, 0]]

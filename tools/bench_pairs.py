@@ -15,7 +15,10 @@ the number of pairs in which the change was lower, the per-layer medians,
 the output digests and the failed-check counts; plus each tree's commit,
 its size (``src_lines``: the lines of every ``.py`` file under ``src/``,
 per module and in total, as ``wc -l`` counts them) and the host's nproc
-and python, numpy and scipy versions as perfbench reports them.
+and python, numpy and scipy versions as perfbench reports them. Every
+python process of a tree compiles into and reads from a fresh bytecode
+cache of that tree's own (PYTHONPYCACHEPREFIX), so no stale ``__pycache__``
+left in a working tree enters its figures.
 
 ``--protocol N`` adds N protocol-shaped runs per tree: ``metadkit confirm
 --resamples 2000`` on perfbench's trial file for the seed, with
@@ -72,17 +75,41 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 METRIC = re.compile(r"^(metric|layer) (\S+) = (\S+) ")
 ENV = re.compile(r"^env: nproc=(\d+) cpu=('.*?') python=(\S+) numpy=(\S+) scipy=(\S+)")
 
 
-def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
+@dataclass(frozen=True)
+class Tree:
+    """A checkout under test, and the directory that holds the bytecode its
+    processes compile: never the checkout's own __pycache__, which may be
+    stale or belong to other sources."""
+
+    root: Path
+    pycache: Path
+
+    def env(self, base=os.environ) -> dict:
+        """``base`` for a process of this tree: its src on PYTHONPATH, its
+        bytecode under PYTHONPYCACHEPREFIX (inherited by perfbench's own
+        subprocesses). Bytecode writing is on: the prefix holds the
+        bytecode of every module, numpy's and the standard library's too,
+        so with PYTHONDONTWRITEBYTECODE set each process would compile
+        them all again (``setup_s`` read 0.85 s in place of 0.25 s)."""
+        env = {**base, "PYTHONPATH": str(self.root / "src"),
+               "PYTHONPYCACHEPREFIX": str(self.pycache)}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        return env
+
+
+def run(tree: Tree, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its metrics, layers, digest, failed checks and env."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--trace", str(trace)],
-                          cwd=tree, capture_output=True, text=True, check=False)
+                          cwd=tree.root, env=tree.env(), capture_output=True, text=True,
+                          check=False)
     out = {"metric": {}, "layer": {}, "digest": None, "failed_checks": None, "env": None}
     for line in proc.stdout.splitlines():
         if m := METRIC.match(line):
@@ -94,7 +121,7 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
         elif m := ENV.match(line):
             out["env"] = dict(zip(("nproc", "cpu", "python", "numpy", "scipy"), m.groups()))
     if proc.returncode != 0 or out["digest"] is None:
-        raise SystemExit(f"perfbench failed in {tree} ({workload}, exit {proc.returncode}):\n"
+        raise SystemExit(f"perfbench failed in {tree.root} ({workload}, exit {proc.returncode}):\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return out
 
@@ -119,30 +146,28 @@ def tree_sha256(root: Path) -> str:
     return digest.hexdigest()
 
 
-def confirm(tree: Path, trials: Path, out: Path, variant: str, workers: int) -> dict:
+def confirm(tree: Tree, trials: Path, out: Path, variant: str, workers: int) -> dict:
     """One protocol-shaped ``metadkit confirm`` in a fresh process."""
     command = [sys.executable, "-m", "metadkit.cli", "confirm", "--trials", str(trials),
                "--resamples", str(PROTOCOL_RESAMPLES), "--workers", str(workers),
                "--out", str(out), *PROTOCOL_VARIANTS[variant]]
     proc = subprocess.run([sys.executable, "-c", MEASURE, *command], capture_output=True,
-                          text=True, check=False,
-                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+                          text=True, check=False, env=tree.env())
     wall_s, rss_kib, code = proc.stdout.split()
     if int(code) not in (0, 3):     # 3: written, with a flagged result
-        raise SystemExit(f"confirm failed in {tree} ({variant}, workers {workers}, exit "
+        raise SystemExit(f"confirm failed in {tree.root} ({variant}, workers {workers}, exit "
                          f"{code}):\n{proc.stderr[-2000:]}")
     return {"wall_s": float(wall_s), "peak_rss_mb": int(rss_kib) / 1024,
             "exit_code": int(code), "tree_sha256": tree_sha256(out)}
 
 
-def write_trials(trees: dict[str, Path], seed: int, path: Path) -> None:
+def write_trials(trees: dict[str, Tree], seed: int, path: Path) -> None:
     """perfbench's trial file for the seed, written by the change's gen.py."""
     subprocess.run([sys.executable, "perfbench/gen.py", "--seed", str(seed), "--out",
-                    str(path)], cwd=trees["change"], check=True,
-                   env={**os.environ, "PYTHONPATH": str(trees["change"] / "src")})
+                    str(path)], cwd=trees["change"].root, check=True, env=trees["change"].env())
 
 
-def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
+def protocol(trees: dict[str, Tree], seed: int, runs: int) -> dict:
     """``runs`` protocol-shaped confirm runs per tree, variant and worker count."""
     nproc = len(os.sched_getaffinity(0))
     worker_counts = sorted({1, nproc})
@@ -177,7 +202,7 @@ def protocol(trees: dict[str, Path], seed: int, runs: int) -> dict:
     return entry
 
 
-def alternating(trees: dict[str, Path], n_runs: int, code: str, args: list[str], env: dict,
+def alternating(trees: dict[str, Tree], n_runs: int, code: str, args: list[str], env: dict,
                 label: str) -> dict[str, list[list[float]]]:
     """n_runs alternating fresh processes per tree, each running
     ``python -c code *args`` on the tree's src; the numbers each printed."""
@@ -186,9 +211,9 @@ def alternating(trees: dict[str, Path], n_runs: int, code: str, args: list[str],
         for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
             proc = subprocess.run([sys.executable, "-c", code, *args],
                                   capture_output=True, text=True, check=False,
-                                  env={**env, "PYTHONPATH": str(trees[side] / "src")})
+                                  env=trees[side].env(env))
             if proc.returncode != 0:
-                raise SystemExit(f"{label} failed in {trees[side]}:\n{proc.stderr[-2000:]}")
+                raise SystemExit(f"{label} failed in {trees[side].root}:\n{proc.stderr[-2000:]}")
             runs[side].append([float(x) for x in proc.stdout.split()])
             print(f"{label} run {i + 1} {side}: {runs[side][-1][0]:.3f} s", file=sys.stderr)
     return runs
@@ -213,9 +238,9 @@ FIT_LAYER = ("import csv, sys, time\n"
              " (~fit.converged).sum(), len(counts))\n")
 
 
-def fit_layer(trees: dict[str, Path]) -> dict:
+def fit_layer(trees: dict[str, Tree]) -> dict:
     """FIT_RUNS alternating fit-layer runs per tree on the change's golden tables."""
-    golden = trees["change"] / "tests" / "data" / "fit_golden.csv"
+    golden = trees["change"].root / "tests" / "data" / "fit_golden.csv"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
     runs = alternating(trees, FIT_RUNS, FIT_LAYER, [str(golden)], env, "fit layer")
@@ -249,7 +274,7 @@ LOAD_LAYER = ("import sys, time\n"
               "    print(min(times))\n")
 
 
-def load_layer(trees: dict[str, Path], seed: int) -> dict:
+def load_layer(trees: dict[str, Tree], seed: int) -> dict:
     """LOAD_RUNS alternating loader runs per tree on perfbench's trial file
     for the seed and on its key-sorted copy."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -312,7 +337,7 @@ STAT_LAYER = ("import os, resource, sys, time\n"
               "          faults, child_faults, sys_s, child_sys_s)\n")
 
 
-def stat_layer(trees: dict[str, Path], seed: int) -> dict:
+def stat_layer(trees: dict[str, Tree], seed: int) -> dict:
     """Per metric, STAT_RUNS alternating fresh processes per tree running
     that metric alone on perfbench's trial file for the seed, at one
     worker and at nproc."""
@@ -380,11 +405,19 @@ def main() -> int:
                         help="protocol-shaped confirm runs per tree, variant and worker count")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory() as pycache:
+        trees = {side: Tree(root.resolve(), Path(pycache) / side)
+                 for side, root in (("base", args.base), ("change", args.change))}
+        result = measure(args, trees)
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
 
-    result: dict = {"seed": args.seed, "trees": {side: describe(tree)
+
+def measure(args: argparse.Namespace, trees: dict[str, Tree]) -> dict:
+    """Every run main's arguments ask for, as the BENCH file's contents."""
+    result: dict = {"seed": args.seed, "trees": {side: describe(tree.root)
                                                  for side, tree in trees.items()},
-                    "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+                    "src_lines": {side: src_lines(tree.root) for side, tree in trees.items()},
                     "workloads": {}}
     for spec in args.pairs:
         workload, n_pairs = spec.split("=")
@@ -418,8 +451,7 @@ def main() -> int:
     result["stat_layer"] = stat_layer(trees, args.seed)
     if args.protocol:
         result["protocol"] = protocol(trees, args.seed, args.protocol)
-    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    return 0
+    return result
 
 
 if __name__ == "__main__":
