@@ -97,7 +97,7 @@ class Tree:
         subprocesses). Bytecode writing is on: the prefix holds the
         bytecode of every module, numpy's and the standard library's too,
         so with PYTHONDONTWRITEBYTECODE set each process would compile
-        them all again (``setup_s`` read 0.85 s in place of 0.25 s)."""
+        them all again, which more than triples perfbench's ``setup_s``."""
         env = {**base, "PYTHONPATH": str(self.root / "src"),
                "PYTHONPYCACHEPREFIX": str(self.pycache)}
         env.pop("PYTHONDONTWRITEBYTECODE", None)
