@@ -48,6 +48,12 @@ def check_pad_value(pad_value: float) -> None:
         raise ValueError(f"pad_value must be finite and >= 0, got {pad_value}")
 
 
+def check_bins(bins: np.ndarray, n_bins: int) -> None:
+    """Raise ValueError unless every bin index lies in 1..n_bins."""
+    if len(bins) and (bins.min() < 1 or bins.max() > n_bins):
+        raise ValueError(f"bin index outside 1..{n_bins}")
+
+
 def quantile_bins(levels: np.ndarray, lengths, n_bins: int) -> np.ndarray:
     """Quantile bins, as bin_indices - 1, of every sample of a block laid end
     to end (sample j has lengths[j] rows); ``levels`` code the rows' nlp in
@@ -101,8 +107,7 @@ def counts_from_arrays(bins: np.ndarray, correct: np.ndarray, n_bins: int) -> np
     """The (2, n_bins) float count table, row 0 incorrect, of bin/correct
     arrays (bins 1..n_bins): the sample of one of ``tally``."""
     bins = np.asarray(bins)
-    if len(bins) and (bins.min() < 1 or bins.max() > n_bins):
-        raise ValueError(f"bin index outside 1..{n_bins}")
+    check_bins(bins, n_bins)
     return tally(bins - 1, correct, [len(bins)], n_bins)[0].astype(float)
 
 

@@ -57,9 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import pickle
 import sys
-import traceback
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -141,13 +139,18 @@ class HypothesisSpec:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        check_rule(self.rule)
+        check_metric(self.metric)
         if self.rule == RULE_TOST:
-            if not self.delta > 0:      # nan included
-                raise ValueError(f"tost rule needs delta > 0, got {self.delta}")
+            check_tost_delta(self.delta)
             check_tost_ci_level(self.ci_level)
-        elif self.rule != RULE_CI_LOWER_GT_ZERO:
-            raise ValueError(f"unknown decision rule {self.rule!r}")
         _check_ci_level(self.ci_level)
+
+
+def check_metric(metric: str) -> None:
+    """Raise ValueError unless metric is one of METRICS."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
 def _check_ci_level(ci_level: float) -> None:
@@ -355,6 +358,9 @@ class _Job:
     pad_value: float
     sides: tuple[_Side, ...]
 
+    def __post_init__(self):
+        check_metric(self.metric)
+
 
 def metric_value(metric: str, nlp: np.ndarray, correct: np.ndarray,
                  scale: RatingScale = RatingScale(),
@@ -402,10 +408,8 @@ def _evaluate(job: _Job, side: _Side, index: np.ndarray, lengths):
                              weights=side.correct[index], minlength=len(lengths)) / lengths
     elif job.metric == "auroc2":
         values = auroc2_batch(side.keys, side.n_levels, index, lengths)
-    elif job.metric == "nlp_gap":
-        values = nlp_gap_batch(side.nlp, side.correct, index, lengths)
     else:
-        raise ValueError(f"unknown metric {job.metric!r}; choose from {METRICS}")
+        values = nlp_gap_batch(side.nlp, side.correct, index, lengths)
     return np.where(np.isnan(values), ONE_CLASS, DEFINED), values, None
 
 
@@ -456,13 +460,15 @@ def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _claim_chunks(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed,
-                  shared) -> None:
+def _claim_chunks(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed, shared,
+                  failed) -> None:
     """The loop of every process of a team: claim the next chunk under the
     lock of the shared counter ``claimed`` and write its statistics into
     its slots of ``shared``, the (len(jobs), n_resamples) float64 results,
     until no chunk is left. A chunk's error moves the counter past the
-    last chunk, so that every process stops after its current one."""
+    last chunk, so that every process stops after its current one, and
+    records the chunk's index in the shared ``failed`` unless an earlier
+    error did."""
     out = np.frombuffer(shared).reshape(len(jobs), -1)
     while True:
         with claimed.get_lock():
@@ -476,47 +482,15 @@ def _claim_chunks(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed,
         except BaseException:
             with claimed.get_lock():
                 claimed.value = len(chunks)
+                if failed.value < 0:
+                    failed.value = k
             raise
 
 
-def _child(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed, shared,
-           report) -> None:
-    """A child process of a team: the caller's loop, then its one report
-    on the pipe ``report``: None, or the error a chunk raised and its
-    traceback here. Every toolkit error pickles (errors.MetadkitError) and
-    is sent as it is; only a foreign error that does not pickle is sent as
-    a RuntimeError of its type and message."""
-    message = None
-    try:
-        _claim_chunks(jobs, chunks, claimed, shared)
-    except Exception as exc:
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        message = exc, "".join(traceback.format_exception(exc))
-    with report:
-        report.send(message)
-
-
-def _join(child, reader) -> BaseException | None:
-    """Join one child of a team and return its error: the one it reported,
-    its traceback in the child as the cause; a RuntimeError if it exited
-    without a report (a signal, the OOM killer); else None. The report is
-    read before the join, so a child never blocks on sending it."""
-    with reader:
-        try:
-            message = reader.recv()
-        except EOFError:
-            child.join()
-            return RuntimeError(f"bootstrap worker process {child.pid} exited with code "
-                                f"{child.exitcode} without a report")
-    child.join()
-    if message is None:
-        return None
-    error, trace = message
-    error.__cause__ = RuntimeError(f"in bootstrap worker process {child.pid}:\n{trace}")
-    return error
+def _child(*args) -> None:
+    """A child process of a team: the caller's loop (_claim_chunks). An
+    error it raises, multiprocessing prints to stderr; the child exits 1."""
+    _claim_chunks(*args)
 
 
 def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
@@ -530,11 +504,15 @@ def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarr
     counter (_claim_chunks) and writes its statistics into one shared
     array. With fork the jobs reach the children at fork time; under spawn
     or forkserver they are pickled once per child. On any error the
-    counter moves past the last chunk, every child is joined, and the
-    first error is raised: this process's own, else the first child's in
-    start order. A child that exits without a report makes the call raise
-    once the others stop. A child killed while it holds the counter's lock
-    (for a few microseconds per chunk) would leave the others waiting on it.
+    counter moves past the last chunk and every child is joined. This
+    process's own error is raised; else the first chunk that failed in a
+    child is run again here, where a chunk's values and errors depend only
+    on its job and ordinals, so it raises the child's error with its own
+    type and message (the child printed its traceback to stderr). A
+    RuntimeError is raised if that chunk runs cleanly here, or if a child
+    exited non-zero with no chunk failed (a signal, the OOM killer). A
+    child killed while it holds the counter's lock (for a few
+    microseconds per chunk) would leave the others waiting on it.
     """
     chunks = [(j, lo, min(lo + FIT_BATCH, n_resamples))
               for j in range(len(jobs)) for lo in range(0, n_resamples, FIT_BATCH)]
@@ -545,27 +523,31 @@ def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarr
             out[j, lo:hi] = _eval_chunk(jobs[j], lo, hi)
         return list(out)
     ctx = multiprocessing.get_context()
-    claimed = ctx.Value("q", 0)
+    claimed, failed = ctx.Value("q", 0), ctx.RawValue("q", -1)
     shared = ctx.RawArray("d", len(jobs) * n_resamples)
-    children = []       # (process, the read end of its report pipe)
+    args = jobs, chunks, claimed, shared, failed
+    children = []
     try:
         for _ in range(team - 1):
-            reader, writer = ctx.Pipe(duplex=False)
-            with writer:    # closed here once the child has it: EOF then means it exited
-                child = ctx.Process(target=_child, args=(jobs, chunks, claimed, shared, writer),
-                                    daemon=True)
-                child.start()
-            children.append((child, reader))
-        _claim_chunks(jobs, chunks, claimed, shared)
+            children.append(ctx.Process(target=_child, args=args, daemon=True))
+            children[-1].start()
+        _claim_chunks(*args)
     except BaseException:
         with claimed.get_lock():
             claimed.value = len(chunks)
         raise
     finally:
-        errors = [_join(child, reader) for child, reader in children]
-    for error in errors:
-        if error is not None:
-            raise error
+        for child in children:
+            child.join()
+    if failed.value >= 0:
+        j, lo, hi = chunks[failed.value]
+        _eval_chunk(jobs[j], lo, hi)
+        raise RuntimeError(f"resample chunk [{lo}, {hi}) of job {j} failed in a bootstrap "
+                           f"worker process but runs cleanly here")
+    for child in children:
+        if child.exitcode:
+            raise RuntimeError(f"bootstrap worker process {child.pid} exited with code "
+                               f"{child.exitcode}")
     return list(np.frombuffer(shared).reshape(len(jobs), n_resamples).copy())
 
 
@@ -697,6 +679,18 @@ def _contrast_names(metric: str, a: TrialSet, b: TrialSet) -> tuple[str, str]:
     return "-".join(labels), f"{metric}|{'-'.join(tags)}"
 
 
+def check_rule(rule: str) -> None:
+    """Raise ValueError unless rule is a decision rule."""
+    if rule not in (RULE_CI_LOWER_GT_ZERO, RULE_TOST):
+        raise ValueError(f"unknown decision rule {rule!r}")
+
+
+def check_tost_delta(delta: float) -> None:
+    """Raise ValueError unless the TOST margin delta is > 0."""
+    if not delta > 0:       # nan included
+        raise ValueError(f"tost rule needs delta > 0, got {delta}")
+
+
 def check_tost_ci_level(ci_level: float) -> None:
     """Raise WrongCiLevel unless ci_level is the 90% that TOST needs."""
     if not abs(ci_level - 0.90) <= 1e-9:
@@ -706,20 +700,18 @@ def check_tost_ci_level(ci_level: float) -> None:
 def tost(contrast: ContrastResult, delta: float) -> str:
     """Equivalence decision: 90% CI strictly inside (-delta, +delta)."""
     check_tost_ci_level(contrast.ci_level)
-    if not delta > 0:       # nan included
-        raise ValueError("delta must be positive")
+    check_tost_delta(delta)
     equivalent = (-delta < contrast.ci_low) and (contrast.ci_high < delta)
     return "equivalent" if equivalent else "not_equivalent"
 
 
 def decide(contrast: ContrastResult, rule: str, delta: float = 0.0) -> ContrastResult:
     """Attach the decision implied by (ci_low, ci_high, rule)."""
-    if rule == RULE_CI_LOWER_GT_ZERO:
-        decision = "supported" if contrast.ci_low > 0.0 else "not_supported"
-    elif rule == RULE_TOST:
+    check_rule(rule)
+    if rule == RULE_TOST:
         decision = tost(contrast, delta)
     else:
-        raise ValueError(f"unknown decision rule {rule!r}")
+        decision = "supported" if contrast.ci_low > 0.0 else "not_supported"
     return replace(contrast, decision=decision)
 
 

@@ -14,7 +14,8 @@ class MetadkitError(Exception):
 
     An error pickles as its message and attributes, not its constructor's
     arguments, so every subclass, whatever its ``__init__`` takes, comes
-    back from a worker process with the same type, message and attributes.
+    back from a caller's own process pool with the same type, message and
+    attributes.
     """
 
     def __reduce__(self):

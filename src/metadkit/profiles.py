@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binning import (DEFAULT_PAD_VALUE, RatingScale, bin_indices, check_pad_value,
+from .binning import (DEFAULT_PAD_VALUE, RatingScale, check_bins, check_pad_value,
                       quantile_bins, tally)
 from .errors import DomainMismatch, MixedProfileSet, OneClassOnly, TiedRanks, TooFewTrials
 from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_batch, spearman_rho
@@ -32,7 +32,7 @@ from .sdt import SdtFit, check_d_prime, sdt_fits, type1_batch
 from .trialstore import TrialSet
 
 # looked up here by name by perfbench/spans.py only
-from .binning import counts_from_arrays, pad_counts  # noqa: F401
+from .binning import bin_indices, counts_from_arrays, pad_counts  # noqa: F401
 from .nonparam import nlp_gap_arrays  # noqa: F401
 from .sdt import meta_d_fit, type1_fit  # noqa: F401
 
@@ -79,9 +79,8 @@ def type1_block(levels: np.ndarray | None, correct: np.ndarray, index: np.ndarra
     lengths = np.asarray(lengths)
     if bins is None:
         bins = quantile_bins(levels[index], lengths, n_bins)
-    elif len(bins) and (bins.min() < 1 or bins.max() > n_bins):
-        raise ValueError(f"bin index outside 1..{n_bins}")
     else:
+        check_bins(bins, n_bins)
         bins = bins[index] - 1
     counts = tally(bins, correct[index], lengths, n_bins)
     reasons = np.where(counts.any(axis=2).all(axis=1),
@@ -149,13 +148,11 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     cell = pair * len(domains) + domain_codes
     index = np.argsort(cell, kind="stable")     # the cells end to end, each in record order
     cells, lengths = np.unique(cell, return_counts=True)
-    bins = None
-    if binning_scope == "global":   # a set too small to bin has no defined cell: any bin will do
-        bins = np.ones(len(trials), dtype=np.int64)
-        for members in (pair == p for p in np.unique(pair)):
-            if members.sum() >= scale.n_bins:
-                bins[members] = bin_indices(nlp[members], scale.n_bins)
-    levels = np.unique(nlp, return_inverse=True)[1] if bins is None else None
+    levels, bins = np.unique(nlp, return_inverse=True)[1], None
+    if binning_scope == "global":   # each (condition, format) set one sample of quantile_bins
+        by_pair = np.argsort(pair, kind="stable")
+        bins = np.empty_like(by_pair)
+        bins[by_pair] = quantile_bins(levels[by_pair], np.bincount(pair), scale.n_bins) + 1
     reasons, tables, d_prime, criterion_c = type1_block(levels, correct, index, lengths,
                                                         scale, pad_value, bins)
     raise_undefined(reasons, lengths, scale)

@@ -263,13 +263,32 @@ def test_tost_requires_90_percent_ci():
 @pytest.mark.parametrize("delta", [0.0, -0.17, float("nan")])
 def test_tost_margin_must_be_positive(delta):
     """A nan margin fails every comparison, so it is rejected as one that
-    is not > 0, as RunConfig rejects a nan tost_delta."""
-    with pytest.raises(ValueError, match="delta"):
-        HypothesisSpec("H2", "2", "1", ("History",), "tost", delta=delta, ci_level=0.90)
-    with pytest.raises(ValueError, match="delta"):
-        tost(contrast_with(-0.05, 0.05), delta)
-    with pytest.raises(ValueError, match="delta"):
-        decide(contrast_with(-0.05, 0.05), "tost", delta)
+    is not > 0, as RunConfig rejects a nan tost_delta; by one check, with
+    one message."""
+    messages = []
+    for call in (lambda: HypothesisSpec("H2", "2", "1", ("History",), "tost", delta=delta,
+                                        ci_level=0.90),
+                 lambda: tost(contrast_with(-0.05, 0.05), delta),
+                 lambda: decide(contrast_with(-0.05, 0.05), "tost", delta)):
+        with pytest.raises(ValueError, match="delta") as raised:
+            call()
+        messages.append(str(raised.value))
+    assert messages == [f"tost rule needs delta > 0, got {delta}"] * 3
+
+
+def test_an_unknown_rule_or_metric_is_refused_by_one_check():
+    """A spec with metric "brier" was accepted and failed only when its
+    contrast was set up, after the suite's earlier contrasts."""
+    with pytest.raises(ValueError, match="unknown decision rule 'tost2'") as spec:
+        HypothesisSpec("H1", "2", "1", ("Science",), "tost2")
+    with pytest.raises(ValueError) as decided:
+        decide(contrast_with(-0.05, 0.05), "tost2")
+    assert str(decided.value) == str(spec.value)
+    with pytest.raises(ValueError, match="unknown metric 'brier'") as spec:
+        HypothesisSpec("H1", "2", "1", ("Science",), RULE_CI_LOWER_GT_ZERO, metric="brier")
+    with pytest.raises(ValueError) as evaluated:
+        metric_value("brier", np.arange(20.0), np.arange(20) % 2 == 0)
+    assert str(evaluated.value) == str(spec.value)
 
 
 def no_work(*args, **kwargs):
@@ -670,10 +689,8 @@ def read_log(log):
             (line.split() for line in log.read_text(encoding="utf-8").splitlines())]
 
 
-def idle_child(jobs, chunks, claimed, shared, report):
+def idle_child(jobs, chunks, claimed, shared, failed):
     """A child of the team that claims no chunk: the caller takes them all."""
-    with report:
-        report.send(None)
 
 
 def children_only(caller):
@@ -754,7 +771,9 @@ def test_a_failing_chunk_raises_and_leaves_no_process(schedule, monkeypatch, tmp
     # one of two children (at three, the caller claiming none) or by the
     # caller or the child (at two). Every other chunk pauses 0.1 s first,
     # so that the process holding the first chunk is still in it when the
-    # failure stops the team: no chunk is claimed after
+    # failure stops the team: no chunk is claimed after. A chunk that
+    # failed in a child is run once more, by the caller, after the team
+    # has stopped, and raises there
     a, b = spread_sides(1)
     caller, log = os.getpid(), tmp_path / "chunks.log"
     use_schedule(schedule, monkeypatch)
@@ -764,12 +783,14 @@ def test_a_failing_chunk_raises_and_leaves_no_process(schedule, monkeypatch, tmp
                            workers=3 if schedule == "pool" else 2)
     assert not multiprocessing.active_children()
     chunks = read_log(log)
-    assert sorted(start for _, _, start, _ in chunks) == [0, 128]
-    failed_by = {pid for pid, _, start, _ in chunks if start == 128}
+    failed_by = [pid for pid, _, start, _ in chunks if start == 128]
+    if failed_by[0] != caller:
+        assert failed_by == [failed_by[0], caller] and chunks[-1][0] == caller
+    assert sorted(start for _, _, start, _ in chunks) == [0] + [128] * len(failed_by)
     if schedule == "caller":
-        assert failed_by == {caller}
+        assert failed_by == [caller]
     elif schedule == "pool":
-        assert failed_by != {caller}
+        assert failed_by[0] != caller
 
 
 class ForeignError(Exception):
@@ -779,25 +800,36 @@ class ForeignError(Exception):
         raise TypeError("cannot pickle ForeignError")
 
 
-@pytest.mark.parametrize("error, raised", [
-    (TooFewTrials(3, 8), TooFewTrials),
-    (MissingCondition("2"), MissingCondition),
-    (ForeignError("no pickle"), RuntimeError),
+@pytest.mark.parametrize("error", [
+    TooFewTrials(3, 8), MissingCondition("2"), RuntimeError("failed"), ForeignError("no pickle"),
 ])
-def test_a_child_error_reaches_the_caller_as_itself_unless_it_does_not_pickle(
-        error, raised, monkeypatch):
-    # every toolkit error comes back with its type and message; only a
-    # foreign error that does not pickle is sent as a RuntimeError
+def test_a_child_error_reaches_the_caller_as_itself_whatever_its_type(error, monkeypatch):
+    # the caller runs the chunk that failed in a child once more, and so
+    # raises the child's error itself, with its type and message
     def failing_chunk(job, start, stop):
         raise error
 
     monkeypatch.setattr(bootstrap, "_eval_chunk", failing_chunk)
     monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(os.getpid()))
-    want = str(error) if raised is not RuntimeError else f"ForeignError: {error}"
-    with pytest.raises(raised) as caught:
+    with pytest.raises(type(error)) as caught:
         bootstrap._run_jobs(schedule_jobs(), 500, 2)
-    assert str(caught.value) == want
-    assert "in bootstrap worker process" in str(caught.value.__cause__)
+    assert caught.value is error
+    assert not multiprocessing.active_children()
+
+
+def test_a_chunk_that_fails_only_in_a_child_raises_and_leaves_no_process(monkeypatch):
+    caller = os.getpid()
+
+    def child_failing_chunk(job, start, stop):
+        if os.getpid() != caller:
+            raise RuntimeError("only in a child")
+        return EVAL_CHUNK(job, start, stop)
+
+    monkeypatch.setattr(bootstrap, "_eval_chunk", child_failing_chunk)
+    monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(caller))
+    with pytest.raises(RuntimeError, match=r"resample chunk \[0, 128\) of job 0 failed in a "
+                                           r"bootstrap worker process but runs cleanly here"):
+        bootstrap._run_jobs(schedule_jobs(), 500, 2)
     assert not multiprocessing.active_children()
 
 
@@ -818,7 +850,7 @@ def test_a_killed_child_raises_and_leaves_no_process(monkeypatch):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(RuntimeError, match="exited with code -9 without a report"):
+        with pytest.raises(RuntimeError, match=r"bootstrap worker process \d+ exited with code -9$"):
             bootstrap._run_jobs(schedule_jobs(), 500, 2)
     finally:
         signal.alarm(0)

@@ -373,6 +373,23 @@ def test_build_profiles_raises_the_error_of_the_first_faulty_cell(kinds, error):
     assert_raises(error, lambda: build_profiles(faulty_cells(*kinds)))
 
 
+@pytest.mark.parametrize("correct, error", [
+    ([True, False, True, False, True],
+     (TooFewTrials, "a diagnostic cell fit needs at least 16 trials, got 5")),
+    ([True] * 5, ONE_CLASS_ERROR),
+])
+def test_a_set_too_small_to_bin_raises_its_cells_error_on_both_scopes(correct, error):
+    """A (condition, format) set of fewer than n_bins records, which
+    bin_indices would refuse to bin, beside a set that fits: global
+    binning gives it bins all the same, and its cell raises its error."""
+    fits = gaussian_trials(np.random.default_rng(0), 60, qid_prefix="f")
+    small = make_trials(np.arange(5.0), correct, condition="2", qid_prefix="s")
+    trials = TrialSet(fits.records + small.records)
+    for binning_scope in ("per_cell", "global"):
+        assert_raises(error, lambda: build_profiles(trials, binning_scope=binning_scope))
+    assert len(build_profiles(fits, binning_scope="global")) == 1
+
+
 def resampling(*args):
     raise AssertionError("resampling began before pad_value was checked")
 
