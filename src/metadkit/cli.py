@@ -6,9 +6,12 @@ profile tables, ``compare-formats`` scores profile stability across two
 formats, ``confirm`` runs the bootstrap hypothesis suite, and ``synth``
 generates synthetic trials.
 
-Configuration is a flat key=value file with exactly the RunConfig keys;
-every key can be overridden by a same-named flag. Exit codes: 0 success,
-1 data error, 2 configuration error, 3 numerical failure.
+A run's settings are RunConfig's fields, read in layers, each over the one
+before: defaults <- ``$METADKIT_WORKERS`` (``workers``) <- a flat key=value
+config file of RunConfig keys <- flags. Each key but ``pad_value`` and the CI
+levels has a flag: ``--resamples``, ``--nratings`` and ``--delta`` for
+``n_resamples``, ``n_ratings`` and ``tost_delta``, else ``--<key>`` with dashes.
+Exit codes: 0 success, 1 data error, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ _PARSERS = {
                           "a comma-separated list of numbers"),
 }
 
-# the type of every key a config file or a flag may set: RunConfig's fields, n_bins
-_RUN_TYPES = {**{f.name: f.type for f in fields(RunConfig)}, "n_bins": "int"}
+# the type of every key a config file or a flag may set: RunConfig's fields
+_RUN_TYPES = {f.name: f.type for f in fields(RunConfig)}
 CONFIG_KEYS = tuple(_RUN_TYPES)
 
 
@@ -121,33 +124,14 @@ def _read_settings(path: str | Path, types: dict[str, str], kind: str) -> dict:
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
-    """Defaults <- config file <- command-line flags, file values read by type.
-
-    Either layer may give ``n_bins`` (``--bins``); it is stored as the
-    ``n_ratings`` it implies.
-    """
+    """Defaults <- $METADKIT_WORKERS <- config file <- flags, text read by type."""
+    raw_workers = os.environ.get(WORKERS_ENV_VAR)
+    from_env = {"workers": _parse("int", WORKERS_ENV_VAR, raw_workers)} if raw_workers else {}
     from_file = _read_settings(config_path, _RUN_TYPES, "config") if config_path else {}
     from_flags = {k: v for k, v in overrides.items() if v is not None}
-    config = RunConfig(**{**_ratings_from_bins(from_file), **_ratings_from_bins(from_flags)})
+    config = RunConfig(**{**from_env, **from_file, **from_flags})
     config.validate()
     return config
-
-
-def _ratings_from_bins(values: dict) -> dict:
-    """One layer's values with n_bins replaced by the n_ratings it implies."""
-    values = dict(values)
-    n_bins = values.pop("n_bins", None)
-    if n_bins is not None:
-        n_ratings = values.setdefault("n_ratings", n_bins // 2)
-        if n_bins != 2 * n_ratings:
-            raise ConfigError(f"n_bins must be even and equal 2 * n_ratings "
-                              f"({n_bins} != 2 * {n_ratings})")
-    return values
-
-
-def _default_workers() -> int | None:
-    value = os.environ.get(WORKERS_ENV_VAR)
-    return _parse("int", WORKERS_ENV_VAR, value) if value else None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -156,14 +140,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="bootstrap seed (default 42)")
     parser.add_argument("--resamples", type=int, dest="n_resamples",
                         help="bootstrap resample count (default 10000)")
-    parser.add_argument("--bins", type=int, dest="n_bins",
-                        help="number of quantile bins (must be 2 * nratings)")
     parser.add_argument("--nratings", type=int, dest="n_ratings",
                         help="ratings per response side (default 4)")
     parser.add_argument("--delta", type=float, dest="tost_delta",
                         help="TOST equivalence margin (default 0.17)")
     parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--workers", type=int, default=_default_workers(),
+    parser.add_argument("--workers", type=int,
                         help=f"bootstrap processes in all, this one included; 1 starts "
                              f"no worker process (default ${WORKERS_ENV_VAR} or 1)")
     parser.add_argument("--full-precision", action="store_const", const=True,
@@ -184,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="load and validate a trial file")
     p.add_argument("--trials", required=True)
-    p.add_argument("--format-hint", choices=["jsonl", "csv"])
 
     p = sub.add_parser("diagnose", help="profile tables per (condition, format)")
     _add_common_flags(p)
@@ -226,7 +207,7 @@ def _load(config: RunConfig, fmt: str | None = None):
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    trials = load_trials(args.trials, format_hint=args.format_hint)
+    trials = load_trials(args.trials)
     print(f"{len(trials)} trials, {len(trials.question_ids())} questions")
     print(f"conditions: {', '.join(trials.conditions())}")
     print(f"formats: {', '.join(trials.formats())}")
@@ -333,7 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
     }
     try:
-        # the parser reads METADKIT_WORKERS, which may be malformed
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:

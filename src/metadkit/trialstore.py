@@ -137,6 +137,9 @@ class TrialSet:
     def from_columns(cls, columns: dict[str, Sequence]) -> "TrialSet":
         """A set from one equal-length sequence per name in ALL_FIELDS, in
         record order; ``answer_text`` may be left out."""
+        lengths = {name: len(columns[name]) for name in ALL_FIELDS if name in columns}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
         trials = cls.__new__(cls)
         trials._fill(columns)
         return trials
@@ -423,19 +426,16 @@ def _first_duplicate(trials: TrialSet, line_numbers: np.ndarray,
     return DuplicateKey(key, int(line_numbers[row]), path)
 
 
-def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
+def load_trials(path: str | Path) -> TrialSet:
     """Read a JSONL or CSV trial file into a validated TrialSet.
 
-    ``format_hint`` is ``"jsonl"`` or ``"csv"``; when omitted it is taken
-    from the file suffix (``.csv`` means CSV, anything else JSONL).
+    The file suffix gives the format: ``.csv`` means CSV, anything else JSONL.
     Raises MissingField, DuplicateKey, NonFiniteConfidence or DataError
     for the first offending line of the file; raises EmptySet for a file
     with no records.
     """
     path = Path(path)
-    fmt = format_hint or ("csv" if path.suffix.lower() == ".csv" else "jsonl")
-    if fmt not in ("jsonl", "csv"):
-        raise DataError(f"unknown trial file format {fmt!r}")
+    is_csv = path.suffix.lower() == ".csv"
     sname = str(path)
 
     pieces: dict[str, list] = {name: [] for name in ALL_FIELDS}
@@ -451,8 +451,8 @@ def load_trials(path: str | Path, format_hint: str | None = None) -> TrialSet:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
-            if fmt == "csv":
+        with open(path, "r", encoding="utf-8", newline="" if is_csv else None) as fh:
+            if is_csv:
                 blocks = (_block_columns(*block, sname) for block in _csv_blocks(fh, sname))
             else:
                 blocks = _jsonl_blocks(fh, sname)

@@ -1,7 +1,8 @@
 """The package surface that the benchmark in perfbench/ relies on.
 
-perfbench/spans.py traces the package by patching attributes by name, and
-perfbench/gen.py builds the benchmark's trial file through the row API.
+perfbench/spans.py traces the package by patching attributes by name,
+perfbench/gen.py builds the benchmark's trial file through the row API, and
+perfbench/workloads.py runs CLI commands.
 These tests read perfbench/ without changing it, so a change that cuts
 into that surface fails here rather than in a benchmark run.
 """
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from metadkit import save_trials
+from metadkit import cli, save_trials
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # gen.generate_trials(1) written by save_trials: 30 000 records
@@ -39,3 +40,17 @@ def test_generated_release_file_is_unchanged(perfbench, tmp_path):
     data = path.read_bytes()
     assert data.count(b"\n") == 30_000
     assert hashlib.sha256(data).hexdigest() == RELEASE_SEED_1_SHA256
+
+
+def test_every_benchmark_command_parses(perfbench, monkeypatch, tmp_path):
+    import workloads
+
+    argvs = []
+    monkeypatch.setattr(cli, "main", lambda argv: argvs.append(argv) or 0)
+    for workload in (workloads.Confirm, workloads.Diagnose):
+        bench = workload(tmp_path / "trials.jsonl", tmp_path / "work", "tiny")
+        argvs += [argv + ["--out", "o"] for _, argv in bench.commands()]
+        bench.warmup()
+    assert {argv[0] for argv in argvs} == {"confirm", "diagnose", "compare-formats", "validate"}
+    for argv in argvs:
+        cli.build_parser().parse_args(argv)

@@ -103,22 +103,28 @@ def test_config_file_nratings_implies_bins(tmp_path):
     assert config.scale.n_bins == 6
 
 
-def test_inconsistent_bins_rejected():
-    with pytest.raises(ConfigError):
-        load_run_config(None, {"n_ratings": 4, "n_bins": 6})
-    with pytest.raises(ConfigError):
-        load_run_config(None, {"n_bins": 7})
+def test_the_bin_count_and_the_file_format_have_no_setting_of_their_own(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_bins = 8\n")
+    missing = str(tmp_path / "none.jsonl")
+    assert main(["confirm", "--config", str(path), "--trials", missing]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: unknown config key 'n_bins'\n"
+    for argv in (["confirm", "--trials", missing, "--bins", "8"],
+                 ["validate", "--trials", missing, "--format-hint", "csv"]):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == EXIT_CONFIG_ERROR
 
 
 def test_every_config_flag_reaches_the_config():
     args = build_parser().parse_args([
-        "confirm", "--trials", "t.jsonl", "--seed", "5", "--resamples", "7", "--bins", "6",
+        "confirm", "--trials", "t.jsonl", "--seed", "5", "--resamples", "7", "--nratings", "3",
         "--delta", "0.1", "--out", "o", "--workers", "2", "--full-precision",
         "--binning-scope", "global", "--pairing", "independent"])
     assert _config_from_args(args) == RunConfig(
         trials="t.jsonl", seed=5, n_resamples=7, n_ratings=3, tost_delta=0.1, out="o",
         workers=2, full_precision=True, binning_scope="global", pairing="independent")
-    assert set(CONFIG_KEYS) == set(vars(RunConfig())) | {"n_bins"}
+    assert set(CONFIG_KEYS) == set(vars(RunConfig()))
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -135,14 +141,30 @@ def test_misspelled_boolean_rejected(tmp_path):
         load_run_config(str(path), {})
 
 
-def test_workers_env_var_default(monkeypatch):
-    from metadkit.cli import build_parser
+def test_workers_layers_are_defaults_then_env_var_then_file_then_flags(tmp_path, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text("workers = 2\n")
+    monkeypatch.delenv("METADKIT_WORKERS", raising=False)
+    assert load_run_config(None, {}).workers == 1
     monkeypatch.setenv("METADKIT_WORKERS", "3")
-    args = build_parser().parse_args(["diagnose", "--trials", "x.jsonl"])
-    assert args.workers == 3
-    monkeypatch.delenv("METADKIT_WORKERS")
-    args = build_parser().parse_args(["diagnose", "--trials", "x.jsonl"])
-    assert args.workers is None
+    assert load_run_config(None, {}).workers == 3
+    assert load_run_config(str(path), {}).workers == 2
+    assert load_run_config(str(path), {"workers": 4}).workers == 4
+    args = build_parser().parse_args(["diagnose", "--config", str(path), "--trials", "x"])
+    assert _config_from_args(args).workers == 2
+    args = build_parser().parse_args(["diagnose", "--config", str(path), "--trials", "x",
+                                      "--workers", "4"])
+    assert _config_from_args(args).workers == 4
+
+
+def test_commands_that_use_no_workers_ignore_the_workers_env_var(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("METADKIT_WORKERS", "abc")
+    build_parser()
+    out = tmp_path / "s.jsonl"
+    assert main(["synth", "--synth-config", str(synth_cfg(tmp_path)), "--out", str(out)]) \
+        == EXIT_OK
+    assert main(["validate", "--trials", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_workers_env_var_is_config_error(monkeypatch, capsys):
@@ -155,7 +177,6 @@ def test_malformed_workers_env_var_is_config_error(monkeypatch, capsys):
 # an unknown key, through each place a setting is read from text
 SETTING_MESSAGES = [
     ("run", "seed", "abc", "seed must be an integer, got 'abc'"),
-    ("run", "n_bins", "8.0", "n_bins must be an integer, got '8.0'"),
     ("run", "tost_delta", "wide", "tost_delta must be a number, got 'wide'"),
     ("run", "full_precision", "ture",
      "full_precision must be true/false/1/0/yes/no, got 'ture'"),
@@ -185,7 +206,7 @@ def test_a_setting_that_does_not_parse_has_one_message_and_exits_2(
         argv = ["synth", "--synth-config", str(path), "--out", str(tmp_path / "s.jsonl")]
     else:
         monkeypatch.setenv(key, value)
-        read = build_parser
+        read = partial(load_run_config, None, {})
         argv = ["diagnose", "--trials", missing]
     with pytest.raises(ConfigError) as caught:
         read()

@@ -10,6 +10,7 @@ from metadkit.errors import (
     UnknownSelectorValue,
 )
 from metadkit.trialstore import (
+    REQUIRED_FIELDS,
     TrialRecord,
     TrialSet,
     filter_trials,
@@ -116,6 +117,17 @@ def test_round_trip_is_fixed_point(tmp_path):
 def _set():
     return TrialSet([TrialRecord(**{**r, "condition": str(r["condition"])})
                      for r in ROWS])
+
+
+def test_from_columns_refuses_columns_of_unequal_length():
+    columns = {name: [row[name] for row in ROWS[:3]] for name in REQUIRED_FIELDS}
+    columns["correct"] = columns["correct"][:2]
+    with pytest.raises(ValueError) as caught:
+        TrialSet.from_columns(columns)
+    assert str(caught.value) == (
+        "columns differ in length: {'question_id': 3, 'domain': 3, 'condition': 3, "
+        "'format': 3, 'correct': 2, 'nlp': 3}")
+    assert len(TrialSet.from_columns({**columns, "correct": [True] * 3})) == 3
 
 
 def test_filter_identity_without_selectors():
