@@ -26,7 +26,8 @@ from .binning import DEFAULT_PAD_VALUE, RatingScale, check_pad_value
 from .bootstrap import (PAIRINGS, check_resampling, default_hypothesis_specs,
                         run_hypothesis_suite)
 from .errors import ConfigError, DataError, MetadkitError
-from .profiles import BINNING_SCOPES, build_profiles, check_binning_scope, compare_formats
+from .profiles import (BINNING_SCOPES, RANK_METRICS, build_profiles, check_binning_scope,
+                       compare_formats)
 from .report import ReportBundle
 from .synth import SynthConfig, generate
 from .trialstore import BOOLEAN_STRINGS, load_trials, save_trials
@@ -223,7 +224,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                               binning_scope=config.binning_scope)
     bundle = ReportBundle(profiles=tuple(profiles))
     bundle.write(config.out, full_precision=config.full_precision,
-                 chart_metrics=("m_ratio", "auroc2"))
+                 chart_metrics=RANK_METRICS)
     print(f"{len(profiles)} profiles -> {config.out}")
     for p in profiles:
         print(f"  cond {p.condition} {p.format} {p.domain}: n={p.n} "
@@ -243,7 +244,7 @@ def cmd_compare_formats(args: argparse.Namespace) -> int:
         raise ConfigError(f"multiple conditions present ({', '.join(conditions)}); "
                           "pick one with --condition")
     profiles = {}
-    for fmt in (args.format_a, args.format_b):
+    for fmt in dict.fromkeys((args.format_a, args.format_b)):
         subset = trials.filter(condition=condition, format=fmt)
         if len(subset) == 0:
             raise DataError(f"no trials for condition {condition!r} format {fmt!r}")
@@ -251,11 +252,11 @@ def cmd_compare_formats(args: argparse.Namespace) -> int:
                                        pad_value=config.pad_value,
                                        binning_scope=config.binning_scope)
     comparison = compare_formats(profiles[args.format_a], profiles[args.format_b])
-    all_profiles = profiles[args.format_a] + profiles[args.format_b]
+    all_profiles = [p for fmt_profiles in profiles.values() for p in fmt_profiles]
     bundle = ReportBundle(profiles=tuple(all_profiles), comparison=comparison)
     bundle.write(config.out, full_precision=config.full_precision)
-    print(f"rho_m_ratio = {comparison.rho_m_ratio:.3f}")
-    print(f"rho_auroc2 = {comparison.rho_auroc2:.3f}")
+    for metric, rho in comparison.rho.items():
+        print(f"rho_{metric} = {rho:.3f}")
     for move in comparison.rank_moves:
         if move.moved:
             print(f"  {move.metric} {move.domain}: rank {move.rank_a} -> {move.rank_b}")

@@ -3,7 +3,7 @@
 A DomainProfile is one row of the diagnostic tables: trial count,
 accuracy, the model-based sensitivities (d', meta-d', M-ratio), the
 rank-based ones (Type-2 AUROC, NLP gap), and the domain's rank within its
-(condition, format) profile set for M-ratio and AUROC.
+(condition, format) profile set per metric of ``RANK_METRICS``.
 
 Every model-based number passes one block path, ``type1_block``, then
 ``sdt.sdt_fits`` or ``sdt.meta_d_fit_batch``: build_profiles lays all
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class DomainProfile:
     m_ratio: float
     auroc2: float
     nlp_gap: float
-    rank_m_ratio: int | None = None
-    rank_auroc2: int | None = None
+    ranks: dict[str, int] = field(default_factory=dict)
     low_dprime_warning: bool = False
     fit_converged: bool = True
 
@@ -211,10 +210,9 @@ def rank_profile(profiles: list[DomainProfile], metric: str) -> list[DomainProfi
         warnings.warn(f"{metric} ties broken by domain name", TiedRanks, stacklevel=2)
     order = sorted(range(len(profiles)),
                    key=lambda i: (_rank_key(values[i]), profiles[i].domain))
-    field = f"rank_{metric}"
     ranked = list(profiles)
     for rank, i in enumerate(order, start=1):
-        ranked[i] = replace(ranked[i], **{field: rank})
+        ranked[i] = replace(ranked[i], ranks={**ranked[i].ranks, metric: rank})
     return ranked
 
 
@@ -234,8 +232,7 @@ class RankMove:
 class FormatComparison:
     format_a: str
     format_b: str
-    rho_m_ratio: float
-    rho_auroc2: float
+    rho: dict[str, float]
     rank_moves: tuple[RankMove, ...]
 
 
@@ -243,8 +240,8 @@ def compare_formats(profiles_a: list[DomainProfile],
                     profiles_b: list[DomainProfile]) -> FormatComparison:
     """Profile stability across two formats on the same domain set.
 
-    Spearman rho over the metric values of matched domains, for M-ratio
-    and AUROC separately, plus each domain's rank move.
+    Spearman rho over the metric values of matched domains per metric of
+    ``RANK_METRICS``, plus each domain's rank move.
     """
     by_domain_a = {p.domain: p for p in profiles_a}
     by_domain_b = {p.domain: p for p in profiles_b}
@@ -255,22 +252,13 @@ def compare_formats(profiles_a: list[DomainProfile],
     a = [by_domain_a[d] for d in domains]
     b = [by_domain_b[d] for d in domains]
 
-    rhos = {}
-    for metric in RANK_METRICS:
-        rhos[metric] = spearman_rho([getattr(p, metric) for p in a],
-                                    [getattr(p, metric) for p in b])
+    rho = {metric: spearman_rho([getattr(p, metric) for p in a],
+                                [getattr(p, metric) for p in b])
+           for metric in RANK_METRICS}
     moves = []
     for metric in RANK_METRICS:
-        ranked_a = rank_profile(a, metric)
-        ranked_b = rank_profile(b, metric)
-        for pa, pb in zip(ranked_a, ranked_b):
+        for pa, pb in zip(rank_profile(a, metric), rank_profile(b, metric)):
             moves.append(RankMove(domain=pa.domain, metric=metric,
-                                  rank_a=getattr(pa, f"rank_{metric}"),
-                                  rank_b=getattr(pb, f"rank_{metric}")))
-    return FormatComparison(
-        format_a=a[0].format if a else "",
-        format_b=b[0].format if b else "",
-        rho_m_ratio=rhos["m_ratio"],
-        rho_auroc2=rhos["auroc2"],
-        rank_moves=tuple(moves),
-    )
+                                  rank_a=pa.ranks[metric], rank_b=pb.ranks[metric]))
+    return FormatComparison(format_a=a[0].format, format_b=b[0].format, rho=rho,
+                            rank_moves=tuple(moves))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bootstrap import DEGENERATE_FRACTION_ALARM, ContrastResult
 from .errors import EmptyInput, IncompleteInput
-from .profiles import DomainProfile, FormatComparison, ranks_tie
+from .profiles import RANK_METRICS, DomainProfile, FormatComparison, ranks_tie
 
 TABLE_NAMES = ("sensitivity_by_format", "auroc2_by_format",
                "nlp_gap_by_condition", "metrics_full", "contrasts",
@@ -94,7 +94,7 @@ def _csv_table(header: list[str], rows: list[list], full_precision: bool) -> str
 
 def _require_ranks(profiles: list[DomainProfile]) -> None:
     missing = [f"({p.condition}, {p.format}, {p.domain})" for p in profiles
-               if p.rank_m_ratio is None or p.rank_auroc2 is None]
+               if any(metric not in p.ranks for metric in RANK_METRICS)]
     if missing:
         raise IncompleteInput(f"profiles missing ranks: {', '.join(missing)}")
 
@@ -127,11 +127,11 @@ def emit_tables(profiles: list[DomainProfile],
         docs["sensitivity_by_format"] = render(
             ["Cond", "Format", "Domain", "d'", "meta-d'", "M-ratio", "Rank"],
             [[p.condition, p.format, p.domain, p.d_prime, p.meta_d, p.m_ratio,
-              p.rank_m_ratio] for p in ordered])
+              p.ranks["m_ratio"]] for p in ordered])
 
         docs["auroc2_by_format"] = render(
             ["Cond", "Format", "Domain", "AUROC2", "Rank"],
-            [[p.condition, p.format, p.domain, p.auroc2, p.rank_auroc2]
+            [[p.condition, p.format, p.domain, p.auroc2, p.ranks["auroc2"]]
              for p in ordered])
 
         domains = sorted({p.domain for p in ordered})
@@ -161,8 +161,7 @@ def emit_tables(profiles: list[DomainProfile],
          for c in contrasts])
 
     if comparison is not None:
-        rows = [["rho_m_ratio", comparison.rho_m_ratio],
-                ["rho_auroc2", comparison.rho_auroc2]]
+        rows = [[f"rho_{m}", v] for m, v in comparison.rho.items()]
         for move in comparison.rank_moves:
             rows.append([f"rank_{move.metric}:{move.domain}",
                          f"{move.rank_a} -> {move.rank_b}"])
@@ -189,7 +188,7 @@ def reproduction_notes(profiles: list[DomainProfile] = (),
     for p in profiles:
         by_cf.setdefault((p.condition, p.format), []).append(p)
     for key, group in sorted(by_cf.items()):
-        for metric in ("m_ratio", "auroc2"):
+        for metric in RANK_METRICS:
             if ranks_tie([getattr(p, metric) for p in group]):
                 notes.append(f"{key}: {metric} ranks contain ties, broken by "
                              "domain name")

@@ -222,10 +222,10 @@ def test_c08_dissociation_in_miniature():
     profiles_a = build_profiles(_format_shift_cells("wide", VAR_RATIO_WIDE, 101))
     profiles_b = build_profiles(_format_shift_cells("narrow", VAR_RATIO_NARROW, 202))
     comparison = compare_formats(profiles_a, profiles_b)
-    ok = comparison.rho_auroc2 == 1.0 and comparison.rho_m_ratio < 0.5
+    ok = comparison.rho["auroc2"] == 1.0 and comparison.rho["m_ratio"] < 0.5
     check("C8", "AUROC2 ranks stable while M-ratio ranks restructure", ok,
-          f"rho_auroc2={comparison.rho_auroc2:.2f}, "
-          f"rho_m_ratio={comparison.rho_m_ratio:.2f}")
+          f"rho_auroc2={comparison.rho['auroc2']:.2f}, "
+          f"rho_m_ratio={comparison.rho['m_ratio']:.2f}")
 
 
 # -- C9: normal CDF round trip --------------------------------------------------------
@@ -273,6 +273,18 @@ REFERENCE_SENSITIVITY = {  # format -> domain -> (d', meta-d', M-ratio)
 }
 
 
+def _concordance(x, y) -> tuple[int, int]:
+    """The concordant and discordant pair counts of two equal-length profiles."""
+    signs = [np.sign((x[i] - x[j]) * (y[i] - y[j])) for i, j in combinations(range(len(x)), 2)]
+    return signs.count(1), signs.count(-1)
+
+
+def _kendall_tau(x, y) -> float:
+    """Kendall's tau-a: (concordant - discordant) / number of pairs."""
+    concordant, discordant = _concordance(x, y)
+    return (concordant - discordant) / (len(x) * (len(x) - 1) / 2)
+
+
 def test_headline_rank_correlations_on_the_reference_cells():
     """The abstract's profile stability across q5_k_m and f16, on the
     paper's own cells: 0.00 for M-ratio and 1.00 for AUROC2. The M-ratio
@@ -284,14 +296,41 @@ def test_headline_rank_correlations_on_the_reference_cells():
     assert lowest_first == {"q5_k_m": ["Arts", "History", "Geography", "Science"],
                             "f16": ["History", "Geography", "Science", "Arts"]}
     assert spearman_rho(ratios["q5_k_m"], ratios["f16"]) == pytest.approx(-0.20, abs=1e-12)
-    signs = [np.sign((ratios["q5_k_m"][i] - ratios["q5_k_m"][j])
-                     * (ratios["f16"][i] - ratios["f16"][j]))
-             for i, j in combinations(range(len(domains)), 2)]
-    concordant, discordant = signs.count(1), signs.count(-1)
-    assert (concordant, discordant) == (3, 3)
-    assert (concordant - discordant) / len(signs) == 0.0
+    assert _concordance(ratios["q5_k_m"], ratios["f16"]) == (3, 3)
+    assert _kendall_tau(ratios["q5_k_m"], ratios["f16"]) == 0.0
     assert spearman_rho([REFERENCE_AUROC2["q5_k_m"][d] for d in domains],
                         [REFERENCE_AUROC2["f16"][d] for d in domains]) == 1.0
+
+
+def test_where_the_m_ratio_profile_moves_on_the_reference_cells():
+    """q5_k_m against f16 on the paper's cells: the meta-d' profile keeps
+    most of its order and the d' profile less, while M-ratio = meta-d' / d'
+    loses it. AUROC2's area-based sensitivity d_a = sqrt(2) phi_inv(AUROC2)
+    divided by the same d' reorders exactly as M-ratio does, with no
+    meta-d' fit. The variance of the log change of M-ratio over the four
+    domains, 0.274, splits into 0.116 from d', 0.065 from meta-d' and 0.094
+    from their negative covariance (population variances)."""
+    domains = sorted(REFERENCE_SENSITIVITY["f16"])
+    sens = {f: np.array([REFERENCE_SENSITIVITY[f][d] for d in domains])
+            for f in ("q5_k_m", "f16")}
+    auroc2 = {f: np.array([REFERENCE_AUROC2[f][d] for d in domains]) for f in sens}
+    profiles = {f: {"meta-d'": sens[f][:, 1], "d'": sens[f][:, 0], "M-ratio": sens[f][:, 2],
+                    "AUROC2": auroc2[f],
+                    "d_a / d'": np.sqrt(2) * phi_inv(auroc2[f]) / sens[f][:, 0]}
+                for f in sens}
+    want = {"meta-d'": (0.80, 2 / 3), "d'": (0.40, 1 / 3), "M-ratio": (-0.20, 0.0),
+            "AUROC2": (1.00, 1.0), "d_a / d'": (-0.20, 0.0)}
+    for name, (rho, tau) in want.items():
+        a, b = profiles["q5_k_m"][name], profiles["f16"][name]
+        assert spearman_rho(a, b) == pytest.approx(rho, abs=1e-12), name
+        assert _kendall_tau(a, b) == pytest.approx(tau, abs=1e-12), name
+
+    d_prime, meta_d, m_ratio = np.log(sens["f16"] / sens["q5_k_m"]).T
+    parts = [np.var(d_prime), np.var(meta_d), -2 * np.cov(d_prime, meta_d, ddof=0)[0, 1]]
+    assert sum(parts) == pytest.approx(np.var(meta_d - d_prime), rel=1e-12)
+    assert np.round(parts, 3).tolist() == [0.116, 0.065, 0.094]
+    # the rounded M-ratio column gives the same variance to 3 decimals
+    assert round(np.var(meta_d - d_prime), 3) == round(np.var(m_ratio), 3) == 0.274
 
 REFERENCE_CONTRASTS = {  # (hypothesis, domain) -> (delta, ci_low, ci_high, decision)
     ("H1", "Science"): (-0.118, -0.539, 0.348, "not_supported"),

@@ -544,6 +544,10 @@ def test_compare_dataset_against_itself(tmp_path, capsys, rng):
     out = capsys.readouterr().out
     assert "rho_m_ratio = 1.000" in out
     assert "rho_auroc2 = 1.000" in out
+    # the one format is profiled and written once
+    rows = (tmp_path / "cmp" / "sensitivity_by_format.csv").read_text().splitlines()[1:]
+    cells = [tuple(row.split(",")[:3]) for row in rows]
+    assert sorted(cells) == [("1", "f16", "Arts"), ("1", "f16", "Science")]
 
 
 def test_compare_needs_condition_when_ambiguous(tmp_path, rng):

@@ -46,7 +46,7 @@ def test_rank_profile_auroc_ordering():
     profs = [profile("Arts", auroc2=0.710), profile("History", auroc2=0.669),
              profile("Geography", auroc2=0.629), profile("Science", auroc2=0.619)]
     ranked = rank_profile(profs, "auroc2")
-    ranks = {p.domain: p.rank_auroc2 for p in ranked}
+    ranks = {p.domain: p.ranks["auroc2"] for p in ranked}
     assert ranks == {"Arts": 1, "History": 2, "Geography": 3, "Science": 4}
 
 
@@ -54,7 +54,7 @@ def test_rank_profile_m_ratio_ordering():
     profs = [profile("Science", m_ratio=1.436), profile("Geography", m_ratio=0.798),
              profile("History", m_ratio=0.470), profile("Arts", m_ratio=1.542)]
     ranked = rank_profile(profs, "m_ratio")
-    ranks = {p.domain: p.rank_m_ratio for p in ranked}
+    ranks = {p.domain: p.ranks["m_ratio"] for p in ranked}
     assert ranks == {"Arts": 1, "Science": 2, "Geography": 3, "History": 4}
 
 
@@ -62,7 +62,7 @@ def test_rank_profile_ties_break_by_domain_and_warn():
     profs = [profile(d, m_ratio=1.0) for d in ("C", "A", "B")]
     with pytest.warns(TiedRanks):
         ranked = rank_profile(profs, "m_ratio")
-    ranks = {p.domain: p.rank_m_ratio for p in ranked}
+    ranks = {p.domain: p.ranks["m_ratio"] for p in ranked}
     assert ranks == {"A": 1, "B": 2, "C": 3}
 
 
@@ -87,7 +87,7 @@ def test_ranks_are_permutation(rng):
     profs = [profile(f"D{i}", m_ratio=float(v))
              for i, v in enumerate(rng.normal(1.0, 0.3, 6))]
     ranked = rank_profile(profs, "m_ratio")
-    assert sorted(p.rank_m_ratio for p in ranked) == [1, 2, 3, 4, 5, 6]
+    assert sorted(p.ranks["m_ratio"] for p in ranked) == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("values, want", [
@@ -102,7 +102,7 @@ def test_rank_profile_ranks_nan_last_whatever_the_input_order(values, want):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ranked = rank_profile(profs, "m_ratio")
-        assert {p.domain: p.rank_m_ratio for p in ranked} == want
+        assert {p.domain: p.ranks["m_ratio"] for p in ranked} == want
         # two nans are a tie broken by domain name; one nan is not
         tied = sum(np.isnan(v) for v in values.values()) > 1
         assert any(w.category is TiedRanks for w in caught) == tied
@@ -129,11 +129,11 @@ def test_build_profiles_per_cell(rng):
     assert len(keys) == 4
     for p in profiles:
         assert p.n == 300
-        assert p.rank_m_ratio in (1, 2)
-        assert p.rank_auroc2 in (1, 2)
+        assert p.ranks["m_ratio"] in (1, 2)
+        assert p.ranks["auroc2"] in (1, 2)
     for condition in ("1", "2"):
         cell = [p for p in profiles if p.condition == condition]
-        assert sorted(p.rank_m_ratio for p in cell) == [1, 2]
+        assert sorted(p.ranks["m_ratio"] for p in cell) == [1, 2]
 
 
 def test_build_profiles_global_scope_changes_bins(rng):
@@ -159,16 +159,30 @@ def test_single_domain_gets_rank_one(rng):
     trials = gaussian_trials(rng, 200)
     profiles = build_profiles(trials)
     assert len(profiles) == 1
-    assert profiles[0].rank_m_ratio == 1
-    assert profiles[0].rank_auroc2 == 1
+    assert profiles[0].ranks["m_ratio"] == 1
+    assert profiles[0].ranks["auroc2"] == 1
+
+
+def test_ranks_and_rhos_are_keyed_by_the_rank_metrics(rng):
+    records = []
+    for domain in ("Arts", "History", "Science"):
+        for format in ("f16", "q5_k_m"):
+            records.extend(gaussian_trials(rng, 300, domain=domain, format=format,
+                                           qid_prefix=f"{domain}{format}").records)
+    profiles = build_profiles(TrialSet(records))
+    assert len(profiles) == 6
+    assert all(set(p.ranks) == set(RANK_METRICS) for p in profiles)
+    by_format = {f: [p for p in profiles if p.format == f] for f in ("f16", "q5_k_m")}
+    # the report writes one rho row per key, in this order
+    assert tuple(compare_formats(by_format["q5_k_m"], by_format["f16"]).rho) == RANK_METRICS
 
 
 def test_compare_formats_self_is_unity():
     profs = [profile("Arts", m_ratio=1.2, auroc2=0.71),
              profile("Science", m_ratio=0.8, auroc2=0.62)]
     comparison = compare_formats(profs, profs)
-    assert comparison.rho_m_ratio == pytest.approx(1.0)
-    assert comparison.rho_auroc2 == pytest.approx(1.0)
+    assert comparison.rho["m_ratio"] == pytest.approx(1.0)
+    assert comparison.rho["auroc2"] == pytest.approx(1.0)
     assert all(not m.moved for m in comparison.rank_moves)
 
 
@@ -184,8 +198,8 @@ def test_compare_formats_reference_profiles():
     comparison = compare_formats(q5, f16)
     # M-ratio rank pairs are (1,2), (2,3), (3,4), (4,1): the closed-form
     # Spearman value is -0.2; AUROC order is identical on both sides
-    assert comparison.rho_m_ratio == pytest.approx(-0.2, abs=1e-12)
-    assert comparison.rho_auroc2 == pytest.approx(1.0, abs=1e-12)
+    assert comparison.rho["m_ratio"] == pytest.approx(-0.2, abs=1e-12)
+    assert comparison.rho["auroc2"] == pytest.approx(1.0, abs=1e-12)
     moves = {(m.metric, m.domain): (m.rank_a, m.rank_b)
              for m in comparison.rank_moves}
     assert moves[("m_ratio", "Arts")] == (4, 1)
@@ -202,9 +216,9 @@ def test_compare_formats_rho_is_nan_for_a_nan_m_ratio():
            profile("History", m_ratio=0.9, auroc2=0.66),
            profile("Science", m_ratio=0.7, auroc2=0.61)]
     comparison = compare_formats(q5, f16)
-    assert np.isnan(comparison.rho_m_ratio)
-    assert comparison.rho_auroc2 == 1.0
-    assert np.isnan(compare_formats(f16, q5).rho_m_ratio)
+    assert np.isnan(comparison.rho["m_ratio"])
+    assert comparison.rho["auroc2"] == 1.0
+    assert np.isnan(compare_formats(f16, q5).rho["m_ratio"])
 
 
 def test_compare_formats_domain_mismatch():

@@ -7,7 +7,7 @@ import pytest
 
 from metadkit.bootstrap import ContrastResult
 from metadkit.errors import EmptyInput, IncompleteInput, TiedRanks
-from metadkit.profiles import compare_formats, rank_profile
+from metadkit.profiles import RANK_METRICS, compare_formats, rank_profile
 from metadkit.report import ReportBundle, emit_bar_chart, emit_tables, reproduction_notes
 from tests.test_profiles import profile
 
@@ -23,7 +23,7 @@ def ranked_profiles():
            profile("Arts", m_ratio=1.542, auroc2=0.680)]
     out = []
     for cell in (q5, f16):
-        for metric in ("m_ratio", "auroc2"):
+        for metric in RANK_METRICS:
             cell = rank_profile(cell, metric)
         out.extend(cell)
     return out
@@ -88,6 +88,11 @@ def test_unranked_profiles_rejected():
         emit_tables([profile("Arts")], target="markdown")
 
 
+def test_profiles_ranked_on_one_metric_only_rejected():
+    with pytest.raises(IncompleteInput):
+        emit_tables(rank_profile([profile("Arts")], "m_ratio"), target="markdown")
+
+
 def test_comparison_table_contains_rhos():
     profiles = ranked_profiles()
     q5 = [p for p in profiles if p.format == "q5_k_m"]
@@ -101,7 +106,7 @@ def test_comparison_table_contains_rhos():
 def test_notes_surface_warnings():
     profiles = ranked_profiles()
     low_d = [profile("Arts", d_prime=0.3, low_dprime_warning=True,
-                     rank_m_ratio=1, rank_auroc2=1)]
+                     ranks=dict.fromkeys(RANK_METRICS, 1))]
     contrast = ContrastResult(hypothesis_id="H1", metric="meta_d", domain="Science",
                               delta_hat=0.0, ci_low=-0.1, ci_high=0.1,
                               ci_level=0.95, n_resamples=100, seed=42,
@@ -130,8 +135,8 @@ def test_alarm_note_reads_the_excluded_count_not_the_flag(excluded, suffix):
 
 
 def test_notes_flag_ties():
-    tied = [profile("A", m_ratio=1.0, rank_m_ratio=1, rank_auroc2=1),
-            profile("B", m_ratio=1.0, rank_m_ratio=2, rank_auroc2=2)]
+    tied = [profile("A", m_ratio=1.0, ranks=dict.fromkeys(RANK_METRICS, 1)),
+            profile("B", m_ratio=1.0, ranks=dict.fromkeys(RANK_METRICS, 2))]
     notes = reproduction_notes(tied)
     assert any("ties" in n for n in notes)
 
@@ -183,7 +188,7 @@ def test_svg_escapes_text_and_draws_one_bar_per_profile(tmp_path):
 
 
 def test_svg_single_profile(tmp_path):
-    one = [profile("Science", rank_m_ratio=1, rank_auroc2=1)]
+    one = [profile("Science", ranks=dict.fromkeys(RANK_METRICS, 1))]
     doc = emit_bar_chart(one, "auroc2", tmp_path / "one.svg")
     assert doc.count("<rect") == 1 + 1 + 1
 
