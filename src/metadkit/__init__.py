@@ -21,7 +21,7 @@ from .profiles import (
 )
 from .report import ReportBundle, emit_bar_chart, emit_tables, reproduction_notes
 from .sdt import SdtFit, meta_d_fit, phi, phi_inv, type1_fit
-from .synth import SynthConfig, generate, oracle_auroc2, oracle_meta_grid
+from .synth import SynthConfig, generate, oracle_auroc2
 from .trialstore import (
     PairingReport,
     TrialRecord,

@@ -101,9 +101,16 @@ def _parse(type_: str, key: str, raw: str):
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Flat 'key = value' file; blank lines and # comments ignored."""
+    """Flat 'key = value' file; blank lines and # comments ignored. A file
+    that cannot be read as UTF-8 text is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -20,10 +20,6 @@ from .bootstrap import DEGENERATE_FRACTION_ALARM, ContrastResult
 from .errors import EmptyInput, IncompleteInput
 from .profiles import RANK_METRICS, DomainProfile, FormatComparison, ranks_tie
 
-TABLE_NAMES = ("sensitivity_by_format", "auroc2_by_format",
-               "nlp_gap_by_condition", "metrics_full", "contrasts",
-               "format_comparison")
-
 
 @dataclass(frozen=True)
 class ReportBundle:
@@ -37,7 +33,6 @@ class ReportBundle:
     profiles: tuple[DomainProfile, ...] = ()
     contrasts: tuple[ContrastResult, ...] = ()
     comparison: FormatComparison | None = None
-    extra_notes: tuple[str, ...] = ()
 
     def tables(self, target: str = "markdown", full_precision: bool = False) -> dict[str, str]:
         return emit_tables(list(self.profiles), list(self.contrasts),
@@ -45,8 +40,7 @@ class ReportBundle:
                            full_precision=full_precision)
 
     def notes(self) -> list[str]:
-        return reproduction_notes(list(self.profiles), list(self.contrasts),
-                                  self.comparison, extra=list(self.extra_notes))
+        return reproduction_notes(list(self.profiles), list(self.contrasts), self.comparison)
 
     def write(self, out_dir: str | Path, full_precision: bool = False,
               chart_metrics: tuple[str, ...] = ()) -> None:
@@ -173,8 +167,7 @@ def emit_tables(profiles: list[DomainProfile],
 
 def reproduction_notes(profiles: list[DomainProfile] = (),
                        contrasts: list[ContrastResult] | tuple = (),
-                       comparison: FormatComparison | None = None,
-                       extra: list[str] = ()) -> list[str]:
+                       comparison: FormatComparison | None = None) -> list[str]:
     """Warnings and caveats that belong next to the rendered numbers."""
     notes: list[str] = []
     for p in _sorted_profiles(list(profiles)):
@@ -212,7 +205,6 @@ def reproduction_notes(profiles: list[DomainProfile] = (),
                      "computed from the metric values; externally reported "
                      "summaries derived by other conventions can differ from "
                      "the formula value reported here")
-    notes.extend(extra)
     return notes
 
 

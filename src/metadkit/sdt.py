@@ -528,30 +528,3 @@ def meta_d_fit(counts, type1: tuple[float, float], pad_value: float) -> SdtFit:
     d_prime, criterion_c = float(type1[0]), float(type1[1])
     check_d_prime(d_prime)
     return next(sdt_fits(check_table(counts)[None], [d_prime], [criterion_c], pad_value))
-
-
-def predicted_count_table(meta_d: float, type1: tuple[float, float],
-                          gaps_r1: np.ndarray | list, gaps_r2: np.ndarray | list,
-                          n: float, p_correct: float = 0.5,
-                          n_ratings: int = 4) -> np.ndarray:
-    """Exact model-implied (2, 2 * n_ratings) count table, row 0
-    incorrect, scaled to n trials.
-
-    The generative check for the fitter: feeding this table back to
-    meta_d_fit with the same ``type1`` and pad_value 0 must recover
-    ``meta_d``. Criteria sit at meta_c = c * meta_d / d' plus/minus the
-    given positive gaps. Cells hold expected (fractional) counts.
-    """
-    d_prime, criterion_c = float(type1[0]), float(type1[1])
-    check_d_prime(d_prime)
-    k = n_ratings - 1
-    gaps_r1 = np.asarray(gaps_r1, dtype=float)
-    gaps_r2 = np.asarray(gaps_r2, dtype=float)
-    if gaps_r1.shape != (k,) or gaps_r2.shape != (k,) or np.any(gaps_r1 <= 0) or np.any(gaps_r2 <= 0):
-        raise ValueError(f"need {k} positive gaps per side")
-    meta_c = (criterion_c / d_prime) * meta_d
-    crit = _criteria(meta_c, gaps_r1, gaps_r2)
-    mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
-    joint = _bin_masses(crit[None, :] - mus[:, None])[0]
-    weights = np.array([1.0 - p_correct, p_correct])
-    return joint * weights[:, None] * n

@@ -1,21 +1,22 @@
 """Parametric generators of confidence/correctness trials.
 
-These serve as ground-truth oracles for the estimators: the gaussian
-family has closed-form AUROC, and on equal-variance gaussian data the
-full pipeline must recover M-ratio = 1. The emitted records use the
-standard trial schema, so synthetic and real data are interchangeable
-everywhere.
+Synthetic cells give the estimators a known truth: the gaussian family's
+Type-2 AUROC has a closed form (oracle_auroc2), and on equal-variance
+gaussian data the full pipeline must recover M-ratio = 1. The emitted
+records use the standard trial schema, so synthetic and real data are
+interchangeable everywhere. Only the generator and its closed-form target
+live here; the meta-d' search that checks the fitter is test code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig, UnsupportedFamily
-from .sdt import (PROB_CLAMP, _anchored_gaps, _bin_masses, _criteria, _quantile_criteria,
-                  check_table, phi)
+from .sdt import phi
 from .trialstore import TrialSet
 
 FAMILIES = ("gaussian", "lognormal_skew", "mixture")
@@ -59,6 +60,11 @@ class SynthConfig:
             raise InvalidConfig(f"n_trials must be >= 1, got {self.n_trials}")
         if not 0.0 <= self.p_correct <= 1.0:
             raise InvalidConfig(f"p_correct must be in [0, 1], got {self.p_correct}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        for name in ("mu_correct", "mu_incorrect", "sigma_correct", "sigma_incorrect"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.family != "mixture":
             if self.sigma_correct <= 0 or self.sigma_incorrect <= 0:
                 raise InvalidConfig("sigmas must be positive")
@@ -70,6 +76,10 @@ class SynthConfig:
                 if not (len(w) == len(m) == len(s)) or len(w) == 0:
                     raise InvalidConfig(f"mixture parameters for {side} must be "
                                         "non-empty and equal-length")
+                if not all(map(math.isfinite, (*w, *m, *s))):
+                    raise InvalidConfig(f"mixture parameters for {side} must be finite")
+                if any(x < 0 for x in w):
+                    raise InvalidConfig(f"mixture weights for {side} must be >= 0")
                 if abs(sum(w) - 1.0) > 1e-9:
                     raise InvalidConfig(f"mixture weights for {side} must sum to 1")
                 if any(x <= 0 for x in s):
@@ -116,71 +126,3 @@ def oracle_auroc2(config: SynthConfig) -> float:
     gap = config.mu_correct - config.mu_incorrect
     spread = np.sqrt(config.sigma_correct ** 2 + config.sigma_incorrect ** 2)
     return float(phi(gap / spread))
-
-
-def _nll_fixed_meta_d(ab: np.ndarray, meta_d: float, counts: np.ndarray, cprime: float) -> float:
-    """Mean response-conditional NLL with meta_d held fixed: the oracle's
-    criteria-only search. Each bin's Gaussian mass is divided by the mass
-    of its response side, floored at 1e-300 as in ``sdt._nll_and_grad``,
-    and the ratio is clamped at PROB_CLAMP. Where a side's true mass is a
-    normal float below 1e-300 the floor scales the ratio down, so the
-    oracle shares the fitter's far-tail error (ROADMAP item 8)."""
-    k = counts.shape[1] // 2 - 1
-    crit = _criteria(cprime * meta_d, np.exp(ab[:k]), np.exp(ab[k:]))
-    mus = np.array([-0.5 * meta_d, 0.5 * meta_d])
-    p, q1, q2 = _bin_masses(crit[None, :] - mus[:, None])
-    cond = p / np.maximum(np.repeat(np.stack([q1, q2], axis=1), k + 1, axis=1), 1e-300)
-    return -float((counts * np.log(np.maximum(cond, PROB_CLAMP))).sum()) / counts.sum()
-
-
-def oracle_meta_grid(counts, type1: tuple[float, float],
-                     coarse_step: float = 0.05, fine_step: float = 0.001,
-                     upper: float = 3.0) -> tuple[float, float]:
-    """Exhaustive meta-d' grid search of one padded count table
-    (sdt.check_table), the independent check on the MLE.
-
-    Scans meta_d over [0, upper] coarse-to-fine (fine_step matching the
-    advertised 0.001 resolution), re-optimizing the type-2 criteria at
-    every grid point with a derivative-free simplex warm-started from the
-    previous point. Returns (meta_d, count-weighted log-likelihood).
-    Intended for tests, not production; scipy.optimize is imported here
-    so that importing the package does not load it.
-    """
-    from scipy.optimize import minimize
-
-    d_prime, criterion_c = float(type1[0]), float(type1[1])
-    cprime = criterion_c / d_prime
-    counts = check_table(counts)
-    est = _quantile_criteria(counts)
-    g1, g2 = _anchored_gaps(est, est[counts.shape[1] // 2 - 1])
-    fresh = np.log(np.concatenate([g1, g2]))
-
-    def inner(meta_d: float, warm: np.ndarray) -> tuple[float, np.ndarray]:
-        # the warm-start chain is fast but can drift into a clamped-flat
-        # region on extreme tables; a fresh start from the quantile
-        # estimate guards every grid point against inherited stalls
-        best_fun, best_ab = np.inf, warm
-        for start in (warm, fresh):
-            res = minimize(_nll_fixed_meta_d, start, args=(meta_d, counts, cprime),
-                           method="Nelder-Mead",
-                           options={"fatol": 1e-12, "xatol": 1e-9, "maxiter": 4000})
-            if res.fun < best_fun:
-                best_fun, best_ab = float(res.fun), res.x
-        return best_fun, best_ab
-
-    ab = fresh
-    best_fun, best_md, best_ab = np.inf, 0.0, ab
-    for md in np.arange(0.0, upper + 1e-12, coarse_step):
-        fun, ab = inner(float(md), ab)
-        if fun < best_fun:
-            best_fun, best_md, best_ab = fun, float(md), ab
-
-    lo = max(0.0, best_md - coarse_step)
-    hi = min(upper, best_md + coarse_step)
-    ab = best_ab
-    for md in np.arange(lo, hi + 1e-12, fine_step):
-        fun, ab = inner(float(md), ab)
-        if fun < best_fun:
-            best_fun, best_md = fun, float(md)
-
-    return best_md, float(-best_fun * counts.sum())

@@ -431,8 +431,8 @@ def load_trials(path: str | Path) -> TrialSet:
 
     The file suffix gives the format: ``.csv`` means CSV, anything else JSONL.
     Raises MissingField, DuplicateKey, NonFiniteConfidence or DataError
-    for the first offending line of the file; raises EmptySet for a file
-    with no records.
+    for the first offending line of the file; raises DataError for a file
+    that is not UTF-8 text and EmptySet for a file with no records.
     """
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
@@ -463,6 +463,8 @@ def load_trials(path: str | Path) -> TrialSet:
                 if error is not None:
                     # every record collected so far precedes the offending line
                     raise _first_duplicate(*collected(), sname) or error
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{sname}: not UTF-8 text ({exc.reason})") from None
     finally:
         if gc_was_enabled:
             gc.enable()

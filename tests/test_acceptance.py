@@ -27,9 +27,10 @@ from metadkit.bootstrap import (
 from metadkit.cli import main
 from metadkit.nonparam import auroc2_arrays, nlp_gap_arrays, spearman_rho
 from metadkit.profiles import build_profiles, compare_formats, fit_cell_arrays
-from metadkit.sdt import meta_d_fit, phi, phi_inv, predicted_count_table, type1_fit
-from metadkit.synth import SynthConfig, generate, oracle_auroc2, oracle_meta_grid
+from metadkit.sdt import meta_d_fit, phi, phi_inv, type1_fit
+from metadkit.synth import SynthConfig, generate, oracle_auroc2
 from metadkit.trialstore import TrialRecord, TrialSet, load_trials, save_trials
+from tests.oracles import oracle_meta_grid, predicted_count_table
 from tests.test_bootstrap import four_condition_trials
 from tests.test_nonparam import brute_force_auroc2
 

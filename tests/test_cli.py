@@ -29,9 +29,9 @@ from metadkit.cli import (
     main,
     parse_kv_file,
 )
-from metadkit.errors import ConfigError, MetadkitWarning
+from metadkit.errors import ConfigError, InvalidConfig, MetadkitWarning
 from metadkit.profiles import build_profiles, check_binning_scope
-from metadkit.synth import SynthConfig
+from metadkit.synth import SynthConfig, generate
 from metadkit.trialstore import TrialSet, save_trials
 from tests.conftest import gaussian_trials, make_trials
 
@@ -363,6 +363,17 @@ def test_validate_missing_file_exits_one(tmp_path):
         == EXIT_DATA_ERROR
 
 
+@pytest.mark.parametrize("command", ["validate", "diagnose"])
+def test_trial_file_that_is_not_utf8_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"question_id": "q1", "domain": "\xc9tudes"}\n')
+    argv = [command, "--trials", str(path)] + (["--out", str(tmp_path / "d")]
+                                               if command == "diagnose" else [])
+    assert main(argv) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (f"data error: {path}: not UTF-8 text "
+                                       "(invalid continuation byte)\n")
+
+
 # -- synth ---------------------------------------------------------------------
 
 def test_synth_output_validates(tmp_path):
@@ -413,6 +424,70 @@ def test_synth_config_value_that_does_not_parse_is_a_config_error(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and repr(value) in err
     assert not out.exists()
+
+
+MIXTURE = {"family": "mixture", "mix_weights_correct": "0.6, 0.4",
+           "mix_means_correct": "0.5, 2.0", "mix_sigmas_correct": "1.0, 0.5",
+           "mix_weights_incorrect": "1.0", "mix_means_incorrect": "0.0",
+           "mix_sigmas_incorrect": "1.0"}
+
+
+# (key, value, message): a synth setting that parses but cannot be drawn
+SYNTH_BOUNDS = [
+    ("mu_correct", "nan", "mu_correct must be finite, got nan"),
+    ("mu_incorrect", "-inf", "mu_incorrect must be finite, got -inf"),
+    ("sigma_correct", "inf", "sigma_correct must be finite, got inf"),
+    ("sigma_incorrect", "nan", "sigma_incorrect must be finite, got nan"),
+    ("seed", "-1", "seed must be >= 0, got -1"),
+    ("mix_weights_correct", "nan, 1", "mixture parameters for correct must be finite"),
+    ("mix_means_incorrect", "inf", "mixture parameters for incorrect must be finite"),
+    ("mix_sigmas_correct", "1.0, nan", "mixture parameters for correct must be finite"),
+    ("mix_weights_correct", "1.5, -0.5", "mixture weights for correct must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", SYNTH_BOUNDS,
+                         ids=[f"{key}={value}" for key, value, _ in SYNTH_BOUNDS])
+def test_synth_parameter_that_cannot_be_drawn_is_a_config_error(tmp_path, capsys, key, value,
+                                                                 message):
+    settings = {**(MIXTURE if key.startswith("mix_") else {}), key: value}
+    cfg = synth_cfg(tmp_path, **settings)
+    with pytest.raises(InvalidConfig) as caught:
+        generate(load_synth_config(cfg))
+    assert str(caught.value) == message
+    out = tmp_path / "never.jsonl"
+    assert main(["synth", "--synth-config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    assert main(["synth", "--synth-config", str(synth_cfg(tmp_path)), "--out", str(out),
+                 "--seed", "-3"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--synth-config"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, flag, case):
+    path = tmp_path / "run.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"seed = 7\nformat = f\xb916\n")
+    reason = {"missing": "No such file or directory", "directory": "Is a directory",
+              "not_utf8": "not UTF-8 text (invalid start byte at byte 19)"}[case]
+    with pytest.raises(ConfigError) as caught:
+        parse_kv_file(path)
+    assert str(caught.value) == f"{path}: {reason}"
+    if flag == "--config":
+        argv = ["confirm", "--config", str(path), "--trials", str(tmp_path / "none.jsonl")]
+    else:
+        argv = ["synth", "--synth-config", str(path), "--out", str(tmp_path / "s.jsonl")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {path}: {reason}\n"
 
 
 # -- diagnose ------------------------------------------------------------------

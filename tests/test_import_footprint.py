@@ -2,8 +2,8 @@
 
 Every CLI run is a new process, so each scipy subpackage the package
 imports is paid on every command. The runtime needs numpy and
-scipy.special (ndtr / ndtri in the fitter) only; scipy.optimize serves
-the test oracle and is imported inside it.
+scipy.special (ndtr / ndtri in the fitter) only. It never imports
+scipy.optimize: only the test oracles in tests/oracles.py do.
 """
 
 import os
@@ -70,3 +70,10 @@ def test_cli_paths_load_no_heavy_scipy_subpackage(tmp_path):
                      "diagnose", "compare-formats", "confirm"]
     for report in ("diag", "cmp", "conf"):
         assert any((tmp_path / report).iterdir())
+
+
+def test_the_package_holds_no_test_oracle():
+    src = Path(metadkit.__file__).resolve().parent
+    assert [path.name for path in src.rglob("*.py")
+            if "scipy.optimize" in path.read_text(encoding="utf-8")] == []
+    assert not hasattr(metadkit, "oracle_meta_grid")

@@ -385,3 +385,12 @@ def test_csv_record_the_csv_module_cannot_read_is_a_data_error(tmp_path, block):
                                    csv_line(base_row(1)) + "x" * 200_000])
     assert described(path) == (DataError, None, None, None,
                                f"{path}:3: field larger than field limit (131072)")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_file_that_is_not_utf8_is_a_data_error(tmp_path, block, fmt):
+    lines, _ = lines_with(fmt, {})
+    path = write(tmp_path, fmt, lines)
+    path.write_bytes(path.read_bytes().replace(b"Arts", b"Ar\xe9ts", 1))
+    assert described(path) == (DataError, None, None, None,
+                               f"{path}: not UTF-8 text (invalid continuation byte)")

@@ -37,12 +37,13 @@ def sample_contrast():
 
 
 def test_emitted_names_are_the_declared_ones():
-    from metadkit.report import TABLE_NAMES
     q5 = [p for p in ranked_profiles() if p.format == "q5_k_m"]
     f16 = [p for p in ranked_profiles() if p.format == "f16"]
     docs = emit_tables(ranked_profiles(), [sample_contrast()],
                        compare_formats(q5, f16), target="markdown")
-    assert set(docs) == set(TABLE_NAMES)
+    assert set(docs) == {"sensitivity_by_format", "auroc2_by_format",
+                         "nlp_gap_by_condition", "metrics_full", "contrasts",
+                         "format_comparison"}
 
 
 def test_sensitivity_table_is_long_format():
@@ -200,12 +201,9 @@ def test_svg_empty_rejected(tmp_path):
 
 def test_report_bundle_writes_everything(tmp_path):
     bundle = ReportBundle(profiles=tuple(ranked_profiles()),
-                          contrasts=(sample_contrast(),),
-                          extra_notes=("custom note",))
+                          contrasts=(sample_contrast(),))
     bundle.write(tmp_path, chart_metrics=("m_ratio",))
     for name in ("sensitivity_by_format.md", "sensitivity_by_format.csv",
                  "contrasts.md", "contrasts.csv", "notes.md",
                  "m_ratio_by_domain.svg"):
         assert (tmp_path / name).exists(), name
-    assert "custom note" in (tmp_path / "notes.md").read_text()
-    assert "custom note" in bundle.notes()[-1]

@@ -11,10 +11,9 @@ from metadkit.sdt import (
     meta_d_fit_batch,
     phi,
     phi_inv,
-    predicted_count_table,
     type1_fit,
 )
-from metadkit.synth import oracle_meta_grid
+from tests.oracles import oracle_meta_grid, predicted_count_table
 
 PAD = 0.5
 

@@ -19,10 +19,10 @@ from metadkit.sdt import (
     _nll_and_grad,
     meta_d_fit,
     meta_d_fit_batch,
-    predicted_count_table,
     type1_batch,
     type1_fit,
 )
+from tests.oracles import predicted_count_table
 
 PAD = 0.5
 

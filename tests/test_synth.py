@@ -4,8 +4,9 @@ import pytest
 from metadkit.binning import DEFAULT_PAD_VALUE, pad_counts
 from metadkit.errors import InvalidConfig, UnsupportedFamily
 from metadkit.nonparam import auroc2_arrays
-from metadkit.sdt import meta_d_fit, predicted_count_table, type1_fit
-from metadkit.synth import SynthConfig, generate, oracle_auroc2, oracle_meta_grid
+from metadkit.sdt import meta_d_fit, type1_fit
+from metadkit.synth import SynthConfig, generate, oracle_auroc2
+from tests.oracles import oracle_meta_grid, predicted_count_table
 from tests.test_nonparam import brute_force_auroc2
 
 
