@@ -108,10 +108,13 @@ def generate(config: SynthConfig) -> TrialSet:
     rng = np.random.default_rng(config.seed)
     correct = rng.random(config.n_trials) < config.p_correct
     nlp = np.empty(config.n_trials)
-    n_correct = int(correct.sum())
     # draw per class in a fixed order so the stream is reproducible
-    nlp[correct] = _draw_class(rng, config, n_correct, "correct")
-    nlp[~correct] = _draw_class(rng, config, config.n_trials - n_correct, "incorrect")
+    for side, rows in (("correct", correct), ("incorrect", ~correct)):
+        drawn = _draw_class(rng, config, int(rows.sum()), side)
+        if not np.isfinite(drawn).all():
+            raise InvalidConfig(f"the {config.family} family drew a non-finite nlp for the "
+                                f"{side} class: its parameters are too large to draw")
+        nlp[rows] = drawn
     n = config.n_trials
     return TrialSet.from_columns({
         "question_id": [f"q{i + 1:06d}" for i in range(n)],

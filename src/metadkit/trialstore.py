@@ -25,23 +25,31 @@ sets; the edge can go once the generator moves onto
 ``TrialSet.from_columns`` with the generated file's sha256 unchanged.
 
 Loading reads the file in blocks of lines (CSV: records), so it never
-holds a row for every record at once. A JSONL block whose lines all have
-the layout save_trials writes (``json.dumps``' default separators, the
-fields in TrialRecord order, strings without escapes, ``nlp`` a JSON
-float) is matched by one regular expression and its columns are built
-from the matches; a block of it with an empty coded field or a non-finite
-``nlp`` is left to the general path, so every error comes from there.
-The general path reads a block line by line with the C JSON scanner, and
-with ``json.loads`` a line the scanner alone does not take, so on either
-path a line means exactly what ``json.loads`` makes of it. Each field of
-a general block is then pulled out as a column and checked in one pass;
-only columns with values other than the plain types are coerced value by
-value. Duplicate (question_id, condition, format) keys
-are found from the integer codes of the finished set. The first offending
-line of the file is reported, whatever its kind; within a line the order
-is a missing required field, then ``correct``, then ``nlp``, then the
-duplicate key. JSONL and CSV share this path and differ only in how rows
-are read.
+holds a row for every record at once, and codes each block as it is read:
+each coded field has one dict from value to a first-seen integer code for
+the whole file, and the codes are mapped to sorted order once, at the end.
+A JSONL block whose lines all have the layout save_trials writes
+(``json.dumps``' default separators, the fields in TrialRecord order,
+strings without escapes, ``nlp`` a JSON float) is matched by one regular
+expression with four groups: the question id, the whole (domain,
+condition, format, correct) span, the nlp text and the answer text. A
+record then costs one dict lookup for its id and one for its span, and
+each distinct span is split into its four fields once. A block of that
+layout with an empty coded field or a non-finite ``nlp`` is left to the
+general path, so every error comes from there. The general path reads a
+block line by line with the C JSON scanner, and with ``json.loads`` a line
+the scanner alone does not take, so on either path a line means exactly
+what ``json.loads`` makes of it. Each field of a general block is then
+pulled out as a column, checked in one pass and coded through the same
+dicts; only columns with values other than the plain types are coerced
+value by value. Bytes that are not UTF-8 are read as data (as surrogate
+escapes); the first line that holds one is an error, reported once the
+lines before it are checked. Duplicate (question_id, condition, format)
+keys are found from the integer codes of the finished set. The first
+offending line of the file is reported, whatever its kind; within a line
+the order is a missing required field, then ``correct``, then ``nlp``,
+then the duplicate key. JSONL and CSV share this path and differ only in
+how rows are read.
 """
 
 from __future__ import annotations
@@ -52,9 +60,10 @@ import json
 import math
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, starmap
+from itertools import count, islice, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -73,13 +82,18 @@ _BLOCK_ROWS = 1024      # lines (CSV: records) read and validated together
 _DECODER = json.JSONDecoder()
 # one line as save_trials writes it: json.dumps' default separators, the
 # fields in TrialRecord order, strings without escapes, coded fields not
-# empty, and an nlp with a fraction or an exponent (a JSON float)
-_CODED = r'"([^"\\\x00-\x1f]+)"'
+# empty, and an nlp with a fraction or an exponent (a JSON float). The
+# groups are the question id, the whole (domain, condition, format,
+# correct) span, which _Columns codes as one group, the nlp text and the
+# answer text
+_STRING = r'"[^"\\\x00-\x1f]+"'
 _FLOAT = r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
 _CANONICAL = re.compile(
-    r'^\{"question_id": ' + _CODED + ', "domain": ' + _CODED + ', "condition": ' + _CODED
-    + ', "format": ' + _CODED + ', "correct": (true|false), "nlp": ' + _FLOAT
+    r'^\{"question_id": "([^"\\\x00-\x1f]+)", ("domain": ' + _STRING + ', "condition": '
+    + _STRING + ', "format": ' + _STRING + ', "correct": (?:true|false)), "nlp": ' + _FLOAT
     + r'(?:, "answer_text": "([^"\\\x00-\x1f]*)")?\}$', re.M)
+# a byte that is not UTF-8, as the surrogateescape error handler reads it
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 REQUIRED_FIELDS = ("question_id", "domain", "condition", "format", "correct", "nlp")
 ALL_FIELDS = REQUIRED_FIELDS + ("answer_text",)
@@ -114,12 +128,79 @@ class TrialRecord:
         return d
 
 
-def _factorize(values: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Integer code per value into the sorted distinct values."""
-    distinct = sorted(set(values))
-    index = {value: code for code, value in enumerate(distinct)}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
-    return codes, np.array(distinct, dtype=object)
+def _coder() -> defaultdict:
+    """A dict from value to integer code that gives a value it has not
+    seen the next code, so one lookup codes a value in first-seen order."""
+    return defaultdict(count().__next__)
+
+
+def _codes(coder: defaultdict, values: Sequence) -> np.ndarray:
+    return np.fromiter(map(coder.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _joined(pieces: list[Sequence], dtype) -> np.ndarray:
+    """The pieces as one array of dtype; an object piece is taken item by
+    item, which is several times faster than np.asarray's scan for nesting."""
+    arrays = [np.fromiter(piece, dtype, len(piece)) if dtype is object
+              else np.asarray(piece, dtype) for piece in pieces]
+    return np.concatenate(arrays or [np.empty(0, dtype)])
+
+
+class _Columns:
+    """A trial set's columns, gathered block by block, with each coded field
+    an integer code per record from the start.
+
+    Each coded field has one coder for every block. A canonical block's
+    (domain, condition, format, correct) span is coded as one group, and
+    each distinct group is split into its four fields once, so a canonical
+    record costs one lookup for its id and one for its group; any other
+    block is coded field by field through the same coders. TrialSet maps
+    the first-seen codes to sorted order once, at the end.
+    """
+
+    def __init__(self):
+        self.coders = {name: _coder() for name in CODED_FIELDS}
+        self.pieces: dict[str, list[Sequence]] = {name: [] for name in ALL_FIELDS}
+        self.groups = _coder()
+        self.group_rows: list[tuple[int, int, int, bool]] = []   # per group code
+
+    def add(self, columns: dict[str, Sequence]) -> "_Columns":
+        """One equal-length sequence per name in ALL_FIELDS; ``answer_text``
+        may be left out."""
+        for name in CODED_FIELDS:
+            self.pieces[name].append(_codes(self.coders[name], columns[name]))
+        for name in ("correct", "nlp"):
+            self.pieces[name].append(columns[name])
+        self.pieces["answer_text"].append(columns.get("answer_text",
+                                                      [None] * len(columns["nlp"])))
+        return self
+
+    def add_canonical(self, ids: Sequence[str], groups: Sequence[str], nlp: np.ndarray,
+                      answers: Sequence[str | None]) -> None:
+        """A canonical block: per record its id, the text of its (domain,
+        condition, format, correct) span, its nlp and its answer text."""
+        group_codes = _codes(self.groups, groups)
+        for group in islice(self.groups, len(self.group_rows), None):   # new groups
+            # the values hold no '"', so they are the 4th, 8th and 12th pieces
+            values = group.split('"')[3:12:4]
+            self.group_rows.append((*(self.coders[name][value] for name, value
+                                       in zip(("domain", "condition", "format"), values)),
+                                     group.endswith("true")))
+        by_record = np.array(self.group_rows, dtype=np.int64)[group_codes]
+        for column, name in enumerate(("domain", "condition", "format", "correct")):
+            self.pieces[name].append(by_record[:, column])
+        self.pieces["question_id"].append(_codes(self.coders["question_id"], ids))
+        self.pieces["nlp"].append(nlp)
+        self.pieces["answer_text"].append(answers)
+
+    def sorted_codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A coded field's codes into its sorted distinct values, and those
+        values (an object array)."""
+        values = np.array(list(self.coders[name]), dtype=object)    # in first-seen order
+        order = np.argsort(values)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank[_joined(self.pieces[name], np.int64)], values[order]
 
 
 class TrialSet:
@@ -131,7 +212,8 @@ class TrialSet:
 
     def __init__(self, records: Iterable[TrialRecord]):
         records = tuple(records)
-        self._fill({name: [getattr(r, name) for r in records] for name in ALL_FIELDS})
+        self._fill(_Columns().add({name: [getattr(r, name) for r in records]
+                                   for name in ALL_FIELDS}))
 
     @classmethod
     def from_columns(cls, columns: dict[str, Sequence]) -> "TrialSet":
@@ -140,16 +222,19 @@ class TrialSet:
         lengths = {name: len(columns[name]) for name in ALL_FIELDS if name in columns}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
+        return cls._built(_Columns().add(columns))
+
+    @classmethod
+    def _built(cls, columns: _Columns) -> "TrialSet":
         trials = cls.__new__(cls)
         trials._fill(columns)
         return trials
 
-    def _fill(self, columns: dict[str, Sequence]) -> None:
-        self.nlp_values = np.asarray(columns["nlp"], dtype=float)
-        self.correct_mask = np.asarray(columns["correct"], dtype=bool)
-        self._answer_text = np.array(columns.get("answer_text", [None] * len(self.nlp_values)),
-                                     dtype=object)
-        self._coded = {name: _factorize(columns[name]) for name in CODED_FIELDS}
+    def _fill(self, columns: _Columns) -> None:
+        self.nlp_values = _joined(columns.pieces["nlp"], float)
+        self.correct_mask = _joined(columns.pieces["correct"], bool)
+        self._answer_text = _joined(columns.pieces["answer_text"], object)
+        self._coded = {name: columns.sorted_codes(name) for name in CODED_FIELDS}
 
     def _subset(self, mask: np.ndarray) -> "TrialSet":
         subset = TrialSet.__new__(TrialSet)
@@ -248,13 +333,10 @@ def _row_error(row: dict, line: int, path: str) -> DataError | None:
     return None
 
 
-# a block's line numbers, its columns up to its first invalid record, and
-# that record's error (None when there is none)
-_Block = tuple[Sequence[int], dict[str, Sequence], DataError | None]
-
-
-def _canonical_columns(lines: list[str]) -> dict[str, Sequence] | None:
-    """The columns of a block whose lines all have save_trials' layout and
+def _canonical_columns(lines: list[str]) -> tuple[Sequence[str], Sequence[str], np.ndarray,
+                                                 list[str | None]] | None:
+    """The ids, (domain, condition, format, correct) span texts, nlp values
+    and answer texts of a block whose lines all have save_trials' layout and
     hold valid records, or None.
 
     One anchored pattern matches the whole block; a line it does not match
@@ -269,13 +351,11 @@ def _canonical_columns(lines: list[str]) -> dict[str, Sequence] | None:
     matches = _CANONICAL.findall("".join(lines))
     if len(matches) != len(lines):
         return None
-    question_id, domain, condition, format_, correct, nlp, answers = zip(*matches)
-    nlp = np.array(list(map(float, nlp)))
+    ids, groups, nlp, answers = zip(*matches)
+    nlp = np.fromiter(map(float, nlp), dtype=float, count=len(nlp))
     if not np.isfinite(nlp).all():
         return None
-    return {"question_id": question_id, "domain": domain, "condition": condition,
-            "format": format_, "correct": list(map("true".__eq__, correct)), "nlp": nlp,
-            "answer_text": [text or None for text in answers]}
+    return ids, groups, nlp, [text or None for text in answers]
 
 
 def _general_rows(lines: list[str], first: int,
@@ -311,25 +391,59 @@ def _general_rows(lines: list[str], first: int,
     return numbers, rows, None
 
 
-def _jsonl_blocks(fh, path: str) -> Iterator[_Block]:
-    """(line numbers, columns, error) per block of _BLOCK_ROWS lines, as
-    _block_columns gives them; a block with an error ends the blocks.
+def _undecodable(lines: list[str]) -> int | None:
+    """The index of the first line that holds a byte that is not UTF-8, or None."""
+    text = "".join(lines)
+    if text.isascii() or not _UNDECODABLE.search(text):
+        return None
+    return next(i for i, line in enumerate(lines) if _UNDECODABLE.search(line))
+
+
+def _not_utf8(line: str, path: str) -> DataError:
+    """The error of a line that holds a byte that is not UTF-8, with the
+    reason the UTF-8 decoder gives for its first such byte."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+    raise AssertionError("a line read with surrogate escapes decodes")
+
+
+def _jsonl_blocks(fh, path: str,
+                  columns: _Columns) -> Iterator[tuple[Sequence[int], DataError | None]]:
+    """Adds each block of _BLOCK_ROWS lines to columns, up to its first
+    offending line, and yields the line numbers of the records added and
+    that line's error (None when there is none).
 
     A block in save_trials' layout is parsed by _canonical_columns, any
-    other by _general_rows and _block_columns. Either way a line means
-    exactly what ``json.loads`` makes of it.
+    other by _general_rows and _add_block. Either way a line means
+    exactly what ``json.loads`` makes of it. A line with a byte that is not
+    UTF-8 is an error after every line before it.
     """
     first = 1
     while lines := list(islice(fh, _BLOCK_ROWS)):
-        columns = _canonical_columns(lines)
-        if columns is not None:
-            yield range(first, first + len(lines)), columns, None
+        bad = _undecodable(lines)
+        not_utf8 = None
+        if bad is not None:
+            lines, not_utf8 = lines[:bad], _not_utf8(lines[bad], path)
+        canonical = _canonical_columns(lines) if lines else None
+        if canonical is not None:
+            columns.add_canonical(*canonical)
+            yield np.arange(first, first + len(lines)), not_utf8
         else:
-            block = _block_columns(*_general_rows(lines, first, path), path)
-            yield block
-            if block[2] is not None:
-                return
+            numbers, rows, error = _general_rows(lines, first, path)
+            yield _add_block(columns, numbers, rows, error or not_utf8, path)
         first += len(lines)
+
+
+def _until_undecodable(fh, undecodable: list[str]) -> Iterator[str]:
+    """The lines of fh before its first line with a byte that is not UTF-8,
+    which goes into ``undecodable``."""
+    for line in fh:
+        if not line.isascii() and _UNDECODABLE.search(line):
+            undecodable.append(line)
+            return
+        yield line
 
 
 def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], DataError | None]]:
@@ -337,15 +451,19 @@ def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], Data
     _general_rows gives them for a block of lines; a block with an error
     ends the blocks. A record's line is the physical line it ends on; a
     record with more fields than the header, or one the csv module cannot
-    read, is an error."""
-    reader = csv.DictReader(fh)
+    read, is an error, and so is a line with a byte that is not UTF-8,
+    after every record before it."""
+    undecodable: list[str] = []
+    reader = csv.DictReader(_until_undecodable(fh, undecodable))
     numbers, rows = [], []
     try:
-        if reader.fieldnames is None:
+        if reader.fieldnames is None and not undecodable:
             raise EmptySet(f"{path}: no header row")
         while True:
             numbers, rows = [], []
             for row in islice(reader, _BLOCK_ROWS):
+                if undecodable:     # the record runs onto the line that is not UTF-8
+                    break
                 extra = row.get(None)   # DictReader files surplus fields under None
                 if extra:
                     yield numbers, rows, DataError(
@@ -354,6 +472,9 @@ def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], Data
                     return
                 numbers.append(reader.line_num)
                 rows.append(row)
+            if undecodable:
+                yield numbers, rows, _not_utf8(undecodable[0], path)
+                return
             if not rows:
                 return
             yield numbers, rows, None
@@ -361,16 +482,16 @@ def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], Data
         yield numbers, rows, DataError(f"{path}:{reader.reader.line_num}: {exc}")
 
 
-def _block_columns(line_numbers: Sequence[int], rows: Sequence[dict],
-                   source_error: DataError | None, path: str) -> _Block:
-    """The line numbers and columns of a block of rows up to its first
-    invalid row, and that row's error; with every row valid, the error
-    that ended the rows (``source_error``, None when none did).
+def _add_block(into: _Columns, line_numbers: Sequence[int], rows: Sequence[dict],
+               source_error: DataError | None,
+               path: str) -> tuple[Sequence[int], DataError | None]:
+    """Adds a block of rows up to its first invalid row to ``into``, and
+    returns their line numbers and that row's error; with every row valid,
+    the error that ended the rows (``source_error``, None when none did).
 
     Each column is checked in one pass; only a column that holds other
     types than the plain ones (str fields, bool ``correct``, int or float
-    ``nlp``) is converted value by value. ``nlp`` comes back as an array,
-    the other columns as lists.
+    ``nlp``) is converted value by value.
     """
     columns = {name: [row.get(name) for row in rows] for name in ALL_FIELDS}
     first_bad = len(rows)
@@ -406,8 +527,8 @@ def _block_columns(line_numbers: Sequence[int], rows: Sequence[dict],
         error = _row_error(rows[first_bad], line_numbers[first_bad], path)
         assert error is not None, "a column check and the row check disagree"
     columns.update(correct=correct, nlp=nlp, answer_text=answers)
-    return (line_numbers[:first_bad],
-            {name: values[:first_bad] for name, values in columns.items()}, error)
+    into.add({name: values[:first_bad] for name, values in columns.items()})
+    return line_numbers[:first_bad], error
 
 
 def _first_duplicate(trials: TrialSet, line_numbers: np.ndarray,
@@ -431,50 +552,41 @@ def load_trials(path: str | Path) -> TrialSet:
 
     The file suffix gives the format: ``.csv`` means CSV, anything else JSONL.
     Raises MissingField, DuplicateKey, NonFiniteConfidence or DataError
-    for the first offending line of the file; raises DataError for a file
-    that is not UTF-8 text and EmptySet for a file with no records.
+    for the first offending line of the file, a line that is not UTF-8
+    text included; raises EmptySet for a file with no records.
     """
     path = Path(path)
     is_csv = path.suffix.lower() == ".csv"
     sname = str(path)
-
-    pieces: dict[str, list] = {name: [] for name in ALL_FIELDS}
+    columns = _Columns()
     number_pieces: list[Sequence[int]] = []
-
-    def collected() -> tuple[TrialSet, np.ndarray]:
-        columns = {name: list(chain.from_iterable(parts)) for name, parts in pieces.items()}
-        columns["nlp"] = np.concatenate(pieces["nlp"])
-        return (TrialSet.from_columns(columns),
-                np.fromiter(chain.from_iterable(number_pieces), dtype=np.int64))
+    error = None
 
     # the rows and matches hold no cycles: the cyclic collector would only walk them
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8", newline="" if is_csv else None) as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape",
+                  newline="" if is_csv else None) as fh:
             if is_csv:
-                blocks = (_block_columns(*block, sname) for block in _csv_blocks(fh, sname))
+                blocks = (_add_block(columns, *block, sname) for block in _csv_blocks(fh, sname))
             else:
-                blocks = _jsonl_blocks(fh, sname)
-            for line_numbers, columns, error in blocks:
-                for name in ALL_FIELDS:
-                    pieces[name].append(columns[name])
+                blocks = _jsonl_blocks(fh, sname, columns)
+            for line_numbers, error in blocks:
                 number_pieces.append(line_numbers)
                 if error is not None:
-                    # every record collected so far precedes the offending line
-                    raise _first_duplicate(*collected(), sname) or error
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{sname}: not UTF-8 text ({exc.reason})") from None
+                    break
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    if not any(map(len, number_pieces)):
+    if error is None and not any(map(len, number_pieces)):
         raise EmptySet(f"{sname}: no trial records")
-    trials, line_numbers = collected()
-    duplicate = _first_duplicate(trials, line_numbers, sname)
-    if duplicate is not None:
-        raise duplicate
+    trials = TrialSet._built(columns)
+    # every record collected precedes the offending line
+    problem = _first_duplicate(trials, _joined(number_pieces, np.int64), sname) or error
+    if problem is not None:
+        raise problem
     return trials
 
 

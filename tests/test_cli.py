@@ -461,6 +461,29 @@ def test_synth_parameter_that_cannot_be_drawn_is_a_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+# parameters each finite but too large to draw: sigma * z overflows
+SYNTH_OVERFLOWS = [
+    ({"family": "lognormal_skew", "sigma_correct": "800"}, "lognormal_skew", "correct"),
+    ({"sigma_incorrect": "1e308"}, "gaussian", "incorrect"),
+]
+
+
+@pytest.mark.parametrize("settings, family, side", SYNTH_OVERFLOWS,
+                         ids=[family for _, family, _ in SYNTH_OVERFLOWS])
+def test_synth_draw_that_is_not_finite_is_a_config_error(tmp_path, capsys, settings, family,
+                                                         side):
+    cfg = synth_cfg(tmp_path, **settings)
+    message = (f"the {family} family drew a non-finite nlp for the {side} class: "
+               "its parameters are too large to draw")
+    with pytest.raises(InvalidConfig) as caught:
+        generate(load_synth_config(cfg))
+    assert str(caught.value) == message
+    out = tmp_path / "never.jsonl"
+    assert main(["synth", "--synth-config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "never.jsonl"
     assert main(["synth", "--synth-config", str(synth_cfg(tmp_path)), "--out", str(out),

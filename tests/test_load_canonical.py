@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 from metadkit import trialstore
 from metadkit.cli import main
 from metadkit.errors import DataError
-from metadkit.trialstore import (ALL_FIELDS, CODED_FIELDS, TrialRecord, TrialSet, load_trials,
-                                 save_trials)
+from metadkit.trialstore import (ALL_FIELDS, CODED_FIELDS, REQUIRED_FIELDS, TrialRecord, TrialSet,
+                                 load_trials, save_trials)
 
 NLP_MARK = "@@nlp@@"    # stands for the nlp text; '@' is in no drawn string
 
@@ -190,3 +191,63 @@ def test_every_block_of_a_synth_file_takes_the_canonical_path(tmp_path, monkeypa
     assert main(["synth", "--synth-config", str(cfg), "--out", str(out)]) == 0
     assert general_path_calls(monkeypatch, out) == 0
     assert len(load_trials(out)) == 300
+
+
+VALID_FORMS = ["canonical"] * 4 + ["ascii_false", "sorted", "compact", "spaced"]
+
+
+@st.composite
+def coded_files(draw):
+    """(text, rows) of a file of 1-12 valid records with unique keys, each
+    line in a drawn form. Each coded field draws its values from a pool of
+    1-4, and its values first appear in descending sorted order."""
+    n = draw(st.integers(1, 12))
+    pools = {name: sorted(draw(st.sets(st.one_of(PLAIN, TEXT.filter(bool)), min_size=1,
+                                       max_size=4)))
+             for name in CODED_FIELDS}
+    picks = draw(st.lists(st.tuples(*(st.integers(0, len(pools[name]) - 1)
+                                      for name in CODED_FIELDS)), min_size=n, max_size=n))
+    picks = list({(q, c, f): (q, d, c, f) for q, d, c, f in reversed(picks)}.values())[::-1]
+    rows = [{} for _ in picks]
+    for field, name in enumerate(CODED_FIELDS):
+        first_seen = list(dict.fromkeys(pick[field] for pick in picks))
+        value_of = {index: pools[name][-1 - rank] for rank, index in enumerate(first_seen)}
+        for row, pick in zip(rows, picks):
+            row[name] = value_of[pick[field]]
+    lines = []
+    for row in rows:
+        row["correct"] = draw(st.booleans())
+        row["nlp"] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        if draw(st.booleans()):
+            row["answer_text"] = draw(TEXT)
+        lines.append(render(row, repr(row["nlp"]), draw(st.sampled_from(VALID_FORMS))))
+    return "".join(line + "\n" for line in lines), rows
+
+
+def sorted_codes(values):
+    distinct = sorted(set(values))
+    return [distinct.index(value) for value in values], distinct
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, None])
+@settings(max_examples=200)
+@given(coded_files())
+def test_codes_index_the_sorted_distinct_values_of_each_field(block_rows, drawn):
+    """Oracle: the codes from json.loads of each line and sorted(set(...)),
+    for the loader at every block size and for TrialSet.from_columns."""
+    text, rows = drawn
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(trialstore, "_BLOCK_ROWS", block_rows or trialstore._BLOCK_ROWS):
+        path = Path(tmp) / "t.jsonl"
+        path.write_text(text, encoding="utf-8")
+        loaded = load_trials(path)
+    assert [json.loads(line) for line in text.split("\n")[:-1]] == rows
+    built = TrialSet.from_columns({name: [row[name] for row in rows]
+                                   for name in REQUIRED_FIELDS})
+    for trials in (loaded, built):
+        for name in CODED_FIELDS:
+            codes, values = trials.codes(name)
+            assert (codes.tolist(), values.tolist()) == sorted_codes([row[name] for row in rows])
+            assert codes.dtype == np.int64
+        assert trials.nlp_values.tolist() == [row["nlp"] for row in rows]
+        assert trials.correct_mask.tolist() == [row["correct"] for row in rows]

@@ -394,3 +394,60 @@ def test_file_that_is_not_utf8_is_a_data_error(tmp_path, block, fmt):
     path.write_bytes(path.read_bytes().replace(b"Arts", b"Ar\xe9ts", 1))
     assert described(path) == (DataError, None, None, None,
                                f"{path}: not UTF-8 text (invalid continuation byte)")
+
+
+def put_byte_not_utf8(path, line):
+    """Ends physical line ``line`` with the byte 0xe9, the lead of a
+    three-byte sequence, which the line's newline then cuts short."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xe9"
+    path.write_bytes(b"\n".join(lines))
+
+
+def not_utf8(path):
+    return (DataError, None, None, None, f"{path}: not UTF-8 text (invalid continuation byte)")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_bad_line_before_a_byte_that_is_not_utf8_wins(tmp_path, block, fmt):
+    for kind in FORMATS[fmt][0]:
+        lines, numbers = lines_with(fmt, {2: kind}, blank=(3,))
+        path = write(tmp_path, fmt, lines)
+        put_byte_not_utf8(path, numbers[4])
+        assert described(path) == expected(fmt, kind, numbers[2], path), kind
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_byte_that_is_not_utf8_wins_over_a_later_bad_line(tmp_path, block, fmt):
+    for kind in FORMATS[fmt][0]:
+        for at in (4, 6):   # the byte's own line, and a line after it
+            lines, numbers = lines_with(fmt, {at: kind}, blank=(3,))
+            path = write(tmp_path, fmt, lines)
+            put_byte_not_utf8(path, numbers[4])
+            assert described(path) == not_utf8(path), (kind, at)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_byte_that_is_not_utf8_on_the_first_line(tmp_path, block, fmt):
+    """On the first record's line, and on a CSV file's header line."""
+    path = write(tmp_path, fmt, lines_with(fmt, {})[0])
+    put_byte_not_utf8(path, 2 if fmt == "csv" else 1)
+    assert described(path) == not_utf8(path)
+    path = tmp_path / "header.csv"
+    path.write_bytes(HEADER.encode() + b"\xe9\n" + csv_line(base_row(0)).encode() + b"\n")
+    assert described(path) == not_utf8(path)
+
+
+def test_csv_record_that_runs_onto_a_line_that_is_not_utf8(tmp_path, block):
+    """A quoted answer over lines 3 and 4, the byte on line 4 and a
+    non-finite nlp in the same record: the record ends on the byte's line,
+    so the UTF-8 error wins; the records before it are read."""
+    path = tmp_path / "t.csv"
+    path.write_bytes("\n".join([
+        HEADER,
+        csv_line(base_row(0)),
+        csv_line({**base_row(1), "nlp": "nan"}) + '"two',
+        'lines q"',
+        csv_line(base_row(2)),
+    ]).encode().replace(b'lines q"', b'lines q\xe9"') + b"\n")
+    assert described(path) == not_utf8(path)

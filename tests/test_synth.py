@@ -24,6 +24,27 @@ def test_generation_is_deterministic():
     assert generate(other).records != generate(config).records
 
 
+def test_large_finite_draws_are_kept_as_drawn():
+    """A draw is never clamped or redrawn: the column is the rng stream's."""
+    config = SynthConfig(n_trials=300, p_correct=0.5, family="lognormal_skew",
+                         mu_correct=0.9, sigma_correct=60.0, seed=1)
+    rng = np.random.default_rng(1)
+    correct = rng.random(300) < 0.5
+    expected = np.empty(300)
+    expected[correct] = 0.9 - rng.lognormal(0.0, 60.0, correct.sum())
+    expected[~correct] = -1.0 - rng.lognormal(0.0, 1.0, (~correct).sum())
+    assert generate(config).nlp_values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family, sigma", [("lognormal_skew", 800.0), ("gaussian", 1e308)])
+def test_draw_that_overflows_is_refused(family, sigma):
+    config = SynthConfig(n_trials=600, p_correct=0.7, family=family, mu_correct=0.9,
+                         sigma_correct=sigma, seed=1)
+    with pytest.raises(InvalidConfig, match=f"the {family} family drew a non-finite nlp "
+                                            "for the correct class"):
+        generate(config)
+
+
 def test_schema_conformance():
     trials = generate(SynthConfig(n_trials=20, p_correct=0.5, seed=3,
                                   domain="Arts", condition="2", format="q5_k_m"))
