@@ -207,7 +207,8 @@ def coded_files(draw):
              for name in CODED_FIELDS}
     picks = draw(st.lists(st.tuples(*(st.integers(0, len(pools[name]) - 1)
                                       for name in CODED_FIELDS)), min_size=n, max_size=n))
-    picks = list({(q, c, f): (q, d, c, f) for q, d, c, f in reversed(picks)}.values())[::-1]
+    # one record per (question_id, condition, format) key
+    picks = list({(q, c, f): (q, d, c, f) for q, d, c, f in picks}.values())
     rows = [{} for _ in picks]
     for field, name in enumerate(CODED_FIELDS):
         first_seen = list(dict.fromkeys(pick[field] for pick in picks))
