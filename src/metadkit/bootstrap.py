@@ -86,6 +86,7 @@ from .profiles import fit_cell_arrays  # noqa: F401
 METRICS = ("accuracy", "nlp_gap", "auroc2", "d_prime", "meta_d", "m_ratio")
 PAIRINGS = ("paired", "independent")
 DEGENERATE_FRACTION_ALARM = 0.01
+TOST_CI_LEVEL = 0.90    # the CI level of a TOST rule, fixed: a 90% CI is an alpha = 0.05 TOST
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
 BLOCK_RECORDS = 32_768  # most records of a side that one evaluation block holds
 _MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
@@ -171,14 +172,13 @@ def check_resampling(n_resamples: int, workers: int = 1, pairing: str = "paired"
 
 
 def default_hypothesis_specs(tost_delta: float = 0.17,
-                             ci_confirmatory: float = 0.95,
-                             ci_tost: float = 0.90) -> list[HypothesisSpec]:
+                             ci_confirmatory: float = 0.95) -> list[HypothesisSpec]:
     """The default four-hypothesis confirmatory suite over conditions 1-4."""
     return [
         HypothesisSpec("H1", "2", "1", ("Science",), RULE_CI_LOWER_GT_ZERO,
                        ci_level=ci_confirmatory),
         HypothesisSpec("H2", "2", "1", ("History", "Arts", "Geography"), RULE_TOST,
-                       delta=tost_delta, ci_level=ci_tost),
+                       delta=tost_delta, ci_level=TOST_CI_LEVEL),
         HypothesisSpec("H3", "2", "3", ("Science",), RULE_CI_LOWER_GT_ZERO,
                        ci_level=ci_confirmatory),
         HypothesisSpec("H4", "2", "4", ("Science",), RULE_CI_LOWER_GT_ZERO,
@@ -558,18 +558,19 @@ def _single_domain(trials: TrialSet) -> str:
     return domains[0]
 
 
-def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
-           n_resamples: int, seed: int, ci_level: float, scale: RatingScale,
-           pad_value: float, pairing: str = "paired"):
+def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None, seed: int,
+           ci_level: float, scale: RatingScale, pad_value: float, pairing: str = "paired",
+           hypothesis_id: str = ""):
     """The RNG unit and resampling job of metric(a), or of metric(a) -
-    metric(b), the point of each side (_points), and its BootstrapResult
-    (ContrastResult) with no point estimate or CI yet.
+    metric(b), the point of each side (_points), and the type of its result
+    with the fields of it that resampling does not give.
 
     The a side draws ids from the stream of ``unit``; a paired b side
     shares that stream, an independent one has its own, ``unit|b``.
     """
     _check_ci_level(ci_level)
     domain = _single_domain(a)
+    fields = dict(metric=metric, domain=domain, ci_level=ci_level, seed=seed)
     if b is not None:
         label, default_unit = _contrast_names(metric, a, b)
         unit = unit or default_unit
@@ -582,6 +583,7 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
                 raise UnpairedSets(
                     f"paired contrast needs identical question ids; "
                     f"missing={report.missing[:5]} extra={report.extra[:5]}")
+        fields.update(hypothesis_id=hypothesis_id, pairing=pairing, contrast=label)
 
     entropy = _stream_entropy(seed, domain, unit)
     sides = (_side(a, entropy),)
@@ -589,12 +591,7 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None,
         sides += (_side(b, entropy if pairing == "paired"
                         else _stream_entropy(seed, domain, unit + "|b")),)
     job = _Job(metric, scale, pad_value, sides)
-    fields = dict(metric=metric, domain=domain, ci_low=np.nan, ci_high=np.nan,
-                  ci_level=ci_level, n_resamples=n_resamples, seed=seed)
-    return unit, job, _points(job), (
-        BootstrapResult(point=np.nan, **fields) if b is None else
-        ContrastResult(hypothesis_id="", delta_hat=np.nan, pairing=pairing, contrast=label,
-                       **fields))
+    return unit, job, _points(job), BootstrapResult if b is None else ContrastResult, fields
 
 
 def _point_values(units: list, pad_value: float) -> list[float]:
@@ -613,24 +610,31 @@ def _point_values(units: list, pad_value: float) -> list[float]:
     return out
 
 
-def _with_ci(result, unit: str, point: float, stats: np.ndarray):
-    """``result`` with its point estimate, flagged when nan, and the
-    percentile CI of its resample statistics; the undefined (nan) ones are
-    excluded and counted."""
-    valid = stats[~np.isnan(stats)]
-    n_bad = len(stats) - len(valid)
-    alarm = n_bad > DEGENERATE_FRACTION_ALARM * result.n_resamples
-    if alarm:
-        warnings.warn(f"{result.domain}/{unit}: {n_bad}/{result.n_resamples} resamples had "
-                      f"an undefined statistic", TooManyDegenerate, stacklevel=3)
-    ci = (np.nan, np.nan)
-    if len(valid):
-        alpha = 1.0 - result.ci_level
-        ci = np.percentile(valid, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
-    return replace(result, ci_low=float(ci[0]), ci_high=float(ci[1]),
-                   degenerate_resample_count=n_bad,
-                   flagged_degenerate=bool(np.isnan(point)) or alarm or not len(valid),
-                   **{"delta_hat" if isinstance(result, ContrastResult) else "point": point})
+def _results(setups: list, n_resamples: int, workers: int, pad_value: float) -> list:
+    """Each setup's (_setup) result: its point estimate (_point_values, one
+    solve for all), flagged when nan, and the percentile CI of its resample
+    statistics (_run_jobs, one team for all), the undefined (nan) ones
+    excluded and counted. A warning names the caller of the entry."""
+    points = _point_values([(job, points) for _, job, points, _, _ in setups], pad_value)
+    stats = _run_jobs([job for _, job, _, _, _ in setups], n_resamples, workers)
+    results = []    # a loop, not a comprehension: the warning's stacklevel names the caller
+    for (unit, _, _, kind, fields), point, unit_stats in zip(setups, points, stats):
+        valid = unit_stats[~np.isnan(unit_stats)]
+        n_bad = len(unit_stats) - len(valid)
+        alarm = n_bad > DEGENERATE_FRACTION_ALARM * n_resamples
+        if alarm:
+            warnings.warn(f"{fields['domain']}/{unit}: {n_bad}/{n_resamples} resamples had "
+                          f"an undefined statistic", TooManyDegenerate, stacklevel=3)
+        ci = (np.nan, np.nan)
+        if len(valid):
+            alpha = 1.0 - fields["ci_level"]
+            ci = np.percentile(valid, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
+        results.append(kind(
+            **{"point" if kind is BootstrapResult else "delta_hat": point}, **fields,
+            ci_low=float(ci[0]), ci_high=float(ci[1]), n_resamples=n_resamples,
+            degenerate_resample_count=n_bad,
+            flagged_degenerate=bool(np.isnan(point)) or alarm or not len(valid)))
+    return results
 
 
 def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
@@ -644,17 +648,15 @@ def bootstrap_metric(trials: TrialSet, metric: str, n_resamples: int = 10_000,
     bins recomputed per resample for the model-based metrics).
     """
     check_resampling(n_resamples, workers)
-    unit, job, points, result = _setup(trials, None, metric, metric, n_resamples, seed,
-                                       ci_level, scale, pad_value)
-    point, = _point_values([(job, points)], pad_value)
-    return _with_ci(result, unit, point, _run_jobs([job], n_resamples, workers)[0])
+    setup = _setup(trials, None, metric, metric, seed, ci_level, scale, pad_value)
+    return _results([setup], n_resamples, workers, pad_value)[0]
 
 
 def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
                        n_resamples: int = 10_000, seed: int = 42,
                        ci_level: float = 0.95, workers: int = 1,
                        scale: RatingScale = RatingScale(), pad_value: float = DEFAULT_PAD_VALUE,
-                       pairing: str = "paired", unit: str | None = None) -> ContrastResult:
+                       pairing: str = "paired") -> ContrastResult:
     """Bootstrap CI for metric(a) - metric(b) on one domain.
 
     With ``pairing="paired"`` (default) one shared id-draw sequence drives
@@ -662,10 +664,8 @@ def bootstrap_contrast(trials_a: TrialSet, trials_b: TrialSet, metric: str,
     ``"independent"`` resamples each side from its own id list.
     """
     check_resampling(n_resamples, workers, pairing)
-    unit, job, points, result = _setup(trials_a, trials_b, metric, unit, n_resamples, seed,
-                                       ci_level, scale, pad_value, pairing)
-    point, = _point_values([(job, points)], pad_value)
-    return _with_ci(result, unit, point, _run_jobs([job], n_resamples, workers)[0])
+    setup = _setup(trials_a, trials_b, metric, None, seed, ci_level, scale, pad_value, pairing)
+    return _results([setup], n_resamples, workers, pad_value)[0]
 
 
 def _contrast_names(metric: str, a: TrialSet, b: TrialSet) -> tuple[str, str]:
@@ -692,8 +692,8 @@ def check_tost_delta(delta: float) -> None:
 
 
 def check_tost_ci_level(ci_level: float) -> None:
-    """Raise WrongCiLevel unless ci_level is the 90% that TOST needs."""
-    if not abs(ci_level - 0.90) <= 1e-9:
+    """Raise WrongCiLevel unless ci_level is TOST_CI_LEVEL, the 90% that TOST needs."""
+    if not abs(ci_level - TOST_CI_LEVEL) <= 1e-9:
         raise WrongCiLevel(f"TOST needs a 90% CI, got {ci_level}")
 
 
@@ -743,12 +743,7 @@ def run_hypothesis_suite(trials: TrialSet, specs: list[HypothesisSpec],
                     f"{spec.condition_a if len(a) == 0 else spec.condition_b} in {domain}")
             unit = f"{spec.metric}|{spec.condition_a}-{spec.condition_b}"
             specs_run.append(spec)
-            setups.append(_setup(a, b, spec.metric, unit, n_resamples, seed, spec.ci_level,
-                                 scale, pad_value, pairing))
-    points = _point_values([(job, points) for _, job, points, _ in setups], pad_value)
-    stats = _run_jobs([job for _, job, _, _ in setups], n_resamples, workers)
-    results = []    # a loop, not a comprehension: _with_ci's stacklevel names the caller
-    for spec, (unit, _, _, result), point, unit_stats in zip(specs_run, setups, points, stats):
-        result = replace(_with_ci(result, unit, point, unit_stats), hypothesis_id=spec.id)
-        results.append(decide(result, spec.rule, spec.delta))
-    return results
+            setups.append(_setup(a, b, spec.metric, unit, seed, spec.ci_level, scale,
+                                 pad_value, pairing, spec.id))
+    results = _results(setups, n_resamples, workers, pad_value)
+    return [decide(result, spec.rule, spec.delta) for spec, result in zip(specs_run, results)]

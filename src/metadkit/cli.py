@@ -8,9 +8,10 @@ generates synthetic trials.
 
 A run's settings are RunConfig's fields, read in layers, each over the one
 before: defaults <- ``$METADKIT_WORKERS`` (``workers``) <- a flat key=value
-config file of RunConfig keys <- flags. Each key but ``pad_value`` and the CI
-levels has a flag: ``--resamples``, ``--nratings`` and ``--delta`` for
-``n_resamples``, ``n_ratings`` and ``tost_delta``, else ``--<key>`` with dashes.
+config file of RunConfig keys <- flags. Each key but ``pad_value`` and
+``ci_level_confirmatory`` has a flag: ``--resamples``, ``--nratings`` and
+``--delta`` for ``n_resamples``, ``n_ratings`` and ``tost_delta``, else
+``--<key>`` with dashes; ``confirm`` refuses a ``binning_scope`` but per_cell.
 Exit codes: 0 success, 1 data error, 2 configuration error, 3 numerical failure.
 """
 
@@ -51,7 +52,6 @@ class RunConfig:
     n_resamples: int = 10_000
     tost_delta: float = 0.17
     ci_level_confirmatory: float = 0.95
-    ci_level_tost: float = 0.90
     binning_scope: str = "per_cell"
     pairing: str = "paired"
     out: str = "out"
@@ -65,8 +65,7 @@ class RunConfig:
             check_pad_value(self.pad_value)
             check_binning_scope(self.binning_scope)
             check_resampling(self.n_resamples, self.workers, self.pairing)
-            default_hypothesis_specs(self.tost_delta, self.ci_level_confirmatory,
-                                     self.ci_level_tost)
+            default_hypothesis_specs(self.tost_delta, self.ci_level_confirmatory)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -274,10 +273,12 @@ def cmd_compare_formats(args: argparse.Namespace) -> int:
 
 def cmd_confirm(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if config.binning_scope != "per_cell":
+        raise ConfigError(f"confirm bins each resampled cell on its own, so binning_scope "
+                          f"must be per_cell, got {config.binning_scope!r}")
     trials = _load(config, args.format)
     specs = default_hypothesis_specs(tost_delta=config.tost_delta,
-                                     ci_confirmatory=config.ci_level_confirmatory,
-                                     ci_tost=config.ci_level_tost)
+                                     ci_confirmatory=config.ci_level_confirmatory)
     results = run_hypothesis_suite(trials, specs, n_resamples=config.n_resamples,
                                    seed=config.seed, workers=config.workers,
                                    scale=config.scale, pad_value=config.pad_value,

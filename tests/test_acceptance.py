@@ -11,7 +11,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +332,20 @@ def test_where_the_m_ratio_profile_moves_on_the_reference_cells():
     assert np.round(parts, 3).tolist() == [0.116, 0.065, 0.094]
     # the rounded M-ratio column gives the same variance to 3 decimals
     assert round(np.var(meta_d - d_prime), 3) == round(np.var(m_ratio), 3) == 0.274
+
+
+def test_exact_null_of_a_four_domain_rank_correlation():
+    """With four domains and two unrelated profiles, each of the 24 rank
+    orders of one against the other is equally likely. Kendall's 0.00, the
+    abstract's M-ratio figure, is the most common outcome of no relation
+    (6 in 24), and the AUROC2 figure 1.00 has an exact one-sided p of 1/24."""
+    orders = list(permutations(range(4)))
+    rho = [round(spearman_rho(range(4), order), 12) for order in orders]
+    tau = [round(_kendall_tau(range(4), order), 12) for order in orders]
+    assert len(orders) == 24
+    assert (rho.count(1.0), rho.count(0.0), sum(r <= -0.2 for r in rho)) == (1, 2, 11)
+    assert (tau.count(1.0), tau.count(0.0), sum(t <= 0.0 for t in tau)) == (1, 6, 15)
+    assert max(map(tau.count, tau)) == tau.count(0.0)
 
 REFERENCE_CONTRASTS = {  # (hypothesis, domain) -> (delta, ci_low, ci_high, decision)
     ("H1", "Science"): (-0.118, -0.539, 0.348, "not_supported"),

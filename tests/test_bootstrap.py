@@ -20,6 +20,7 @@ from metadkit.bootstrap import (
     HypothesisSpec,
     bootstrap_contrast,
     bootstrap_metric,
+    check_resampling,
     decide,
     default_hypothesis_specs,
     metric_value,
@@ -341,10 +342,7 @@ def test_more_resamples_than_the_rng_contract_has_ordinals_are_refused_before_an
 
 
 def test_setup_accepts_every_ordinal_of_the_rng_contract():
-    trials = gaussian_trials(np.random.default_rng(0), 40)
-    *_, result = bootstrap._setup(trials, None, "auroc2", "auroc2", 2 ** 32, 42, 0.95,
-                                  RatingScale(), DEFAULT_PAD_VALUE)
-    assert result.n_resamples == 2 ** 32
+    check_resampling(2 ** 32)
 
 
 def test_decide_lower_bound_rule():
@@ -418,16 +416,9 @@ def test_suite_on_one_pool_matches_its_contrasts_run_alone(rng):
     specs = default_hypothesis_specs()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TooManyDegenerate)
-        alone = []
-        for spec in specs:
-            for domain in spec.domains:
-                contrast = bootstrap_contrast(
-                    trials.filter(condition=spec.condition_a, domain=domain),
-                    trials.filter(condition=spec.condition_b, domain=domain), spec.metric,
-                    n_resamples=60, seed=42, ci_level=spec.ci_level,
-                    unit=f"{spec.metric}|{spec.condition_a}-{spec.condition_b}")
-                alone.append(decide(replace(contrast, hypothesis_id=spec.id), spec.rule,
-                                    spec.delta))
+        alone = [result for spec in specs for domain in spec.domains
+                 for result in run_hypothesis_suite(
+                     trials, [replace(spec, domains=(domain,))], n_resamples=60, seed=42)]
         suites = [run_hypothesis_suite(trials, specs, n_resamples=60, seed=42,
                                        workers=workers) for workers in (1, 2)]
     messages = [str(w.message) for w in caught if w.category is TooManyDegenerate]

@@ -12,7 +12,6 @@ from metadkit.bootstrap import (
     RULE_TOST,
     HypothesisSpec,
     check_resampling,
-    check_tost_ci_level,
 )
 from metadkit.cli import (
     CONFIG_KEYS,
@@ -77,7 +76,6 @@ def test_config_defaults_match_protocol():
     assert config.n_resamples == 10_000
     assert config.tost_delta == 0.17
     assert config.ci_level_confirmatory == 0.95
-    assert config.ci_level_tost == 0.90
     assert config.binning_scope == "per_cell"
     assert config.pairing == "paired"
 
@@ -281,7 +279,6 @@ OWNED_SETTINGS = [
     ("tost_delta", "nan", lambda: tost_spec(delta=float("nan"))),
     ("ci_level_confirmatory", "1.5",
      lambda: HypothesisSpec("H1", "2", "1", ("Science",), RULE_CI_LOWER_GT_ZERO, ci_level=1.5)),
-    ("ci_level_tost", "0.95", lambda: check_tost_ci_level(0.95)),
 ]
 
 
@@ -312,6 +309,28 @@ def test_negative_or_non_finite_pad_value_fails_before_load(tmp_path, monkeypatc
 @pytest.mark.parametrize("text", ["tost_delta = nan\n", "ci_level_tost = nan\n"])
 def test_nan_tost_setting_fails_before_load(tmp_path, monkeypatch, text):
     assert run_confirm_with_config(tmp_path, monkeypatch, text) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_confirm_refuses_global_binning_before_load(tmp_path, monkeypatch, capsys, source):
+    """confirm bins each resampled cell on its own; a global scope it would
+    ignore, so it refuses it from a flag or a config file alike."""
+    import metadkit.cli
+
+    monkeypatch.setattr(metadkit.cli, "run_hypothesis_suite",
+                        lambda *args, **kwargs: pytest.fail("the suite ran"))
+    path = tmp_path / "run.cfg"
+    path.write_text("binning_scope = global\n" if source == "config" else "")
+    flags = ["--binning-scope", "global"] if source == "flag" else []
+    out_dir = tmp_path / "conf"
+    # the trial file does not exist: loading it first would exit 1
+    code = main(["confirm", "--config", str(path), "--trials", str(tmp_path / "none.jsonl"),
+                 "--out", str(out_dir), *flags])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        "config error: confirm bins each resampled cell on its own, so binning_scope must be "
+        "per_cell, got 'global'\n")
+    assert not out_dir.exists()
 
 
 def test_zero_pad_value_is_legal(tmp_path):

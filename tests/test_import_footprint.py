@@ -4,12 +4,25 @@ Every CLI run is a new process, so each scipy subpackage the package
 imports is paid on every command. The runtime needs numpy and
 scipy.special (ndtr / ndtri in the fitter) only. It never imports
 scipy.optimize: only the test oracles in tests/oracles.py do.
+
+The package must also load on Python 3.10, the floor pyproject.toml
+declares: no later syntax, and no regular expression that only 3.11
+compiles.
 """
 
+import ast
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    from re import _parser as _regex_parser
+except ImportError:     # Python 3.10
+    import sre_parse as _regex_parser
 
 import metadkit
 
@@ -77,3 +90,40 @@ def test_the_package_holds_no_test_oracle():
     assert [path.name for path in src.rglob("*.py")
             if "scipy.optimize" in path.read_text(encoding="utf-8")] == []
     assert not hasattr(metadkit, "oracle_meta_grid")
+
+
+def _package_modules():
+    return [importlib.import_module(f"metadkit.{info.name}")
+            for info in pkgutil.iter_modules(metadkit.__path__)]
+
+
+def test_the_package_parses_as_python_3_10():
+    """pyproject.toml's floor is Python 3.10; no syntax from a later one."""
+    src = Path(metadkit.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def _regex_ops(parsed):
+    """The name of every opcode in a parsed regular expression, nested ones too."""
+    for op, arg in parsed:
+        yield op.name
+        stack = [arg]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _regex_parser.SubPattern):
+                yield from _regex_ops(item)
+            elif isinstance(item, (list, tuple)):
+                stack.extend(item)
+
+
+def test_no_pattern_of_the_package_needs_python_3_11():
+    """Possessive quantifiers and atomic groups compile only from Python 3.11."""
+    patterns = [value for module in _package_modules() for value in vars(module).values()
+                if isinstance(value, re.Pattern)]
+    assert patterns
+    for pattern in patterns:
+        ops = set(_regex_ops(_regex_parser.parse(pattern.pattern, pattern.flags)))
+        assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
+    if sys.version_info >= (3, 11):     # the walk finds one where there is one
+        assert "POSSESSIVE_REPEAT" in set(_regex_ops(_regex_parser.parse("a(?:b|c++)")))

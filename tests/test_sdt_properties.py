@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -22,7 +22,7 @@ from metadkit.sdt import (
     type1_batch,
     type1_fit,
 )
-from tests.oracles import predicted_count_table
+from tests.oracles import oracle_meta_grid, predicted_count_table
 
 PAD = 0.5
 
@@ -112,6 +112,31 @@ def test_fit_is_bit_identical_alone_and_in_a_shuffled_batch(tables, seed):
     j = int(np.flatnonzero(order == 0)[0])
     for field in ("meta_d", "criteria", "log_likelihood", "converged", "iterations"):
         assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[j]), field
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(meta_d=st.floats(0.0, 3.0), d_prime=st.floats(0.2, 2.5), sign=st.sampled_from([1, -1]),
+       cprime=st.floats(-3.0, 3.0), gaps=st.lists(st.floats(0.1, 1.5), min_size=6, max_size=6),
+       p_correct=st.floats(0.2, 0.9), n=st.integers(60, 900), seed=st.integers(0, 2 ** 32 - 1))
+def test_mle_never_loses_to_the_grid_oracle(meta_d, d_prime, sign, cprime, gaps, p_correct, n,
+                                            seed):
+    """Multinomial draws from a model-implied table, so that sparse and
+    zero-heavy tables occur; the coarse grid's likelihood never beats the
+    Newton MLE's. Only the likelihoods are compared: gradients and converged
+    flags are not, since the far-tail floor of the likelihood (ROADMAP item
+    8) still bends them on extreme-|c'| tables."""
+    d_prime *= sign
+    expected = predicted_count_table(meta_d, (d_prime, cprime * d_prime), gaps[:3], gaps[3:],
+                                     n=1.0, p_correct=p_correct)
+    raw = np.random.default_rng(seed).multinomial(n, expected.ravel() / expected.sum())
+    table = pad_counts(raw.reshape(2, 8).astype(float), PAD)
+    type1 = type1_fit(table)
+    assume(type1[0] != 0.0)
+    fit = _fit(table, type1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, grid_ll = oracle_meta_grid(table, type1, coarse_step=0.25, fine_step=0.25)
+    assert grid_ll <= fit.log_likelihood + 1e-9 * abs(fit.log_likelihood)
 
 
 def scalar_type1(table):
