@@ -92,11 +92,6 @@ def test_the_package_holds_no_test_oracle():
     assert not hasattr(metadkit, "oracle_meta_grid")
 
 
-def _package_modules():
-    return [importlib.import_module(f"metadkit.{info.name}")
-            for info in pkgutil.iter_modules(metadkit.__path__)]
-
-
 def test_the_package_parses_as_python_3_10():
     """pyproject.toml's floor is Python 3.10; no syntax from a later one."""
     src = Path(metadkit.__file__).resolve().parent
@@ -119,7 +114,9 @@ def _regex_ops(parsed):
 
 def test_no_pattern_of_the_package_needs_python_3_11():
     """Possessive quantifiers and atomic groups compile only from Python 3.11."""
-    patterns = [value for module in _package_modules() for value in vars(module).values()
+    modules = [importlib.import_module(f"metadkit.{info.name}")
+               for info in pkgutil.iter_modules(metadkit.__path__)]
+    patterns = [value for module in modules for value in vars(module).values()
                 if isinstance(value, re.Pattern)]
     assert patterns
     for pattern in patterns:
