@@ -34,20 +34,26 @@ stream (``_draw_batch``, bit for bit the stream above, as
 tests/test_rng_contract.py checks), shared by the sides of that stream,
 as a paired side shares the first side's; each side's rows through the
 evaluator in blocks of at most BLOCK_RECORDS records (``_Side.blocks``);
-one ``sdt.meta_d_fit_batch`` solve for the tables of every block. The
-draw is made once per batch because each draw has a fixed cost
+``sdt.meta_d_fit_batch`` solves of at most FIT_ROWS tables for the tables
+of every block of every job of the chunk. The draw is made once per
+batch because each draw has a fixed cost
 (``_seed_states``); the blocks keep the gathers, offsets and tallies of
 a block a few hundred kB, so the allocator reuses them from block to
 block instead of handing MB-sized buffers back to the kernel and
 faulting them in again. A point estimate, ``metric_value``'s too, is a
 side's identity block (its records in record order), fitted by one
 ``sdt.sdt_fits`` solve with its warnings. Every value equals its
-resample evaluated alone, so neither the batch or block edges nor the
+resample evaluated alone, so neither the batch, block or solve edges nor the
 worker count change a result.
 
-``workers`` counts processes in all, the calling one included. Every
-contrast of a call, a whole suite's too, is cut into chunks of one
-FIT_BATCH batch each. At more than one worker a call starts a team:
+``workers`` counts processes in all, the calling one included. The
+units of a call, a whole suite's too, are cut into chunks of one
+FIT_BATCH batch each (``_run_jobs``). Every meta_d and m_ratio unit
+shares its chunks: a chunk is one batch of all of them, so that their
+tables meet in solves of up to FIT_ROWS, where a solve of one unit's 200
+to 256 tables pays more per-call overhead per table. Every other unit has
+no solve to share and keeps chunks of its own, which spread more evenly
+over a team. At more than one worker a call starts a team:
 ``workers - 1`` child processes (no more than the chunks need) and the
 caller each claim the next chunk from one shared counter and write its
 values into one shared array. One worker starts no process.
@@ -88,6 +94,12 @@ PAIRINGS = ("paired", "independent")
 DEGENERATE_FRACTION_ALARM = 0.01
 TOST_CI_LEVEL = 0.90    # the CI level of a TOST rule, fixed: a 90% CI is an alpha = 0.05 TOST
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
+# most tables of one meta-d' solve. The f16 H1-H4 suite of the benchmark's
+# trial file at 100 resamples (one core of a 2-vCPU Xeon VM) took 90 ms in
+# solves of 200 tables, 79 ms in the 400s this cuts its 1 200 into and
+# 89 ms in one solve; small solves pay numpy's per-call overhead, large
+# ones their 7.4 kB per table of working set (3.8 MB at 512)
+FIT_ROWS = 512
 BLOCK_RECORDS = 32_768  # most records of a side that one evaluation block holds
 _MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
 _FITTED = ("meta_d", "m_ratio")               # and meta-d' fitted
@@ -436,39 +448,55 @@ def _draws(job: _Job, lo: int, hi: int) -> list[np.ndarray]:
     return [streams[side.entropy, side.n_ids] for side in job.sides]
 
 
-def _eval_chunk(job: _Job, start: int, stop: int) -> np.ndarray:
-    """Statistic (or nan) for resample ordinals [start, stop), evaluated
-    FIT_BATCH ordinals at a time: one id draw per stream, each side's rows
-    through _evaluate in blocks of bounded size (_Side.blocks), then one
-    meta-d' solve for the tables of every block of every side, in order."""
-    parts = []
+def _eval_chunk(jobs: list[_Job], start: int, stop: int) -> np.ndarray:
+    """Each job's statistic (or nan) for resample ordinals [start, stop),
+    as a (len(jobs), stop - start) block, evaluated FIT_BATCH ordinals at a
+    time: one id draw per stream of a job, each side's rows through
+    _evaluate in blocks of bounded size (_Side.blocks), then the tables
+    every block of every job left to fit, in job, side and block order, in
+    ceil(tables / FIT_ROWS) meta-d' solves of equal size."""
+    out = np.empty((len(jobs), stop - start))
     for lo in range(start, stop, FIT_BATCH):
-        reasons, values, pending = [], [], []   # per side; the pending fits of every block
-        for side, draws in zip(job.sides, _draws(job, lo, min(lo + FIT_BATCH, stop))):
-            side_reasons, side_values, side_pending = zip(
-                *(_evaluate(job, side, *block) for block in side.blocks(draws)))
-            reasons.append(np.concatenate(side_reasons))
-            values.append(np.concatenate(side_values))
-            pending += side_pending
-        reasons, values = np.array(reasons), np.array(values)
-        if job.metric in _FITTED:
+        hi = min(lo + FIT_BATCH, stop)
+        evaluated, pending = [], []     # per job its (reasons, values); every pending fit
+        for job in jobs:
+            reasons, values = [], []    # per side
+            for side, draws in zip(job.sides, _draws(job, lo, hi)):
+                side_reasons, side_values, side_pending = zip(
+                    *(_evaluate(job, side, *block) for block in side.blocks(draws)))
+                reasons.append(np.concatenate(side_reasons))
+                values.append(np.concatenate(side_values))
+                if job.metric in _FITTED:
+                    pending += side_pending
+            evaluated.append((np.array(reasons), np.array(values)))
+        if pending:
             tables, d_prime, criterion_c = map(np.concatenate, zip(*pending))
-            fit = meta_d_fit_batch(tables, d_prime, criterion_c)
-            values[reasons == DEFINED] = np.where(
-                fit.converged, _fitted_stat(job.metric, fit.meta_d, d_prime), np.nan)
-        parts.append(np.subtract.reduce(values))
-    return np.concatenate(parts)
+            solves = max(1, -(-len(tables) // FIT_ROWS))
+            fits = [meta_d_fit_batch(*rows) for rows in zip(
+                *(np.array_split(a, solves) for a in (tables, d_prime, criterion_c)))]
+            meta_d = np.concatenate([fit.meta_d for fit in fits])
+            converged = np.concatenate([fit.converged for fit in fits])
+        taken = 0
+        for j, (job, (reasons, values)) in enumerate(zip(jobs, evaluated)):
+            if job.metric in _FITTED:
+                fitted = reasons == DEFINED
+                rows = slice(taken, taken + np.count_nonzero(fitted))
+                taken = rows.stop
+                values[fitted] = np.where(converged[rows], _fitted_stat(
+                    job.metric, meta_d[rows], d_prime[rows]), np.nan)
+            out[j, lo - start:hi - start] = np.subtract.reduce(values)
+    return out
 
 
-def _claim_chunks(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed, shared,
-                  failed) -> None:
+def _claim_chunks(jobs: list[_Job], chunks: list[tuple[tuple[int, ...], int, int]], claimed,
+                  shared, failed) -> None:
     """The loop of every process of a team: claim the next chunk under the
-    lock of the shared counter ``claimed`` and write its statistics into
-    its slots of ``shared``, the (len(jobs), n_resamples) float64 results,
-    until no chunk is left. A chunk's error moves the counter past the
-    last chunk, so that every process stops after its current one, and
-    records the chunk's index in the shared ``failed`` unless an earlier
-    error did."""
+    lock of the shared counter ``claimed`` and write the statistics of its
+    jobs into their slots of ``shared``, the (len(jobs), n_resamples)
+    float64 results, until no chunk is left. A chunk's error moves the
+    counter past the last chunk, so that every process stops after its
+    current one, and records the chunk's index in the shared ``failed``
+    unless an earlier error did."""
     out = np.frombuffer(shared).reshape(len(jobs), -1)
     while True:
         with claimed.get_lock():
@@ -476,9 +504,9 @@ def _claim_chunks(jobs: list[_Job], chunks: list[tuple[int, int, int]], claimed,
             claimed.value = k + 1
         if k >= len(chunks):
             return
-        j, lo, hi = chunks[k]
+        group, lo, hi = chunks[k]
         try:
-            out[j, lo:hi] = _eval_chunk(jobs[j], lo, hi)
+            out[list(group), lo:hi] = _eval_chunk([jobs[j] for j in group], lo, hi)
         except BaseException:
             with claimed.get_lock():
                 claimed.value = len(chunks)
@@ -493,34 +521,47 @@ def _child(*args) -> None:
     _claim_chunks(*args)
 
 
+def _groups(jobs: list[_Job]) -> list[tuple[int, ...]]:
+    """The jobs that share chunks, as tuples of indices ordered by their
+    first: every job whose metric is meta-d' fitted in one group, so that
+    their tables meet in solves of up to FIT_ROWS; every other job alone,
+    as it has no solve to share, so that its chunks stay small."""
+    groups = [(j,) for j, job in enumerate(jobs) if job.metric not in _FITTED]
+    fitted = tuple(j for j, job in enumerate(jobs) if job.metric in _FITTED)
+    if fitted:
+        groups.append(fitted)
+    return sorted(groups)
+
+
 def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarray]:
     """Each job's statistic (or nan) for ordinals [0, n_resamples), on
     ``workers`` processes in all, this one included.
 
-    Every chunk is one FIT_BATCH batch of one job. One worker, or a single
-    chunk, runs them in turn here and creates no process. Otherwise
-    min(workers, chunks) - 1 child processes are started and form a team
-    with this one: each process claims the next chunk from one shared
-    counter (_claim_chunks) and writes its statistics into one shared
-    array. With fork the jobs reach the children at fork time; under spawn
-    or forkserver they are pickled once per child. On any error the
-    counter moves past the last chunk and every child is joined. This
-    process's own error is raised; else the first chunk that failed in a
-    child is run again here, where a chunk's values and errors depend only
-    on its job and ordinals, so it raises the child's error with its own
-    type and message (the child printed its traceback to stderr). A
+    A chunk is one FIT_BATCH batch of one group of jobs (_groups): of
+    every meta-d' fitted job at once, or of one other job. One worker, or
+    a single chunk, runs them in turn here and creates no process.
+    Otherwise min(workers, chunks) - 1 child processes are started and
+    form a team with this one: each process claims the next chunk from one
+    shared counter (_claim_chunks) and writes its statistics into one
+    shared array. With fork the jobs reach the children at fork time;
+    under spawn or forkserver they are pickled once per child. On any
+    error the counter moves past the last chunk and every child is joined.
+    This process's own error is raised; else the first chunk that failed
+    in a child is run again here, where a chunk's values and errors depend
+    only on its jobs and ordinals, so it raises the child's error with its
+    own type and message (the child printed its traceback to stderr). A
     RuntimeError is raised if that chunk runs cleanly here, or if a child
     exited non-zero with no chunk failed (a signal, the OOM killer). A
     child killed while it holds the counter's lock (for a few
     microseconds per chunk) would leave the others waiting on it.
     """
-    chunks = [(j, lo, min(lo + FIT_BATCH, n_resamples))
-              for j in range(len(jobs)) for lo in range(0, n_resamples, FIT_BATCH)]
+    chunks = [(group, lo, min(lo + FIT_BATCH, n_resamples))
+              for group in _groups(jobs) for lo in range(0, n_resamples, FIT_BATCH)]
     team = min(workers, len(chunks))
     if team <= 1:
         out = np.empty((len(jobs), n_resamples))
-        for j, lo, hi in chunks:
-            out[j, lo:hi] = _eval_chunk(jobs[j], lo, hi)
+        for group, lo, hi in chunks:
+            out[list(group), lo:hi] = _eval_chunk([jobs[j] for j in group], lo, hi)
         return list(out)
     ctx = multiprocessing.get_context()
     claimed, failed = ctx.Value("q", 0), ctx.RawValue("q", -1)
@@ -540,10 +581,11 @@ def _run_jobs(jobs: list[_Job], n_resamples: int, workers: int) -> list[np.ndarr
         for child in children:
             child.join()
     if failed.value >= 0:
-        j, lo, hi = chunks[failed.value]
-        _eval_chunk(jobs[j], lo, hi)
-        raise RuntimeError(f"resample chunk [{lo}, {hi}) of job {j} failed in a bootstrap "
-                           f"worker process but runs cleanly here")
+        group, lo, hi = chunks[failed.value]
+        _eval_chunk([jobs[j] for j in group], lo, hi)
+        raise RuntimeError(f"resample chunk [{lo}, {hi}) of job{'s' * (len(group) > 1)} "
+                           f"{', '.join(map(str, group))} failed in a bootstrap worker "
+                           f"process but runs cleanly here")
     for child in children:
         if child.exitcode:
             raise RuntimeError(f"bootstrap worker process {child.pid} exited with code "

@@ -249,6 +249,11 @@ def cmd_compare_formats(args: argparse.Namespace) -> int:
     if condition is None:
         raise ConfigError(f"multiple conditions present ({', '.join(conditions)}); "
                           "pick one with --condition")
+    if condition not in conditions:
+        raise DataError(f"no trials for condition {condition!r}")
+    for fmt in (args.format_a, args.format_b):
+        if fmt not in trials.formats():
+            raise DataError(f"no trials for format {fmt!r}")
     profiles = {}
     for fmt in dict.fromkeys((args.format_a, args.format_b)):
         subset = trials.filter(condition=condition, format=fmt)

@@ -253,6 +253,7 @@ def _nll_and_grad(theta: np.ndarray, counts: np.ndarray, cprime, order: int = 1)
     x[:, 4 * m + 4:] = dF[:, :, k] / q2[..., None]
     w = np.concatenate([-(weight * z).reshape(n, 2 * m), -n_act.reshape(n, 2 * n_bins),
                         n_lower, n_upper], axis=1)
+    del dC, dz, dF, dlog_p, q, cond, pdf     # freed before the product, which peaks
     hess = np.swapaxes(x, 1, 2) @ (w[..., None] * x)
     d2_s = d_s.copy()
     d2_s[:, 0] = 2.0 * cprime * weight.sum(axis=(1, 2)) - (weight[:, 1] - weight[:, 0]).sum(axis=1)

@@ -292,7 +292,8 @@ class TrialSet:
 
     def filter(self, domain: str | None = None, condition: str | None = None,
                format: str | None = None) -> "TrialSet":
-        return filter_trials(self, domain=domain, condition=condition, format=format)
+        return filter_trials(self, domain=domain, condition=condition, format=format,
+                             _stacklevel=3)
 
 
 def _missing(value) -> bool:
@@ -598,11 +599,14 @@ def save_trials(trials: TrialSet, path: str | Path) -> None:
 
 
 def filter_trials(trials: TrialSet, domain: str | None = None,
-                  condition: str | None = None, format: str | None = None) -> TrialSet:
+                  condition: str | None = None, format: str | None = None, *,
+                  _stacklevel: int = 2) -> TrialSet:
     """Order-preserving conjunctive subset; absent selectors match all.
 
     A selector value that occurs nowhere in the set triggers an
-    UnknownSelectorValue warning; the (legal) empty result is returned.
+    UnknownSelectorValue warning, which names the caller's line (that of
+    TrialSet.filter's caller when the call came through it); the (legal)
+    empty result is returned.
     """
     mask = np.ones(len(trials), dtype=bool)
     for name, value in (("domain", domain), ("condition", condition), ("format", format)):
@@ -612,7 +616,7 @@ def filter_trials(trials: TrialSet, domain: str | None = None,
         match = np.flatnonzero(values == value)
         if len(match) == 0:
             warnings.warn(f"{name}={value!r} matches no records", UnknownSelectorValue,
-                          stacklevel=2)
+                          stacklevel=_stacklevel)
             mask[:] = False
         else:
             mask &= codes == match[0]

@@ -409,22 +409,37 @@ def test_suite_shapes_and_determinism(rng):
             assert r.ci_level == 0.95
 
 
-def test_suite_on_one_pool_matches_its_contrasts_run_alone(rng):
+def test_suite_on_one_pool_matches_its_contrasts_run_alone(rng, monkeypatch):
     # 60 questions per domain: some meta-d' resamples are undefined, so
-    # several contrasts warn; results and warnings keep the spec order
+    # several contrasts warn; results and warnings keep the spec order. The
+    # suite's meta-d' contrasts share chunks and solves, in the mixed suite
+    # with an auroc2 contrast, which has chunks of its own, after each.
+    # At FIT_BATCH = 7 a chunk of the six holds 2 x 6 x 7 = 84 tables at
+    # most, so FIT_ROWS = 5 solves them in slices of 4 and 5 tables
     trials = four_condition_trials(rng, n_questions=60)
-    specs = default_hypothesis_specs()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TooManyDegenerate)
-        alone = [result for spec in specs for domain in spec.domains
-                 for result in run_hypothesis_suite(
-                     trials, [replace(spec, domains=(domain,))], n_resamples=60, seed=42)]
-        suites = [run_hypothesis_suite(trials, specs, n_resamples=60, seed=42,
-                                       workers=workers) for workers in (1, 2)]
-    messages = [str(w.message) for w in caught if w.category is TooManyDegenerate]
-    third = len(messages) // 3
-    assert third > 1 and messages == messages[:third] * 3
-    assert suites[0] == suites[1] == alone
+    h1_h4 = default_hypothesis_specs()
+    mixed = [s for spec in h1_h4 for s in (spec, replace(spec, metric="auroc2"))]
+    for specs in (h1_h4, mixed):
+        monkeypatch.undo()
+
+        def suite(workers):
+            return run_hypothesis_suite(trials, specs, n_resamples=60, seed=42,
+                                        workers=workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TooManyDegenerate)
+            alone = [result for spec in specs for domain in spec.domains
+                     for result in run_hypothesis_suite(
+                         trials, [replace(spec, domains=(domain,))], n_resamples=60, seed=42)]
+            suites = [suite(workers) for workers in (1, 2, 3)]
+            monkeypatch.setattr(bootstrap, "FIT_BATCH", 7)
+            suites += [suite(workers) for workers in (1, 3)]
+            monkeypatch.setattr(bootstrap, "FIT_ROWS", 5)
+            suites += [suite(workers) for workers in (1, 2, 3)]
+        messages = [str(w.message) for w in caught if w.category is TooManyDegenerate]
+        part = len(messages) // (1 + len(suites))
+        assert part > 1 and messages == messages[:part] * (1 + len(suites))
+        for got in suites:
+            assert got == alone
 
 
 @pytest.mark.parametrize("metric", ["meta_d", "m_ratio"])
@@ -603,7 +618,7 @@ def test_nlp_gap_chunk_is_each_resample_alone_bit_for_bit(records_per_id):
     job = bootstrap._Job("nlp_gap", RatingScale(), 0.5,
                          (bootstrap._side(a, entropy), bootstrap._side(b, entropy)))
     assert (job.sides[0].counts is None) == (records_per_id == 1)
-    got = bootstrap._eval_chunk(job, 0, 300)    # batches of 128, 128 and 44 ordinals
+    got = bootstrap._eval_chunk([job], 0, 300)[0]   # batches of 128, 128 and 44 ordinals
     want = np.array([
         nlp_gap_alone(job.sides[0].nlp[ra], job.sides[0].correct[ra])
         - nlp_gap_alone(job.sides[1].nlp[rb], job.sides[1].correct[rb])
@@ -660,23 +675,24 @@ CLAIM_CHUNKS = bootstrap._claim_chunks
 
 
 def logged_chunk(log, fail_at=None, pause=0.0):
-    """_eval_chunk, first appending "pid metric start stop" to the file
-    ``log`` (from whichever process of the team runs the chunk); the chunk
-    of ordinals from ``fail_at`` raises, and every other one waits
-    ``pause`` seconds before it is evaluated."""
-    def chunk(job, start, stop):
+    """_eval_chunk, first appending "pid metrics start stop" to the file
+    ``log`` (from whichever process of the team runs the chunk), the
+    metrics of its jobs joined by "+"; the chunk of ordinals from
+    ``fail_at`` raises, and every other one waits ``pause`` seconds before
+    it is evaluated."""
+    def chunk(jobs, start, stop):
         with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()} {job.metric} {start} {stop}\n")
+            f.write(f"{os.getpid()} {'+'.join(job.metric for job in jobs)} {start} {stop}\n")
         if start == fail_at:
             raise RuntimeError(f"chunk [{start}, {stop}) failed")
         time.sleep(pause)
-        return EVAL_CHUNK(job, start, stop)
+        return EVAL_CHUNK(jobs, start, stop)
     return chunk
 
 
 def read_log(log):
-    """The (pid, metric, start, stop) lines of a logged_chunk log."""
-    return [(int(pid), metric, int(start), int(stop)) for pid, metric, start, stop in
+    """The (pid, metrics, start, stop) lines of a logged_chunk log."""
+    return [(int(pid), metrics, int(start), int(stop)) for pid, metrics, start, stop in
             (line.split() for line in log.read_text(encoding="utf-8").splitlines())]
 
 
@@ -710,9 +726,11 @@ class NoMultiprocessing:
 
 def schedule_jobs():
     """An auroc2 contrast of f16-like sides (one record per id), an nlp_gap
-    contrast of pooled sides (two records per id) and an m_ratio contrast."""
+    contrast of pooled sides (two records per id), an m_ratio contrast and
+    a meta_d contrast of pooled sides."""
     jobs = []
-    for metric, records_per_id in (("auroc2", 1), ("nlp_gap", 2), ("m_ratio", 1)):
+    for metric, records_per_id in (("auroc2", 1), ("nlp_gap", 2), ("m_ratio", 1),
+                                   ("meta_d", 2)):
         a, b = spread_sides(records_per_id)
         entropy = bootstrap._stream_entropy(3, "Science", metric)
         jobs.append(bootstrap._Job(metric, RatingScale(), 0.5,
@@ -724,9 +742,11 @@ def schedule_jobs():
                                       "more_workers_than_cores"])
 def test_every_schedule_of_the_chunks_is_one_worker_bit_for_bit(schedule, monkeypatch,
                                                                   tmp_path):
-    # 500 resamples: four chunks of one batch per contrast, each evaluated
-    # once: by the caller, by the child at two workers, by either, or by a
-    # team of more processes than cores (up to one per chunk)
+    # 500 resamples: four chunks of one batch per auroc2 and nlp_gap
+    # contrast and four of both meta-d' fitted contrasts at once, each
+    # evaluated once: by the caller, by the child at two workers, by
+    # either, or by a team of more processes than cores (up to one per
+    # chunk)
     jobs, caller, log = schedule_jobs(), os.getpid(), tmp_path / "chunks.log"
     want = bootstrap._run_jobs(jobs, 500, 1)
     use_schedule(schedule, monkeypatch)
@@ -736,7 +756,8 @@ def test_every_schedule_of_the_chunks_is_one_worker_bit_for_bit(schedule, monkey
     assert not multiprocessing.active_children()
     chunks = read_log(log)
     assert sorted(chunk[1:] for chunk in chunks) == sorted(
-        (job.metric, lo, min(lo + 128, 500)) for job in jobs for lo in range(0, 500, 128))
+        (metrics, lo, min(lo + 128, 500)) for metrics in ("auroc2", "nlp_gap", "m_ratio+meta_d")
+        for lo in range(0, 500, 128))
     by_caller = {pid == caller for pid, *_ in chunks}
     if schedule == "caller_takes_all":
         assert by_caller == {True}
@@ -797,7 +818,7 @@ class ForeignError(Exception):
 def test_a_child_error_reaches_the_caller_as_itself_whatever_its_type(error, monkeypatch):
     # the caller runs the chunk that failed in a child once more, and so
     # raises the child's error itself, with its type and message
-    def failing_chunk(job, start, stop):
+    def failing_chunk(jobs, start, stop):
         raise error
 
     monkeypatch.setattr(bootstrap, "_eval_chunk", failing_chunk)
@@ -811,10 +832,10 @@ def test_a_child_error_reaches_the_caller_as_itself_whatever_its_type(error, mon
 def test_a_chunk_that_fails_only_in_a_child_raises_and_leaves_no_process(monkeypatch):
     caller = os.getpid()
 
-    def child_failing_chunk(job, start, stop):
+    def child_failing_chunk(jobs, start, stop):
         if os.getpid() != caller:
             raise RuntimeError("only in a child")
-        return EVAL_CHUNK(job, start, stop)
+        return EVAL_CHUNK(jobs, start, stop)
 
     monkeypatch.setattr(bootstrap, "_eval_chunk", child_failing_chunk)
     monkeypatch.setattr(bootstrap, "_claim_chunks", children_only(caller))
@@ -828,10 +849,10 @@ def test_a_killed_child_raises_and_leaves_no_process(monkeypatch):
     # the child SIGKILLs itself in its first chunk, so it sends no report
     caller = os.getpid()
 
-    def killing_chunk(job, start, stop):
+    def killing_chunk(jobs, start, stop):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return EVAL_CHUNK(job, start, stop)
+        return EVAL_CHUNK(jobs, start, stop)
 
     def hung(signum, frame):
         raise TimeoutError("_run_jobs did not return after its child was killed")
@@ -916,15 +937,15 @@ def test_side_blocks_hold_at_most_block_records_and_tile_the_block(records_per_i
     np.testing.assert_array_equal(np.concatenate([n for _, n in blocks]), lengths)
 
 
-def chunk_peak_bytes(job):
-    """tracemalloc's peak over one _eval_chunk of one FIT_BATCH batch,
-    above what was allocated before it; after one untraced chunk, so that
-    the side's constants are computed."""
-    bootstrap._eval_chunk(job, 0, bootstrap.FIT_BATCH)
+def chunk_peak_bytes(jobs):
+    """tracemalloc's peak over one _eval_chunk of one FIT_BATCH batch of
+    ``jobs``, above what was allocated before it; after one untraced chunk,
+    so that the sides' constants are computed."""
+    bootstrap._eval_chunk(jobs, 0, bootstrap.FIT_BATCH)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        bootstrap._eval_chunk(job, 0, bootstrap.FIT_BATCH)
+        bootstrap._eval_chunk(jobs, 0, bootstrap.FIT_BATCH)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -938,12 +959,29 @@ def test_a_batch_of_a_release_sized_side_peaks_under_2_5_mb(metric):
     trials = gaussian_trials(np.random.default_rng(12), 956)
     job = bootstrap._Job(metric, RatingScale(), 0.5,
                          (bootstrap._side(trials, bootstrap._stream_entropy(1, "History", "u")),))
-    assert chunk_peak_bytes(job) < 2.5e6
+    assert chunk_peak_bytes([job]) < 2.5e6
+
+
+def test_a_batch_of_six_release_sized_meta_d_contrasts_peaks_with_one_solve():
+    # the suite's six paired contrasts of 956 ids: 6 x 2 x 128 = 1536
+    # tables, fitted in three solves of FIT_ROWS = 512. A solve holds about
+    # 7.3 kB per table, and the chunk about 2 MB beside it (its blocks,
+    # one at a time, and the pending tables): 5.4 MB in all. Solves of 768
+    # tables peak at 7.2 MB, of all 1536 at once at 12.6 MB
+    jobs = []
+    for k in range(6):
+        a, b = (gaussian_trials(np.random.default_rng(20 + 2 * k + side), 956,
+                                mu_correct=0.8 - 0.2 * side) for side in (0, 1))
+        entropy = bootstrap._stream_entropy(1, "History", f"u{k}")
+        jobs.append(bootstrap._Job("meta_d", RatingScale(), 0.5,
+                                   (bootstrap._side(a, entropy), bootstrap._side(b, entropy))))
+    assert bootstrap.FIT_ROWS == 512
+    assert chunk_peak_bytes(jobs) < 512 * 7.3e3 + 2e6
 
 
 def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     """Every run at workers 1, 2, 3, at one row per block, at blocks that
-    split a batch unevenly and at FIT_BATCH = 7 must be
+    split a batch unevenly, at FIT_BATCH = 7 and at FIT_ROWS = 5 must be
     bit-identical, and every third ordinal must equal its one-at-a-time
     metric_value, nan where that raises. Returns how often, over the
     checked sides, each exclusion was raised, the value was exactly 0 and
@@ -982,6 +1020,10 @@ def check_batches_match_one_at_a_time(metric, a, b, monkeypatch):
     runs += [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 2)]
     monkeypatch.setattr(bootstrap, "FIT_BATCH", 7)
     runs += [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 3)]
+    # solves of 5 tables at most: a batch's 14 tables (fewer fitted) in
+    # slices of 4 and 5
+    monkeypatch.setattr(bootstrap, "FIT_ROWS", 5)
+    runs += [bootstrap._run_jobs([job], 300, workers)[0] for workers in (1, 2)]
     for got in runs:
         np.testing.assert_array_equal(got, runs[0])
     np.testing.assert_array_equal(runs[0][checked], want)

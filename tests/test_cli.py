@@ -648,6 +648,27 @@ def test_compare_formats_rejects_format(tmp_path, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--condition", "9", "no trials for condition '9'"),
+    ("--format-a", "q4", "no trials for format 'q4'"),
+    ("--format-b", "q4", "no trials for format 'q4'"),
+])
+def test_compare_formats_with_an_unknown_selector_is_one_data_error(tmp_path, capsys, flag,
+                                                                     value, message):
+    path = write_trials(tmp_path, gaussian_trials(np.random.default_rng(3), 100))
+    selectors = {"--condition": "1", "--format-a": "f16", "--format-b": "f16", flag: value}
+    argv = ["compare-formats", "--trials", str(path), "--out", str(tmp_path / "cmp")]
+    for name, selector in selectors.items():
+        argv += [name, selector]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not caught
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_dataset_against_itself(tmp_path, capsys, rng):
     records = []
     for domain in ("Arts", "Science"):

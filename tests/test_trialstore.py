@@ -148,6 +148,16 @@ def test_filter_unknown_value_warns_and_returns_empty():
     assert len(out) == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda trials: trials.filter(condition="9"),
+    lambda trials: filter_trials(trials, condition="9"),
+], ids=["method", "function"])
+def test_an_unknown_selector_warning_names_the_callers_line(call):
+    with pytest.warns(UnknownSelectorValue, match="condition='9' matches no records") as caught:
+        call(_set())
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_filter_composition():
     trials = _set()
     combined = trials.filter(domain="Arts", format="f16")

@@ -29,7 +29,7 @@ RSS of its largest process (the CLI or a pool worker) and the sha256 of
 its report tree. The report trees of one tree and variant must be equal
 at every worker count, or the script fails.
 
-Every run also times three layers alone, each in alternating fresh
+Every run also times four layers alone, each in alternating fresh
 processes per tree:
 
 - the fit layer, since perfbench's ``sdt.*`` spans do not see the batched
@@ -46,6 +46,14 @@ processes per tree:
   ran up to 1.5 times slower than others on the same code, so the
   loader takes more runs than the fit layer, and the minimum, which
   such slowdowns can only raise.
+- the hypothesis suite, since the fit layer solves its tables in one
+  call and so cannot see how solve size matters: each of SUITE_RUNS
+  processes per tree loads perfbench's trial file for the seed and runs
+  ``run_hypothesis_suite`` with the default H1-H4 specs on its f16 slice
+  at one worker and one BLAS thread, once untimed, then SUITE_REPEATS
+  times timed at each of SUITE_RESAMPLES resamples. The file holds each
+  process's fastest run in process time per resample count, and whether
+  every run of both trees gave the same results.
 - the resample statistics, since perfbench's ``nonparam.*`` spans do not
   see the batched statistics: for nlp_gap and for auroc2 in turn, each of
   STAT_RUNS processes per tree loads perfbench's trial file for the seed
@@ -371,6 +379,52 @@ def stat_layer(trees: dict[str, Tree], seed: int) -> dict:
     return entry
 
 
+SUITE_RUNS = 10
+SUITE_REPEATS = 3
+SUITE_RESAMPLES = (100, 2000)
+# run_hypothesis_suite with the default H1-H4 specs on the f16 slice of the
+# trial file argv[1] at one worker: once untimed at 2 resamples, then per
+# count in SUITE_RESAMPLES SUITE_REPEATS times timed; prints per count the
+# fastest run's process time and a 48-bit digest of the results' repr
+SUITE_LAYER = ("import hashlib, sys, time\n"
+               "from metadkit import load_trials\n"
+               "from metadkit.bootstrap import default_hypothesis_specs, run_hypothesis_suite\n"
+               "f16 = load_trials(sys.argv[1]).filter(format='f16')\n"
+               "specs = default_hypothesis_specs()\n"
+               "run_hypothesis_suite(f16, specs, n_resamples=2, workers=1)\n"
+               f"for resamples in {SUITE_RESAMPLES}:\n"
+               "    times = []\n"
+               f"    for _ in range({SUITE_REPEATS}):\n"
+               "        start = time.process_time()\n"
+               "        results = run_hypothesis_suite(f16, specs, n_resamples=resamples,"
+               " workers=1)\n"
+               "        times.append(time.process_time() - start)\n"
+               "    digest = hashlib.sha256(repr(results).encode()).digest()[:6]\n"
+               "    print(min(times), int.from_bytes(digest, 'big'))\n")
+
+
+def suite_layer(trees: dict[str, Tree], seed: int) -> dict:
+    """SUITE_RUNS alternating fresh processes per tree timing the hypothesis
+    suite alone, the fit layer at the solve sizes a suite makes, on the f16
+    slice of perfbench's trial file for the seed, with one BLAS thread."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        trials = Path(tmp) / "trials.jsonl"
+        write_trials(trees, seed, trials)
+        runs = alternating(trees, SUITE_RUNS, SUITE_LAYER, [str(trials)], env, "suite layer")
+    entry: dict = {"slice": "f16", "specs": "H1-H4 (six contrasts)", "workers": 1,
+                   "runs": SUITE_RUNS, "repeats_per_run": SUITE_REPEATS}
+    for k, resamples in enumerate(SUITE_RESAMPLES):
+        times = {side: [r[2 * k] for r in side_runs] for side, side_runs in runs.items()}
+        digests = {r[2 * k + 1] for side_runs in runs.values() for r in side_runs}
+        entry[f"resamples_{resamples}"] = {
+            **{side: {"suite_s": summary(t)} for side, t in times.items()},
+            "change_lower_in_pairs": sum(c < b for b, c in zip(times["base"], times["change"])),
+            "same_results": len(digests) == 1}
+    return entry
+
+
 def describe(tree: Path) -> str:
     """The tree's commit, with "-dirty" when it has uncommitted changes."""
     return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
@@ -449,6 +503,7 @@ def measure(args: argparse.Namespace, trees: dict[str, Tree]) -> dict:
     result["fit_layer"] = fit_layer(trees)
     result["load_layer"] = load_layer(trees, args.seed)
     result["stat_layer"] = stat_layer(trees, args.seed)
+    result["suite_layer"] = suite_layer(trees, args.seed)
     if args.protocol:
         result["protocol"] = protocol(trees, args.seed, args.protocol)
     return result
