@@ -94,11 +94,14 @@ PAIRINGS = ("paired", "independent")
 DEGENERATE_FRACTION_ALARM = 0.01
 TOST_CI_LEVEL = 0.90    # the CI level of a TOST rule, fixed: a 90% CI is an alpha = 0.05 TOST
 FIT_BATCH = 128         # resample ordinals evaluated together by a worker
-# most tables of one meta-d' solve. The f16 H1-H4 suite of the benchmark's
-# trial file at 100 resamples (one core of a 2-vCPU Xeon VM) took 90 ms in
+# most tables of one meta-d' solve. On a suite's resample tables (one core
+# of a 2-vCPU Xeon VM, best of 3) a solve cost 52-55 us per table at 200
+# tables, 45-46 at 256, 41-43 at 512 and no less at 768-1 536: small solves
+# pay numpy's per-call overhead, and larger ones gain nothing while their
+# 7.4 kB per table of working set (3.8 MB at 512) grows. The f16 H1-H4
+# suite of the benchmark's trial file at 100 resamples took 90 ms in
 # solves of 200 tables, 79 ms in the 400s this cuts its 1 200 into and
-# 89 ms in one solve; small solves pay numpy's per-call overhead, large
-# ones their 7.4 kB per table of working set (3.8 MB at 512)
+# 89 ms in one solve
 FIT_ROWS = 512
 BLOCK_RECORDS = 32_768  # most records of a side that one evaluation block holds
 _MODEL = ("d_prime", "meta_d", "m_ratio")    # binned, tallied and type-1 fitted
