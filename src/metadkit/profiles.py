@@ -26,7 +26,8 @@ import numpy as np
 
 from .binning import (DEFAULT_PAD_VALUE, RatingScale, check_bins, check_pad_value,
                       quantile_bins, tally)
-from .errors import DomainMismatch, MixedProfileSet, OneClassOnly, TiedRanks, TooFewTrials
+from .errors import (DomainMismatch, MixedProfileSet, OneClassOnly, TiedRanks, TooFewTrials,
+                     ZeroDPrime)
 from .nonparam import accuracy_arrays, auroc2_arrays, nlp_gap_batch, spearman_rho
 from .sdt import SdtFit, check_d_prime, sdt_fits, type1_batch
 from .trialstore import TrialSet
@@ -137,7 +138,8 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     type1_block; the first undefined cell raises, and one sdt_fits solve
     fits every cell. The profiles, errors and warnings are those of
     fit_cell_arrays on one cell at a time, except that a build that
-    raises has emitted no fit warning.
+    raises has emitted no fit warning and its error's message starts with
+    the cell: ``cell (<condition>, <format>, <domain>): ``.
     """
     check_binning_scope(binning_scope)
     nlp, correct = trials.nlp_values, trials.correct_mask
@@ -154,7 +156,16 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
         bins[by_pair] = quantile_bins(levels[by_pair], np.bincount(pair), scale.n_bins) + 1
     reasons, tables, d_prime, criterion_c = type1_block(levels, correct, index, lengths,
                                                         scale, pad_value, bins)
-    raise_undefined(reasons, lengths, scale)
+
+    def key(c: int) -> tuple[str, str, str]:    # a cell code's (condition, format, domain)
+        p = c // len(domains)
+        return conditions[p // len(formats)], formats[p % len(formats)], domains[c % len(domains)]
+
+    try:
+        raise_undefined(reasons, lengths, scale)
+    except (OneClassOnly, TooFewTrials, ZeroDPrime) as exc:
+        exc.args = (f"cell ({', '.join(key(cells[np.argmax(reasons != DEFINED)]))}): {exc}",)
+        raise
 
     # taking the fits one (condition, format) set at a time puts each
     # cell's fit warnings before the set's rank warnings
@@ -165,10 +176,10 @@ def build_profiles(trials: TrialSet, scale: RatingScale = RatingScale(),
     for p in np.unique(cells // len(domains)):
         cell_profiles = []
         for j in np.flatnonzero(cells // len(domains) == p):
-            r, fit = records[j], next(fits)
+            (condition, format, domain), r, fit = key(cells[j]), records[j], next(fits)
             cell_profiles.append(DomainProfile(
-                domain=domains[cells[j] % len(domains)], condition=conditions[p // len(formats)],
-                format=formats[p % len(formats)], n=len(r), accuracy=accuracy_arrays(correct[r]),
+                domain=domain, condition=condition, format=format, n=len(r),
+                accuracy=accuracy_arrays(correct[r]),
                 d_prime=fit.d_prime, meta_d=fit.meta_d, m_ratio=fit.m_ratio,
                 auroc2=auroc2_arrays(nlp[r], correct[r]),
                 nlp_gap=float(gaps[j]),

@@ -17,39 +17,26 @@ code per record into the sorted distinct values present in the set.
 Filters are boolean masks over the columns, and a subset drops the values
 it no longer holds, so the distinct values of a field are always exactly
 those of its records, and everything in the package reads the columns.
-``TrialRecord`` rows remain only as an edge: ``TrialSet(records)``,
-``.records``, iteration and ``TrialRecord.to_dict``. The benchmark's trial
-generator builds its set from records (``replace`` on a generated cell's
-``.records``, then ``TrialSet(records)``) and its smoke tests iterate
-sets; the edge can go once the generator moves onto
-``TrialSet.from_columns`` with the generated file's sha256 unchanged.
+
+Every way into a set checks its records with one column checker,
+_checked: the loader's general path (JSONL and CSV), ``from_columns`` and
+``TrialSet(records)``. Only a file's (question_id, condition, format) keys
+must be unique. ``TrialRecord`` rows are the benchmark's edge only: its
+trial generator builds its set through ``TrialSet(records)``, and its
+smoke tests iterate sets (``.records``).
 
 Loading reads the file in blocks of lines (CSV: records), so it never
-holds a row for every record at once, and codes each block as it is read:
-each coded field has one dict from value to a first-seen integer code for
-the whole file, and the codes are mapped to sorted order once, at the end.
-A JSONL block whose lines all have the layout save_trials writes
-(``json.dumps``' default separators, the fields in TrialRecord order,
-strings without escapes, ``nlp`` a JSON float) is matched by one regular
-expression with four groups: the question id, the whole (domain,
-condition, format, correct) span, the nlp text and the answer text. A
-record then costs one dict lookup for its id and one for its span, and
-each distinct span is split into its four fields once. A block of that
-layout with an empty coded field or a non-finite ``nlp`` is left to the
-general path, so every error comes from there. The general path reads a
-block line by line with the C JSON scanner, and with ``json.loads`` a line
-the scanner alone does not take, so on either path a line means exactly
-what ``json.loads`` makes of it. Each field of a general block is then
-pulled out as a column, checked in one pass and coded through the same
-dicts; only columns with values other than the plain types are coerced
-value by value. Bytes that are not UTF-8 are read as data (as surrogate
-escapes); the first line that holds one is an error, reported once the
-lines before it are checked. Duplicate (question_id, condition, format)
-keys are found from the integer codes of the finished set. The first
-offending line of the file is reported, whatever its kind; within a line
-the order is a missing required field, then ``correct``, then ``nlp``,
-then the duplicate key. JSONL and CSV share this path and differ only in
-how rows are read.
+holds a row for every record at once, and codes each block as it is read
+(_Columns). A JSONL block in save_trials' layout is matched by one regular
+expression (_canonical_columns); any other block, and one of that layout
+with an invalid record, takes the general path: _general_rows (or
+_csv_blocks), then _checked. Either way a line means exactly what
+``json.loads`` makes of it. Bytes that are not UTF-8 are read as data (as
+surrogate escapes); the first line that holds one is an error, reported
+once the lines before it are checked. Duplicate keys are found from the
+integer codes of the finished set. The first offending line of the file is
+reported, whatever its kind; within a line the order is _checked's rule
+order, then the duplicate key.
 """
 
 from __future__ import annotations
@@ -65,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice, starmap
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -115,17 +102,14 @@ class TrialRecord:
     answer_text: str | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "question_id": self.question_id,
-            "domain": self.domain,
-            "condition": self.condition,
-            "format": self.format,
-            "correct": self.correct,
-            "nlp": self.nlp,
-        }
-        if self.answer_text is not None:
-            d["answer_text"] = self.answer_text
-        return d
+        return _record_dict(*(getattr(self, name) for name in ALL_FIELDS))
+
+
+def _record_dict(*values) -> dict:
+    """One record's JSON object from its values in ALL_FIELDS order; a None
+    ``answer_text`` is left out."""
+    return {name: value for name, value in zip(ALL_FIELDS, values)
+            if name != "answer_text" or value is not None}
 
 
 def _coder() -> defaultdict:
@@ -154,8 +138,8 @@ class _Columns:
     (domain, condition, format, correct) span is coded as one group, and
     each distinct group is split into its four fields once, so a canonical
     record costs one lookup for its id and one for its group; any other
-    block is coded field by field through the same coders. TrialSet maps
-    the first-seen codes to sorted order once, at the end.
+    columns are checked (_checked) and coded field by field through the same
+    coders. TrialSet maps the first-seen codes to sorted order once, at the end.
     """
 
     def __init__(self):
@@ -164,16 +148,16 @@ class _Columns:
         self.groups = _coder()
         self.group_rows: list[tuple[int, int, int, bool]] = []   # per group code
 
-    def add(self, columns: dict[str, Sequence]) -> "_Columns":
-        """One equal-length sequence per name in ALL_FIELDS; ``answer_text``
-        may be left out."""
+    def add(self, columns: Mapping[str, Sequence], numbers: Sequence[int],
+            path: str) -> tuple[int, DataError | None]:
+        """Checks the records of ``columns`` (_checked) and adds those before
+        the first invalid one; returns _checked's index and error."""
+        checked, first_bad, error = _checked(columns, numbers, path)
         for name in CODED_FIELDS:
-            self.pieces[name].append(_codes(self.coders[name], columns[name]))
-        for name in ("correct", "nlp"):
-            self.pieces[name].append(columns[name])
-        self.pieces["answer_text"].append(columns.get("answer_text",
-                                                      [None] * len(columns["nlp"])))
-        return self
+            self.pieces[name].append(_codes(self.coders[name], checked[name][:first_bad]))
+        for name in ("correct", "nlp", "answer_text"):
+            self.pieces[name].append(checked[name][:first_bad])
+        return first_bad, error
 
     def add_canonical(self, ids: Sequence[str], groups: Sequence[str], nlp: np.ndarray,
                       answers: Sequence[str | None]) -> None:
@@ -212,29 +196,32 @@ class TrialSet:
 
     def __init__(self, records: Iterable[TrialRecord]):
         records = tuple(records)
-        self._fill(_Columns().add({name: [getattr(r, name) for r in records]
-                                   for name in ALL_FIELDS}))
+        vars(self).update(vars(self.from_columns({name: [getattr(r, name) for r in records]
+                                                  for name in ALL_FIELDS})))
 
     @classmethod
-    def from_columns(cls, columns: dict[str, Sequence]) -> "TrialSet":
+    def from_columns(cls, columns: Mapping[str, Sequence]) -> "TrialSet":
         """A set from one equal-length sequence per name in ALL_FIELDS, in
-        record order; ``answer_text`` may be left out."""
+        record order. Its records are checked and read as load_trials reads
+        a file's lines (_checked), numbered from 1: the first invalid one
+        raises its error, as ``input:<k>: …``."""
         lengths = {name: len(columns[name]) for name in ALL_FIELDS if name in columns}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
-        return cls._built(_Columns().add(columns))
+        into = _Columns()
+        _, error = into.add(columns, range(1, max(lengths.values(), default=0) + 1), "")
+        if error is not None:
+            raise error
+        return cls._built(into)
 
     @classmethod
     def _built(cls, columns: _Columns) -> "TrialSet":
         trials = cls.__new__(cls)
-        trials._fill(columns)
+        trials.nlp_values = _joined(columns.pieces["nlp"], float)
+        trials.correct_mask = _joined(columns.pieces["correct"], bool)
+        trials._answer_text = _joined(columns.pieces["answer_text"], object)
+        trials._coded = {name: columns.sorted_codes(name) for name in CODED_FIELDS}
         return trials
-
-    def _fill(self, columns: _Columns) -> None:
-        self.nlp_values = _joined(columns.pieces["nlp"], float)
-        self.correct_mask = _joined(columns.pieces["correct"], bool)
-        self._answer_text = _joined(columns.pieces["answer_text"], object)
-        self._coded = {name: columns.sorted_codes(name) for name in CODED_FIELDS}
 
     def _subset(self, mask: np.ndarray) -> "TrialSet":
         subset = TrialSet.__new__(TrialSet)
@@ -296,8 +283,11 @@ class TrialSet:
                              _stacklevel=3)
 
 
-def _missing(value) -> bool:
-    return value is None or value == ""
+def _first_missing(values: Sequence) -> int:
+    """The index of a column's first missing value (None or ""), or len(values)."""
+    if None not in values and "" not in values:
+        return len(values)
+    return next(i for i, value in enumerate(values) if value in (None, ""))
 
 
 def _coerce_bool(value) -> bool | None:
@@ -320,18 +310,66 @@ def _coerce_nlp(value) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _row_error(row: dict, line: int, path: str) -> DataError | None:
-    """The first problem of one row: a missing required field (in
-    REQUIRED_FIELDS order), then ``correct``, then ``nlp``."""
-    for name in REQUIRED_FIELDS:
-        if _missing(row.get(name)):
-            return MissingField(name, line, path)
-    if _coerce_bool(row["correct"]) is None:
-        return DataError(f"{path}:{line}: cannot interpret correct={row['correct']!r} "
-                         "as a boolean")
-    if _coerce_nlp(row["nlp"]) is None:
-        return NonFiniteConfidence(line, path)
-    return None
+def _checked(columns: Mapping[str, Sequence], numbers: Sequence[int],
+             path: str) -> tuple[dict[str, Sequence], int, DataError | None]:
+    """The records of ``columns``, numbered by ``numbers``, in the types a
+    TrialSet holds; the index of the first invalid record and its error
+    (len(numbers) and None when every record is valid).
+
+    The one implementation of the record rules. Each check runs over a
+    whole column and keeps its first failing index. A record's error is
+    its first failing check in rule order: a missing (None or "") required
+    field, in REQUIRED_FIELDS order; a ``correct`` that is not a boolean;
+    an ``nlp`` that is not a finite number. A left-out column is missing in
+    every record. A numpy ``correct`` of bool or 0/1 integers and a numeric
+    numpy ``nlp`` are taken by dtype; other values are read as JSON values
+    are, a column value by value only when it holds other than plain types.
+    """
+    n = len(numbers)
+    raw = {name: columns[name] if name in columns else [None] * n for name in ALL_FIELDS}
+    correct, nlp = raw["correct"], raw["nlp"]
+    by_dtype = {"correct": isinstance(correct, np.ndarray) and correct.dtype.kind in "biu"
+                and bool(np.isin(correct, (0, 1)).all()),
+                "nlp": isinstance(nlp, np.ndarray) and nlp.dtype.kind in "biuf"}
+    raw = {name: values.tolist() if isinstance(values, np.ndarray) and not by_dtype.get(name)
+           else values for name, values in raw.items()}
+    # each check's first failing record, in rule order
+    first_fail = [_first_missing(raw[name]) for name in REQUIRED_FIELDS]
+
+    checked = {name: raw[name] if set(map(type, raw[name])) == {str}
+               else [str(v) for v in raw[name]] for name in CODED_FIELDS}
+    correct, nlp, answers = raw["correct"], raw["nlp"], raw["answer_text"]
+    first_fail.append(n)
+    if by_dtype["correct"]:
+        correct = correct.astype(bool)
+    elif set(map(type, correct)) != {bool}:
+        correct = list(map(_coerce_bool, correct))
+        first_fail[-1] = correct.index(None) if None in correct else n
+    if not by_dtype["nlp"]:
+        try:
+            if not set(map(type, nlp)) <= {int, float}:
+                raise TypeError
+            nlp = np.array(nlp, dtype=float)
+        except (TypeError, OverflowError):
+            nlp = np.array(list(map(_coerce_nlp, nlp)), dtype=float)   # None -> nan
+    finite = np.isfinite(nlp)
+    first_fail.append(n if finite.all() else int(np.argmin(finite)))
+    if not set(map(type, answers)) <= {str, type(None)} or "" in answers:
+        answers = [None if v in (None, "") else str(v) for v in answers]
+    checked.update(correct=correct, nlp=nlp, answer_text=answers)
+
+    first_bad = min(first_fail)
+    if first_bad == n:
+        return checked, n, None
+    line, rule = numbers[first_bad], first_fail.index(first_bad)
+    if rule < len(REQUIRED_FIELDS):
+        error = MissingField(REQUIRED_FIELDS[rule], line, path)
+    elif rule == len(REQUIRED_FIELDS):
+        error = DataError(f"{path or 'input'}:{line}: cannot interpret "
+                          f"correct={raw['correct'][first_bad]!r} as a boolean")
+    else:
+        error = NonFiniteConfidence(line, path)
+    return checked, first_bad, error
 
 
 def _canonical_columns(lines: list[str]) -> tuple[Sequence[str], Sequence[str], np.ndarray,
@@ -414,13 +452,10 @@ def _jsonl_blocks(fh, path: str,
                   columns: _Columns) -> Iterator[tuple[Sequence[int], DataError | None]]:
     """Adds each block of _BLOCK_ROWS lines to columns, up to its first
     offending line, and yields the line numbers of the records added and
-    that line's error (None when there is none).
-
-    A block in save_trials' layout is parsed by _canonical_columns, any
-    other by _general_rows and _add_block. Either way a line means
-    exactly what ``json.loads`` makes of it. A line with a byte that is not
-    UTF-8 is an error after every line before it.
-    """
+    that line's error (None when there is none). A block in save_trials'
+    layout is parsed by _canonical_columns, any other by _general_rows and
+    _add_block; a line with a byte that is not UTF-8 is an error after
+    every line before it."""
     first = 1
     while lines := list(islice(fh, _BLOCK_ROWS)):
         bad = _undecodable(lines)
@@ -486,50 +521,11 @@ def _csv_blocks(fh, path: str) -> Iterator[tuple[Sequence[int], list[dict], Data
 def _add_block(into: _Columns, line_numbers: Sequence[int], rows: Sequence[dict],
                source_error: DataError | None,
                path: str) -> tuple[Sequence[int], DataError | None]:
-    """Adds a block of rows up to its first invalid row to ``into``, and
-    returns their line numbers and that row's error; with every row valid,
-    the error that ended the rows (``source_error``, None when none did).
-
-    Each column is checked in one pass; only a column that holds other
-    types than the plain ones (str fields, bool ``correct``, int or float
-    ``nlp``) is converted value by value.
-    """
-    columns = {name: [row.get(name) for row in rows] for name in ALL_FIELDS}
-    first_bad = len(rows)
-    for name in REQUIRED_FIELDS:
-        values = columns[name]
-        if None in values or "" in values:
-            first_bad = min(first_bad, next(i for i, v in enumerate(values) if _missing(v)))
-    for name in CODED_FIELDS:
-        if set(map(type, columns[name])) != {str}:
-            columns[name] = [str(v) for v in columns[name]]
-
-    correct = columns["correct"]
-    if set(map(type, correct)) != {bool}:
-        correct = list(map(_coerce_bool, correct))
-        if None in correct:
-            first_bad = min(first_bad, correct.index(None))
-    nlp = columns["nlp"]
-    try:
-        if not set(map(type, nlp)) <= {int, float}:
-            raise TypeError
-        nlp = np.array(nlp, dtype=float)
-    except (TypeError, OverflowError):
-        nlp = np.array(list(map(_coerce_nlp, nlp)), dtype=float)   # None -> nan
-    finite = np.isfinite(nlp)
-    if not finite.all():
-        first_bad = min(first_bad, int(np.argmin(finite)))
-    answers = columns["answer_text"]
-    if not set(map(type, answers)) <= {str, type(None)} or "" in answers:
-        answers = [None if _missing(v) else str(v) for v in answers]
-
-    error = source_error
-    if first_bad < len(rows):
-        error = _row_error(rows[first_bad], line_numbers[first_bad], path)
-        assert error is not None, "a column check and the row check disagree"
-    columns.update(correct=correct, nlp=nlp, answer_text=answers)
-    into.add({name: values[:first_bad] for name, values in columns.items()})
-    return line_numbers[:first_bad], error
+    """Adds a block of rows up to its first invalid row to ``into``; returns
+    their line numbers and that row's error, else ``source_error``."""
+    first_bad, error = into.add({name: [row.get(name) for row in rows] for name in ALL_FIELDS},
+                                line_numbers, path)
+    return line_numbers[:first_bad], error or source_error
 
 
 def _first_duplicate(trials: TrialSet, line_numbers: np.ndarray,
@@ -594,8 +590,8 @@ def load_trials(path: str | Path) -> TrialSet:
 def save_trials(trials: TrialSet, path: str | Path) -> None:
     """Write a TrialSet as canonical JSONL (load → save → load is identity)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in trials._row_values():
-            fh.write(json.dumps(TrialRecord(*row).to_dict()) + "\n")
+        for values in trials._row_values():
+            fh.write(json.dumps(_record_dict(*values)) + "\n")
 
 
 def filter_trials(trials: TrialSet, domain: str | None = None,

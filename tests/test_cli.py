@@ -596,15 +596,17 @@ def test_diagnose_flags_only_fits_that_did_not_converge(tmp_path, capsys, incorr
     assert "Science): sensitivity fit did not converge" not in notes
 
 
-@pytest.mark.parametrize("command, config", [
-    (["diagnose"], ""),
-    (["diagnose"], "pad_value = 0\n"),
-    (["diagnose", "--binning-scope", "global"], ""),
-    (["confirm", "--resamples", "10"], ""),
+@pytest.mark.parametrize("command, config, where", [
+    (["diagnose"], "", "cell (1, f16, History): "),
+    (["diagnose"], "pad_value = 0\n", "cell (1, f16, History): "),
+    (["diagnose", "--binning-scope", "global"], "", "cell (1, f16, History): "),
+    (["confirm", "--resamples", "10"], "", ""),
 ])
-def test_a_one_class_cell_is_the_same_data_error_on_every_path(tmp_path, capsys, command, config):
+def test_a_one_class_cell_is_the_same_data_error_on_every_path(tmp_path, capsys, command, config,
+                                                               where):
     """Every History answer correct: the first one-class cell raises
-    OneClassOnly, whatever the binning scope or the padding."""
+    OneClassOnly, whatever the binning scope or the padding; diagnose
+    names the cell."""
     from tests.test_bootstrap import four_condition_trials
     trials = four_condition_trials(np.random.default_rng(5), 40)
     trials = TrialSet([replace(r, correct=True) if r.domain == "History" else r
@@ -617,7 +619,7 @@ def test_a_one_class_cell_is_the_same_data_error_on_every_path(tmp_path, capsys,
                      "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA_ERROR
     assert capsys.readouterr().err == \
-        "data error: sensitivity metrics need both correctness classes\n"
+        f"data error: {where}sensitivity metrics need both correctness classes\n"
     assert not [w for w in caught if issubclass(w.category, MetadkitWarning)]
 
 
@@ -632,6 +634,40 @@ def test_a_format_with_no_trials_fails_before_anything_is_written(tmp_path, caps
     code = main([*command, "--trials", str(path), "--format", "nosuch", "--out", str(out_dir)])
     assert code == EXIT_DATA_ERROR
     assert capsys.readouterr().err == "data error: no trials for format 'nosuch'\n"
+    assert not out_dir.exists()
+
+
+def trials_with_a_faulty_cell(fault):
+    """Conditions 1 and 3 in formats f16 and q5_k_m over four domains, 60
+    trials a cell, with the (3, f16, History) cell one-class or cut to 10."""
+    rng = np.random.default_rng(8)
+    records = []
+    for condition in ("1", "3"):
+        for format in ("f16", "q5_k_m"):
+            for domain in ("Arts", "Geography", "History", "Science"):
+                faulty = (condition, format, domain) == ("3", "f16", "History")
+                cell = gaussian_trials(rng, 10 if faulty and fault == "too_few" else 60,
+                                       p_correct=1.0 if faulty and fault == "one_class" else 0.7,
+                                       domain=domain, condition=condition, format=format,
+                                       qid_prefix=domain[:3])
+                records += cell.records
+    return TrialSet(records)
+
+
+@pytest.mark.parametrize("command", [
+    ["diagnose"],
+    ["compare-formats", "--condition", "3", "--format-a", "q5_k_m", "--format-b", "f16"],
+], ids=["diagnose", "compare-formats"])
+@pytest.mark.parametrize("fault, message", [
+    ("one_class", "sensitivity metrics need both correctness classes"),
+    ("too_few", "a diagnostic cell fit needs at least 16 trials, got 10"),
+])
+def test_an_undefined_cell_is_named_in_its_data_error(tmp_path, capsys, command, fault,
+                                                      message):
+    path = write_trials(tmp_path, trials_with_a_faulty_cell(fault))
+    out_dir = tmp_path / "out"
+    assert main([*command, "--trials", str(path), "--out", str(out_dir)]) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == f"data error: cell (3, f16, History): {message}\n"
     assert not out_dir.exists()
 
 

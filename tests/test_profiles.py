@@ -321,7 +321,7 @@ def test_build_profiles_raises_the_first_cells_error():
         profiles_one_fit_at_a_time(trials, binning_scope="global")
     with pytest.raises(ZeroDPrime) as got:
         build_profiles(trials, binning_scope="global")
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"cell (2, f16, History): {expected.value}"
 
 
 # cells with one or two faults, and the error each raises: a one-class cell
@@ -355,6 +355,11 @@ def assert_raises(error, call):
     assert str(raised.value) == error[1]
 
 
+def in_cell(error, cell):
+    """A cell's error as build_profiles raises it: its message led by the cell."""
+    return error[0], f"cell ({cell}): {error[1]}"
+
+
 @pytest.mark.parametrize("kind", sorted(FAULTY_CELLS))
 def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
     nlp, correct, error = FAULTY_CELLS[kind]
@@ -365,7 +370,8 @@ def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
         assert_raises(error, lambda: bootstrap_metric(trials, metric, n_resamples=1))
     assert_raises(error, lambda: fit_cell_arrays(nlp, correct))
     for binning_scope in ("per_cell", "global"):
-        assert_raises(error, lambda: build_profiles(trials, binning_scope=binning_scope))
+        assert_raises(in_cell(error, "1, f16, D0"),
+                      lambda: build_profiles(trials, binning_scope=binning_scope))
     if error is ZERO_D_PRIME_ERROR:     # d' itself is defined, and 0
         assert metric_value("d_prime", nlp, correct) == 0.0
         assert bootstrap_metric(trials, "d_prime", n_resamples=1).point == 0.0
@@ -384,7 +390,7 @@ def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
     (("too_few_and_one_class", "too_few"), ONE_CLASS_ERROR),
 ])
 def test_build_profiles_raises_the_error_of_the_first_faulty_cell(kinds, error):
-    assert_raises(error, lambda: build_profiles(faulty_cells(*kinds)))
+    assert_raises(in_cell(error, "1, f16, D0"), lambda: build_profiles(faulty_cells(*kinds)))
 
 
 @pytest.mark.parametrize("correct, error", [
@@ -400,7 +406,8 @@ def test_a_set_too_small_to_bin_raises_its_cells_error_on_both_scopes(correct, e
     small = make_trials(np.arange(5.0), correct, condition="2", qid_prefix="s")
     trials = TrialSet(fits.records + small.records)
     for binning_scope in ("per_cell", "global"):
-        assert_raises(error, lambda: build_profiles(trials, binning_scope=binning_scope))
+        assert_raises(in_cell(error, "2, f16, Science"),
+                      lambda: build_profiles(trials, binning_scope=binning_scope))
     assert len(build_profiles(fits, binning_scope="global")) == 1
 
 
