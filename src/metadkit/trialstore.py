@@ -292,9 +292,9 @@ def _first_missing(values: Sequence) -> int:
 
 def _coerce_bool(value) -> bool | None:
     """``correct`` as a bool, or None when the value is not one."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)) and value in (0, 1):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, float, np.integer)) and value in (0, 1):
         return bool(value)
     if isinstance(value, str):
         return BOOLEAN_STRINGS.get(value.strip().lower())

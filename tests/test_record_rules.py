@@ -235,6 +235,12 @@ def test_numpy_columns_are_checked_by_dtype():
     strings = {name: np.array(values) for name, values in columns_of(rows).items()
                if name in CODED_FIELDS}
     assert TrialSet.from_columns({**columns_of(rows), **strings}).records == plain.records
+    # a list of numpy scalars is read as their Python values
+    scalars = {"correct": list(correct), "nlp": list(nlp)}
+    assert TrialSet.from_columns({**columns_of(rows), **scalars}).records == plain.records
+    assert TrialSet.from_columns({**columns_of(rows),
+                                  "correct": list(correct.astype(np.int64))}).records \
+        == plain.records
 
 
 def test_keys_need_not_be_unique_in_a_set():
