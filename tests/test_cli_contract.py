@@ -67,6 +67,10 @@ EDITS = st.one_of(
 )
 
 
+def cell_of(row):
+    return row.get("condition"), row.get("format"), row.get("domain")
+
+
 def edited(rows, edits):
     rows = [dict(row) for row in rows]
     for edit in edits:
@@ -79,11 +83,10 @@ def edited(rows, edits):
                 row[target] = "" if kind == "empty" else edit[3]
         elif kind == "one_class":
             for row in rows:
-                if (row.get("condition"), row.get("format"), row.get("domain")) == target:
+                if cell_of(row) == target:
                     row["correct"] = edit[2]
         elif kind == "shrink":
-            in_cell = [i for i, row in enumerate(rows)
-                       if (row.get("condition"), row.get("format"), row.get("domain")) == target]
+            in_cell = [i for i, row in enumerate(rows) if cell_of(row) == target]
             dropped = set(in_cell[edit[2]:])
             rows = [row for i, row in enumerate(rows) if i not in dropped]
     return rows

@@ -29,6 +29,14 @@ def base_row(i):
             "format": "f16", "correct": i % 3 == 0, "nlp": -0.25 * i - 0.5}
 
 
+def columns_of(rows):
+    return {name: [row[name] for row in rows] for name in REQUIRED_FIELDS}
+
+
+def records_of(rows):
+    return [TrialRecord(**row) for row in rows]
+
+
 # per way in: how a missing value, a correct that is not a boolean and an
 # nlp that is not a finite number can be written (None: the key is absent)
 FAULTS = {
@@ -103,7 +111,7 @@ def test_a_records_first_fault_in_rule_order_is_its_error(way, data):
     rows = [base_row(i) for i in range(n)]
     cls, field, message = expected_error(state, written, way)
     if way == "columns":
-        columns = {name: [row[name] for row in rows] for name in REQUIRED_FIELDS}
+        columns = columns_of(rows)
         for name, value in written.items():
             columns[name][at] = value
         got = raised(lambda: TrialSet.from_columns(columns))
@@ -151,8 +159,7 @@ def test_a_json_value_reads_the_same_through_the_loader_and_from_columns(tmp_pat
     path = tmp_path / "t.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     loaded = load_trials(path)
-    built = TrialSet.from_columns({name: [row[name] for row in rows]
-                                   for name in REQUIRED_FIELDS})
+    built = TrialSet.from_columns(columns_of(rows))
     for trials in (loaded, built):
         got = getattr(trials.records[1], field)
         assert got == held and type(got) is type(held)
@@ -163,21 +170,12 @@ def test_condition_1_and_1_0_are_two_conditions(tmp_path):
     rows = [{**base_row(0), "condition": 1}, {**base_row(1), "condition": 1.0}]
     path = tmp_path / "t.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    for trials in (load_trials(path), TrialSet.from_columns(
-            {name: [row[name] for row in rows] for name in REQUIRED_FIELDS})):
+    for trials in (load_trials(path), TrialSet.from_columns(columns_of(rows))):
         assert trials.conditions() == ["1", "1.0"]
         assert len(trials.filter(condition="1")) == 1
 
 
 # -- the constructors check as the loader does -------------------------------------
-
-def columns_of(rows):
-    return {name: [row[name] for row in rows] for name in REQUIRED_FIELDS}
-
-
-def records_of(rows):
-    return [TrialRecord(**row) for row in rows]
-
 
 @pytest.mark.parametrize("build", [lambda rows: TrialSet.from_columns(columns_of(rows)),
                                    lambda rows: TrialSet(records_of(rows))],
@@ -251,7 +249,7 @@ def test_keys_need_not_be_unique_in_a_set():
 
 def test_save_trials_writes_the_columns_without_building_records(tmp_path, monkeypatch):
     rows = [base_row(0), {**base_row(1), "answer_text": "a whale"}]
-    trials = TrialSet([TrialRecord(**row) for row in rows])
+    trials = TrialSet(records_of(rows))
     save_trials(trials, tmp_path / "records.jsonl")
 
     def no_records(*args, **kwargs):
