@@ -76,9 +76,12 @@ from .binning import DEFAULT_PAD_VALUE, RatingScale
 from .errors import (
     EmptySet,
     MissingCondition,
+    OneClassOnly,
+    TooFewTrials,
     TooManyDegenerate,
     UnpairedSets,
     WrongCiLevel,
+    ZeroDPrime,
 )
 from .nonparam import auroc2_batch, level_keys, nlp_gap_batch
 from .profiles import DEFINED, ONE_CLASS, ZERO_D_PRIME, raise_undefined, type1_block
@@ -451,43 +454,41 @@ def _draws(job: _Job, lo: int, hi: int) -> list[np.ndarray]:
     return [streams[side.entropy, side.n_ids] for side in job.sides]
 
 
-def _eval_chunk(jobs: list[_Job], start: int, stop: int) -> np.ndarray:
-    """Each job's statistic (or nan) for resample ordinals [start, stop),
-    as a (len(jobs), stop - start) block, evaluated FIT_BATCH ordinals at a
-    time: one id draw per stream of a job, each side's rows through
-    _evaluate in blocks of bounded size (_Side.blocks), then the tables
-    every block of every job left to fit, in job, side and block order, in
-    ceil(tables / FIT_ROWS) meta-d' solves of equal size."""
-    out = np.empty((len(jobs), stop - start))
-    for lo in range(start, stop, FIT_BATCH):
-        hi = min(lo + FIT_BATCH, stop)
-        evaluated, pending = [], []     # per job its (reasons, values); every pending fit
-        for job in jobs:
-            reasons, values = [], []    # per side
-            for side, draws in zip(job.sides, _draws(job, lo, hi)):
-                side_reasons, side_values, side_pending = zip(
-                    *(_evaluate(job, side, *block) for block in side.blocks(draws)))
-                reasons.append(np.concatenate(side_reasons))
-                values.append(np.concatenate(side_values))
-                if job.metric in _FITTED:
-                    pending += side_pending
-            evaluated.append((np.array(reasons), np.array(values)))
-        if pending:
-            tables, d_prime, criterion_c = map(np.concatenate, zip(*pending))
-            solves = max(1, -(-len(tables) // FIT_ROWS))
-            fits = [meta_d_fit_batch(*rows) for rows in zip(
-                *(np.array_split(a, solves) for a in (tables, d_prime, criterion_c)))]
-            meta_d = np.concatenate([fit.meta_d for fit in fits])
-            converged = np.concatenate([fit.converged for fit in fits])
-        taken = 0
-        for j, (job, (reasons, values)) in enumerate(zip(jobs, evaluated)):
+def _eval_chunk(jobs: list[_Job], lo: int, hi: int) -> np.ndarray:
+    """Each job's statistic (or nan) for resample ordinals [lo, hi), at most
+    one FIT_BATCH batch, as a (len(jobs), hi - lo) block: one id draw per
+    stream of a job, each side's rows through _evaluate in blocks of bounded
+    size (_Side.blocks), then the tables every block of every job left to
+    fit, in job, side and block order, in ceil(tables / FIT_ROWS) meta-d'
+    solves of equal size."""
+    evaluated, pending = [], []     # per job its (reasons, values); every pending fit
+    for job in jobs:
+        reasons, values = [], []    # per side
+        for side, draws in zip(job.sides, _draws(job, lo, hi)):
+            side_reasons, side_values, side_pending = zip(
+                *(_evaluate(job, side, *block) for block in side.blocks(draws)))
+            reasons.append(np.concatenate(side_reasons))
+            values.append(np.concatenate(side_values))
             if job.metric in _FITTED:
-                fitted = reasons == DEFINED
-                rows = slice(taken, taken + np.count_nonzero(fitted))
-                taken = rows.stop
-                values[fitted] = np.where(converged[rows], _fitted_stat(
-                    job.metric, meta_d[rows], d_prime[rows]), np.nan)
-            out[j, lo - start:hi - start] = np.subtract.reduce(values)
+                pending += side_pending
+        evaluated.append((np.array(reasons), np.array(values)))
+    if pending:
+        tables, d_prime, criterion_c = map(np.concatenate, zip(*pending))
+        solves = max(1, -(-len(tables) // FIT_ROWS))
+        fits = [meta_d_fit_batch(*rows) for rows in zip(
+            *(np.array_split(a, solves) for a in (tables, d_prime, criterion_c)))]
+        meta_d = np.concatenate([fit.meta_d for fit in fits])
+        converged = np.concatenate([fit.converged for fit in fits])
+    out = np.empty((len(jobs), hi - lo))
+    taken = 0
+    for j, (job, (reasons, values)) in enumerate(zip(jobs, evaluated)):
+        if job.metric in _FITTED:
+            fitted = reasons == DEFINED
+            rows = slice(taken, taken + np.count_nonzero(fitted))
+            taken = rows.stop
+            values[fitted] = np.where(converged[rows], _fitted_stat(
+                job.metric, meta_d[rows], d_prime[rows]), np.nan)
+        out[j] = np.subtract.reduce(values)
     return out
 
 
@@ -608,7 +609,8 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None, seed:
            hypothesis_id: str = ""):
     """The RNG unit and resampling job of metric(a), or of metric(a) -
     metric(b), the point of each side (_points), and the type of its result
-    with the fields of it that resampling does not give.
+    with the fields of it that resampling does not give. The error of an
+    undefined point names its unit: its message starts ``<domain>/<unit>: ``.
 
     The a side draws ids from the stream of ``unit``; a paired b side
     shares that stream, an independent one has its own, ``unit|b``.
@@ -636,7 +638,12 @@ def _setup(a: TrialSet, b: TrialSet | None, metric: str, unit: str | None, seed:
         sides += (_side(b, entropy if pairing == "paired"
                         else _stream_entropy(seed, domain, unit + "|b")),)
     job = _Job(metric, scale, pad_value, sides)
-    return unit, job, _points(job), BootstrapResult if b is None else ContrastResult, fields
+    try:
+        points = _points(job)
+    except (OneClassOnly, TooFewTrials, ZeroDPrime) as exc:
+        exc.args = (f"{domain}/{unit}: {exc}",)
+        raise
+    return unit, job, points, BootstrapResult if b is None else ContrastResult, fields
 
 
 def _point_values(units: list, pad_value: float) -> list[float]:

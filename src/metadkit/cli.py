@@ -8,10 +8,11 @@ generates synthetic trials.
 
 A run's settings are RunConfig's fields, read in layers, each over the one
 before: defaults <- ``$METADKIT_WORKERS`` (``workers``) <- a flat key=value
-config file of RunConfig keys <- flags. Each key but ``pad_value`` and
-``ci_level_confirmatory`` has a flag: ``--resamples``, ``--nratings`` and
-``--delta`` for ``n_resamples``, ``n_ratings`` and ``tost_delta``, else
-``--<key>`` with dashes; ``confirm`` refuses a ``binning_scope`` but per_cell.
+config file of RunConfig keys (``--config``) <- flags. A command has a flag
+(``_FLAGS``) only for each key it reads; ``confirm`` refuses a config
+file's ``binning_scope`` but per_cell. Flag text is read by the key's type,
+as config-file text is, and an argument the parser refuses is, like a
+setting that does not parse, one ``config error: …`` line.
 Exit codes: 0 success, 1 data error, 2 configuration error, 3 numerical failure.
 """
 
@@ -131,42 +132,60 @@ def _read_settings(path: str | Path, types: dict[str, str], kind: str) -> dict:
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
-    """Defaults <- $METADKIT_WORKERS <- config file <- flags, text read by type."""
+    """Defaults <- $METADKIT_WORKERS <- config file <- ``overrides``, the
+    values of the flags given; text read by type."""
     raw_workers = os.environ.get(WORKERS_ENV_VAR)
     from_env = {"workers": _parse("int", WORKERS_ENV_VAR, raw_workers)} if raw_workers else {}
     from_file = _read_settings(config_path, _RUN_TYPES, "config") if config_path else {}
-    from_flags = {k: v for k, v in overrides.items() if v is not None}
-    config = RunConfig(**{**from_env, **from_file, **from_flags})
+    config = RunConfig(**{**from_env, **from_file, **overrides})
     config.validate()
     return config
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", help="trial file (JSONL or CSV)")
+# the flag and help of each RunConfig key a flag sets: ``--<key>`` with
+# dashes but for three; pad_value and ci_level_confirmatory have none
+_FLAGS = {
+    "trials": ("--trials", "trial file (JSONL or CSV)"),
+    "seed": ("--seed", "bootstrap seed (default 42)"),
+    "n_resamples": ("--resamples", "bootstrap resample count (default 10000)"),
+    "n_ratings": ("--nratings", "ratings per response side (default 4)"),
+    "tost_delta": ("--delta", "TOST equivalence margin (default 0.17)"),
+    "out": ("--out", "output directory (default ./out)"),
+    "workers": ("--workers", f"bootstrap processes in all, this one included; 1 starts "
+                             f"no worker process (default ${WORKERS_ENV_VAR} or 1)"),
+    "full_precision": ("--full-precision", "write CSV values at full precision"),
+    "binning_scope": ("--binning-scope", f"quantile binning scope, one of "
+                                         f"{', '.join(BINNING_SCOPES)} (default per_cell)"),
+    "pairing": ("--pairing", f"contrast resampling mode, one of {', '.join(PAIRINGS)} "
+                             f"(default paired)"),
+}
+# the keys diagnose and compare-formats read, and those confirm reads
+_PROFILE_KEYS = ("trials", "n_ratings", "out", "full_precision", "binning_scope")
+_CONFIRM_KEYS = ("trials", "seed", "n_resamples", "n_ratings", "tost_delta", "out", "workers",
+                 "full_precision", "pairing")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises a ConfigError on an argument it refuses,
+    which main prints as one ``config error: …`` line, with no usage text."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _add_settings(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """``--config`` and the flag of each key, its value kept as text."""
     parser.add_argument("--config", help="flat key=value run configuration file")
-    parser.add_argument("--seed", type=int, help="bootstrap seed (default 42)")
-    parser.add_argument("--resamples", type=int, dest="n_resamples",
-                        help="bootstrap resample count (default 10000)")
-    parser.add_argument("--nratings", type=int, dest="n_ratings",
-                        help="ratings per response side (default 4)")
-    parser.add_argument("--delta", type=float, dest="tost_delta",
-                        help="TOST equivalence margin (default 0.17)")
-    parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--workers", type=int,
-                        help=f"bootstrap processes in all, this one included; 1 starts "
-                             f"no worker process (default ${WORKERS_ENV_VAR} or 1)")
-    parser.add_argument("--full-precision", action="store_const", const=True,
-                        dest="full_precision", default=None,
-                        help="write CSV values at full precision")
-    parser.add_argument("--binning-scope", dest="binning_scope",
-                        choices=BINNING_SCOPES,
-                        help="quantile binning scope (default per_cell)")
-    parser.add_argument("--pairing", choices=PAIRINGS,
-                        help="contrast resampling mode (default paired)")
+    for key in keys:
+        flag, help_ = _FLAGS[key]
+        if _RUN_TYPES[key] == "bool":
+            parser.add_argument(flag, dest=key, action="store_const", const="true", help=help_)
+        else:
+            parser.add_argument(flag, dest=key, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metadkit",
         description="Domain-level metacognitive diagnostics from trial-level records.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,30 +194,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", required=True)
 
     p = sub.add_parser("diagnose", help="profile tables per (condition, format)")
-    _add_common_flags(p)
+    _add_settings(p, _PROFILE_KEYS)
     p.add_argument("--format", help="restrict analysis to one format")
 
     p = sub.add_parser("compare-formats", help="profile stability across two formats")
-    _add_common_flags(p)
+    _add_settings(p, _PROFILE_KEYS)
     p.add_argument("--format-a", required=True)
     p.add_argument("--format-b", required=True)
     p.add_argument("--condition", help="condition to compare (default: the only one)")
 
     p = sub.add_parser("confirm", help="run the confirmatory hypothesis suite")
-    _add_common_flags(p)
+    _add_settings(p, _CONFIRM_KEYS)
     p.add_argument("--format", help="restrict analysis to one format")
 
     p = sub.add_parser("synth", help="generate synthetic trials")
     p.add_argument("--synth-config", required=True,
                    help="flat key=value synthetic generator configuration")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    return load_run_config(getattr(args, "config", None), overrides)
+    """The run config of a command's flags, their text read as a config
+    file's is, over its ``--config`` file."""
+    flags = {key: _parse(_RUN_TYPES[key], key, raw) for key in _FLAGS
+             if (raw := getattr(args, key, None)) is not None}
+    return load_run_config(args.config, flags)
 
 
 def _load(config: RunConfig, fmt: str | None = None):
@@ -310,7 +332,7 @@ def load_synth_config(path: str | Path) -> SynthConfig:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = load_synth_config(args.synth_config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = replace(config, seed=_parse("int", "seed", args.seed))
     trials = generate(config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -618,7 +618,7 @@ def test_nlp_gap_chunk_is_each_resample_alone_bit_for_bit(records_per_id):
     job = bootstrap._Job("nlp_gap", RatingScale(), 0.5,
                          (bootstrap._side(a, entropy), bootstrap._side(b, entropy)))
     assert (job.sides[0].counts is None) == (records_per_id == 1)
-    got = bootstrap._eval_chunk([job], 0, 300)[0]   # batches of 128, 128 and 44 ordinals
+    got = bootstrap._run_jobs([job], 300, 1)[0]     # chunks of 128, 128 and 44 ordinals
     want = np.array([
         nlp_gap_alone(job.sides[0].nlp[ra], job.sides[0].correct[ra])
         - nlp_gap_alone(job.sides[1].nlp[rb], job.sides[1].correct[rb])

@@ -20,6 +20,7 @@ from metadkit.cli import (
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     RunConfig,
+    _FLAGS,
     _PARSERS,
     _config_from_args,
     build_parser,
@@ -107,21 +108,35 @@ def test_the_bin_count_and_the_file_format_have_no_setting_of_their_own(tmp_path
     missing = str(tmp_path / "none.jsonl")
     assert main(["confirm", "--config", str(path), "--trials", missing]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err == "config error: unknown config key 'n_bins'\n"
-    for argv in (["confirm", "--trials", missing, "--bins", "8"],
-                 ["validate", "--trials", missing, "--format-hint", "csv"]):
-        with pytest.raises(SystemExit) as caught:
-            main(argv)
-        assert caught.value.code == EXIT_CONFIG_ERROR
+    for argv, flag in ((["confirm", "--trials", missing, "--bins", "8"], "--bins 8"),
+                       (["validate", "--trials", missing, "--format-hint", "csv"],
+                        "--format-hint csv")):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: unrecognized arguments: {flag}\n"
 
 
-def test_every_config_flag_reaches_the_config():
-    args = build_parser().parse_args([
-        "confirm", "--trials", "t.jsonl", "--seed", "5", "--resamples", "7", "--nratings", "3",
-        "--delta", "0.1", "--out", "o", "--workers", "2", "--full-precision",
-        "--binning-scope", "global", "--pairing", "independent"])
-    assert _config_from_args(args) == RunConfig(
-        trials="t.jsonl", seed=5, n_resamples=7, n_ratings=3, tost_delta=0.1, out="o",
-        workers=2, full_precision=True, binning_scope="global", pairing="independent")
+def test_every_config_flag_reaches_the_config(monkeypatch):
+    """Each command's flags, and between them every flag there is."""
+    monkeypatch.delenv("METADKIT_WORKERS", raising=False)
+    profile_flags = ["--trials", "t.jsonl", "--nratings", "3", "--out", "o", "--full-precision",
+                     "--binning-scope", "global"]
+    profile_config = RunConfig(trials="t.jsonl", n_ratings=3, out="o", full_precision=True,
+                               binning_scope="global")
+    cases = [
+        (["confirm", "--trials", "t.jsonl", "--seed", "5", "--resamples", "7", "--nratings", "3",
+          "--delta", "0.1", "--out", "o", "--workers", "2", "--full-precision",
+          "--pairing", "independent"],
+         RunConfig(trials="t.jsonl", seed=5, n_resamples=7, n_ratings=3, tost_delta=0.1, out="o",
+                   workers=2, full_precision=True, pairing="independent")),
+        (["diagnose", *profile_flags], profile_config),
+        (["compare-formats", "--format-a", "a", "--format-b", "b", *profile_flags],
+         profile_config),
+    ]
+    flagged = set()
+    for argv, config in cases:
+        assert _config_from_args(build_parser().parse_args(argv)) == config
+        flagged |= {key for key in CONFIG_KEYS if getattr(config, key) != getattr(RunConfig(), key)}
+    assert flagged == set(CONFIG_KEYS) - {"pad_value", "ci_level_confirmatory"}
     assert set(CONFIG_KEYS) == set(vars(RunConfig()))
 
 
@@ -148,9 +163,9 @@ def test_workers_layers_are_defaults_then_env_var_then_file_then_flags(tmp_path,
     assert load_run_config(None, {}).workers == 3
     assert load_run_config(str(path), {}).workers == 2
     assert load_run_config(str(path), {"workers": 4}).workers == 4
-    args = build_parser().parse_args(["diagnose", "--config", str(path), "--trials", "x"])
+    args = build_parser().parse_args(["confirm", "--config", str(path), "--trials", "x"])
     assert _config_from_args(args).workers == 2
-    args = build_parser().parse_args(["diagnose", "--config", str(path), "--trials", "x",
+    args = build_parser().parse_args(["confirm", "--config", str(path), "--trials", "x",
                                       "--workers", "4"])
     assert _config_from_args(args).workers == 4
 
@@ -185,6 +200,8 @@ SETTING_MESSAGES = [
      "mix_means_correct must be a comma-separated list of numbers, got '0.5,x'"),
     ("synth", "n_trial", "600", "unknown synth config key 'n_trial'"),
     ("env", "METADKIT_WORKERS", "1.5", "METADKIT_WORKERS must be an integer, got '1.5'"),
+    ("flag", "n_resamples", "ten", "n_resamples must be an integer, got 'ten'"),
+    ("flag", "tost_delta", "wide", "tost_delta must be a number, got 'wide'"),
 ]
 
 
@@ -202,6 +219,9 @@ def test_a_setting_that_does_not_parse_has_one_message_and_exits_2(
         path = synth_cfg(tmp_path, **{key: value})
         read = partial(load_synth_config, path)
         argv = ["synth", "--synth-config", str(path), "--out", str(tmp_path / "s.jsonl")]
+    elif source == "flag":
+        argv = ["confirm", "--trials", missing, _FLAGS[key][0], value]
+        read = partial(_config_from_args, build_parser().parse_args(argv))
     else:
         monkeypatch.setenv(key, value)
         read = partial(load_run_config, None, {})
@@ -314,7 +334,7 @@ def test_nan_tost_setting_fails_before_load(tmp_path, monkeypatch, text):
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_confirm_refuses_global_binning_before_load(tmp_path, monkeypatch, capsys, source):
     """confirm bins each resampled cell on its own; a global scope it would
-    ignore, so it refuses it from a flag or a config file alike."""
+    ignore, so it has no flag for one and refuses one from a config file."""
     import metadkit.cli
 
     monkeypatch.setattr(metadkit.cli, "run_hypothesis_suite",
@@ -328,8 +348,9 @@ def test_confirm_refuses_global_binning_before_load(tmp_path, monkeypatch, capsy
                  "--out", str(out_dir), *flags])
     assert code == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err == (
-        "config error: confirm bins each resampled cell on its own, so binning_scope must be "
-        "per_cell, got 'global'\n")
+        "config error: unrecognized arguments: --binning-scope global\n" if source == "flag"
+        else "config error: confirm bins each resampled cell on its own, so binning_scope must "
+             "be per_cell, got 'global'\n")
     assert not out_dir.exists()
 
 
@@ -511,6 +532,14 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_seed_flag_that_does_not_parse_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    assert main(["synth", "--synth-config", str(synth_cfg(tmp_path)), "--out", str(out),
+                 "--seed", "1.5"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: seed must be an integer, got '1.5'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--config", "--synth-config"])
 @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
 def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, flag, case):
@@ -605,8 +634,8 @@ def test_diagnose_flags_only_fits_that_did_not_converge(tmp_path, capsys, incorr
 def test_a_one_class_cell_is_the_same_data_error_on_every_path(tmp_path, capsys, command, config):
     """Every History answer correct: the first one-class cell raises
     OneClassOnly, whatever the binning scope or the padding; diagnose
-    names the cell."""
-    where = "cell (1, f16, History): " if command[0] == "diagnose" else ""
+    names the cell, confirm the unit of the contrast."""
+    where = "cell (1, f16, History): " if command[0] == "diagnose" else "History/meta_d|2-1: "
     from tests.test_bootstrap import four_condition_trials
     trials = four_condition_trials(np.random.default_rng(5), 40)
     trials = TrialSet([replace(r, correct=True) if r.domain == "History" else r
@@ -671,16 +700,28 @@ def test_an_undefined_cell_is_named_in_its_data_error(tmp_path, capsys, command,
     assert not out_dir.exists()
 
 
+def test_confirm_names_the_contrast_of_an_undefined_point_estimate(tmp_path, capsys):
+    """A Science cell of 20 questions whose condition-1 point has d' = 0."""
+    from tests.test_cli_contract import base_rows
+    path = tmp_path / "trials.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in base_rows(seed=31, nlp_gap=0.8)))
+    out_dir = tmp_path / "out"
+    code = main(["confirm", "--trials", str(path), "--resamples", "20", "--out", str(out_dir)])
+    assert code == EXIT_NUMERICAL_ERROR
+    assert capsys.readouterr().err == \
+        "numerical error: Science/meta_d|2-1: meta-d' undefined at d' = 0\n"
+    assert not out_dir.exists()
+
+
 # -- compare-formats -----------------------------------------------------------
 
 def test_compare_formats_rejects_format(tmp_path, capsys):
     """It compares --format-a with --format-b; one --format is an error."""
     path = write_trials(tmp_path, gaussian_trials(np.random.default_rng(3), 100))
-    with pytest.raises(SystemExit) as exited:
-        main(["compare-formats", "--trials", str(path), "--format", "f16", "--format-a", "f16",
-              "--format-b", "f16", "--out", str(tmp_path / "cmp")])
-    assert exited.value.code == EXIT_CONFIG_ERROR
-    assert "--format" in capsys.readouterr().err
+    assert main(["compare-formats", "--trials", str(path), "--format", "f16", "--format-a", "f16",
+                 "--format-b", "f16", "--out", str(tmp_path / "cmp")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == \
+        "config error: ambiguous option: --format could match --format-a, --format-b\n"
     assert not (tmp_path / "cmp").exists()
 
 

@@ -9,7 +9,8 @@ command documents, prints no traceback, and a run that exits 1 or 2 prints
 one ``data error: …`` or ``config error: …`` line to stderr and writes no
 report file. So does a run that exits 3 on an undefined statistic
 (``numerical error: …``); one that exits 3 on a fit that did not converge
-writes its report and prints no error.
+writes its report and prints no error. A drawn argument that a command
+refuses makes its run exit 2 on any file, with no usage text.
 """
 
 import contextlib
@@ -39,15 +40,17 @@ DOCUMENTED = {"validate": {0, 1, 2}, "diagnose": {0, 1, 2, 3},
 ERROR_LINE = {1: "data error: ", 2: "config error: ", 3: "numerical error: "}
 
 
-def base_rows():
-    rng = np.random.default_rng(1)
+def base_rows(seed=1, nlp_gap=1.5):
+    """Every cell's rows, drawn by the rng of ``seed``: 70 % correct, and the
+    nlp of a correct answer ``nlp_gap`` higher on average."""
+    rng = np.random.default_rng(seed)
     rows = []
     for condition, fmt, domain in CELLS:
         for i in range(QUESTIONS):
             correct = bool(rng.random() < 0.7)
             rows.append({"question_id": f"{domain[:3].lower()}{i:03d}", "domain": domain,
                          "condition": condition, "format": fmt, "correct": correct,
-                         "nlp": round(float(rng.normal(1.5 if correct else 0.0)) - 1.0, 4)})
+                         "nlp": round(float(rng.normal(nlp_gap if correct else 0.0)) - 1.0, 4)})
     return rows
 
 
@@ -65,6 +68,19 @@ EDITS = st.one_of(
     st.tuples(st.just("one_class"), st.sampled_from(CELLS), st.booleans()),
     st.tuples(st.just("shrink"), st.sampled_from(CELLS), st.integers(0, 15)),
 )
+
+
+# an argument a command refuses, drawn into that command's argv: (command,
+# flags added, a flag left out with its value). Each is one config error,
+# exit 2, whatever the file holds.
+REFUSED = [
+    ("validate", ["--bins", "8"], None),                    # an unknown flag
+    ("diagnose", ["--workers", "2"], None),                 # another command's flag
+    ("confirm", ["--binning-scope", "global"], None),
+    ("confirm", ["--resamples", "ten"], None),              # a value that does not parse
+    ("compare-formats", ["--format", "f16"], None),         # a prefix of two flags
+    ("compare-formats", [], "--format-a"),                  # a required flag left out
+]
 
 
 def cell_of(row):
@@ -102,9 +118,19 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def refuse(argv, refused):
+    """argv with the refused argument's flags added and its flag left out."""
+    _, added, left_out = refused
+    if left_out in argv:
+        at = argv.index(left_out)
+        argv = argv[:at] + argv[at + 2:]
+    return argv + added
+
+
 @settings(max_examples=100)
-@given(edits=st.lists(EDITS, max_size=3), condition=st.sampled_from([None, "1"]))
-def test_every_command_keeps_the_failure_contract(edits, condition):
+@given(edits=st.lists(EDITS, max_size=3), condition=st.sampled_from([None, "1"]),
+       refused=st.none() | st.sampled_from(REFUSED))
+def test_every_command_keeps_the_failure_contract(edits, condition, refused):
     rows = edited(BASE_ROWS, edits)
     with tempfile.TemporaryDirectory() as tmp:
         trials = Path(tmp) / "trials.jsonl"
@@ -116,8 +142,14 @@ def test_every_command_keeps_the_failure_contract(edits, condition):
         for command, extra in commands.items():
             out_dir = Path(tmp) / command
             argv = [command, "--trials", str(trials), *extra]
-            code, out, err = run(argv if command == "validate" else argv + ["--out", str(out_dir)])
+            if command != "validate":
+                argv += ["--out", str(out_dir)]
+            if refused and refused[0] == command:
+                argv = refuse(argv, refused)
+            code, out, err = run(argv)
             assert code in DOCUMENTED[command], (command, code, err)
+            if refused and refused[0] == command:
+                assert code == 2 and "usage" not in err, (command, err)
             assert "Traceback" not in out + err, (command, err)
             if err or code in (1, 2):     # one error line, and no report
                 assert err.count("\n") == 1 and err.startswith(ERROR_LINE[code]), (command, err)

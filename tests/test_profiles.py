@@ -360,6 +360,11 @@ def in_cell(error, cell):
     return error[0], f"cell ({cell}): {error[1]}"
 
 
+def in_unit(error, domain, unit):
+    """A point's error as a bootstrap raises it: its message led by its unit."""
+    return error[0], f"{domain}/{unit}: {error[1]}"
+
+
 @pytest.mark.parametrize("kind", sorted(FAULTY_CELLS))
 def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
     nlp, correct, error = FAULTY_CELLS[kind]
@@ -367,7 +372,8 @@ def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
     trials = faulty_cells(kind)
     for metric in ("meta_d", "m_ratio"):
         assert_raises(error, lambda: metric_value(metric, nlp, correct))
-        assert_raises(error, lambda: bootstrap_metric(trials, metric, n_resamples=1))
+        assert_raises(in_unit(error, "D0", metric),
+                      lambda: bootstrap_metric(trials, metric, n_resamples=1))
     assert_raises(error, lambda: fit_cell_arrays(nlp, correct))
     for binning_scope in ("per_cell", "global"):
         assert_raises(in_cell(error, "1, f16, D0"),
@@ -380,7 +386,8 @@ def test_every_path_raises_a_faulty_cells_error_in_one_order(kind):
     if error is ONE_CLASS_ERROR:    # so are the rank-based ones
         for metric in ("auroc2", "nlp_gap"):
             assert_raises(error, lambda: metric_value(metric, nlp, correct))
-            assert_raises(error, lambda: bootstrap_metric(trials, metric, n_resamples=1))
+            assert_raises(in_unit(error, "D0", metric),
+                          lambda: bootstrap_metric(trials, metric, n_resamples=1))
 
 
 @pytest.mark.parametrize("kinds, error", [

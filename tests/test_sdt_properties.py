@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from metadkit.binning import pad_counts
 from metadkit.sdt import (
@@ -100,6 +100,25 @@ def test_hessian_is_the_derivative_of_the_gradient(table_type1, log_gaps, t):
                       - _nll_and_grad(theta - eps * e, counts, cprime)[1])[0] / (2 * eps)
                      for e in np.eye(theta.shape[1])])
     assert np.abs(hess[0] - h_fd).max() <= 1e-6 * max(1.0, np.abs(hess).max())
+
+
+@settings(max_examples=25)
+@given(count_tables(), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.floats(0.2, 1.5))
+def test_gradient_is_the_derivative_of_the_value(table_type1, log_gaps, t):
+    """At drawn points where each class keeps a mass of at least 1e-250 on
+    each response side, so that the 1e-300 floor on those masses never
+    binds: where it binds, the value and the gradient part ways."""
+    table, type1 = table_type1
+    theta, counts, cprime = np.r_[t, log_gaps][None], table[None], np.array([type1[1] / type1[0]])
+    middle = cprime * t * t + np.array([0.5, -0.5]) * t * t    # meta_c from each class mean
+    assume(min(ndtr(middle).min(), ndtr(-middle).min()) >= 1e-250)
+    _, grad = _nll_and_grad(theta, counts, cprime)
+    eps = 1e-6
+    g_fd = np.array([(_nll_and_grad(theta + eps * e, counts, cprime, order=0)
+                      - _nll_and_grad(theta - eps * e, counts, cprime, order=0))[0] / (2 * eps)
+                     for e in np.eye(theta.shape[1])])
+    assert np.abs(grad[0] - g_fd).max() <= 1e-6 * max(1.0, np.abs(grad).max())
 
 
 @given(st.lists(count_tables(), min_size=2, max_size=6), st.integers(0, 2 ** 32 - 1))
